@@ -102,9 +102,9 @@ def _cmd_check_graph(args) -> int:
 def _cmd_verify_hardness(args) -> int:
     with open(args.hypergraph) as fh:
         h = Hypergraph3U.from_text(fh.read())
-    report = verify_equivalence(h)
+    g2 = build_gadget(h)
+    report = verify_equivalence(g2)
     if args.lift_3d:
-        g2 = build_gadget(h)
         g3 = lift_to_3d(g2)
         lifted = enumerate_groupings(g3)
         report["lift_3d"] = {
@@ -139,8 +139,7 @@ def _cmd_experiment(args) -> int:
 def _cmd_bench(args) -> int:
     sizes = tuple(int(t) for t in args.sizes.split(","))
     cfg = BenchConfig(sizes=sizes, algorithms=tuple(args.algorithms.split(",")),
-                      seed=args.seed, timeout_s=args.timeout,
-                      jobs=max(args.jobs, 1))
+                      seed=args.seed, timeout_s=args.timeout)
     rows = bench_scaling(cfg)
     _emit("\n".join(bench_rows_to_csv(rows)), args.output)
     return 0
@@ -155,8 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="distance-consistency tolerance (default 1e-9)")
     parser.add_argument("--tau", type=float, default=1e-12,
                         help="normalized volume degeneracy threshold")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for batch commands")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate a building deployment")

@@ -239,7 +239,6 @@ class BenchConfig:
     algorithms: tuple[str, ...] = ("group", "quad")
     seed: int = 0
     timeout_s: float = 60.0
-    jobs: int = 1
 
 
 def _bench_building(n_target: int, floors: int, corridors: int,
@@ -288,7 +287,7 @@ def bench_scaling(config: BenchConfig) -> list[dict]:
     not fatal. Returns one row per (size, algorithm)."""
     if not config.sizes or min(config.sizes) <= 0:
         raise InvalidConfigError("bench sizes must be positive")
-    tasks = []
+    rows = []
     for size in config.sizes:
         bc = _bench_building(size, config.floors, config.corridors_per_floor,
                              config.seed)
@@ -296,12 +295,8 @@ def bench_scaling(config: BenchConfig) -> list[dict]:
         k = len(instance.plane_group_ids())
         r = len(instance.line_group_ids())
         for name in config.algorithms:
-            tasks.append((name, instance, k, r, config.timeout_s))
-    if config.jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            return list(pool.map(lambda t: _bench_row(*t), tasks))
-    return [_bench_row(*t) for t in tasks]
+            rows.append(_bench_row(name, instance, k, r, config.timeout_s))
+    return rows
 
 
 def bench_rows_to_csv(rows: Sequence[Mapping]) -> list[str]:

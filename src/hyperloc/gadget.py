@@ -413,10 +413,7 @@ def _audit_gadget(g: GadgetInstance) -> None:
                          w.end_apexes[1]):
             raise HyperlocError("chain must not touch the probed flag")
     # minimum separation so the 3D lift keeps copies isolated
-    pos = inst.positions()
-    d = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
-    np.fill_diagonal(d, np.inf)
-    if d.min() < 0.1:
+    if any(d < 0.1 for _, _, d in udg_edges(inst.positions(), 0.1, eps=0.0)):
         raise HyperlocError("node separation too small for the 3D lift")
 
 
@@ -446,19 +443,16 @@ def _config_positions(g: GadgetInstance, config: FlipConfiguration,
     return pos
 
 
-def _adjacency_of(instance: NetworkInstance) -> np.ndarray:
-    want = np.zeros((instance.n, instance.n), dtype=bool)
-    for u, v, _ in instance.edges:
-        want[u, v] = want[v, u] = True
-    return want
-
-
-def _positions_valid(want: np.ndarray, pts: np.ndarray) -> bool:
+def _positions_valid(want: list[tuple[int, int]], pts: np.ndarray) -> bool:
     """Exact unit-disk realization check: edges iff within radius."""
-    d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
-    np.fill_diagonal(d, np.inf)
-    adj = d <= RADIUS + 1e-9
-    return bool(np.array_equal(adj, want))
+    return [(u, v) for u, v, _ in udg_edges(pts, RADIUS)] == want
+
+
+def _cross_pairs(first: np.ndarray, second: np.ndarray) -> set[tuple[int, int]]:
+    """Index pairs (i, j) with first[i] within the radius of second[j]."""
+    k = len(first)
+    return {(a, b - k) for a, b, _ in udg_edges(np.vstack([first, second]),
+                                                 RADIUS) if a < k <= b}
 
 
 class _ConfigChecker:
@@ -481,7 +475,6 @@ class _ConfigChecker:
                 x = 2.0 * self.x_of[nd.owner] - x
             return np.array([x, y])
 
-        self._apex_pos = apex_pos
         # consecutive-line apex compatibility tables
         self.pair_tables: list[tuple[int, int, np.ndarray]] = []
         apexes_by_vertex: dict[int, list[int]] = {v: [] for v in range(self.n)}
@@ -489,21 +482,16 @@ class _ConfigChecker:
             apexes_by_vertex[v].append(aid)
         for p in range(self.n - 1):
             va, vb = g.order[p], g.order[p + 1]
-            pairs = [(a, b) for a in apexes_by_vertex[va]
-                     for b in apexes_by_vertex[vb]]
-            if not pairs:
+            left, right = apexes_by_vertex[va], apexes_by_vertex[vb]
+            if not (left and right):
                 continue
+            want = {(i, j) for i, a in enumerate(left)
+                    for j, b in enumerate(right) if inst.has_edge(a, b)}
             table = np.ones((4, 4), dtype=bool)
             for sa, sb in itertools.product(range(4), range(4)):
-                ok = True
-                for a, b in pairs:
-                    pa = apex_pos(a, sa & 1, sa >> 1)
-                    pb = apex_pos(b, sb & 1, sb >> 1)
-                    within = np.linalg.norm(pa - pb) <= RADIUS + 1e-9
-                    if within != inst.has_edge(a, b):
-                        ok = False
-                        break
-                table[sa, sb] = ok
+                pa = np.array([apex_pos(a, sa & 1, sa >> 1) for a in left])
+                pb = np.array([apex_pos(b, sb & 1, sb >> 1) for b in right])
+                table[sa, sb] = _cross_pairs(pa, pb) == want
             self.pair_tables.append((va, vb, table))
         # per-chain feasibility tables over both endpoint line states
         self.wire_tables: list[tuple[int, int, np.ndarray]] = []
@@ -513,21 +501,15 @@ class _ConfigChecker:
             yf = _edge_line_y(fi)
             txs = np.array([nodes[t].x for t in w.token_ids])
             apex_ids = [g._apex_of[(va, fi)], g._apex_of[(vb, fi)]]
+            want = {(i, j) for i, tid in enumerate(w.token_ids)
+                    for j, aid in enumerate(apex_ids) if inst.has_edge(tid, aid)}
             table = np.zeros((4, 4, 2), dtype=bool)
             for sa, sb, bit in itertools.product(range(4), range(4), range(2)):
                 sign = 1 if bit else -1
                 tpos = np.column_stack([txs, np.full(len(txs), sign * yf)])
-                ok = True
-                for aid, state in zip(apex_ids, (sa, sb)):
-                    ap = apex_pos(aid, state & 1, state >> 1)
-                    dd = np.linalg.norm(tpos - ap, axis=1)
-                    for tid, dist in zip(w.token_ids, dd):
-                        if (dist <= RADIUS + 1e-9) != inst.has_edge(tid, aid):
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                table[sa, sb, bit] = ok
+                aps = np.array([apex_pos(aid, state & 1, state >> 1)
+                                for aid, state in zip(apex_ids, (sa, sb))])
+                table[sa, sb, bit] = _cross_pairs(tpos, aps) == want
             self.wire_tables.append((va, vb, table))
 
     def wire_signs(self, config: FlipConfiguration) -> list[int] | None:
@@ -559,8 +541,7 @@ def enumerate_groupings(g: GadgetInstance,
     if h.n_vertices > max_vertices:
         raise SizeCapError("configuration enumeration beyond the size cap")
     checker = _ConfigChecker(g)
-    want = _adjacency_of(g.instance)
-    z = getattr(g, "_lift_z", None)
+    want = [(u, v) for u, v, _ in g.instance.edges]
     valid = []
     n = h.n_vertices
     for bits in range(4 ** n):
@@ -574,7 +555,8 @@ def enumerate_groupings(g: GadgetInstance,
             continue
         pos = _config_positions(g, config, signs)
         if g.dim == 3:
-            pts = np.column_stack([np.tile(pos, (2, 1)), z])
+            pts = np.column_stack([np.tile(pos, (2, 1)),
+                                   np.repeat([0.0, 1.0], len(pos))])
         else:
             pts = pos
         if _positions_valid(want, pts):
@@ -586,11 +568,11 @@ def enumerate_groupings(g: GadgetInstance,
 # equivalence report and 3D lift
 # ---------------------------------------------------------------------------
 
-def verify_equivalence(h: Hypergraph3U) -> dict:
-    """Brute-force both sides of the reduction and report agreement."""
-    colorings = two_colorings(h)
+def verify_equivalence(g: GadgetInstance) -> dict:
+    """Brute-force both sides of the reduction for a built gadget's
+    hypergraph and report agreement."""
+    colorings = two_colorings(g.hypergraph)
     colorable = bool(colorings)
-    g = build_gadget(h)
     configs = enumerate_groupings(g)
     groupable = bool(configs)
     correspondence = [
@@ -638,12 +620,10 @@ def lift_to_3d(g: GadgetInstance) -> GadgetInstance:
     planes3 = [(Hyperplane(normal=(p.normal[0], p.normal[1], 0.0),
                            offset=p.offset), color, label)
                for p, color, label in g.hyperplanes]
-    lifted = GadgetInstance(
+    return GadgetInstance(
         hypergraph=g.hypergraph, instance=inst3, hyperplanes=planes3, dim=3,
         base_coloring=g.base_coloring, order=g.order,
         vertex_line_of=g.vertex_line_of, edge_line_pair=g.edge_line_pair,
         flag_nodes=g.flag_nodes, assignment=g.assignment,
         _nodes=g._nodes, _wires=g._wires, _apex_of=g._apex_of,
         _side_of=g._side_of)
-    lifted._lift_z = np.concatenate([np.zeros(n), np.ones(n)])  # type: ignore[attr-defined]
-    return lifted

@@ -21,7 +21,7 @@ from .errors import (AmbiguousPlacementError, ChordInconsistencyError,
                      NonIsometricCorrespondenceError, NotLocalizableError)
 from .intervals import Graph, LinearOrder, unit_interval_order
 from .model import (COLLINEAR, COPLANAR, DEFAULT_EPS, GroupingFunction,
-                    Hyperplane, NetworkInstance, PointFormation)
+                    Hyperplane, NetworkInstance, PointFormation, udg_edges)
 from .quadloc import solve_spheres
 
 # Placements that bring a non-adjacent pair this far inside the radio radius
@@ -293,8 +293,7 @@ class _GroupSolver:
                 transform = compute_group_transform(locs, ambient, eps=self.eps)
             except (NonIsometricCorrespondenceError, DegenerateSupportsError):
                 continue
-            placed = self._check_placement(g, transform)
-            if placed is not None:
+            if self._check_placement(g, transform):
                 survivors.append((combo, transform))
         if not survivors:
             raise InconsistentDistancesError(
@@ -313,9 +312,9 @@ class _GroupSolver:
         self._apply_transform(g, transform, supports=sup_pts)
         return True
 
-    def _check_placement(self, g: int, transform: GroupTransform):
-        """Positions for group g if they satisfy every measured edge to the
-        localized set and violate no unit-disk non-edge; else None."""
+    def _check_placement(self, g: int, transform: GroupTransform) -> bool:
+        """True if group g's positions under the transform satisfy every
+        measured edge to the localized set and violate no unit-disk non-edge."""
         ids, pts = [], []
         for u in self.members[g]:
             row = self._local_row(g, u)
@@ -323,22 +322,29 @@ class _GroupSolver:
                 ids.append(u)
                 pts.append(transform.apply(row)[0])
         if not ids:
-            return None
+            return False
         pts = np.array(pts)
         loc_ids = self.formation.localized_ids()
-        if loc_ids:
-            loc_pts = self.formation.array(loc_ids)
-            dmat = np.linalg.norm(pts[:, None, :] - loc_pts[None, :, :], axis=-1)
-            for i, u in enumerate(ids):
-                nbrs = self.inst.neighbors(u)
-                for j, v in enumerate(loc_ids):
-                    if v in nbrs:
-                        if abs(dmat[i, j] - self.inst.dist(u, v)) > \
-                                max(self.eps, 1e-9):
-                            return None
-                    elif dmat[i, j] <= self.inst.radius - NONEDGE_MARGIN:
-                        return None
-        return pts
+        if not loc_ids:
+            return True
+        loc_pts = self.formation.array(loc_ids)
+        scale = max(1.0, float(np.abs(pts).max()), float(np.abs(loc_pts).max()))
+        tol = max(self.eps, 1e-9) * scale
+        pairs = [(i, v) for i, u in enumerate(ids)
+                 for v in self.inst.neighbors(u) if self.formation.is_localized(v)]
+        if pairs:
+            rows, nbrs = zip(*pairs)
+            got = np.linalg.norm(pts[list(rows)] - self.formation.array(nbrs),
+                                 axis=-1)
+            want = [self.inst.dist(ids[i], v) for i, v in pairs]
+            if np.any(np.abs(got - want) > tol):
+                return False
+        k = len(ids)
+        for a, b, _ in udg_edges(np.vstack([pts, loc_pts]),
+                                 self.inst.radius - NONEDGE_MARGIN, eps=0.0):
+            if a < k <= b and not self.inst.has_edge(ids[a], loc_ids[b - k]):
+                return False
+        return True
 
     def _is_reflection_gauge(self) -> bool:
         """True while every localized node lies in one hyperplane, so a

@@ -143,18 +143,14 @@ class NetworkInstance:
 
     def validate_exact(self, eps: float = DEFAULT_EPS) -> None:
         """Check edges are exactly the pairs within radius, dists exact."""
-        pos = self.positions()
-        d = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
-        n = self.n
-        expected = {(u, v) for u in range(n) for v in range(u + 1, n)
-                    if d[u, v] <= self.radius + eps}
-        actual = {(u, v) for u, v, _ in self.edges}
-        if expected != actual:
+        expected = udg_edges(self.positions(), self.radius, eps)
+        if [(u, v) for u, v, _ in expected] != \
+                [(u, v) for u, v, _ in self.edges]:
             raise InvalidInputError("edge set does not match UDG of positions")
-        for u, v, w in self.edges:
-            if abs(w - d[u, v]) > eps:
+        for (u, v, w), (_, _, d) in zip(self.edges, expected):
+            if abs(w - d) > eps:
                 raise InvalidInputError(
-                    f"edge ({u},{v}) dist {w} != true distance {d[u, v]}")
+                    f"edge ({u},{v}) dist {w} != true distance {d}")
 
 
 def build_udg(points: Sequence[Sequence[float]], radius: float, *,
@@ -178,30 +174,56 @@ def build_udg(points: Sequence[Sequence[float]], radius: float, *,
     full[:, :pts.shape[1]] = pts
     edges = udg_edges(full, radius)
     if noise_sigma > 0.0:
-        if rng is None:
-            rng = make_rng(0)
-        noisy = []
-        for u, v, d in edges:
-            w = d * (1.0 + noise_sigma * rng.standard_normal())
-            w = min(max(w, 1e-12), radius)
-            noisy.append((u, v, w))
-        edges = noisy
+        edges = _with_noise(edges, noise_sigma, radius,
+                            make_rng(0) if rng is None else rng)
     nodes = [NodeRecord(id=i, true_pos=tuple(full[i])) for i in range(len(full))]
     return NetworkInstance(nodes, edges, radius)
 
 
 def udg_edges(positions: np.ndarray, radius: float,
               eps: float = DEFAULT_EPS) -> list[tuple[int, int, float]]:
-    """All pairs within ``radius`` with their exact distances."""
+    """All pairs within ``radius`` with their exact distances.
+
+    Pairs ``(u, v)`` come with ``u < v`` in lexicographic order. A fixed-radius
+    near-neighbour sweep (Bentley, Stanat & Williams 1977): points are sorted
+    along their widest axis and each is paired only with the later points
+    whose gap on that axis is at most ``radius + eps``. A pair's distance is
+    never below that gap, so the window misses no pair, and no n x n array
+    is built.
+    """
     pos = np.asarray(positions, dtype=float)
     n = len(pos)
     if n < 2:
         return []
-    d = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
-    iu, iv = np.triu_indices(n, k=1)
-    keep = d[iu, iv] <= radius + eps
-    return [(int(u), int(v), float(d[u, v]))
-            for u, v in zip(iu[keep], iv[keep])]
+    lim = radius + eps
+    axis = int(np.argmax(pos.max(axis=0) - pos.min(axis=0)))
+    order = np.argsort(pos[:, axis])
+    xs = np.append(pos[order, axis], np.inf)  # the sentinel ends every window
+    heads, tails = [], []
+    alive = np.arange(n)
+    k = 1
+    while alive.size:
+        alive = alive[xs[alive + k] - xs[alive] <= lim]
+        heads.append(alive)
+        tails.append(alive + k)
+        k += 1
+    a = order[np.concatenate(heads)]
+    b = order[np.concatenate(tails)]
+    u, v = np.minimum(a, b), np.maximum(a, b)
+    d = np.linalg.norm(pos[u] - pos[v], axis=-1)
+    keep = np.flatnonzero(d <= lim)
+    keep = keep[np.lexsort((v[keep], u[keep]))]
+    return list(zip(u[keep].tolist(), v[keep].tolist(), d[keep].tolist()))
+
+
+def _with_noise(edges: Iterable[tuple[int, int, float]], sigma: float,
+                radius: float, rng: np.random.Generator
+                ) -> list[tuple[int, int, float]]:
+    """Scale each distance by ``1 + sigma * N(0, 1)``, clipped into
+    ``(0, radius]``; one draw per edge, in edge order."""
+    return [(u, v, min(max(d * (1.0 + sigma * rng.standard_normal()), 1e-12),
+                       radius))
+            for u, v, d in edges]
 
 
 def strip_ground_truth(instance: NetworkInstance) -> NetworkInstance:
@@ -515,10 +537,8 @@ def generate_building(config: BuildingConfig) -> NetworkInstance:
     positions = np.array([nd.true_pos for nd in nodes])
     edges = udg_edges(positions, config.radius)
     if config.noise_sigma > 0:
-        rng = make_rng(config.rng_seed)
-        edges = [(u, v, min(max(d * (1 + config.noise_sigma * rng.standard_normal()),
-                                1e-12), config.radius))
-                 for u, v, d in edges]
+        edges = _with_noise(edges, config.noise_sigma, config.radius,
+                            make_rng(config.rng_seed))
     return NetworkInstance(nodes, edges, config.radius)
 
 

@@ -194,7 +194,7 @@ def test_criterion_6_hardness_equivalence():
         idx = rng.choice(len(triples), size=m, replace=False)
         cases.append(Hypergraph3U(n, tuple(triples[i] for i in idx)))
     for h in cases:
-        rep = verify_equivalence(h)
+        rep = verify_equivalence(build_gadget(h))
         assert rep["agree"] is True
         assert rep["groupable"] is True  # every capped instance is colorable
     fano = Hypergraph3U(7, ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5),

@@ -5,10 +5,9 @@ import pytest
 
 from hyperloc.errors import InvalidInputError, SizeCapError
 from hyperloc.gadget import (RADIUS, FlipConfiguration, Hypergraph3U,
-                             _adjacency_of, _config_positions,
-                             build_gadget, enumerate_groupings,
-                             is_proper_coloring, lift_to_3d, two_colorings,
-                             verify_equivalence)
+                             _config_positions, build_gadget,
+                             enumerate_groupings, is_proper_coloring,
+                             lift_to_3d, two_colorings, verify_equivalence)
 from hyperloc.model import make_rng
 
 FANO = Hypergraph3U(7, (
@@ -145,7 +144,9 @@ class TestEnumerateGroupings:
         # the compiled tables must agree with a from-scratch placement check
         h = Hypergraph3U(4, ((0, 1, 2), (1, 2, 3)))
         g = build_gadget(h)
-        want = _adjacency_of(g.instance)
+        want = np.zeros((g.instance.n, g.instance.n), dtype=bool)
+        for u, v, _ in g.instance.edges:
+            want[u, v] = want[v, u] = True
         valid = set(enumerate_groupings(g))
         rng = make_rng(32)
         for _ in range(200):
@@ -167,20 +168,20 @@ class TestVerifyEquivalence:
     def test_random_sample_agrees(self):
         rng = make_rng(33)
         for _ in range(15):
-            rep = verify_equivalence(random_hypergraph(rng))
+            rep = verify_equivalence(build_gadget(random_hypergraph(rng)))
             assert rep["agree"] is True
 
     def test_empty_edge_set(self):
-        rep = verify_equivalence(Hypergraph3U(3, ()))
+        rep = verify_equivalence(build_gadget(Hypergraph3U(3, ())))
         assert rep["colorable"] and rep["groupable"] and rep["agree"]
 
     def test_over_cap_raises(self):
         with pytest.raises(SizeCapError):
-            verify_equivalence(FANO)
+            verify_equivalence(build_gadget(FANO))
 
     def test_correspondence_colorings_are_proper(self):
         h = Hypergraph3U(5, ((0, 1, 2), (2, 3, 4)))
-        rep = verify_equivalence(h)
+        rep = verify_equivalence(build_gadget(h))
         assert rep["n_valid_configs"] == len(rep["correspondence"])
         for entry in rep["correspondence"]:
             colors = [0 if c == "red" else 1 for c in entry["coloring"]]

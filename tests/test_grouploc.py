@@ -224,6 +224,18 @@ class TestHierarchical:
         trace = quadrilaterate(stripped)
         assert trace.localized_count < inst.n
 
+    def test_off_grid_stairwell_on_long_building(self):
+        # coordinates reach 240 here, so the placement check's edge
+        # tolerance has to scale with them, as compute_group_transform's does
+        cfg = BuildingConfig(floors=3, floor_spacing=0.8, corridors_per_floor=4,
+                             node_spacing=0.9, corridor_spacing=0.45,
+                             extent=266 * 0.9,
+                             connector_columns=((154.633, 0.799),))
+        inst = generate_building(cfg)
+        res = hierarchical_localize(strip_ground_truth(inst))
+        assert res.localized_fraction() == 1.0
+        assert verify_formation(inst, res.formation) < 1e-8
+
     def test_single_floor_single_corridor(self):
         cfg = BuildingConfig(floors=1, corridors_per_floor=1, node_spacing=0.9,
                              extent=4.5)

@@ -1,7 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hyperloc.errors import InvalidConfigError, InvalidInputError
 from hyperloc.model import (BuildingConfig, GroupingFunction, Hyperplane,
@@ -9,7 +12,48 @@ from hyperloc.model import (BuildingConfig, GroupingFunction, Hyperplane,
                             classify_edge, flagship_building_config,
                             generate_building, make_rng,
                             network_from_json_dict, network_to_json_dict,
-                            strip_ground_truth)
+                            strip_ground_truth, udg_edges)
+
+
+def _all_pairs(pos, radius, eps):
+    """Dense all-pairs reference for udg_edges."""
+    n = len(pos)
+    if n < 2:
+        return []
+    d = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
+    return [(u, v, float(d[u, v])) for u in range(n) for v in range(u + 1, n)
+            if d[u, v] <= radius + eps]
+
+
+# Half-unit grid coordinates give coincident points, ties on every axis and
+# pairs at exactly radius and at exactly radius + eps; free floats fill in.
+_coord = st.one_of(st.integers(-6, 6).map(lambda k: k * 0.5),
+                   st.floats(-3.0, 3.0, allow_nan=False))
+
+
+@st.composite
+def _points(draw):
+    dim = draw(st.sampled_from((1, 2, 3)))
+    rows = draw(st.lists(st.tuples(*[_coord] * dim), max_size=40))
+    return np.array(rows, dtype=float).reshape(len(rows), dim)
+
+
+class TestUdgEdges:
+    @settings(max_examples=300, deadline=None, database=None,
+              derandomize=True)
+    @given(pos=_points(), radius=st.sampled_from((0.5, 1.0, 1.5)),
+           eps=st.sampled_from((0.0, 1e-9, 0.5)))
+    # n = 0 and n = 1; coincident points; eleven points tied on the sweep
+    # axis with a pair at exactly radius; a pair at exactly radius + eps
+    @example(pos=np.zeros((0, 3)), radius=1.0, eps=1e-9)
+    @example(pos=np.zeros((1, 2)), radius=1.0, eps=1e-9)
+    @example(pos=np.zeros((5, 3)), radius=1.0, eps=0.0)
+    @example(pos=np.array([[0.1 * i, 0.0] for i in range(11)] + [[0.0, 5.0]]),
+             radius=1.0, eps=0.0)
+    @example(pos=np.array([[0.0, 0.0, 0.0], [1.5, 0.0, 0.0], [0.0, 0.5, 1.5]]),
+             radius=1.0, eps=0.5)
+    def test_matches_all_pairs_reference(self, pos, radius, eps):
+        assert udg_edges(pos, radius, eps) == _all_pairs(pos, radius, eps)
 
 
 class TestBuildUdg:
@@ -105,6 +149,18 @@ class TestGenerateBuilding:
         a = json.dumps(network_to_json_dict(generate_building(cfg)))
         b = json.dumps(network_to_json_dict(generate_building(cfg)))
         assert a == b
+
+    def test_noise_keeps_pairs_and_seed_reproduces_bytes(self):
+        exact = generate_building(flagship_building_config())
+        cfg = replace(flagship_building_config(), noise_sigma=1e-3)
+        noisy = generate_building(cfg)
+        assert [(u, v) for u, v, _ in noisy.edges] == \
+               [(u, v) for u, v, _ in exact.edges]
+        assert any(abs(a[2] - b[2]) > 1e-6
+                   for a, b in zip(exact.edges, noisy.edges))
+        again = generate_building(cfg)
+        assert json.dumps(network_to_json_dict(again)) == \
+               json.dumps(network_to_json_dict(noisy))
 
     def test_invalid_config_rejected(self):
         with pytest.raises(InvalidConfigError):
