@@ -184,30 +184,52 @@ def _sign(color: int) -> int:
     return 1 if color == BLUE else -1
 
 
+_ORDER_BLOCK = 720      # = 6!; all 8! orders at once cost ~20 MB of peak RSS
+
+
 def _choose_order(h: Hypergraph3U) -> tuple[int, ...]:
     """Left-to-right layout of the vertex lines.
 
     Prefers orders where each edge's positionally middle vertex serves as
     the middle of no other edge and as an endpoint of none, keeping its
     horizontal flip free to witness that edge's constraint.
+
+    The first order in lexicographic permutation order with the most clean
+    edges wins; orders are scored in blocks of ``_ORDER_BLOCK``, so memory
+    stays flat while the scan stops at the first block holding an order
+    whose edges are all clean.
     """
     n = h.n_vertices
     if not h.edges or n > 8:
         return tuple(range(n))
+    edges = np.array(h.edges)
+    m = len(edges)
+    perms = itertools.permutations(range(n))
     best, best_score = None, -1
-    for perm in itertools.permutations(range(n)):
-        pos = {v: i for i, v in enumerate(perm)}
-        mids, ends = [], set()
-        for e in h.edges:
-            by_pos = sorted(e, key=lambda v: pos[v])
-            mids.append(by_pos[1])
-            ends.update((by_pos[0], by_pos[2]))
-        clean = sum(1 for m in mids if mids.count(m) == 1 and m not in ends)
-        if clean > best_score:
-            best, best_score = perm, clean
-            if clean == len(h.edges):
+    while True:
+        block = np.fromiter(
+            itertools.chain.from_iterable(itertools.islice(perms, _ORDER_BLOCK)),
+            dtype=np.intp).reshape(-1, n)
+        if not len(block):
+            break
+        rows = np.arange(len(block))[:, None]
+        pos = np.argsort(block, axis=1)            # pos[k, v]: slot of v
+        by_pos = np.take_along_axis(
+            np.broadcast_to(edges, (len(block), m, 3)),
+            np.argsort(pos[:, edges], axis=2), axis=2)
+        mids = by_pos[:, :, 1]
+        mid_count = np.zeros((len(block), n), dtype=np.intp)
+        np.add.at(mid_count, (rows, mids), 1)
+        is_end = np.zeros((len(block), n), dtype=bool)
+        is_end[rows, by_pos[:, :, 0]] = True
+        is_end[rows, by_pos[:, :, 2]] = True
+        clean = ((mid_count[rows, mids] == 1) & ~is_end[rows, mids]).sum(axis=1)
+        k = int(np.argmax(clean))
+        if clean[k] > best_score:
+            best, best_score = block[k], int(clean[k])
+            if best_score == m:
                 break
-    return tuple(best)
+    return tuple(int(v) for v in best)
 
 
 def build_gadget(h: Hypergraph3U) -> GadgetInstance:
@@ -456,7 +478,10 @@ def _cross_pairs(first: np.ndarray, second: np.ndarray) -> set[tuple[int, int]]:
 
 
 class _ConfigChecker:
-    """Compiled pairwise tables driving the 4^|X| enumeration."""
+    """Compiled pairwise tables: which line states (``vertical |
+    horizontal << 1``) of two consecutive lines keep their apexes' adjacency,
+    and which side of the edge-line pair each chain can take given the
+    states of its two endpoint lines."""
 
     def __init__(self, g: GadgetInstance):
         self.g = g
@@ -523,33 +548,58 @@ class _ConfigChecker:
             signs.append(1 if feas[0] else -1)
         return signs
 
-    def plausible(self, config: FlipConfiguration) -> bool:
+    def admitted_states(self) -> list[tuple[int, ...]]:
+        """Per-vertex line states that every pair table and every chain
+        table admits, found by a depth-first walk along ``g.order`` that
+        drops a branch at the first table rejecting it. Sorted by the key
+        ``sum(state[v] << 2v)``."""
+        order = self.g.order
+        slot = {v: p for p, v in enumerate(order)}
+        # checks[p]: (u, w, ok) tested once the line at slot p has a state
+        checks: list[list] = [[] for _ in range(self.n)]
         for va, vb, table in self.pair_tables:
-            sa = int(config.vertical[va]) | (int(config.horizontal[va]) << 1)
-            sb = int(config.vertical[vb]) | (int(config.horizontal[vb]) << 1)
-            if not table[sa, sb]:
-                return False
-        return True
+            checks[max(slot[va], slot[vb])].append((va, vb, table.tolist()))
+        for va, vb, table in self.wire_tables:
+            checks[max(slot[va], slot[vb])].append(
+                (va, vb, table.any(axis=2).tolist()))
+        state = [0] * self.n
+        found = []
+
+        def walk(p: int) -> None:
+            if p == self.n:
+                found.append(tuple(state))
+                return
+            for s in range(4):
+                state[order[p]] = s
+                if all(ok[state[u]][state[w]] for u, w, ok in checks[p]):
+                    walk(p + 1)
+
+        walk(0)
+        found.sort(key=lambda st: sum(s << (2 * v) for v, s in enumerate(st)))
+        return found
 
 
 def enumerate_groupings(g: GadgetInstance,
                         max_vertices: int = MAX_VERTICES
                         ) -> list[FlipConfiguration]:
     """All flip configurations whose implied placements realize the unit
-    disk graph exactly, every node on its assigned line."""
+    disk graph exactly, every node on its assigned line.
+
+    Only the configurations the checker's tables admit are placed; each is
+    then checked exactly. The list is in increasing order of the key that
+    puts vertex v's vertical bit at bit 2v and its horizontal bit at
+    bit 2v + 1.
+    """
     h = g.hypergraph
     if h.n_vertices > max_vertices:
         raise SizeCapError("configuration enumeration beyond the size cap")
     checker = _ConfigChecker(g)
     want = [(u, v) for u, v, _ in g.instance.edges]
     valid = []
-    n = h.n_vertices
-    for bits in range(4 ** n):
-        vert = tuple(bool((bits >> (2 * v)) & 1) for v in range(n))
-        horiz = tuple(bool((bits >> (2 * v + 1)) & 1) for v in range(n))
-        config = FlipConfiguration(vertical=vert, horizontal=horiz)
-        if not checker.plausible(config):
-            continue
+    for states in checker.admitted_states():
+        config = FlipConfiguration(
+            vertical=tuple(bool(s & 1) for s in states),
+            horizontal=tuple(bool(s >> 1) for s in states))
         signs = checker.wire_signs(config)
         if signs is None:
             continue

@@ -120,7 +120,6 @@ def find_net(graph: Graph) -> InducedNet | None:
     """First induced net by (sorted triangle, pendants), or None."""
     a = graph.adjacency_matrix()
     nodes = graph.nodes
-    idx = {u: i for i, u in enumerate(nodes)}
     n = graph.n
     for ai in range(n):
         for bi in range(ai + 1, n):
@@ -282,7 +281,6 @@ def _lbfs(graph: Graph, start: int, tie_order: Sequence[int] | None) -> list[int
     visited: set[int] = set()
     order = []
     remaining = set(graph.nodes)
-    current = start
     for step in range(graph.n):
         if step == 0:
             u = start

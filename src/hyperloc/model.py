@@ -502,14 +502,21 @@ def generate_building(config: BuildingConfig) -> NetworkInstance:
     for f in range(config.floors):
         z = f * config.floor_spacing
         plane_gid = f + 1
-        floor_positions: list[tuple[float, float]] = []
+        # Cells of side 2 * _MIN_NODE_SEP: a point within _MIN_NODE_SEP per
+        # axis then lies in one of the 3x3 cells around, with a margin that
+        # rounding in x / side cannot cross.
+        cells: dict[tuple[int, int], list[tuple[float, float]]] = {}
 
         def _emit(x: float, y: float) -> None:
-            nonlocal nodes
-            for (px, py) in floor_positions:
-                if abs(px - x) <= _MIN_NODE_SEP and abs(py - y) <= _MIN_NODE_SEP:
-                    return
-            floor_positions.append((x, y))
+            cx = math.floor(x / (2.0 * _MIN_NODE_SEP))
+            cy = math.floor(y / (2.0 * _MIN_NODE_SEP))
+            for i in (cx - 1, cx, cx + 1):
+                for j in (cy - 1, cy, cy + 1):
+                    for (px, py) in cells.get((i, j), ()):
+                        if abs(px - x) <= _MIN_NODE_SEP and \
+                                abs(py - y) <= _MIN_NODE_SEP:
+                            return
+            cells.setdefault((cx, cy), []).append((x, y))
             nodes.append(NodeRecord(id=len(nodes), true_pos=(x, y, z),
                                     line_group=line_gid, plane_group=plane_gid))
 

@@ -5,7 +5,8 @@ import pytest
 
 from hyperloc.errors import InvalidInputError, SizeCapError
 from hyperloc.gadget import (RADIUS, FlipConfiguration, Hypergraph3U,
-                             _config_positions, build_gadget,
+                             _choose_order, _config_positions, _ConfigChecker,
+                             _positions_valid, build_gadget,
                              enumerate_groupings, is_proper_coloring,
                              lift_to_3d, two_colorings, verify_equivalence)
 from hyperloc.model import make_rng
@@ -15,8 +16,8 @@ FANO = Hypergraph3U(7, (
     (2, 4, 5)))
 
 
-def random_hypergraph(rng, max_n=5, max_m=3):
-    n = int(rng.integers(3, max_n + 1))
+def random_hypergraph(rng, max_n=5, max_m=3, min_n=3):
+    n = int(rng.integers(min_n, max_n + 1))
     triples = list(itertools.combinations(range(n), 3))
     m = int(rng.integers(1, min(max_m, len(triples)) + 1))
     idx = rng.choice(len(triples), size=m, replace=False)
@@ -162,6 +163,119 @@ class TestEnumerateGroupings:
                     ok = True
                     break
             assert ok == (cfg in valid)
+
+
+# the benchmark's hardness shapes: 8 vertices / 4 edges, 6 vertices / 3 edges
+BENCH_SHAPES = (
+    Hypergraph3U(8, ((0, 4, 5), (1, 3, 6), (1, 5, 7), (2, 6, 7))),
+    Hypergraph3U(6, ((0, 1, 4), (0, 3, 4), (2, 3, 4))),
+)
+
+
+def relabel(h, perm):
+    return Hypergraph3U(h.n_vertices, tuple(tuple(int(perm[v]) for v in e)
+                                            for e in h.edges))
+
+
+def reference_groupings(g):
+    """Every one of the 4^n flip configurations in key order, filtered by
+    the pair tables, the chain tables and the exact realization check."""
+    checker = _ConfigChecker(g)
+    want = [(u, v) for u, v, _ in g.instance.edges]
+    n = g.hypergraph.n_vertices
+
+    def state(config, v):
+        return int(config.vertical[v]) | (int(config.horizontal[v]) << 1)
+
+    valid = []
+    for bits in range(4 ** n):
+        vert = tuple(bool((bits >> (2 * v)) & 1) for v in range(n))
+        horiz = tuple(bool((bits >> (2 * v + 1)) & 1) for v in range(n))
+        config = FlipConfiguration(vertical=vert, horizontal=horiz)
+        if not all(table[state(config, va), state(config, vb)]
+                   for va, vb, table in checker.pair_tables):
+            continue
+        signs = checker.wire_signs(config)
+        if signs is None:
+            continue
+        pos = _config_positions(g, config, signs)
+        if g.dim == 3:
+            pos = np.column_stack([np.tile(pos, (2, 1)),
+                                   np.repeat([0.0, 1.0], len(pos))])
+        if _positions_valid(want, pos):
+            valid.append(config)
+    return valid
+
+
+class TestPrunedWalk:
+    """The table-pruned walk returns what the full 4^n scan returns, in
+    the same order, in 2D and in the 3D lift."""
+
+    def check(self, h):
+        g = build_gadget(h)
+        for gd in (g, lift_to_3d(g)):
+            assert enumerate_groupings(gd) == reference_groupings(gd), h
+
+    def test_benchmark_shapes_under_relabelling(self):
+        rng = make_rng(35)
+        for h in BENCH_SHAPES:
+            self.check(h)
+            self.check(relabel(h, rng.permutation(h.n_vertices)))
+
+    def test_random_hypergraphs_up_to_eight_vertices(self):
+        rng = make_rng(36)
+        for n in (4, 6, 7, 8):
+            self.check(random_hypergraph(rng, min_n=n, max_n=n, max_m=4))
+
+
+def reference_order(h):
+    """First vertex order, by lexicographic permutation, with the most
+    clean edges; stops at the first order where every edge is clean."""
+    n = h.n_vertices
+    if not h.edges or n > 8:
+        return tuple(range(n))
+    best, best_score = None, -1
+    for perm in itertools.permutations(range(n)):
+        pos = {v: i for i, v in enumerate(perm)}
+        mids, ends = [], set()
+        for e in h.edges:
+            by_pos = sorted(e, key=lambda v: pos[v])
+            mids.append(by_pos[1])
+            ends.update((by_pos[0], by_pos[2]))
+        clean = sum(1 for m in mids if mids.count(m) == 1 and m not in ends)
+        if clean > best_score:
+            best, best_score = perm, clean
+            if clean == len(h.edges):
+                break
+    return tuple(best)
+
+
+class TestChooseOrder:
+    def test_matches_permutation_scan_on_random_hypergraphs(self):
+        rng = make_rng(37)
+        for i in range(220):
+            n = 8 if i % 40 == 0 else int(rng.integers(3, 8))
+            triples = list(itertools.combinations(range(n), 3))
+            m = int(rng.integers(0, min(6, len(triples)) + 1))
+            idx = rng.choice(len(triples), size=m, replace=False)
+            h = Hypergraph3U(n, tuple(triples[j] for j in idx))
+            assert _choose_order(h) == reference_order(h), h
+
+    def test_benchmark_shapes_scan_every_order(self):
+        rng = make_rng(38)
+        for h in BENCH_SHAPES:
+            for hh in (h, relabel(h, rng.permutation(h.n_vertices))):
+                assert _choose_order(hh) == reference_order(hh)
+
+    def test_early_exit_at_first_all_clean_order(self):
+        h = Hypergraph3U(6, ((0, 1, 2), (3, 4, 5)))
+        assert _choose_order(h) == reference_order(h) == tuple(range(6))
+        h = Hypergraph3U(5, ((0, 1, 4), (1, 2, 3)))
+        assert _choose_order(h) == reference_order(h)
+
+    def test_identity_without_edges_or_beyond_eight_vertices(self):
+        assert _choose_order(Hypergraph3U(5, ())) == tuple(range(5))
+        assert _choose_order(Hypergraph3U(9, ((0, 1, 2),))) == tuple(range(9))
 
 
 class TestVerifyEquivalence:
