@@ -7,6 +7,7 @@ Hamiltonian path readable off a proper-interval vertex ordering.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -68,11 +69,41 @@ class Graph:
                     stack.append(v)
         return len(seen) == self.n
 
+    @functools.cached_property
+    def _sweeps(self) -> tuple[tuple[list[int], ...], bool]:
+        """The three LBFS+ sweeps of the 3-sweep unit-interval recognition
+        (Corneil 2004), run once per graph in O(n + m), and whether the last
+        one is a proper-interval ordering.
+
+        The certificate is the umbrella property: every closed neighbourhood
+        occupies contiguous positions of the order (Looges & Olariu 1993).
+        It is checked, not assumed, so it is sound whatever the sweeps
+        return. A proper interval graph has no induced claw and no induced
+        net, whose pendants form an asteroidal triple (Roberts 1969).
+        """
+        if self.n == 0:
+            return (), True
+        s1 = _lbfs(self, self.nodes[0], None)
+        s2 = _lbfs(self, s1[-1], s1)
+        s3 = _lbfs(self, s2[-1], s2)
+        pos = {u: i for i, u in enumerate(s3)}
+        certified = True
+        for v, nb in self.adj.items():
+            span = [pos[w] for w in nb]
+            span.append(pos[v])
+            if max(span) - min(span) != len(nb):
+                certified = False
+                break
+        return (s1, s2, s3), certified
+
     @classmethod
     def from_instance(cls, instance, node_ids: Iterable[int] | None = None) -> "Graph":
         ids = set(node_ids) if node_ids is not None \
             else {nd.id for nd in instance.nodes}
-        edges = [(u, v) for u, v, _ in instance.edges if u in ids and v in ids]
+        # Ids the instance does not have stay isolated vertices.
+        known = range(instance.n)
+        edges = [(u, v) for u in ids if u in known
+                 for v in instance.neighbors(u) if u < v and v in ids]
         return cls(ids, edges)
 
 
@@ -95,9 +126,14 @@ class InducedNet:
 def find_claw(graph: Graph) -> InducedClaw | None:
     """First induced claw by (center, sorted leaves), or None.
 
-    Vectorized pre-test per center: a claw exists iff the complement of the
-    neighborhood contains a triangle.
+    Returns None at once when the graph's cached 3-sweep LBFS+ order
+    certifies a proper interval graph (see ``Graph._sweeps``: O(n + m)
+    sweeps, umbrella property of the last order). Otherwise falls back to
+    the matrix search, with a vectorized pre-test per center: a claw exists
+    iff the complement of the neighborhood contains a triangle.
     """
+    if graph._sweeps[1]:
+        return None
     a = graph.adjacency_matrix()
     nodes = graph.nodes
     for ci, c in enumerate(nodes):
@@ -117,7 +153,15 @@ def find_claw(graph: Graph) -> InducedClaw | None:
 
 
 def find_net(graph: Graph) -> InducedNet | None:
-    """First induced net by (sorted triangle, pendants), or None."""
+    """First induced net by (sorted triangle, pendants), or None.
+
+    Returns None at once when the graph's cached 3-sweep LBFS+ order
+    certifies a proper interval graph (see ``Graph._sweeps``: O(n + m)
+    sweeps, umbrella property of the last order). Otherwise falls back to
+    the O(n^3) matrix search over triangles and their pendants.
+    """
+    if graph._sweeps[1]:
+        return None
     a = graph.adjacency_matrix()
     nodes = graph.nodes
     n = graph.n
@@ -271,43 +315,74 @@ class LinearOrder:
 
 
 def _lbfs(graph: Graph, start: int, tie_order: Sequence[int] | None) -> list[int]:
-    """Lexicographic BFS; ties broken by latest position in ``tie_order``
-    (LBFS+), falling back to smallest id."""
-    if tie_order is None:
-        prio = {u: -u for u in graph.nodes}
-    else:
-        prio = {u: i for i, u in enumerate(tie_order)}
-    label: dict[int, list[int]] = {u: [] for u in graph.nodes}
-    visited: set[int] = set()
-    order = []
-    remaining = set(graph.nodes)
-    for step in range(graph.n):
-        if step == 0:
-            u = start
-        else:
-            best = None
-            for v in remaining:
-                key = (label[v], prio[v])
-                if best is None or key > best[0]:
-                    best = (key, v)
-            u = best[1]
-        order.append(u)
-        visited.add(u)
-        remaining.discard(u)
-        stamp = graph.n - step
+    """Lexicographic BFS by partition refinement (Habib, McConnell, Paul &
+    Viennot 2000), O(n + m) per sweep.
+
+    ``start`` goes first. Among vertices with equal labels the one latest in
+    ``tie_order`` goes first (LBFS+), or the smallest id when there is no
+    tie order.
+    """
+    rest = graph.nodes if tie_order is None else reversed(tie_order)
+    init = [start] + [u for u in rest if u != start]
+    rank = {u: r for r, u in enumerate(init)}
+    # Neighbour ranks in ascending order, so that the part split off a class
+    # keeps the tie order of the class it came from.
+    nbrs: list[list[int]] = [[] for _ in init]
+    for r, u in enumerate(init):
         for w in graph.adj[u]:
-            if w not in visited:
-                label[w].append(stamp)
+            nbrs[rank[w]].append(r)
+    # Classes of equal label, in decreasing label order, form a linked list
+    # behind the sentinel class 0. Class c lists its ranks in ascending order
+    # in members[c] from head[c] on; a listed rank r is still in c only while
+    # where[r] == c (a visited rank is in class 0).
+    where = [1] * len(init)
+    members = [[], list(range(len(init)))]
+    head = [0, 0]
+    nxt = [1, -1]
+    prv = [-1, 0]
+    order = []
+    for _ in init:
+        c = nxt[0]
+        while True:
+            m, h = members[c], head[c]
+            while h < len(m) and where[m[h]] != c:
+                h += 1
+            if h < len(m):
+                break
+            c = nxt[c]
+            nxt[0], prv[c] = c, 0
+        head[c] = h + 1
+        u = m[h]
+        where[u] = 0
+        order.append(init[u])
+        split: dict[int, int] = {}
+        for w in nbrs[u]:
+            c = where[w]
+            if c == 0:
+                continue
+            new = split.get(c)
+            if new is None:
+                new = split[c] = len(members)
+                members.append([w])
+                head.append(0)
+                p = prv[c]
+                nxt.append(c)
+                prv.append(p)
+                nxt[p] = prv[c] = new
+            else:
+                members[new].append(w)
+            where[w] = new
     return order
 
 
 def unit_interval_order(graph: Graph) -> LinearOrder:
     """Hamiltonian path consistent with a 1D realization of the graph.
 
-    Runs the standard three-sweep lexicographic BFS to produce a
-    proper-interval vertex ordering, then validates that consecutive
-    vertices are adjacent. The validation, not the sweep, is the contract:
-    failure signals the group is not a realizable collinear group.
+    Reads the last of the three O(n + m) LBFS+ sweeps (Corneil 2004) that
+    the graph caches together with its umbrella certificate (see
+    ``Graph._sweeps``), then validates that consecutive vertices are
+    adjacent. The validation, not the sweep, is the contract: failure
+    signals the group is not a realizable collinear group.
     """
     if graph.n == 0:
         raise InvalidInputError("empty graph")
@@ -315,10 +390,7 @@ def unit_interval_order(graph: Graph) -> LinearOrder:
         raise InvalidInputError("group subgraph must be connected")
     if graph.n == 1:
         return LinearOrder(sequence=(graph.nodes[0],))
-    s1 = _lbfs(graph, graph.nodes[0], None)
-    s2 = _lbfs(graph, s1[-1], s1)
-    s3 = _lbfs(graph, s2[-1], s2)
-    seq = list(s3)
+    seq = list(graph._sweeps[0][2])
     for a, b in zip(seq, seq[1:]):
         if not graph.has_edge(a, b):
             raise NoHamiltonianPathError(

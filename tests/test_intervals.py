@@ -1,11 +1,15 @@
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperloc.errors import (InvalidInputError, NoHamiltonianPathError,
                              SizeLimitError)
-from hyperloc.intervals import (Graph, claw_oracle, find_claw, find_net,
-                                hamiltonian_oracle, net_oracle,
-                                unit_interval_order)
+from hyperloc.intervals import (Graph, InducedClaw, _lbfs, claw_oracle,
+                                find_claw, find_net, hamiltonian_oracle,
+                                net_oracle, unit_interval_order)
 from hyperloc.model import build_udg, make_rng
 
 
@@ -22,6 +26,65 @@ def random_graph(rng, n, p):
 
 
 NET = Graph(range(6), [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)])
+C4 = Graph(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)])
+CLAW = Graph(range(4), [(0, 1), (0, 2), (0, 3)])
+# Claw centred at 2 with leaves 0, 1, 4, yet the 3-sweep order 0 2 1 3 4 is
+# a Hamiltonian path: consecutive adjacency alone certifies nothing.
+CLAW_WITH_PATH = Graph(range(5), [(0, 2), (1, 2), (1, 3), (2, 3), (2, 4),
+                                  (3, 4)])
+
+
+def reference_lbfs(graph, start, tie_order):
+    """Quadratic LBFS+: each step rescans every remaining vertex for the
+    largest (label, priority); labels are lists of decreasing stamps."""
+    if tie_order is None:
+        prio = {u: -u for u in graph.nodes}
+    else:
+        prio = {u: i for i, u in enumerate(tie_order)}
+    label = {u: [] for u in graph.nodes}
+    visited = set()
+    order = []
+    remaining = set(graph.nodes)
+    for step in range(graph.n):
+        if step == 0:
+            u = start
+        else:
+            u = max(remaining, key=lambda v: (label[v], prio[v]))
+        order.append(u)
+        visited.add(u)
+        remaining.discard(u)
+        for w in graph.adj[u]:
+            if w not in visited:
+                label[w].append(graph.n - step)
+    return order
+
+
+def reference_sweeps(graph):
+    if graph.n == 0:
+        return ()
+    s1 = reference_lbfs(graph, graph.nodes[0], None)
+    s2 = reference_lbfs(graph, s1[-1], s1)
+    return s1, s2, reference_lbfs(graph, s2[-1], s2)
+
+
+@st.composite
+def labelled_graphs(draw, max_n=30):
+    """Random or unit interval graphs, connected or not, on non-contiguous
+    ids unrelated to the vertex positions."""
+    n = draw(st.integers(0, max_n))
+    ids = draw(st.lists(st.integers(-40, 200), min_size=n, max_size=n,
+                        unique=True))
+    if draw(st.booleans()):
+        # Quarter-unit positions: twins, and pairs at exactly distance 1.
+        xs = draw(st.lists(st.integers(0, 4 * n), min_size=n, max_size=n))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if abs(xs[i] - xs[j]) <= 4]
+    else:
+        p = draw(st.sampled_from((0.05, 0.15, 0.3, 0.5, 0.8)))
+        rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if rnd.random() < p]
+    return Graph(ids, [(ids[i], ids[j]) for i, j in pairs])
 
 
 class TestFindClaw:
@@ -100,6 +163,87 @@ class TestUnitIntervalOrder:
             seq = unit_interval_order(g).sequence
             assert sorted(seq) == list(g.nodes)
             assert all(g.has_edge(a, b) for a, b in zip(seq, seq[1:]))
+
+
+class TestLbfs:
+    @settings(max_examples=400, deadline=None, database=None,
+              derandomize=True)
+    @given(g=labelled_graphs(), data=st.data())
+    def test_matches_quadratic_reference(self, g, data):
+        if g.n == 0:
+            return
+        start = data.draw(st.sampled_from(g.nodes))
+        tie = data.draw(st.sampled_from(("none", "sweep", "permutation")))
+        if tie == "none":
+            tie_order = None
+        elif tie == "sweep":
+            tie_order = reference_lbfs(
+                g, data.draw(st.sampled_from(g.nodes)), None)
+        else:
+            tie_order = data.draw(st.permutations(g.nodes))
+        assert _lbfs(g, start, tie_order) == \
+            reference_lbfs(g, start, tie_order)
+
+    @settings(max_examples=400, deadline=None, database=None,
+              derandomize=True)
+    @given(g=labelled_graphs())
+    def test_unit_interval_order_sweeps_match_reference(self, g):
+        sweeps = reference_sweeps(g)
+        assert g._sweeps[0] == sweeps
+        if g.n == 0 or not g.is_connected():
+            return
+        seq = sweeps[-1]
+        if all(g.has_edge(a, b) for a, b in zip(seq, seq[1:])):
+            expected = seq[::-1] if seq[0] > seq[-1] else seq
+            assert unit_interval_order(g).sequence == tuple(expected)
+        else:
+            with pytest.raises(NoHamiltonianPathError):
+                unit_interval_order(g)
+
+
+class TestProperIntervalCertificate:
+    @settings(max_examples=300, deadline=None, database=None,
+              derandomize=True)
+    @given(g=labelled_graphs(max_n=10))
+    def test_certified_graphs_have_no_claw_or_net(self, g):
+        claw, net = claw_oracle(g), net_oracle(g)
+        if claw is not None or net is not None:
+            assert not g._sweeps[1]
+        if g._sweeps[1]:
+            assert claw is None and net is None
+        assert find_claw(g) == claw and find_net(g) == net
+
+    def test_unit_interval_graphs_certified(self):
+        rng = make_rng(9)
+        for _ in range(50):
+            g = random_unit_interval_graph(rng, int(rng.integers(1, 60)))
+            assert g._sweeps[1]
+
+    def test_c4_falls_back_to_the_search(self):
+        # Claw- and net-free but not an interval graph.
+        assert not C4._sweeps[1]
+        assert find_claw(C4) is None and find_net(C4) is None
+        with pytest.raises(NoHamiltonianPathError, match=r"\(1,3\)"):
+            unit_interval_order(C4)
+
+    def test_claw_not_certified(self):
+        assert not CLAW._sweeps[1]
+        assert find_claw(CLAW) == InducedClaw(center=0, leaves=(1, 2, 3))
+        assert find_net(CLAW) is None
+        with pytest.raises(NoHamiltonianPathError):
+            unit_interval_order(CLAW)
+
+    def test_hamiltonian_sweep_with_claw_not_certified(self):
+        assert not CLAW_WITH_PATH._sweeps[1]
+        assert unit_interval_order(CLAW_WITH_PATH).sequence == (0, 2, 1, 3, 4)
+        assert find_claw(CLAW_WITH_PATH) == \
+            InducedClaw(center=2, leaves=(0, 1, 4))
+        assert find_net(CLAW_WITH_PATH) is None
+
+    def test_net_not_certified(self):
+        assert not NET._sweeps[1]
+        with pytest.raises(NoHamiltonianPathError, match=r"\(2,4\)"):
+            unit_interval_order(NET)
 
 
 class TestHamiltonianOracle:
