@@ -20,7 +20,7 @@ configuration.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -142,7 +142,37 @@ class _Wire:
     end_vertices: tuple[int, int]
     end_apexes: tuple[int, int]  # node id of coupled apex, node id of probed apex
     token_ids: tuple[int, ...]
-    canonical_sign: int
+
+
+@dataclass(frozen=True)
+class _NodeArrays:
+    """Per-node arrays the flip rule reads, built once per gadget: canonical
+    positions, the x of each vertex line, and the ids and owners of the
+    nodes a flip moves (line and apex nodes; apexes; tokens by wire)."""
+
+    xy: np.ndarray
+    line_x: np.ndarray
+    flips: np.ndarray
+    flip_owner: np.ndarray
+    apexes: np.ndarray
+    apex_owner: np.ndarray
+    tokens: np.ndarray
+    token_wire: np.ndarray
+
+    @classmethod
+    def of(cls, nodes: Sequence[_GadgetNode],
+           order: Sequence[int]) -> "_NodeArrays":
+        kind = np.array([nd.kind for nd in nodes])
+        owner = np.array([nd.owner for nd in nodes], dtype=np.intp)
+        line_x = np.empty(len(order))
+        line_x[list(order)] = [_line_x(p) for p in range(len(order))]
+        flips = np.flatnonzero((kind == "line") | (kind == "apex"))
+        apexes = np.flatnonzero(kind == "apex")
+        tokens = np.flatnonzero(kind == "token")
+        return cls(xy=np.array([(nd.x, nd.y) for nd in nodes]).reshape(-1, 2),
+                   line_x=line_x, flips=flips, flip_owner=owner[flips],
+                   apexes=apexes, apex_owner=owner[apexes],
+                   tokens=tokens, token_wire=owner[tokens])
 
 
 @dataclass
@@ -158,11 +188,10 @@ class GadgetInstance:
     vertex_line_of: dict[int, int] = field(default_factory=dict)
     edge_line_pair: dict[int, tuple[int, int]] = field(default_factory=dict)
     flag_nodes: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)
-    assignment: dict[int, int] = field(default_factory=dict)
     _nodes: list[_GadgetNode] = field(default_factory=list)
     _wires: list[_Wire] = field(default_factory=list)
     _apex_of: dict[tuple[int, int], int] = field(default_factory=dict)
-    _side_of: dict[tuple[int, int], int] = field(default_factory=dict)
+    _arrays: _NodeArrays | None = None
 
     def coloring_of(self, config: FlipConfiguration) -> tuple[int, ...]:
         """Vertex colors induced by a configuration: the color of the edge
@@ -242,14 +271,10 @@ def build_gadget(h: Hypergraph3U) -> GadgetInstance:
             f"gadget capped at {MAX_EDGES} edges, got {len(h.edges)}")
     if h.n_vertices == 0:
         raise InvalidInputError("hypergraph must have at least one vertex")
-    base = None
-    for mask in range(1 << h.n_vertices):
-        colors = tuple((mask >> v) & 1 for v in range(h.n_vertices))
-        if is_proper_coloring(h, colors):
-            base = colors
-            break
-    if base is None:
+    colorings = two_colorings(h)
+    if not colorings:
         raise HyperlocError("capped hypergraph is unexpectedly non-2-colorable")
+    base = colorings[0]
 
     order = _choose_order(h)
     pos_of = {v: i for i, v in enumerate(order)}
@@ -260,7 +285,6 @@ def build_gadget(h: Hypergraph3U) -> GadgetInstance:
     nodes: list[_GadgetNode] = []
     wires: list[_Wire] = []
     apex_of: dict[tuple[int, int], int] = {}
-    side_of: dict[tuple[int, int], int] = {}
     flag_nodes: dict[tuple[int, int], list[int]] = {}
 
     # hyperplanes: vertex lines, main, support, edge-line pairs
@@ -337,7 +361,6 @@ def build_gadget(h: Hypergraph3U) -> GadgetInstance:
             side = -1
         else:
             side = -1 if base[mid] != base[left] else 1
-        side_of[(v, fi)] = side
         r_idx, b_idx = edge_line_pair[fi]
         apex_plane = r_idx if sgn > 0 else b_idx
         apex = add("apex", x_of[v] + side * APEX_DX, sgn * yf, owner=v,
@@ -371,11 +394,10 @@ def build_gadget(h: Hypergraph3U) -> GadgetInstance:
             wires.append(_Wire(edge_index=fi, half=half,
                                end_vertices=(va, vb),
                                end_apexes=(coupled, probed),
-                               token_ids=token_ids, canonical_sign=sgn))
+                               token_ids=token_ids))
 
-    positions = np.array([(nd.x, nd.y) for nd in nodes])
-    edges = udg_edges(np.column_stack([positions, np.zeros(len(nodes))]),
-                      RADIUS)
+    arrays = _NodeArrays.of(nodes, order)
+    edges = udg_edges(arrays.xy, RADIUS)
     records = [NodeRecord(id=i, true_pos=(nd.x, nd.y, 0.0),
                           line_group=nd.plane + 1)
                for i, nd in enumerate(nodes)]
@@ -386,8 +408,7 @@ def build_gadget(h: Hypergraph3U) -> GadgetInstance:
         base_coloring=base, order=order, vertex_line_of=vertex_line_of,
         edge_line_pair=edge_line_pair,
         flag_nodes={k: tuple(v) for k, v in flag_nodes.items()},
-        assignment={i: nd.plane for i, nd in enumerate(nodes)},
-        _nodes=nodes, _wires=wires, _apex_of=apex_of, _side_of=side_of)
+        _nodes=nodes, _wires=wires, _apex_of=apex_of, _arrays=arrays)
     _audit_gadget(g)
     return g
 
@@ -445,23 +466,23 @@ def _audit_gadget(g: GadgetInstance) -> None:
 
 def _config_positions(g: GadgetInstance, config: FlipConfiguration,
                       wire_signs: Sequence[int]) -> np.ndarray:
-    """2D node positions implied by per-line flips and per-chain side choices."""
-    line_x = {v: _line_x(i) for i, v in enumerate(g.order)}
-    pos = np.empty((len(g._nodes), 2))
-    for i, nd in enumerate(g._nodes):
-        x, y = nd.x, nd.y
-        if nd.kind == "line":
-            if config.vertical[nd.owner]:
-                y = -y
-        elif nd.kind == "apex":
-            if config.vertical[nd.owner]:
-                y = -y
-            if config.horizontal[nd.owner]:
-                x = 2.0 * line_x[nd.owner] - x
-        elif nd.kind == "token":
-            y = wire_signs[nd.owner] * abs(y)
-        pos[i, 0] = x
-        pos[i, 1] = y
+    """2D node positions implied by per-line flips and per-chain side choices.
+
+    The gadget's one flip rule: a line's vertical bit mirrors its nodes and
+    apexes across the main line, its horizontal bit mirrors its apexes
+    across the line itself, and a chain's tokens take its sign's side.
+    """
+    a = g._arrays
+    vertical = np.array(config.vertical, dtype=bool)
+    horizontal = np.array(config.horizontal, dtype=bool)
+    pos = a.xy.copy()
+    flipped = a.flips[vertical[a.flip_owner]]
+    pos[flipped, 1] = -pos[flipped, 1]
+    mirrored = horizontal[a.apex_owner]
+    moved = a.apexes[mirrored]
+    pos[moved, 0] = 2.0 * a.line_x[a.apex_owner[mirrored]] - pos[moved, 0]
+    pos[a.tokens, 1] = (np.asarray(wire_signs)[a.token_wire]
+                        * np.abs(pos[a.tokens, 1]))
     return pos
 
 
@@ -470,72 +491,64 @@ def _positions_valid(want: list[tuple[int, int]], pts: np.ndarray) -> bool:
     return [(u, v) for u, v, _ in udg_edges(pts, RADIUS)] == want
 
 
-def _cross_pairs(first: np.ndarray, second: np.ndarray) -> set[tuple[int, int]]:
-    """Index pairs (i, j) with first[i] within the radius of second[j]."""
-    k = len(first)
-    return {(a, b - k) for a, b, _ in udg_edges(np.vstack([first, second]),
-                                                 RADIUS) if a < k <= b}
-
-
 class _ConfigChecker:
     """Compiled pairwise tables: which line states (``vertical |
     horizontal << 1``) of two consecutive lines keep their apexes' adjacency,
     and which side of the edge-line pair each chain can take given the
-    states of its two endpoint lines."""
+    states of its two endpoint lines.
+
+    Every table is read off one kernel query over a labelled cloud that
+    holds each apex in each of its 4 line states and each token on both
+    sides of its edge-line pair, all placed by ``_config_positions``.
+    """
 
     def __init__(self, g: GadgetInstance):
         self.g = g
-        h = g.hypergraph
-        self.n = h.n_vertices
+        self.n = n = g.hypergraph.n_vertices
         inst = g.instance
-        nodes = g._nodes
-        self.x_of = {v: _line_x(g.order.index(v)) for v in range(self.n)}
-
-        def apex_pos(aid: int, vstate: int, hstate: int) -> np.ndarray:
-            nd = nodes[aid]
-            x, y = nd.x, nd.y
-            if vstate:
-                y = -y
-            if hstate:
-                x = 2.0 * self.x_of[nd.owner] - x
-            return np.array([x, y])
+        apexes, tokens = g._arrays.apexes, g._arrays.tokens
+        # placed[s]: every line in state s, every chain on side s & 1
+        placed = [_config_positions(
+            g, FlipConfiguration(vertical=(bool(s & 1),) * n,
+                                 horizontal=(bool(s >> 1),) * n),
+            [1 if s & 1 else -1] * len(g._wires)) for s in range(4)]
+        cloud = np.vstack([p[apexes] for p in placed]
+                          + [p[tokens] for p in placed[:2]])
+        # a few hundred rows at the size caps
+        near = np.zeros((len(cloud), len(cloud)), dtype=bool)
+        for u, v, _ in udg_edges(cloud, RADIUS):
+            near[u, v] = near[v, u] = True
+        na = len(apexes)
+        # apex_near[sa, i, sb, j]: apex i in state sa, apex j in state sb
+        apex_near = near[:4 * na, :4 * na].reshape(4, na, 4, na)
+        # token_near[side, t, s, j]: token t on that side, apex j in state s
+        token_near = near[4 * na:, :4 * na].reshape(2, len(tokens), 4, na)
 
         # consecutive-line apex compatibility tables
         self.pair_tables: list[tuple[int, int, np.ndarray]] = []
-        apexes_by_vertex: dict[int, list[int]] = {v: [] for v in range(self.n)}
-        for (v, fi), aid in g._apex_of.items():
-            apexes_by_vertex[v].append(aid)
-        for p in range(self.n - 1):
-            va, vb = g.order[p], g.order[p + 1]
-            left, right = apexes_by_vertex[va], apexes_by_vertex[vb]
-            if not (left and right):
+        for va, vb in zip(g.order, g.order[1:]):
+            left = np.flatnonzero(g._arrays.apex_owner == va)
+            right = np.flatnonzero(g._arrays.apex_owner == vb)
+            if not (len(left) and len(right)):
                 continue
-            want = {(i, j) for i, a in enumerate(left)
-                    for j, b in enumerate(right) if inst.has_edge(a, b)}
-            table = np.ones((4, 4), dtype=bool)
-            for sa, sb in itertools.product(range(4), range(4)):
-                pa = np.array([apex_pos(a, sa & 1, sa >> 1) for a in left])
-                pb = np.array([apex_pos(b, sb & 1, sb >> 1) for b in right])
-                table[sa, sb] = _cross_pairs(pa, pb) == want
-            self.pair_tables.append((va, vb, table))
+            want = np.array([[inst.has_edge(apexes[i], apexes[j])
+                              for j in right] for i in left])
+            got = apex_near[:, left][..., right]
+            self.pair_tables.append(
+                (va, vb, (got == want[:, None, :]).all(axis=(1, 3))))
         # per-chain feasibility tables over both endpoint line states
         self.wire_tables: list[tuple[int, int, np.ndarray]] = []
         for w in g._wires:
+            rows = np.searchsorted(tokens, w.token_ids)
+            ok = []     # ok[end][side, s]: the chain agrees with that end in s
+            for v in w.end_vertices:
+                aid = g._apex_of[(v, w.edge_index)]
+                want = np.array([inst.has_edge(t, aid) for t in w.token_ids])
+                got = token_near[:, rows][..., np.searchsorted(apexes, aid)]
+                ok.append((got == want[:, None]).all(axis=1))
             va, vb = w.end_vertices
-            fi = w.edge_index
-            yf = _edge_line_y(fi)
-            txs = np.array([nodes[t].x for t in w.token_ids])
-            apex_ids = [g._apex_of[(va, fi)], g._apex_of[(vb, fi)]]
-            want = {(i, j) for i, tid in enumerate(w.token_ids)
-                    for j, aid in enumerate(apex_ids) if inst.has_edge(tid, aid)}
-            table = np.zeros((4, 4, 2), dtype=bool)
-            for sa, sb, bit in itertools.product(range(4), range(4), range(2)):
-                sign = 1 if bit else -1
-                tpos = np.column_stack([txs, np.full(len(txs), sign * yf)])
-                aps = np.array([apex_pos(aid, state & 1, state >> 1)
-                                for aid, state in zip(apex_ids, (sa, sb))])
-                table[sa, sb, bit] = _cross_pairs(tpos, aps) == want
-            self.wire_tables.append((va, vb, table))
+            self.wire_tables.append(
+                (va, vb, ok[0].T[:, None, :] & ok[1].T[None, :, :]))
 
     def wire_signs(self, config: FlipConfiguration) -> list[int] | None:
         signs = []
@@ -579,9 +592,7 @@ class _ConfigChecker:
         return found
 
 
-def enumerate_groupings(g: GadgetInstance,
-                        max_vertices: int = MAX_VERTICES
-                        ) -> list[FlipConfiguration]:
+def enumerate_groupings(g: GadgetInstance) -> list[FlipConfiguration]:
     """All flip configurations whose implied placements realize the unit
     disk graph exactly, every node on its assigned line.
 
@@ -590,8 +601,7 @@ def enumerate_groupings(g: GadgetInstance,
     puts vertex v's vertical bit at bit 2v and its horizontal bit at
     bit 2v + 1.
     """
-    h = g.hypergraph
-    if h.n_vertices > max_vertices:
+    if g.hypergraph.n_vertices > MAX_VERTICES:
         raise SizeCapError("configuration enumeration beyond the size cap")
     checker = _ConfigChecker(g)
     want = [(u, v) for u, v, _ in g.instance.edges]
@@ -650,30 +660,15 @@ def lift_to_3d(g: GadgetInstance) -> GadgetInstance:
         raise InvalidInputError("lift starts from a 2D gadget")
     base = g.instance
     n = base.n
-    nodes = []
-    for nd in base.nodes:
-        x, y, _ = nd.true_pos
-        nodes.append(NodeRecord(id=nd.id, true_pos=(x, y, 0.0),
-                                line_group=nd.line_group))
-    for nd in base.nodes:
-        x, y, _ = nd.true_pos
-        nodes.append(NodeRecord(id=nd.id + n, true_pos=(x, y, 1.0),
-                                line_group=nd.line_group))
-    edges = []
-    for u, v, d in base.edges:
-        edges.append((u, v, d))
-        edges.append((u + n, v + n, d))
-    for i in range(n):
-        edges.append((i, i + n, 1.0))
+    nodes = list(base.nodes) + [
+        replace(nd, id=nd.id + n, true_pos=(*nd.true_pos[:2], 1.0))
+        for nd in base.nodes]
+    edges = [e for u, v, d in base.edges
+             for e in ((u, v, d), (u + n, v + n, d))]
+    edges += [(i, i + n, 1.0) for i in range(n)]
     inst3 = NetworkInstance(nodes, edges, RADIUS)
     inst3.validate_exact()
     planes3 = [(Hyperplane(normal=(p.normal[0], p.normal[1], 0.0),
                            offset=p.offset), color, label)
                for p, color, label in g.hyperplanes]
-    return GadgetInstance(
-        hypergraph=g.hypergraph, instance=inst3, hyperplanes=planes3, dim=3,
-        base_coloring=g.base_coloring, order=g.order,
-        vertex_line_of=g.vertex_line_of, edge_line_pair=g.edge_line_pair,
-        flag_nodes=g.flag_nodes, assignment=g.assignment,
-        _nodes=g._nodes, _wires=g._wires, _apex_of=g._apex_of,
-        _side_of=g._side_of)
+    return replace(g, instance=inst3, hyperplanes=planes3, dim=3)

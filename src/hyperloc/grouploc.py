@@ -99,14 +99,6 @@ class GroupTransform:
         if np.max(np.abs(gram - np.eye(q.shape[1]))) > 1e-8:
             raise InvalidInputError("transform columns are not orthonormal")
 
-    @property
-    def source_dim(self) -> int:
-        return self.linear.shape[1]
-
-    @property
-    def target_dim(self) -> int:
-        return self.linear.shape[0]
-
     def apply(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return pts @ self.linear.T + self.translation
@@ -249,16 +241,9 @@ class _GroupSolver:
             except DegeneratePointsError:
                 state.plane = None
         else:
-            normal = np.zeros(self.d)
-            normal[-1] = 1.0
-            if transform.source_dim == self.d - 1:
-                # plane spanned by the transform's columns
-                cols = transform.linear
-                if self.d - cols.shape[1] == 1:
-                    u_, _, _ = np.linalg.svd(cols)
-                    normal = u_[:, -1]
-            state.plane = Hyperplane(normal=tuple(normal),
-                                     offset=float(normal @ transform.translation))
+            # the seed group keeps the canonical embedding: x_d = 0
+            state.plane = Hyperplane(normal=tuple(np.eye(self.d)[-1]),
+                                     offset=0.0)
 
     # -- mirror/sign resolution ----------------------------------------------
 
@@ -437,18 +422,6 @@ class HierarchicalResult:
     def localized_fraction(self) -> float:
         return self.formation.localized_fraction()
 
-    def annotated_nodes(self, instance: NetworkInstance) -> list:
-        """Node record copies with pos1/pos2/pos3 filled from the stages."""
-        from dataclasses import replace
-        out = []
-        for nd in instance.nodes:
-            pos3 = None
-            if self.formation.is_localized(nd.id):
-                pos3 = tuple(float(c) for c in self.formation.position(nd.id))
-            out.append(replace(nd, pos1=self.pos1.get(nd.id),
-                               pos2=self.pos2.get(nd.id), pos3=pos3))
-        return out
-
 
 def _annotate(exc: HyperlocError, stage: str, group: int | None):
     if exc.stage is None:
@@ -470,20 +443,20 @@ def hierarchical_localize(instance: NetworkInstance,
     lines = GroupingFunction.from_instance(instance, COLLINEAR)
     planes = GroupingFunction.from_instance(instance, COPLANAR)
 
-    # stage 1: each corridor on its own axis
+    # stage 1: each corridor on its own axis, keyed by corridor label
     line_formations: dict[int, PointFormation] = {}
     line_states: dict[int, str] = {}
     for g in range(1, lines.k + 1):
         label = lines.label_of_group.get(g, g)
         try:
-            line_formations[g] = localize_collinear_group(
+            line_formations[label] = localize_collinear_group(
                 instance, lines.members(g), eps=eps)
             line_states[label] = "localized"
         except HyperlocError as exc:
             raise _annotate(exc, "collinear", label)
 
     pos1 = {u: float(f.position(u)[0])
-            for g, f in line_formations.items() for u in f.localized_ids()}
+            for f in line_formations.values() for u in f.localized_ids()}
 
     # stage 2: corridors against each other, one floor at a time
     floor_formations: dict[int, PointFormation] = {}
@@ -492,12 +465,8 @@ def hierarchical_localize(instance: NetworkInstance,
         floor_nodes = planes.members(fg)
         sub_labels = {u: instance.nodes[u].line_group for u in floor_nodes}
         sub_grouping = GroupingFunction.from_labels(COLLINEAR, sub_labels)
-        local = {}
-        for g in range(1, sub_grouping.k + 1):
-            orig_label = sub_grouping.label_of_group[g]
-            global_gid = next(gg for gg in range(1, lines.k + 1)
-                              if lines.label_of_group.get(gg, gg) == orig_label)
-            local[g] = line_formations[global_gid]
+        local = {g: line_formations[sub_grouping.label_of_group[g]]
+                 for g in range(1, sub_grouping.k + 1)}
         try:
             formation2, _ = localize_groups(instance, sub_grouping, local, d=2,
                                             eps=eps)

@@ -40,17 +40,12 @@ class NodeRecord:
     """One sensor node.
 
     ``true_pos`` is hidden ground truth (never read by localizers).
-    ``pos1``/``pos2``/``pos3`` hold per-dimension localizer outputs when a
-    pipeline run chooses to annotate node copies with them.
     """
 
     id: int
     true_pos: tuple[float, float, float] | None = None
     line_group: int | None = None
     plane_group: int | None = None
-    pos1: float | None = None
-    pos2: tuple[float, float] | None = None
-    pos3: tuple[float, float, float] | None = None
 
 
 class NetworkInstance:
@@ -321,12 +316,6 @@ class PointFormation:
 
     def array(self, ids: Sequence[int]) -> np.ndarray:
         return np.array([self.rows[u] for u in ids], dtype=float)
-
-    def distance_matrix(self, ids: Sequence[int] | None = None) -> np.ndarray:
-        if ids is None:
-            ids = self.localized_ids()
-        pts = self.array(ids)
-        return np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
 
 
 @dataclass(frozen=True)

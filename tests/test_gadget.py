@@ -3,13 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
+from hyperloc import gadget
 from hyperloc.errors import InvalidInputError, SizeCapError
 from hyperloc.gadget import (RADIUS, FlipConfiguration, Hypergraph3U,
                              _choose_order, _config_positions, _ConfigChecker,
                              _positions_valid, build_gadget,
                              enumerate_groupings, is_proper_coloring,
                              lift_to_3d, two_colorings, verify_equivalence)
-from hyperloc.model import make_rng
+from hyperloc.model import make_rng, udg_edges
 
 FANO = Hypergraph3U(7, (
     (0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6),
@@ -226,6 +227,150 @@ class TestPrunedWalk:
         rng = make_rng(36)
         for n in (4, 6, 7, 8):
             self.check(random_hypergraph(rng, min_n=n, max_n=n, max_m=4))
+
+
+def reference_positions(g, config, signs):
+    """The flip rule node by node: vertical flips mirror line and apex nodes
+    across the main line, horizontal flips mirror apexes across their
+    line, and tokens take their chain's side."""
+    line_x = {v: g.hyperplanes[g.vertex_line_of[v]][0].offset
+              for v in range(g.hypergraph.n_vertices)}
+    pos = np.empty((len(g._nodes), 2))
+    for i, nd in enumerate(g._nodes):
+        x, y = nd.x, nd.y
+        if nd.kind in ("line", "apex") and config.vertical[nd.owner]:
+            y = -y
+        if nd.kind == "apex" and config.horizontal[nd.owner]:
+            x = 2.0 * line_x[nd.owner] - x
+        if nd.kind == "token":
+            y = signs[nd.owner] * abs(y)
+        pos[i] = x, y
+    return pos
+
+
+class TestFlipRule:
+    def test_matches_node_by_node_placement(self):
+        rng = make_rng(41)
+        for h in BENCH_SHAPES + (Hypergraph3U(5, ((0, 1, 2), (2, 3, 4))),):
+            g = build_gadget(h)
+            n = h.n_vertices
+            for _ in range(20):
+                cfg = FlipConfiguration(
+                    vertical=tuple(bool(b) for b in rng.integers(0, 2, n)),
+                    horizontal=tuple(bool(b) for b in rng.integers(0, 2, n)))
+                signs = [int(s) for s in rng.choice((-1, 1), len(g._wires))]
+                got = _config_positions(g, cfg, signs)
+                assert got.tobytes() == \
+                    reference_positions(g, cfg, signs).tobytes()
+
+
+def cross_pairs(first, second):
+    """Index pairs (i, j) with first[i] within the radius of second[j]."""
+    k = len(first)
+    return {(a, b - k) for a, b, _ in udg_edges(np.vstack([first, second]),
+                                                 RADIUS) if a < k <= b}
+
+
+def reference_tables(g):
+    """The checker's pair and chain tables built entry by entry: every
+    apex placed by its own flip, one kernel call on the two stacked point
+    sets per (sa, sb) or (sa, sb, side) entry."""
+    inst, nodes = g.instance, g._nodes
+    line_x = {v: g.hyperplanes[g.vertex_line_of[v]][0].offset
+              for v in range(g.hypergraph.n_vertices)}
+
+    def apex_pos(aid, state):
+        nd = nodes[aid]
+        x, y = nd.x, nd.y
+        if state & 1:
+            y = -y
+        if state >> 1:
+            x = 2.0 * line_x[nd.owner] - x
+        return np.array([x, y])
+
+    by_vertex = {v: [] for v in line_x}
+    for (v, _), aid in g._apex_of.items():
+        by_vertex[v].append(aid)
+    pair_tables = []
+    for va, vb in zip(g.order, g.order[1:]):
+        left, right = by_vertex[va], by_vertex[vb]
+        if not (left and right):
+            continue
+        want = {(i, j) for i, a in enumerate(left)
+                for j, b in enumerate(right) if inst.has_edge(a, b)}
+        table = np.ones((4, 4), dtype=bool)
+        for sa, sb in itertools.product(range(4), range(4)):
+            pa = np.array([apex_pos(a, sa) for a in left])
+            pb = np.array([apex_pos(b, sb) for b in right])
+            table[sa, sb] = cross_pairs(pa, pb) == want
+        pair_tables.append((va, vb, table))
+    wire_tables = []
+    for w in g._wires:
+        va, vb = w.end_vertices
+        yf = abs(nodes[w.token_ids[0]].y)
+        txs = np.array([nodes[t].x for t in w.token_ids])
+        apex_ids = [g._apex_of[(va, w.edge_index)],
+                    g._apex_of[(vb, w.edge_index)]]
+        want = {(i, j) for i, tid in enumerate(w.token_ids)
+                for j, aid in enumerate(apex_ids) if inst.has_edge(tid, aid)}
+        table = np.zeros((4, 4, 2), dtype=bool)
+        for sa, sb, side in itertools.product(range(4), range(4), range(2)):
+            tpos = np.column_stack([txs, np.full(len(txs),
+                                                 (1 if side else -1) * yf)])
+            aps = np.array([apex_pos(aid, state)
+                            for aid, state in zip(apex_ids, (sa, sb))])
+            table[sa, sb, side] = cross_pairs(tpos, aps) == want
+        wire_tables.append((va, vb, table))
+    return pair_tables, wire_tables
+
+
+def table_bytes(tables):
+    return [(va, vb, t.dtype, t.shape, t.tobytes()) for va, vb, t in tables]
+
+
+class TestCheckerTables:
+    """The tables read off the checker's one kernel query equal the
+    entry-by-entry construction byte for byte, in 2D and in the lift."""
+
+    def check(self, h):
+        g = build_gadget(h)
+        for gd in (g, lift_to_3d(g)):
+            checker = _ConfigChecker(gd)
+            pair_tables, wire_tables = reference_tables(gd)
+            assert table_bytes(checker.pair_tables) == \
+                table_bytes(pair_tables), h
+            assert table_bytes(checker.wire_tables) == \
+                table_bytes(wire_tables), h
+
+    def test_benchmark_shapes_under_relabelling(self):
+        rng = make_rng(39)
+        for h in BENCH_SHAPES:
+            self.check(h)
+            self.check(relabel(h, rng.permutation(h.n_vertices)))
+
+    def test_five_vertices_two_edges(self):
+        self.check(Hypergraph3U(5, ((0, 1, 2), (2, 3, 4))))
+
+    def test_random_hypergraphs_three_to_eight_vertices(self):
+        rng = make_rng(40)
+        for n in range(3, 9):
+            for _ in range(4):
+                self.check(random_hypergraph(rng, min_n=n, max_n=n, max_m=4))
+
+    def test_one_kernel_call_per_checker(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return udg_edges(*args, **kwargs)
+
+        g = build_gadget(BENCH_SHAPES[0])
+        g3 = lift_to_3d(g)
+        monkeypatch.setattr(gadget, "udg_edges", counted)
+        for gd in (g, g3):
+            calls.clear()
+            _ConfigChecker(gd)
+            assert len(calls) == 1
 
 
 def reference_order(h):
