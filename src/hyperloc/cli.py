@@ -71,7 +71,7 @@ def _cmd_localize(args) -> int:
     result["formation"] = {
         str(u): ([float(c) for c in formation.position(u)]
                  if formation.is_localized(u) else None)
-        for u in sorted(formation.status)}
+        for u in formation.ids.tolist()}
     result["localized_fraction"] = formation.localized_fraction()
     if instance.has_positions() and len(formation.localized_ids()) >= 4:
         result["aligned_rmse"] = align_isometry(formation, instance).rmse

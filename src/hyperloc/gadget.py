@@ -186,7 +186,6 @@ class GadgetInstance:
     base_coloring: tuple[int, ...] = ()
     order: tuple[int, ...] = ()                      # vertex per line position
     vertex_line_of: dict[int, int] = field(default_factory=dict)
-    edge_line_pair: dict[int, tuple[int, int]] = field(default_factory=dict)
     flag_nodes: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)
     _nodes: list[_GadgetNode] = field(default_factory=list)
     _wires: list[_Wire] = field(default_factory=list)
@@ -406,7 +405,6 @@ def build_gadget(h: Hypergraph3U) -> GadgetInstance:
     g = GadgetInstance(
         hypergraph=h, instance=instance, hyperplanes=hyperplanes, dim=2,
         base_coloring=base, order=order, vertex_line_of=vertex_line_of,
-        edge_line_pair=edge_line_pair,
         flag_nodes={k: tuple(v) for k, v in flag_nodes.items()},
         _nodes=nodes, _wires=wires, _apex_of=apex_of, _arrays=arrays)
     _audit_gadget(g)

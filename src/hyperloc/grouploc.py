@@ -21,7 +21,8 @@ from .errors import (AmbiguousPlacementError, ChordInconsistencyError,
                      NonIsometricCorrespondenceError, NotLocalizableError)
 from .intervals import Graph, LinearOrder, unit_interval_order
 from .model import (COLLINEAR, COPLANAR, DEFAULT_EPS, GroupingFunction,
-                    Hyperplane, NetworkInstance, PointFormation, udg_edges)
+                    Hyperplane, NetworkInstance, PointFormation,
+                    cross_pairs)
 from .quadloc import solve_spheres
 
 # Placements that bring a non-adjacent pair this far inside the radio radius
@@ -35,11 +36,9 @@ def localize_path(path: LinearOrder, weights: Sequence[float]) -> PointFormation
     if len(weights) != max(len(seq) - 1, 0):
         raise InvalidInputError("need one weight per path edge")
     formation = PointFormation(1, ids=seq)
-    x = 0.0
-    for i, u in enumerate(seq):
-        if i > 0:
-            x += float(weights[i - 1])
-        formation.mark(u, (x,))
+    # cumsum adds in sequence, so each position is the running sum exactly
+    xs = np.cumsum(np.array([0.0, *weights], dtype=float))[:len(seq)]
+    formation.mark_many(seq, xs[:, None])
     return formation
 
 
@@ -57,12 +56,18 @@ def localize_collinear_group(instance: NetworkInstance,
     seq = order.sequence
     weights = [instance.dist(a, b) for a, b in zip(seq, seq[1:])]
     formation = localize_path(order, weights)
-    for u, v in graph.edges:
-        got = abs(float(formation.position(u)[0] - formation.position(v)[0]))
-        if abs(got - instance.dist(u, v)) > eps:
-            raise ChordInconsistencyError(
-                f"chord ({u},{v}) embeds at {got}, measured {instance.dist(u, v)}",
-                edge=(u, v))
+    if not graph.edges:
+        return formation
+    ends = formation.rows_of(graph.edges).reshape(-1, 2)
+    xs = formation.points[ends, 0]
+    got = np.abs(xs[:, 0] - xs[:, 1])
+    want = np.array([instance.dist(u, v) for u, v in graph.edges])
+    bad = np.flatnonzero(np.abs(got - want) > eps)
+    if bad.size:
+        u, v = graph.edges[bad[0]]
+        raise ChordInconsistencyError(
+            f"chord ({u},{v}) embeds at {float(got[bad[0]])}, "
+            f"measured {instance.dist(u, v)}", edge=(u, v))
     return formation
 
 
@@ -100,8 +105,11 @@ class GroupTransform:
             raise InvalidInputError("transform columns are not orthonormal")
 
     def apply(self, points) -> np.ndarray:
+        """Map each row of ``points``. Each row is its own 1 x (d-1) product,
+        so a block maps to the same bits as its rows one at a time (a plain
+        block matmul may round differently)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return pts @ self.linear.T + self.translation
+        return (pts[:, None, :] @ self.linear.T)[:, 0, :] + self.translation
 
     @classmethod
     def canonical_embedding(cls, d: int) -> "GroupTransform":
@@ -161,6 +169,23 @@ class GroupLocalState:
 # group-vs-group localization
 # ---------------------------------------------------------------------------
 
+@dataclass
+class _GroupArrays:
+    """One group's members and its measured edges into scope, built once.
+
+    Edges run member by member, each member's far ends in ascending id
+    order; member ``m`` of the group owns edges ``starts[m]:starts[m + 1]``.
+    """
+
+    ids: list[int]          # members with a local row, ascending
+    local: np.ndarray       # their local coordinates, (len(ids), d - 1)
+    starts: np.ndarray      # (members + 1,) edge offsets
+    near: np.ndarray        # per edge: its member's index in ids, or -1
+    far: np.ndarray         # per edge: the far end's formation row
+    length: np.ndarray      # per edge: the measured length
+    keys: np.ndarray        # near * formation rows + far, for near >= 0
+
+
 class _GroupSolver:
     """Single run of the two-phase group placement over one grouping level."""
 
@@ -170,17 +195,21 @@ class _GroupSolver:
         if d not in (2, 3):
             raise InvalidInputError("group localization runs in d=2 or d=3")
         self.inst = instance
-        self.grouping = grouping
         self.local = local_formations
         self.d = d
         self.eps = eps
-        self.scope = set(grouping.assignment.keys())
         self.members = {g: grouping.members(g) for g in range(1, grouping.k + 1)}
         for g, f in local_formations.items():
             if f.dim != d - 1:
                 raise InvalidInputError(
                     f"group {g} local formation has dim {f.dim}, expected {d - 1}")
-        self.formation = PointFormation(d, ids=self.scope)
+        self.formation = PointFormation(d, ids=grouping.assignment)
+        self.in_scope = np.zeros(instance.n, dtype=bool)
+        self.in_scope[self.formation.ids] = True
+        self.group_of_row = np.zeros(len(self.formation.ids), dtype=int)
+        for g, mem in self.members.items():
+            self.group_of_row[self.formation.rows_of(mem)] = g
+        self.arrays = {g: self._build_arrays(g) for g in self.members}
         self.states = {g: GroupLocalState(group=g) for g in self.members}
         if seed_group is None:
             seed_group = min(self.members,
@@ -191,27 +220,35 @@ class _GroupSolver:
 
     # -- helpers ------------------------------------------------------------
 
-    def _scoped_neighbors(self, u: int) -> list[int]:
-        return sorted(v for v in self.inst.neighbors(u) if v in self.scope)
-
-    def _localized_anchor_split(self, u: int, group_filter: int | None):
-        anchors, dists = [], []
-        for v in self._scoped_neighbors(u):
-            if not self.formation.is_localized(v):
-                continue
-            if group_filter is not None and \
-                    self.grouping.group_of(v) != group_filter:
-                continue
-            anchors.append(self.formation.position(v))
-            dists.append(self.inst.dist(u, v))
-        return np.array(anchors, dtype=float), np.array(dists, dtype=float)
+    def _build_arrays(self, g: int) -> _GroupArrays:
+        members = np.array(self.members[g], dtype=int)
+        local = self.local.get(g)
+        has_row = np.zeros(len(members), dtype=bool) if local is None else \
+            np.isin(members, local.ids[local.mask])
+        ids = members[has_row].tolist()
+        index = np.where(has_row, np.cumsum(has_row) - 1, -1)
+        # every member's slice of the adjacency, concatenated (each slice's
+        # positions shifted from its offset in the output to its start),
+        # then only the edges whose far end is in scope
+        start, nbr, length = self.inst.adjacency
+        counts = start[members + 1] - start[members]
+        owner = np.repeat(np.arange(len(members)), counts)
+        edges = np.arange(counts.sum()) + np.repeat(
+            start[members] - (np.cumsum(counts) - counts), counts)
+        keep = self.in_scope[nbr[edges]]
+        owner, edges = owner[keep], edges[keep]
+        near = index[owner]
+        far = self.formation.rows_of(nbr[edges])
+        measured = near >= 0
+        return _GroupArrays(
+            ids=ids,
+            local=local.array(ids) if ids else np.zeros((0, self.d - 1)),
+            starts=np.searchsorted(owner, np.arange(len(members) + 1)),
+            near=near, far=far, length=length[edges],
+            keys=near[measured] * len(self.formation.ids) + far[measured])
 
     def _group_adjacent_to(self, g: int, h: int) -> bool:
-        mem_h = set(self.members[h])
-        for u in self.members[g]:
-            if any(v in mem_h for v in self.inst.neighbors(u)):
-                return True
-        return False
+        return bool(np.any(self.group_of_row[self.arrays[g].far] == h))
 
     def _local_row(self, g: int, u: int) -> np.ndarray | None:
         f = self.local.get(g)
@@ -227,10 +264,9 @@ class _GroupSolver:
     def _apply_transform(self, g: int, transform: GroupTransform,
                          supports: list[tuple[int, np.ndarray]]) -> None:
         state = self.states[g]
-        for u in self.members[g]:
-            row = self._local_row(g, u)
-            if row is not None:
-                self.formation.mark(u, transform.apply(row)[0])
+        arr = self.arrays[g]
+        if arr.ids:
+            self.formation.mark_many(arr.ids, transform.apply(arr.local))
         state.status = "localized"
         state.transform = transform
         state.support_vertices = supports
@@ -300,44 +336,36 @@ class _GroupSolver:
     def _check_placement(self, g: int, transform: GroupTransform) -> bool:
         """True if group g's positions under the transform satisfy every
         measured edge to the localized set and violate no unit-disk non-edge."""
-        ids, pts = [], []
-        for u in self.members[g]:
-            row = self._local_row(g, u)
-            if row is not None:
-                ids.append(u)
-                pts.append(transform.apply(row)[0])
-        if not ids:
+        arr = self.arrays[g]
+        if not arr.ids:
             return False
-        pts = np.array(pts)
-        loc_ids = self.formation.localized_ids()
-        if not loc_ids:
+        f = self.formation
+        if not f.mask.any():
             return True
-        loc_pts = self.formation.array(loc_ids)
-        scale = max(1.0, float(np.abs(pts).max()), float(np.abs(loc_pts).max()))
+        pts = transform.apply(arr.local)
+        scale = max(1.0, float(np.abs(pts).max()),
+                    float(np.abs(f.points[f.mask]).max()))
         tol = max(self.eps, 1e-9) * scale
-        pairs = [(i, v) for i, u in enumerate(ids)
-                 for v in self.inst.neighbors(u) if self.formation.is_localized(v)]
-        if pairs:
-            rows, nbrs = zip(*pairs)
-            got = np.linalg.norm(pts[list(rows)] - self.formation.array(nbrs),
-                                 axis=-1)
-            want = [self.inst.dist(ids[i], v) for i, v in pairs]
-            if np.any(np.abs(got - want) > tol):
-                return False
-        k = len(ids)
-        for a, b, _ in udg_edges(np.vstack([pts, loc_pts]),
-                                 self.inst.radius - NONEDGE_MARGIN, eps=0.0):
-            if a < k <= b and not self.inst.has_edge(ids[a], loc_ids[b - k]):
-                return False
-        return True
+        measured = (arr.near >= 0) & f.mask[arr.far]
+        got = np.linalg.norm(pts[arr.near[measured]] - f.points[arr.far[measured]],
+                             axis=-1)
+        if np.any(np.abs(got - arr.length[measured]) > tol):
+            return False
+        # Non-edges: only localized points within reach of the group's
+        # bounding box can come within the radius of one of its points.
+        reach = self.inst.radius - NONEDGE_MARGIN
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        near = np.flatnonzero(f.mask & np.all(
+            (f.points - hi <= reach) & (lo - f.points <= reach), axis=1))
+        i, j, _ = cross_pairs(pts, f.points[near], reach, eps=0.0)
+        return bool(np.all(np.isin(i * len(f.ids) + near[j], arr.keys)))
 
     def _is_reflection_gauge(self) -> bool:
         """True while every localized node lies in one hyperplane, so a
         mirror across it is still a global isometry (free choice)."""
-        ids = self.formation.localized_ids()
-        if len(ids) <= self.d:
+        pts = self.formation.points[self.formation.mask]
+        if len(pts) <= self.d:
             return True
-        pts = self.formation.array(ids)
         diffs = pts[1:] - pts[0]
         return np.linalg.matrix_rank(diffs, tol=1e-9) < self.d
 
@@ -345,17 +373,24 @@ class _GroupSolver:
 
     def _scan_group(self, g: int, group_filter: int | None,
                     min_anchors: int) -> bool:
+        arr = self.arrays[g]
+        f = self.formation
+        usable = f.mask[arr.far]
+        if group_filter is not None:
+            usable &= self.group_of_row[arr.far] == group_filter
+        seen = np.concatenate([[0], np.cumsum(usable)])
+        enough = seen[arr.starts[1:]] - seen[arr.starts[:-1]] >= min_anchors
         supports: list[tuple[int, list[np.ndarray]]] = []
-        for u in self.members[g]:
-            anchors, dists = self._localized_anchor_split(u, group_filter)
-            if len(anchors) < min_anchors:
-                continue
+        for m in np.flatnonzero(enough).tolist():
+            edges = slice(arr.starts[m], arr.starts[m + 1])
+            take = usable[edges]
             try:
-                cands = localize_support_vertex(anchors, dists, self.d,
-                                                eps=self.eps)
+                cands = localize_support_vertex(
+                    f.points[arr.far[edges][take]], arr.length[edges][take],
+                    self.d, eps=self.eps)
             except (DegenerateAnchorsError, InconsistentDistancesError):
                 continue
-            supports.append((u, cands))
+            supports.append((self.members[g][m], cands))
             if len(supports) >= self.d and \
                     self._try_place_group(g, supports):
                 return True
@@ -455,8 +490,8 @@ def hierarchical_localize(instance: NetworkInstance,
         except HyperlocError as exc:
             raise _annotate(exc, "collinear", label)
 
-    pos1 = {u: float(f.position(u)[0])
-            for f in line_formations.values() for u in f.localized_ids()}
+    pos1 = {u: x for f in line_formations.values()
+            for u, x in zip(f.localized_ids(), f.points[f.mask, 0].tolist())}
 
     # stage 2: corridors against each other, one floor at a time
     floor_formations: dict[int, PointFormation] = {}
@@ -474,8 +509,8 @@ def hierarchical_localize(instance: NetworkInstance,
             raise _annotate(exc, "floor", label)
         floor_formations[fg] = formation2
 
-    pos2 = {u: tuple(f.position(u))
-            for fg, f in floor_formations.items() for u in f.localized_ids()}
+    pos2 = {u: tuple(p) for f in floor_formations.values()
+            for u, p in zip(f.localized_ids(), f.points[f.mask].tolist())}
 
     # stage 3: floors against each other in 3D
     try:

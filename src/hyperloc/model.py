@@ -8,6 +8,7 @@ positions. Localizers must only ever see the output of
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -18,9 +19,6 @@ import numpy as np
 from .errors import InvalidConfigError, InvalidInputError
 
 DEFAULT_EPS = 1e-9
-
-LOCALIZED = "localized"
-UNLOCALIZED = "unlocalized"
 
 COLLINEAR = "collinear"
 COPLANAR = "coplanar"
@@ -120,6 +118,18 @@ class NetworkInstance:
         key = (u, v) if u < v else (v, u)
         return self._dist[key]
 
+    @functools.cached_property
+    def adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Compressed adjacency ``(start, nbr, length)``: node u's neighbours
+        are ``nbr[start[u]:start[u + 1]]`` in ascending order, and
+        ``length`` holds the measured distance of each."""
+        e = np.array(self.edges, dtype=float).reshape(-1, 3)
+        a, b = e[:, 0].astype(int), e[:, 1].astype(int)
+        src, nbr = np.concatenate([a, b]), np.concatenate([b, a])
+        order = np.lexsort((nbr, src))
+        start = np.searchsorted(src[order], np.arange(self.n + 1))
+        return start, nbr[order], np.concatenate([e[:, 2], e[:, 2]])[order]
+
     def has_positions(self) -> bool:
         return all(nd.true_pos is not None for nd in self.nodes)
 
@@ -175,27 +185,21 @@ def build_udg(points: Sequence[Sequence[float]], radius: float, *,
     return NetworkInstance(nodes, edges, radius)
 
 
-def udg_edges(positions: np.ndarray, radius: float,
-              eps: float = DEFAULT_EPS) -> list[tuple[int, int, float]]:
-    """All pairs within ``radius`` with their exact distances.
+def _window_pairs(pos: np.ndarray, lim: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs ``u < v`` of ``pos`` whose gap along its widest axis is at
+    most ``lim``, each pair once: the candidates of a fixed-radius query.
 
-    Pairs ``(u, v)`` come with ``u < v`` in lexicographic order. A fixed-radius
-    near-neighbour sweep (Bentley, Stanat & Williams 1977): points are sorted
-    along their widest axis and each is paired only with the later points
-    whose gap on that axis is at most ``radius + eps``. A pair's distance is
-    never below that gap, so the window misses no pair, and no n x n array
-    is built.
+    A fixed-radius near-neighbour sweep (Bentley, Stanat & Williams 1977):
+    points are sorted along their widest axis and each is paired only with
+    the later points whose gap on that axis is at most ``lim``. A pair's
+    distance is never below that gap, so the window misses no pair, and no
+    n x n array is built.
     """
-    pos = np.asarray(positions, dtype=float)
-    n = len(pos)
-    if n < 2:
-        return []
-    lim = radius + eps
     axis = int(np.argmax(pos.max(axis=0) - pos.min(axis=0)))
     order = np.argsort(pos[:, axis])
     xs = np.append(pos[order, axis], np.inf)  # the sentinel ends every window
     heads, tails = [], []
-    alive = np.arange(n)
+    alive = np.arange(len(pos))
     k = 1
     while alive.size:
         alive = alive[xs[alive + k] - xs[alive] <= lim]
@@ -204,11 +208,49 @@ def udg_edges(positions: np.ndarray, radius: float,
         k += 1
     a = order[np.concatenate(heads)]
     b = order[np.concatenate(tails)]
-    u, v = np.minimum(a, b), np.maximum(a, b)
+    return np.minimum(a, b), np.maximum(a, b)
+
+
+def udg_edges(positions: np.ndarray, radius: float,
+              eps: float = DEFAULT_EPS) -> list[tuple[int, int, float]]:
+    """All pairs within ``radius`` with their exact distances.
+
+    Pairs ``(u, v)`` come with ``u < v`` in lexicographic order, found by
+    the sweep of :func:`_window_pairs`.
+    """
+    pos = np.asarray(positions, dtype=float)
+    if len(pos) < 2:
+        return []
+    lim = radius + eps
+    u, v = _window_pairs(pos, lim)
     d = np.linalg.norm(pos[u] - pos[v], axis=-1)
     keep = np.flatnonzero(d <= lim)
     keep = keep[np.lexsort((v[keep], u[keep]))]
     return list(zip(u[keep].tolist(), v[keep].tolist(), d[keep].tolist()))
+
+
+def cross_pairs(a: np.ndarray, b: np.ndarray, radius: float,
+                eps: float = DEFAULT_EPS
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pairs ``(i, j)`` with ``|a[i] - b[j]| <= radius + eps``.
+
+    The cross-set form of :func:`udg_edges`: the same sweep over the points
+    of both sets, keeping only pairs with one end in each. Returns the index
+    arrays ``i``, ``j`` and the distances, sorted by ``(i, j)``.
+    """
+    pa = np.asarray(a, dtype=float)
+    pb = np.asarray(b, dtype=float)
+    if not len(pa) or not len(pb):
+        return np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0)
+    lim = radius + eps
+    k = len(pa)
+    i, j = _window_pairs(np.vstack([pa, pb]), lim)
+    cross = (i < k) & (j >= k)
+    i, j = i[cross], j[cross] - k
+    d = np.linalg.norm(pa[i] - pb[j], axis=-1)
+    keep = np.flatnonzero(d <= lim)
+    keep = keep[np.lexsort((j[keep], i[keep]))]
+    return i[keep], j[keep], d[keep]
 
 
 def _with_noise(edges: Iterable[tuple[int, int, float]], sigma: float,
@@ -283,39 +325,80 @@ class GroupingFunction:
 # ---------------------------------------------------------------------------
 
 class PointFormation:
-    """Node id -> position table in R^dim, meaningful up to isometry."""
+    """Node id -> position table in R^dim, meaningful up to isometry.
+
+    Positions live in one ``(len(ids), dim)`` array, ``points``, whose rows
+    follow the sorted ids in ``ids``; ``mask`` flags the localized rows.
+    """
 
     def __init__(self, dim: int, ids: Iterable[int] = ()):
         if dim not in (1, 2, 3):
             raise InvalidInputError("formation dim must be 1, 2 or 3")
         self.dim = dim
-        self.rows: dict[int, np.ndarray] = {}
-        self.status: dict[int, str] = {u: UNLOCALIZED for u in ids}
+        self.ids = np.array(sorted(set(ids)), dtype=int)
+        self.points = np.zeros((len(self.ids), dim))
+        self.mask = np.zeros(len(self.ids), dtype=bool)
+        self._row = {u: i for i, u in enumerate(self.ids.tolist())}
+
+    def _add_ids(self, new: Iterable[int]) -> None:
+        ids = np.union1d(self.ids, np.fromiter(new, dtype=int))
+        old = np.searchsorted(ids, self.ids)
+        points = np.zeros((len(ids), self.dim))
+        points[old] = self.points
+        mask = np.zeros(len(ids), dtype=bool)
+        mask[old] = self.mask
+        self.ids, self.points, self.mask = ids, points, mask
+        self._row = {u: i for i, u in enumerate(ids.tolist())}
+
+    def rows_of(self, ids: Sequence[int]) -> np.ndarray:
+        """Row of each id in ``points``; ``KeyError`` for an unknown id."""
+        want = np.asarray(ids, dtype=int).reshape(-1)
+        rows = np.searchsorted(self.ids, want)
+        found = rows < len(self.ids)
+        found[found] = self.ids[rows[found]] == want[found]
+        if not found.all():
+            raise KeyError(int(want[~found][0]))
+        return rows
 
     def mark(self, u: int, pos) -> None:
-        p = np.atleast_1d(np.asarray(pos, dtype=float))
-        if p.shape != (self.dim,) or not np.all(np.isfinite(p)):
+        self.mark_many([u], np.atleast_1d(np.asarray(pos, dtype=float))[None])
+
+    def mark_many(self, ids: Sequence[int], positions) -> None:
+        """Mark ``ids[i]`` localized at ``positions[i]``, all at once."""
+        p = np.asarray(positions, dtype=float)
+        if p.shape != (len(ids), self.dim) or not np.all(np.isfinite(p)):
+            label = f"node {ids[0]}" if len(ids) == 1 else "nodes"
             raise InvalidInputError(
-                f"position for node {u} must be a finite point in R^{self.dim}")
-        self.rows[u] = p
-        self.status[u] = LOCALIZED
+                f"position for {label} must be a finite point in R^{self.dim}")
+        missing = [u for u in ids if u not in self._row]
+        if missing:
+            self._add_ids(missing)
+        rows = self.rows_of(ids)
+        self.points[rows] = p
+        self.mask[rows] = True
 
     def is_localized(self, u: int) -> bool:
-        return self.status.get(u) == LOCALIZED
+        i = self._row.get(u)
+        return i is not None and bool(self.mask[i])
 
     def localized_ids(self) -> list[int]:
-        return sorted(u for u, s in self.status.items() if s == LOCALIZED)
+        return self.ids[self.mask].tolist()
 
     def localized_fraction(self) -> float:
-        if not self.status:
+        if not len(self.ids):
             return 0.0
-        return len(self.localized_ids()) / len(self.status)
+        return int(self.mask.sum()) / len(self.ids)
 
     def position(self, u: int) -> np.ndarray:
-        return self.rows[u]
+        if not self.is_localized(u):
+            raise KeyError(u)
+        return self.points[self._row[u]].copy()
 
     def array(self, ids: Sequence[int]) -> np.ndarray:
-        return np.array([self.rows[u] for u in ids], dtype=float)
+        rows = self.rows_of(ids)
+        if not np.all(self.mask[rows]):
+            raise KeyError(next(u for u in ids if not self.is_localized(u)))
+        return self.points[rows]
 
 
 @dataclass(frozen=True)

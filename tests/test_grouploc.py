@@ -1,15 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from hyperloc import grouploc
 from hyperloc.errors import (ChordInconsistencyError,
                              InconsistentDistancesError, NotLocalizableError)
-from hyperloc.grouploc import (GroupTransform, compute_group_transform,
-                               fit_hyperplane, hierarchical_localize,
+from hyperloc.grouploc import (NONEDGE_MARGIN, GroupTransform,
+                               compute_group_transform, fit_hyperplane,
+                               hierarchical_localize,
                                localize_collinear_group, localize_groups,
                                localize_path, localize_support_vertex,
                                verify_formation)
-from hyperloc.intervals import LinearOrder
-from hyperloc.model import (COLLINEAR, BuildingConfig, GroupingFunction,
+from hyperloc.intervals import Graph, LinearOrder, unit_interval_order
+from hyperloc.model import (COLLINEAR, DEFAULT_EPS, BuildingConfig,
+                            GroupingFunction,
                             NetworkInstance, NodeRecord, PointFormation,
                             build_udg, flagship_building_config,
                             generate_building, make_rng, strip_ground_truth,
@@ -31,6 +36,16 @@ class TestLocalizePath:
     def test_single_vertex(self):
         f = localize_path(LinearOrder((5,)), [])
         assert float(f.position(5)[0]) == 0.0
+
+    def test_running_sum_bit_for_bit(self):
+        weights = make_rng(18).uniform(0.01, 1.0, 400).tolist()
+        seq = tuple(range(400, -1, -1))
+        f = localize_path(LinearOrder(seq), weights)
+        x = 0.0
+        for i, u in enumerate(seq):
+            if i > 0:
+                x += weights[i - 1]
+            assert f.position(u)[0] == x
 
     def test_collinear_deployment_up_to_1d_isometry(self):
         xs = np.array([0.0, 0.6, 1.1, 1.9])
@@ -68,6 +83,35 @@ class TestLocalizeCollinearGroup:
         with pytest.raises(ChordInconsistencyError) as exc:
             localize_collinear_group(inst, [0, 1, 2])
         assert exc.value.edge is not None
+
+
+    def test_chord_check_matches_loop_reference(self):
+        # noisy distances make some corridors fail the chord check; the
+        # error names the first failing chord in graph.edges order
+        inst = generate_building(replace(flagship_building_config(),
+                                         noise_sigma=1e-6))
+        failures = 0
+        for gid in sorted({nd.line_group for nd in inst.nodes}):
+            members = [nd.id for nd in inst.nodes if nd.line_group == gid]
+            graph = Graph.from_instance(inst, members)
+            seq = unit_interval_order(graph).sequence
+            f = localize_path(LinearOrder(seq), [inst.dist(a, b)
+                                                 for a, b in zip(seq, seq[1:])])
+            expected = None
+            for u, v in graph.edges:
+                got = abs(float(f.position(u)[0] - f.position(v)[0]))
+                if abs(got - inst.dist(u, v)) > DEFAULT_EPS:
+                    expected = (f"chord ({u},{v}) embeds at {got}, "
+                                f"measured {inst.dist(u, v)}", (u, v))
+                    break
+            if expected is None:
+                localize_collinear_group(inst, members)
+                continue
+            failures += 1
+            with pytest.raises(ChordInconsistencyError) as exc:
+                localize_collinear_group(inst, members)
+            assert (str(exc.value), exc.value.edge) == expected
+        assert failures
 
 
 class TestLocalizeSupportVertex:
@@ -143,6 +187,21 @@ class TestComputeGroupTransform:
             t = compute_group_transform(local, ambient)
             assert np.max(np.linalg.norm(t.apply(local) - ambient, axis=1)) < 1e-9
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_block_apply_matches_rows_bit_for_bit(self, d):
+        rng = make_rng(17 + d)
+        for _ in range(20):
+            q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            t = GroupTransform(linear=q[:, :d - 1],
+                               translation=rng.uniform(-240, 240, d))
+            pts = rng.uniform(-240, 240, (500, d - 1))
+            block = t.apply(pts)
+            rows = np.array([np.atleast_2d(p) @ t.linear.T + t.translation
+                             for p in pts])[:, 0, :]
+            assert block.tobytes() == rows.tobytes()
+            assert block.tobytes() == \
+                np.array([t.apply(p)[0] for p in pts]).tobytes()
+
     def test_isometry_preserved_on_samples(self):
         rng = make_rng(16)
         local = np.array([[0.0, 0], [1, 0], [0, 1]])
@@ -179,6 +238,127 @@ def two_parallel_corridors():
     return inst, grouping, local, np.array(pts)
 
 
+def _reference_check_placement(solver, g, transform):
+    """The O(localized) placement check: stack every localized point and run
+    one udg_edges over the group's points plus all of them."""
+    ids, pts = [], []
+    for u in solver.members[g]:
+        row = solver._local_row(g, u)
+        if row is not None:
+            ids.append(u)
+            pts.append(transform.apply(row)[0])
+    if not ids:
+        return False
+    pts = np.array(pts)
+    f = solver.formation
+    loc_ids = f.localized_ids()
+    if not loc_ids:
+        return True
+    loc_pts = f.array(loc_ids)
+    scale = max(1.0, float(np.abs(pts).max()), float(np.abs(loc_pts).max()))
+    tol = max(solver.eps, 1e-9) * scale
+    pairs = [(i, v) for i, u in enumerate(ids)
+             for v in solver.inst.neighbors(u) if f.is_localized(v)]
+    if pairs:
+        rows, nbrs = zip(*pairs)
+        got = np.linalg.norm(pts[list(rows)] - f.array(nbrs), axis=-1)
+        want = [solver.inst.dist(ids[i], v) for i, v in pairs]
+        if np.any(np.abs(got - want) > tol):
+            return False
+    k = len(ids)
+    for a, b, _ in udg_edges(np.vstack([pts, loc_pts]),
+                             solver.inst.radius - NONEDGE_MARGIN, eps=0.0):
+        if a < k <= b and not solver.inst.has_edge(ids[a], loc_ids[b - k]):
+            return False
+    return True
+
+
+def _bench_building(offset):
+    """The benchmark's 3 x 4 building, stairwell `offset` grid steps from
+    the middle."""
+    cfg = BuildingConfig(floors=3, floor_spacing=0.8, corridors_per_floor=4,
+                         node_spacing=0.9, corridor_spacing=0.45,
+                         extent=266 * 0.9, stagger=True)
+    x = round((133 + offset) * 0.9, 12)
+    return generate_building(replace(cfg, connector_columns=((x, 0.675),)))
+
+
+def single_cross_edge():
+    """Two corridors with exactly one cross pair within range: (0, 6)."""
+    pts = [(0.0, 0.0), (0.9, 0.0), (1.8, 0.0),
+           (0.45, 0.95), (1.35, 0.95), (2.25, 0.95), (0.0, 0.95)]
+    nodes = [NodeRecord(id=i) for i in range(len(pts))]
+    edges = udg_edges(np.column_stack([np.array(pts), np.zeros(7)]), 1.0)
+    inst = NetworkInstance(nodes, edges, 1.0)
+    grouping = GroupingFunction.from_labels(
+        COLLINEAR, {i: (1 if i < 3 else 2) for i in range(7)})
+    local = {}
+    for g in (1, 2):
+        f = PointFormation(1, grouping.members(g))
+        for u in grouping.members(g):
+            f.mark(u, (pts[u][0],))
+        local[g] = f
+    return inst, grouping, local
+
+
+class TestPlacementCheckReference:
+    @pytest.fixture
+    def verdicts(self, monkeypatch):
+        """Every placement the solver evaluates, with both verdicts."""
+        seen = []
+        fast = grouploc._GroupSolver._check_placement
+
+        def both(solver, g, transform):
+            got = fast(solver, g, transform)
+            seen.append((got, _reference_check_placement(solver, g,
+                                                         transform)))
+            return got
+
+        monkeypatch.setattr(grouploc._GroupSolver, "_check_placement", both)
+        return seen
+
+    @pytest.mark.parametrize("offset", [-40, 0, 40])
+    def test_benchmark_building(self, verdicts, offset):
+        hierarchical_localize(strip_ground_truth(_bench_building(offset)))
+        assert verdicts and all(a == b for a, b in verdicts)
+        assert {a for a, _ in verdicts} == {True, False}
+
+    def test_flagship(self, verdicts):
+        inst = generate_building(flagship_building_config())
+        hierarchical_localize(strip_ground_truth(inst))
+        assert verdicts and all(a == b for a, b in verdicts)
+
+    def test_non_edge_beside_the_group_box(self):
+        # group 2 has no measured edge to group 1, so only the non-edge test
+        # can reject it; the offending node 2 lies 0.6 beside its box
+        pts = [(0.0, 0.0), (0.9, 0.0), (1.8, 0.0), (10.0, 0.0), (10.0, 0.9)]
+        nodes = [NodeRecord(id=i) for i in range(5)]
+        edges = udg_edges(np.column_stack([np.array(pts), np.zeros(5)]), 1.0)
+        inst = NetworkInstance(nodes, edges, 1.0)
+        grouping = GroupingFunction.from_labels(
+            COLLINEAR, {0: 1, 1: 1, 2: 1, 3: 2, 4: 2})
+        local = {1: PointFormation(1, [0, 1, 2]), 2: PointFormation(1, [3, 4])}
+        local[1].mark_many([0, 1, 2], [(0.0,), (0.9,), (1.8,)])
+        local[2].mark_many([3, 4], [(0.0,), (0.9,)])
+        solver = grouploc._GroupSolver(inst, grouping, local, 2, DEFAULT_EPS,
+                                       seed_group=1)
+        solver._commit_seed()
+        vertical = np.array([[0.0], [1.0]])
+        for shift, ok in (((2.4, -0.45), False), ((2.9, -0.45), True),
+                          ((10.0, 0.0), True)):
+            t = GroupTransform(linear=vertical, translation=np.array(shift))
+            assert solver._check_placement(2, t) is ok
+            assert _reference_check_placement(solver, 2, t) is ok
+
+    def test_small_fixtures(self, verdicts):
+        inst, grouping, local, _ = two_parallel_corridors()
+        localize_groups(inst, grouping, local, d=2)
+        inst, grouping, local = single_cross_edge()
+        with pytest.raises(NotLocalizableError):
+            localize_groups(inst, grouping, local, d=2)
+        assert verdicts and all(a == b for a, b in verdicts)
+
+
 class TestLocalizeGroups:
     def test_two_parallel_corridors(self):
         inst, grouping, local, pts = two_parallel_corridors()
@@ -195,23 +375,9 @@ class TestLocalizeGroups:
         assert formation.localized_fraction() == 1.0
 
     def test_single_cross_edge_not_localizable(self):
-        pts = [(0.0, 0.0), (0.9, 0.0), (1.8, 0.0),
-               (0.45, 0.95), (1.35, 0.95), (2.25, 0.95), (0.0, 0.95)]
-        # exactly one cross pair within range: (0, 6) at 0.95
-        nodes = [NodeRecord(id=i) for i in range(len(pts))]
-        edges = udg_edges(np.column_stack([np.array(pts), np.zeros(7)]), 1.0)
-        cross = [(u, v) for u, v, _ in edges
-                 if (u < 3) != (v < 3)]
+        inst, grouping, local = single_cross_edge()
+        cross = [(u, v) for u, v, _ in inst.edges if (u < 3) != (v < 3)]
         assert len(cross) == 1
-        inst = NetworkInstance(nodes, edges, 1.0)
-        grouping = GroupingFunction.from_labels(
-            COLLINEAR, {i: (1 if i < 3 else 2) for i in range(7)})
-        local = {}
-        for g in (1, 2):
-            f = PointFormation(1, grouping.members(g))
-            for u in grouping.members(g):
-                f.mark(u, (pts[u][0],))
-            local[g] = f
         with pytest.raises(NotLocalizableError):
             localize_groups(inst, grouping, local, d=2)
 

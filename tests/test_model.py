@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from hyperloc.errors import InvalidConfigError, InvalidInputError
 from hyperloc.model import (BuildingConfig, GroupingFunction, Hyperplane,
-                            NetworkInstance, NodeRecord, build_udg,
-                            classify_edge, flagship_building_config,
-                            generate_building, make_rng,
-                            network_from_json_dict, network_to_json_dict,
-                            strip_ground_truth, udg_edges)
+                            NetworkInstance, NodeRecord, PointFormation,
+                            build_udg, classify_edge, cross_pairs,
+                            flagship_building_config, generate_building,
+                            make_rng, network_from_json_dict,
+                            network_to_json_dict, strip_ground_truth,
+                            udg_edges)
 
 
 def _all_pairs(pos, radius, eps):
@@ -54,6 +55,135 @@ class TestUdgEdges:
              radius=1.0, eps=0.5)
     def test_matches_all_pairs_reference(self, pos, radius, eps):
         assert udg_edges(pos, radius, eps) == _all_pairs(pos, radius, eps)
+
+
+def _all_cross_pairs(a, b, radius, eps):
+    """Dense all-pairs reference for cross_pairs."""
+    if not len(a) or not len(b):
+        return []
+    d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1)
+    return [(i, j, float(d[i, j])) for i in range(len(a))
+            for j in range(len(b)) if d[i, j] <= radius + eps]
+
+
+@st.composite
+def _point_pairs(draw):
+    dim = draw(st.sampled_from((1, 2, 3)))
+    sets = [draw(st.lists(st.tuples(*[_coord] * dim), max_size=25))
+            for _ in range(2)]
+    return tuple(np.array(rows, dtype=float).reshape(len(rows), dim)
+                 for rows in sets)
+
+
+class TestCrossPairs:
+    @settings(max_examples=300, deadline=None, database=None,
+              derandomize=True)
+    @given(ab=_point_pairs(), radius=st.sampled_from((0.5, 1.0, 1.5)),
+           eps=st.sampled_from((0.0, 1e-9, 0.5)))
+    # an empty side; coincident points across the sets; ties on the sweep
+    # axis with a pair at exactly radius; a pair at exactly radius + eps
+    @example(ab=(np.zeros((0, 2)), np.zeros((3, 2))), radius=1.0, eps=1e-9)
+    @example(ab=(np.zeros((2, 3)), np.zeros((0, 3))), radius=1.0, eps=1e-9)
+    @example(ab=(np.zeros((3, 3)), np.zeros((2, 3))), radius=1.0, eps=0.0)
+    @example(ab=(np.array([[0.5 * i, 0.0] for i in range(6)]),
+                 np.array([[0.5 * i, 1.0] for i in range(6)] + [[0.0, 5.0]])),
+             radius=1.0, eps=0.0)
+    @example(ab=(np.array([[0.0, 0.0, 0.0]]),
+                 np.array([[1.5, 0.0, 0.0], [0.0, 0.5, 1.5]])),
+             radius=1.0, eps=0.5)
+    def test_matches_all_pairs_reference(self, ab, radius, eps):
+        a, b = ab
+        i, j, d = cross_pairs(a, b, radius, eps)
+        assert list(zip(i.tolist(), j.tolist(), d.tolist())) == \
+            _all_cross_pairs(a, b, radius, eps)
+
+
+class _DictFormation:
+    """The dict-of-rows formation, as a reference for PointFormation."""
+
+    def __init__(self, ids):
+        self.status = {u: False for u in ids}
+        self.rows = {}
+
+    def mark(self, u, pos):
+        self.rows[u] = np.asarray(pos, dtype=float)
+        self.status[u] = True
+
+    def localized_ids(self):
+        return sorted(u for u, s in self.status.items() if s)
+
+
+class TestPointFormation:
+    def _agrees(self, f, ref):
+        loc = ref.localized_ids()
+        assert f.ids.tolist() == sorted(ref.status)
+        assert f.localized_ids() == loc
+        assert f.localized_fraction() == len(loc) / len(ref.status)
+        for u in ref.status:
+            assert f.is_localized(u) == ref.status[u]
+            if ref.status[u]:
+                assert f.position(u).tobytes() == ref.rows[u].tobytes()
+            else:
+                with pytest.raises(KeyError):
+                    f.position(u)
+        if loc:
+            assert f.array(loc[::-1]).tobytes() == \
+                np.array([ref.rows[u] for u in loc[::-1]]).tobytes()
+
+    @settings(max_examples=100, deadline=None, database=None,
+              derandomize=True)
+    @given(dim=st.sampled_from((1, 2, 3)),
+           ids=st.lists(st.integers(0, 30), unique=True, max_size=12),
+           data=st.data())
+    def test_matches_dict_reference(self, dim, ids, data):
+        f, ref = PointFormation(dim, ids=ids), _DictFormation(ids)
+        assert f.localized_fraction() == 0.0
+        for _ in range(data.draw(st.integers(1, 6))):
+            # ids given at construction and ids that were not
+            batch = data.draw(st.lists(st.integers(0, 40), unique=True,
+                                       min_size=1, max_size=5))
+            pts = np.array(data.draw(st.lists(
+                st.tuples(*[st.floats(-240, 240)] * dim),
+                min_size=len(batch), max_size=len(batch))))
+            if len(batch) == 1 and data.draw(st.booleans()):
+                f.mark(batch[0], pts[0])
+            else:
+                f.mark_many(batch, pts)
+            for u, p in zip(batch, pts):
+                ref.mark(u, p)
+            self._agrees(f, ref)
+
+    def test_unlocalized_and_unknown_ids_raise_key_error(self):
+        f = PointFormation(2, ids=[4, 2])
+        f.mark(4, (1.0, 2.0))
+        for u in (2, 7):
+            with pytest.raises(KeyError):
+                f.position(u)
+            with pytest.raises(KeyError):
+                f.array([4, u])
+        assert not f.is_localized(7)
+
+    def test_empty_formation(self):
+        f = PointFormation(3)
+        assert f.localized_fraction() == 0.0
+        assert f.localized_ids() == [] and f.ids.tolist() == []
+
+    @pytest.mark.parametrize("pos", [(np.nan, 0.0), (0.0, np.inf), (1.0,),
+                                     (1.0, 2.0, 3.0), [[1.0, 2.0]]])
+    def test_bad_positions_rejected(self, pos):
+        f = PointFormation(2, ids=[0, 1])
+        with pytest.raises(InvalidInputError):
+            f.mark(0, pos)
+        with pytest.raises(InvalidInputError):
+            f.mark_many([0, 1], [pos, pos])
+        assert f.localized_ids() == []
+
+    def test_bulk_mark_shape_must_match_ids(self):
+        f = PointFormation(1, ids=[0, 1, 2])
+        with pytest.raises(InvalidInputError):
+            f.mark_many([0, 1], [(0.0,), (1.0,), (2.0,)])
+        with pytest.raises(InvalidInputError):
+            f.mark_many([0, 1], [0.0, 1.0])
 
 
 class TestBuildUdg:
@@ -99,6 +229,15 @@ class TestBuildUdg:
 
 
 class TestNetworkInstance:
+    def test_adjacency_matches_lookups(self):
+        inst = generate_building(flagship_building_config())
+        start, nbr, length = inst.adjacency
+        for u in range(inst.n):
+            row = slice(start[u], start[u + 1])
+            assert nbr[row].tolist() == sorted(inst.neighbors(u))
+            assert length[row].tolist() == \
+                [inst.dist(u, v) for v in nbr[row].tolist()]
+
     def test_rejects_duplicate_and_self_loop(self):
         nodes = [NodeRecord(id=0), NodeRecord(id=1)]
         with pytest.raises(InvalidInputError):
