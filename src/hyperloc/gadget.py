@@ -484,69 +484,105 @@ def _config_positions(g: GadgetInstance, config: FlipConfiguration,
     return pos
 
 
-def _positions_valid(want: list[tuple[int, int]], pts: np.ndarray) -> bool:
-    """Exact unit-disk realization check: edges iff within radius."""
-    return [(u, v) for u, v, _ in udg_edges(pts, RADIUS)] == want
-
-
 class _ConfigChecker:
-    """Compiled pairwise tables: which line states (``vertical |
-    horizontal << 1``) of two consecutive lines keep their apexes' adjacency,
-    and which side of the edge-line pair each chain can take given the
-    states of its two endpoint lines.
+    """Compiled tables over the gadget's blocks, read off one kernel query.
 
-    Every table is read off one kernel query over a labelled cloud that
-    holds each apex in each of its 4 line states and each token on both
-    sides of its edge-line pair, all placed by ``_config_positions``.
+    The blocks are the fixed nodes (one state), each vertex line with its
+    apexes (4 states ``vertical | horizontal << 1``) and each chain's
+    tokens (2 sides); a lifted node's z = 1 copy joins its node's block.
+    Under the one flip rule (``_config_positions``) a node's position
+    depends only on its block's state, and ``udg_edges`` decides a pair
+    from its two positions alone. So a configuration realizes the graph
+    exactly iff, for every two blocks in their states and every block in
+    its state, the pairs in range are the recorded edges.
+
+    The labelled cloud holds every node in each of its block's states.
+    Mismatches (edges out of range, non-edges in range) are tallied per
+    pair of block states over all pairs (``exact[A, sA, B, sB]``, with
+    ``A == B`` inside a block), over apex pairs (the consecutive-line
+    ``pair_tables``) and over chain tokens against their end apexes (the
+    per-side ``wire_tables``).
     """
 
     def __init__(self, g: GadgetInstance):
         self.g = g
         self.n = n = g.hypergraph.n_vertices
-        inst = g.instance
-        apexes, tokens = g._arrays.apexes, g._arrays.tokens
+        a, inst = g._arrays, g.instance
+        n2, n_inst = len(a.xy), inst.n
+        nb = 1 + n + len(g._wires)
+        block = np.zeros(n2, dtype=np.intp)
+        block[a.flips] = 1 + a.flip_owner
+        block[a.tokens] = 1 + n + a.token_wire
+        block = np.tile(block, n_inst // n2)
         # placed[s]: every line in state s, every chain on side s & 1
         placed = [_config_positions(
             g, FlipConfiguration(vertical=(bool(s & 1),) * n,
                                  horizontal=(bool(s >> 1),) * n),
             [1 if s & 1 else -1] * len(g._wires)) for s in range(4)]
-        cloud = np.vstack([p[apexes] for p in placed]
-                          + [p[tokens] for p in placed[:2]])
-        # a few hundred rows at the size caps
-        near = np.zeros((len(cloud), len(cloud)), dtype=bool)
-        for u, v, _ in udg_edges(cloud, RADIUS):
-            near[u, v] = near[v, u] = True
-        na = len(apexes)
-        # apex_near[sa, i, sb, j]: apex i in state sa, apex j in state sb
-        apex_near = near[:4 * na, :4 * na].reshape(4, na, 4, na)
-        # token_near[side, t, s, j]: token t on that side, apex j in state s
-        token_near = near[4 * na:, :4 * na].reshape(2, len(tokens), 4, na)
+        rows = [np.arange(n2), np.r_[a.flips, a.tokens], a.flips, a.flips]
+        cloud = np.vstack([p[r] for p, r in zip(placed, rows)])
+        node = np.concatenate(rows)
+        state = np.repeat(np.arange(4), [len(r) for r in rows])
+        if g.dim == 3:
+            cloud = np.column_stack([np.tile(cloud, (2, 1)),
+                                     np.repeat([0.0, 1.0], len(cloud))])
+            node, state = np.concatenate([node, node + n2]), np.tile(state, 2)
 
-        # consecutive-line apex compatibility tables
-        self.pair_tables: list[tuple[int, int, np.ndarray]] = []
-        for va, vb in zip(g.order, g.order[1:]):
-            left = np.flatnonzero(g._arrays.apex_owner == va)
-            right = np.flatnonzero(g._arrays.apex_owner == vb)
-            if not (len(left) and len(right)):
-                continue
-            want = np.array([[inst.has_edge(apexes[i], apexes[j])
-                              for j in right] for i in left])
-            got = apex_near[:, left][..., right]
-            self.pair_tables.append(
-                (va, vb, (got == want[:, None, :]).all(axis=(1, 3))))
-        # per-chain feasibility tables over both endpoint line states
+        def key(x, y):
+            return np.minimum(x, y) * n_inst + np.maximum(x, y)
+
+        apex = np.isin(np.arange(n_inst), a.apexes)
+        ends = np.array([w.end_apexes for w in g._wires],
+                        dtype=np.intp).reshape(-1, 2)
+        links = key(a.tokens[:, None], ends[a.token_wire])
+
+        def tally(out, x, y, i, j, weight):
+            for layer, m in zip(out, (np.ones(len(x), dtype=bool),
+                                      apex[x] & apex[y],
+                                      np.isin(key(x, y), links))):
+                np.add.at(layer, (np.r_[i[m], j[m]], np.r_[j[m], i[m]]),
+                          np.r_[weight[m], weight[m]])
+
+        eu, ev = np.array([e[:2] for e in inst.edges],
+                          dtype=np.intp).reshape(-1, 2).T
+        # miss: recorded edges, less those in range, plus non-edges in range
+        want = np.zeros((3, nb, nb), dtype=np.intp)
+        tally(want, eu, ev, block[eu], block[ev], np.ones_like(eu))
+        miss = want.repeat(4, axis=1).repeat(4, axis=2)
+        # coinciding rows are queried once, which keeps the kernel's candidate
+        # pairs and peak memory down; each pair of positions in range, and
+        # each position with itself, stands for every pair of their rows
+        pos, at = np.unique(cloud, axis=0, return_inverse=True)
+        at = at.ravel()
+        by_pos, count = np.argsort(at, kind="stable"), np.bincount(at)
+        first = np.cumsum(count) - count
+        pu, pv = np.array([p[:2] for p in udg_edges(pos, RADIUS)],
+                          dtype=np.intp).reshape(-1, 2).T
+        pu, pv = np.r_[pu, :len(pos)], np.r_[pv, :len(pos)]
+        reps = count[pu] * count[pv]
+        du, dv = np.divmod(np.arange(reps.sum())
+                           - np.repeat(np.cumsum(reps) - reps, reps),
+                           np.repeat(count[pv], reps))
+        i = by_pos[np.repeat(first[pu], reps) + du]
+        j = by_pos[np.repeat(first[pv], reps) + dv]
+        (x, y), (sx, sy) = node[[i, j]], state[[i, j]]
+        keep = ((np.repeat(pu != pv, reps) | (i < j)) & (x != y)
+                & ((block[x] != block[y]) | (sx == sy)))
+        x, y, sx, sy = x[keep], y[keep], sx[keep], sy[keep]
+        tally(miss, x, y, 4 * block[x] + sx, 4 * block[y] + sy,
+              np.where(np.isin(key(x, y), eu * n_inst + ev), -1, 1))
+        ok = (miss == 0).reshape(3, nb, 4, nb, 4)
+        self.exact = ok[0]
+        self.pair_tables: list[tuple[int, int, np.ndarray]] = [
+            (va, vb, ok[1, 1 + va, :, 1 + vb, :])
+            for va, vb in zip(g.order, g.order[1:])
+            if {va, vb} <= set(a.apex_owner.tolist())]
+        # agree[k][s, side]: the chain on that side agrees with end k in s
         self.wire_tables: list[tuple[int, int, np.ndarray]] = []
-        for w in g._wires:
-            rows = np.searchsorted(tokens, w.token_ids)
-            ok = []     # ok[end][side, s]: the chain agrees with that end in s
-            for v in w.end_vertices:
-                aid = g._apex_of[(v, w.edge_index)]
-                want = np.array([inst.has_edge(t, aid) for t in w.token_ids])
-                got = token_near[:, rows][..., np.searchsorted(apexes, aid)]
-                ok.append((got == want[:, None]).all(axis=1))
-            va, vb = w.end_vertices
-            self.wire_tables.append(
-                (va, vb, ok[0].T[:, None, :] & ok[1].T[None, :, :]))
+        for c, w in enumerate(g._wires):
+            agree = [ok[2, 1 + n + c, :2, 1 + v, :].T for v in w.end_vertices]
+            self.wire_tables.append((*w.end_vertices,
+                                     agree[0][:, None, :] & agree[1][None]))
 
     def wire_signs(self, config: FlipConfiguration) -> list[int] | None:
         signs = []
@@ -594,32 +630,31 @@ def enumerate_groupings(g: GadgetInstance) -> list[FlipConfiguration]:
     """All flip configurations whose implied placements realize the unit
     disk graph exactly, every node on its assigned line.
 
-    Only the configurations the checker's tables admit are placed; each is
-    then checked exactly. The list is in increasing order of the key that
-    puts vertex v's vertical bit at bit 2v and its horizontal bit at
-    bit 2v + 1.
+    Each configuration the pair and chain tables admit takes its chain
+    sides from ``wire_signs`` and is then checked exactly by looking up
+    every pair of blocks, and every block, in ``_ConfigChecker.exact``.
+    The list is in increasing order of the key that puts vertex v's
+    vertical bit at bit 2v and its horizontal bit at bit 2v + 1.
     """
     if g.hypergraph.n_vertices > MAX_VERTICES:
         raise SizeCapError("configuration enumeration beyond the size cap")
     checker = _ConfigChecker(g)
-    want = [(u, v) for u, v, _ in g.instance.edges]
-    valid = []
-    for states in checker.admitted_states():
+    configs, states = [], []
+    for line_states in checker.admitted_states():
         config = FlipConfiguration(
-            vertical=tuple(bool(s & 1) for s in states),
-            horizontal=tuple(bool(s >> 1) for s in states))
+            vertical=tuple(bool(s & 1) for s in line_states),
+            horizontal=tuple(bool(s >> 1) for s in line_states))
         signs = checker.wire_signs(config)
-        if signs is None:
-            continue
-        pos = _config_positions(g, config, signs)
-        if g.dim == 3:
-            pts = np.column_stack([np.tile(pos, (2, 1)),
-                                   np.repeat([0.0, 1.0], len(pos))])
-        else:
-            pts = pos
-        if _positions_valid(want, pts):
-            valid.append(config)
-    return valid
+        if signs is not None:
+            configs.append(config)
+            states.append((0, *line_states, *(s > 0 for s in signs)))
+    # states[k, A]: block A's state in configuration k; only the block
+    # pairs A <= B that some states fail need a lookup
+    exact = checker.exact
+    states = np.array(states, dtype=np.intp).reshape(-1, len(exact))
+    blk_a, blk_b = np.nonzero(np.triu(~exact.all(axis=(1, 3))))
+    valid = exact[blk_a, states[:, blk_a], blk_b, states[:, blk_b]].all(axis=1)
+    return [c for c, ok in zip(configs, valid) if ok]
 
 
 # ---------------------------------------------------------------------------

@@ -221,41 +221,31 @@ def claw_oracle(graph: Graph) -> InducedClaw | None:
 
 
 def net_oracle(graph: Graph) -> InducedNet | None:
-    """Exhaustive 6-subset scan; first net by (triangle, pendants)."""
+    """Exhaustive net search; first net by (triangle, pendants).
+
+    Triangles are scanned in index order; for each, only the private
+    neighbours of its corners (adjacent to that corner alone) can be its
+    pendants, tried in index order until three are pairwise non-adjacent.
+    """
     nodes = graph.nodes
     idx = {u: i for i, u in enumerate(nodes)}
-    bits = []
-    for u in nodes:
-        b = 0
-        for v in graph.adj[u]:
-            b |= 1 << idx[v]
-        bits.append(b)
-    best = None
-    for six in itertools.combinations(range(len(nodes)), 6):
-        for tri in itertools.combinations(six, 3):
-            a, b, c = tri
-            if not (bits[a] >> b) & 1 or not (bits[a] >> c) & 1 \
-                    or not (bits[b] >> c) & 1:
-                continue
-            rest = [u for u in six if u not in tri]
-            for pend in itertools.permutations(rest):
-                x, y, z = pend
-                if (bits[x] >> a) & 1 and not (bits[x] >> b) & 1 \
-                        and not (bits[x] >> c) & 1 \
-                        and (bits[y] >> b) & 1 and not (bits[y] >> a) & 1 \
-                        and not (bits[y] >> c) & 1 \
-                        and (bits[z] >> c) & 1 and not (bits[z] >> a) & 1 \
-                        and not (bits[z] >> b) & 1 \
-                        and not (bits[x] >> y) & 1 and not (bits[x] >> z) & 1 \
-                        and not (bits[y] >> z) & 1:
-                    key = (tri, pend)
-                    if best is None or key < best:
-                        best = key
-    if best is None:
-        return None
-    tri, pend = best
-    return InducedNet(triangle=tuple(nodes[i] for i in tri),
-                      pendants=tuple(nodes[i] for i in pend))
+    bits = [sum(1 << idx[v] for v in graph.adj[u]) for u in nodes]
+
+    def members(mask: int) -> list[int]:
+        return [i for i in range(mask.bit_length()) if (mask >> i) & 1]
+
+    for a in range(len(nodes)):
+        for b in members(bits[a] >> (a + 1) << (a + 1)):
+            for c in members((bits[a] & bits[b]) >> (b + 1) << (b + 1)):
+                private = [members(bits[u] & ~bits[v] & ~bits[w])
+                           for u, v, w in ((a, b, c), (b, a, c), (c, a, b))]
+                for x, y, z in itertools.product(*private):
+                    if not ((bits[x] >> y) & 1 or (bits[x] >> z) & 1
+                            or (bits[y] >> z) & 1):
+                        return InducedNet(
+                            triangle=(nodes[a], nodes[b], nodes[c]),
+                            pendants=(nodes[x], nodes[y], nodes[z]))
+    return None
 
 
 def hamiltonian_oracle(graph: Graph) -> list[int] | None:

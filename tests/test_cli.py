@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -89,6 +90,29 @@ def test_verify_hardness(tmp_path):
     rep = json.loads(open(out).read())
     assert rep["colorable"] and rep["groupable"] and rep["agree"]
     assert rep["lift_3d"]["preserves_verdict"]
+
+
+# SHA-256 of `verify-hardness --lift-3d --full-correspondence` stdout,
+# recorded while each admitted configuration was still placed and checked
+# by its own kernel call; the block-table check must keep these bytes.
+PINNED_HARDNESS = {
+    "8 4\n0 4 5\n1 3 6\n1 5 7\n2 6 7\n":
+        "184d9cde335f189fba379421e0b461b752e2c0e9f2805c2bb19a226e6a0884b9",
+    "6 3\n0 1 4\n0 3 4\n2 3 4\n":
+        "474b9ad44283644bcb694d31ccee383a603d45a4197fe1e9ea8297b2bced8745",
+    "5 2\n0 1 2\n2 3 4\n":
+        "9449f167ec454d4d072599bf24e6680521b0d61ae5a33f46acdcd585119b5264",
+}
+
+
+@pytest.mark.parametrize("text", sorted(PINNED_HARDNESS))
+def test_verify_hardness_bytes_pinned(tmp_path, capsys, text):
+    hg = tmp_path / "h.txt"
+    hg.write_text(text)
+    assert main(["verify-hardness", "--hypergraph", str(hg), "--lift-3d",
+                 "--full-correspondence"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_HARDNESS[text]
 
 
 def test_verify_hardness_over_cap_is_domain_error(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,10 +8,10 @@ from hyperloc import gadget
 from hyperloc.errors import InvalidInputError, SizeCapError
 from hyperloc.gadget import (RADIUS, FlipConfiguration, Hypergraph3U,
                              _choose_order, _config_positions, _ConfigChecker,
-                             _positions_valid, build_gadget,
-                             enumerate_groupings, is_proper_coloring,
-                             lift_to_3d, two_colorings, verify_equivalence)
-from hyperloc.model import make_rng, udg_edges
+                             build_gadget, enumerate_groupings,
+                             is_proper_coloring, lift_to_3d, two_colorings,
+                             verify_equivalence)
+from hyperloc.model import NetworkInstance, make_rng, udg_edges
 
 FANO = Hypergraph3U(7, (
     (0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6),
@@ -178,17 +179,21 @@ def relabel(h, perm):
                                             for e in h.edges))
 
 
-def reference_groupings(g):
-    """Every one of the 4^n flip configurations in key order, filtered by
-    the pair tables, the chain tables and the exact realization check."""
+def _positions_valid(want: list[tuple[int, int]], pts: np.ndarray) -> bool:
+    """Exact unit-disk realization check: edges iff within radius."""
+    return [(u, v) for u, v, _ in udg_edges(pts, RADIUS)] == want
+
+
+def reference_admitted(g):
+    """Every one of the 4^n flip configurations in key order that the pair
+    tables and the chain tables admit, with its placement (both levels of
+    a lift)."""
     checker = _ConfigChecker(g)
-    want = [(u, v) for u, v, _ in g.instance.edges]
     n = g.hypergraph.n_vertices
 
     def state(config, v):
         return int(config.vertical[v]) | (int(config.horizontal[v]) << 1)
 
-    valid = []
     for bits in range(4 ** n):
         vert = tuple(bool((bits >> (2 * v)) & 1) for v in range(n))
         horiz = tuple(bool((bits >> (2 * v + 1)) & 1) for v in range(n))
@@ -203,9 +208,15 @@ def reference_groupings(g):
         if g.dim == 3:
             pos = np.column_stack([np.tile(pos, (2, 1)),
                                    np.repeat([0.0, 1.0], len(pos))])
-        if _positions_valid(want, pos):
-            valid.append(config)
-    return valid
+        yield config, pos
+
+
+def reference_groupings(g):
+    """The admitted configurations filtered by the exact realization
+    check, one kernel call over the whole placement each."""
+    want = [(u, v) for u, v, _ in g.instance.edges]
+    return [config for config, pos in reference_admitted(g)
+            if _positions_valid(want, pos)]
 
 
 class TestPrunedWalk:
@@ -227,6 +238,143 @@ class TestPrunedWalk:
         rng = make_rng(36)
         for n in (4, 6, 7, 8):
             self.check(random_hypergraph(rng, min_n=n, max_n=n, max_m=4))
+
+
+def range_by_states(g):
+    """Scan of the labelled cloud: every 2D node placed in each of the four
+    line states, chains on side ``s & 1``. Maps each pair ``u < v`` within
+    the radius in some states to the possible state pairs ``(su, sv)`` of
+    its blocks that put it in range, and to all possible state pairs."""
+    n = g.hypergraph.n_vertices
+    placed = [_config_positions(
+        g, FlipConfiguration(vertical=(bool(s & 1),) * n,
+                             horizontal=(bool(s >> 1),) * n),
+        [1 if s & 1 else -1] * len(g._wires)) for s in range(4)]
+    k = len(g._nodes)
+    block = [("line", nd.owner) if nd.kind == "apex" else (nd.kind, nd.owner)
+             for nd in g._nodes]
+    n_states = {"fixed": 1, "line": 4, "token": 2}
+    near = {}
+    for a, b, _ in udg_edges(np.vstack(placed), RADIUS):
+        (u, sa), (v, sb) = sorted((divmod(a, k)[::-1], divmod(b, k)[::-1]))
+        if u != v:
+            near.setdefault((u, v), set()).add((sa, sb))
+    out = {}
+    for (u, v), states in near.items():
+        su, sv = (range(n_states[block[w][0]]) for w in (u, v))
+        possible = ({(s, s) for s in su} if block[u] == block[v]
+                    else set(itertools.product(su, sv)))
+        out[(u, v)] = (states & possible, possible)
+    return out, block
+
+
+def table_pairs(g):
+    """The pairs the pair and chain tables compare: apexes of consecutive
+    lines, and each chain's tokens against its two end apexes."""
+    owner = {aid: v for (v, _), aid in g._apex_of.items()}
+    lines = {frozenset(p) for p in zip(g.order, g.order[1:])}
+    out = {(a, b) for a, b in itertools.combinations(sorted(owner), 2)
+           if frozenset((owner[a], owner[b])) in lines}
+    return out | {tuple(sorted((t, e))) for w in g._wires
+                  for t in w.token_ids for e in w.end_apexes}
+
+
+def flipped(g, pairs):
+    """The gadget with the recorded status of each pair flipped."""
+    flip = set(pairs)
+    edges = [e for e in g.instance.edges if e[:2] not in flip]
+    edges += [(u, v, RADIUS) for u, v in
+              flip - {e[:2] for e in g.instance.edges}]
+    return replace(g, instance=NetworkInstance(g.instance.nodes, edges,
+                                               RADIUS))
+
+
+def relaid(g, moves):
+    """The 2D gadget with nodes moved in its canonical layout and its edges
+    recorded afresh from the moved layout."""
+    xy = g._arrays.xy.copy()
+    for i, p in moves.items():
+        xy[i] = p
+    nodes = [replace(nd, true_pos=(x, y, 0.0))
+             for nd, (x, y) in zip(g.instance.nodes, xy.tolist())]
+    return replace(g, instance=NetworkInstance(nodes, udg_edges(xy, RADIUS),
+                                               RADIUS),
+                   _arrays=replace(g._arrays, xy=xy))
+
+
+def moving_pairs(g):
+    """Pairs whose range depends on their blocks' states, and those of
+    them in different blocks that no pair or chain table compares."""
+    ranges, block = range_by_states(g)
+    moving = {p for p, (near, possible) in ranges.items()
+              if near and near != possible}
+    return moving, {(u, v) for u, v in moving - table_pairs(g)
+                    if block[u] != block[v]}
+
+
+class TestTamperedGadget:
+    """The exact check must catch what the pair and chain tables cannot.
+
+    In a built gadget the tables compare every pair whose range depends on
+    the flip states, and those pairs take one status in every admitted
+    configuration; so flipping any recorded pair, or the z = 1 copy of a
+    compared pair, makes the exact check reject all admitted configurations.
+    Splitting them takes a layout where a pair no table compares moves
+    with a free state: a main-line node lifted next to a line without
+    flags."""
+
+    H = (Hypergraph3U(5, ((0, 1, 2), (2, 3, 4))), BENCH_SHAPES[1])
+
+    def test_built_gadget_tables_see_every_state_dependent_pair(self):
+        for h in self.H:
+            moving, uncovered = moving_pairs(build_gadget(h))
+            assert moving and not uncovered, h
+
+    def test_flipped_pair_rejects_every_configuration(self):
+        for h in self.H:
+            g = build_gadget(h)
+            k = len(g._nodes)
+            ranges, block = range_by_states(g)
+            # a pair inside one line's block, in range in every state
+            inside = min(p for p, (near, possible) in ranges.items()
+                         if near == possible and block[p[0]] == block[p[1]]
+                         and block[p[0]][0] == "line")
+            u, v = min(moving_pairs(g)[0])
+            g3 = lift_to_3d(g)
+            for bad in (flipped(g, [inside]),
+                        flipped(g3, [inside, (inside[0] + k, inside[1] + k)]),
+                        flipped(g3, [(u + k, v + k)])):
+                assert next(reference_admitted(bad), None) is not None
+                assert reference_groupings(bad) == []
+                assert enumerate_groupings(bad) == []
+
+    def test_moved_node_rejects_a_proper_subset(self):
+        g = build_gadget(Hypergraph3U(4, ((0, 1, 2),)))
+        x3 = g._arrays.line_x[3]
+        right = next(i for i, nd in enumerate(g._nodes)
+                     if nd.kind == "fixed" and nd.y == 0.0 and nd.x > x3)
+        g = relaid(g, {right: (x3 + 0.5, 0.3)})
+        assert moving_pairs(g)[1]
+        for gd in (g, lift_to_3d(g)):
+            admitted = [c for c, _ in reference_admitted(gd)]
+            valid = reference_groupings(gd)
+            assert valid and len(valid) < len(admitted), gd.dim
+            assert enumerate_groupings(gd) == valid
+
+    def test_one_kernel_call_per_enumeration(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return udg_edges(*args, **kwargs)
+
+        g = build_gadget(BENCH_SHAPES[0])
+        g3 = lift_to_3d(g)
+        monkeypatch.setattr(gadget, "udg_edges", counted)
+        for gd in (g, g3):
+            calls.clear()
+            assert enumerate_groupings(gd)
+            assert len(calls) == 1
 
 
 def reference_positions(g, config, signs):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -7,9 +8,10 @@ from hypothesis import strategies as st
 
 from hyperloc.errors import (InvalidInputError, NoHamiltonianPathError,
                              SizeLimitError)
-from hyperloc.intervals import (Graph, InducedClaw, _lbfs, claw_oracle,
-                                find_claw, find_net, hamiltonian_oracle,
-                                net_oracle, unit_interval_order)
+from hyperloc.intervals import (Graph, InducedClaw, InducedNet, _lbfs,
+                                claw_oracle, find_claw, find_net,
+                                hamiltonian_oracle, net_oracle,
+                                unit_interval_order)
 from hyperloc.model import build_udg, make_rng
 
 
@@ -65,6 +67,44 @@ def reference_sweeps(graph):
     s1 = reference_lbfs(graph, graph.nodes[0], None)
     s2 = reference_lbfs(graph, s1[-1], s1)
     return s1, s2, reference_lbfs(graph, s2[-1], s2)
+
+
+def reference_net_oracle(graph):
+    """Exhaustive 6-subset scan; first net by (triangle, pendants)."""
+    nodes = graph.nodes
+    idx = {u: i for i, u in enumerate(nodes)}
+    bits = []
+    for u in nodes:
+        b = 0
+        for v in graph.adj[u]:
+            b |= 1 << idx[v]
+        bits.append(b)
+    best = None
+    for six in itertools.combinations(range(len(nodes)), 6):
+        for tri in itertools.combinations(six, 3):
+            a, b, c = tri
+            if not (bits[a] >> b) & 1 or not (bits[a] >> c) & 1 \
+                    or not (bits[b] >> c) & 1:
+                continue
+            rest = [u for u in six if u not in tri]
+            for pend in itertools.permutations(rest):
+                x, y, z = pend
+                if (bits[x] >> a) & 1 and not (bits[x] >> b) & 1 \
+                        and not (bits[x] >> c) & 1 \
+                        and (bits[y] >> b) & 1 and not (bits[y] >> a) & 1 \
+                        and not (bits[y] >> c) & 1 \
+                        and (bits[z] >> c) & 1 and not (bits[z] >> a) & 1 \
+                        and not (bits[z] >> b) & 1 \
+                        and not (bits[x] >> y) & 1 and not (bits[x] >> z) & 1 \
+                        and not (bits[y] >> z) & 1:
+                    key = (tri, pend)
+                    if best is None or key < best:
+                        best = key
+    if best is None:
+        return None
+    tri, pend = best
+    return InducedNet(triangle=tuple(nodes[i] for i in tri),
+                      pendants=tuple(nodes[i] for i in pend))
 
 
 @st.composite
@@ -134,6 +174,24 @@ class TestFindNet:
         for _ in range(30):
             g = random_graph(rng, int(rng.integers(6, 12)), 0.4)
             assert find_net(g) == net_oracle(g)
+
+    def test_oracle_matches_six_subset_scan(self):
+        for g in (NET, C4, CLAW, CLAW_WITH_PATH):
+            assert net_oracle(g) == reference_net_oracle(g)
+        rng = make_rng(5)
+        for _ in range(30):
+            g = random_graph(rng, int(rng.integers(6, 12)), 0.4)
+            assert net_oracle(g) == reference_net_oracle(g)
+        rng = make_rng(4)
+        for _ in range(25):
+            g = random_unit_interval_graph(rng, 12)
+            assert net_oracle(g) == reference_net_oracle(g) is None
+
+    @settings(max_examples=300, deadline=None, database=None,
+              derandomize=True)
+    @given(g=labelled_graphs(max_n=10))
+    def test_oracle_matches_six_subset_scan_on_labelled_graphs(self, g):
+        assert net_oracle(g) == reference_net_oracle(g)
 
 
 class TestUnitIntervalOrder:
