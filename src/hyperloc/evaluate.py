@@ -11,6 +11,7 @@ import numpy as np
 
 from .errors import HyperlocError, InvalidConfigError, TooFewPointsError
 from .grouploc import hierarchical_localize
+from .intervals import Graph
 from .model import (BuildingConfig, NetworkInstance, PointFormation,
                     build_udg, flagship_building_config, generate_building,
                     make_rng, strip_ground_truth)
@@ -119,21 +120,9 @@ def random_dense_instance(n: int, target_degree: float = 35.0,
     for _ in range(200):
         pts = rng.uniform(0.0, side, size=(n, 3))
         inst = build_udg(pts, 1.0)
-        deg = np.zeros(n, dtype=int)
-        for u, v, _ in inst.edges:
-            deg[u] += 1
-            deg[v] += 1
-        if deg.min() < 5 or 2.0 * inst.m / n < 10.0:
+        if np.diff(inst.adjacency[0]).min() < 5 or 2.0 * inst.m / n < 10.0:
             continue
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in inst.neighbors(u):
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        if len(seen) == n:
+        if Graph.from_instance(inst).is_connected():
             return inst
     raise InvalidConfigError("could not sample a dense connected instance")
 

@@ -454,7 +454,7 @@ def _audit_gadget(g: GadgetInstance) -> None:
                          w.end_apexes[1]):
             raise HyperlocError("chain must not touch the probed flag")
     # minimum separation so the 3D lift keeps copies isolated
-    if any(d < 0.1 for _, _, d in udg_edges(inst.positions(), 0.1, eps=0.0)):
+    if np.any(udg_edges(inst.positions(), 0.1, eps=0.0)[2] < 0.1):
         raise HyperlocError("node separation too small for the 3D lift")
 
 
@@ -543,8 +543,7 @@ class _ConfigChecker:
                 np.add.at(layer, (np.r_[i[m], j[m]], np.r_[j[m], i[m]]),
                           np.r_[weight[m], weight[m]])
 
-        eu, ev = np.array([e[:2] for e in inst.edges],
-                          dtype=np.intp).reshape(-1, 2).T
+        eu, ev, _ = inst.edge_arrays()
         # miss: recorded edges, less those in range, plus non-edges in range
         want = np.zeros((3, nb, nb), dtype=np.intp)
         tally(want, eu, ev, block[eu], block[ev], np.ones_like(eu))
@@ -556,8 +555,7 @@ class _ConfigChecker:
         at = at.ravel()
         by_pos, count = np.argsort(at, kind="stable"), np.bincount(at)
         first = np.cumsum(count) - count
-        pu, pv = np.array([p[:2] for p in udg_edges(pos, RADIUS)],
-                          dtype=np.intp).reshape(-1, 2).T
+        pu, pv, _ = udg_edges(pos, RADIUS)
         pu, pv = np.r_[pu, :len(pos)], np.r_[pv, :len(pos)]
         reps = count[pu] * count[pv]
         du, dv = np.divmod(np.arange(reps.sum())
@@ -696,10 +694,12 @@ def lift_to_3d(g: GadgetInstance) -> GadgetInstance:
     nodes = list(base.nodes) + [
         replace(nd, id=nd.id + n, true_pos=(*nd.true_pos[:2], 1.0))
         for nd in base.nodes]
-    edges = [e for u, v, d in base.edges
-             for e in ((u, v, d), (u + n, v + n, d))]
-    edges += [(i, i + n, 1.0) for i in range(n)]
-    inst3 = NetworkInstance(nodes, edges, RADIUS)
+    u, v, d = base.edge_arrays()
+    copy = np.arange(n)
+    inst3 = NetworkInstance(nodes, (np.concatenate([u, u + n, copy]),
+                                    np.concatenate([v, v + n, copy + n]),
+                                    np.concatenate([d, d, np.ones(n)])),
+                            RADIUS)
     inst3.validate_exact()
     planes3 = [(Hyperplane(normal=(p.normal[0], p.normal[1], 0.0),
                            offset=p.offset), color, label)

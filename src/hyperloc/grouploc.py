@@ -22,7 +22,7 @@ from .errors import (AmbiguousPlacementError, ChordInconsistencyError,
 from .intervals import Graph, LinearOrder, unit_interval_order
 from .model import (COLLINEAR, COPLANAR, DEFAULT_EPS, GroupingFunction,
                     Hyperplane, NetworkInstance, PointFormation,
-                    cross_pairs)
+                    cross_pairs, row_slots)
 from .quadloc import solve_spheres
 
 # Placements that bring a non-adjacent pair this far inside the radio radius
@@ -53,21 +53,21 @@ def localize_collinear_group(instance: NetworkInstance,
     """
     graph = Graph.from_instance(instance, members)
     order = unit_interval_order(graph)
-    seq = order.sequence
-    weights = [instance.dist(a, b) for a, b in zip(seq, seq[1:])]
-    formation = localize_path(order, weights)
-    if not graph.edges:
+    seq = np.array(order.sequence)
+    formation = localize_path(order, instance.lengths(seq[:-1], seq[1:]))
+    a, b = graph.edge_ends()
+    if not a.size:
         return formation
-    ends = formation.rows_of(graph.edges).reshape(-1, 2)
-    xs = formation.points[ends, 0]
-    got = np.abs(xs[:, 0] - xs[:, 1])
-    want = np.array([instance.dist(u, v) for u, v in graph.edges])
+    ids = np.array(graph.nodes)
+    xs = formation.array(ids)[:, 0]
+    got = np.abs(xs[a] - xs[b])
+    want = instance.lengths(ids[a], ids[b])
     bad = np.flatnonzero(np.abs(got - want) > eps)
     if bad.size:
-        u, v = graph.edges[bad[0]]
+        u, v = int(ids[a[bad[0]]]), int(ids[b[bad[0]]])
         raise ChordInconsistencyError(
             f"chord ({u},{v}) embeds at {float(got[bad[0]])}, "
-            f"measured {instance.dist(u, v)}", edge=(u, v))
+            f"measured {float(want[bad[0]])}", edge=(u, v))
     return formation
 
 
@@ -227,14 +227,10 @@ class _GroupSolver:
             np.isin(members, local.ids[local.mask])
         ids = members[has_row].tolist()
         index = np.where(has_row, np.cumsum(has_row) - 1, -1)
-        # every member's slice of the adjacency, concatenated (each slice's
-        # positions shifted from its offset in the output to its start),
-        # then only the edges whose far end is in scope
+        # every member's slice of the adjacency, concatenated, then only
+        # the edges whose far end is in scope
         start, nbr, length = self.inst.adjacency
-        counts = start[members + 1] - start[members]
-        owner = np.repeat(np.arange(len(members)), counts)
-        edges = np.arange(counts.sum()) + np.repeat(
-            start[members] - (np.cumsum(counts) - counts), counts)
+        owner, edges = row_slots(start, members)
         keep = self.in_scope[nbr[edges]]
         owner, edges = owner[keep], edges[keep]
         near = index[owner]
@@ -530,10 +526,15 @@ def hierarchical_localize(instance: NetworkInstance,
 def verify_formation(instance: NetworkInstance, formation: PointFormation,
                      eps: float = DEFAULT_EPS) -> float:
     """Largest |embedded - measured| edge residual over localized pairs."""
-    worst = 0.0
-    for u, v, d in instance.edges:
-        if formation.is_localized(u) and formation.is_localized(v):
-            got = float(np.linalg.norm(formation.position(u)
-                                       - formation.position(v)))
-            worst = max(worst, abs(got - d))
-    return worst
+    u, v, d = instance.edge_arrays()
+    at = formation.ids[formation.mask]
+    placed = np.zeros(instance.n, dtype=bool)
+    placed[at[(at >= 0) & (at < instance.n)]] = True
+    both = placed[u] & placed[v]
+    if not both.any():
+        return 0.0
+    diff = formation.array(u[both]) - formation.array(v[both])
+    # one 1 x dim by dim x 1 product per row: the same bits as the norm of
+    # each row on its own
+    got = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
+    return float(np.max(np.abs(got - d[both])))

@@ -15,35 +15,60 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, NoHamiltonianPathError, SizeLimitError
+from .model import adjacency_slots, row_slots
 
 
 class Graph:
-    """Small immutable undirected graph keyed by arbitrary integer ids."""
+    """Small immutable undirected graph keyed by arbitrary integer ids.
+
+    Vertex ``i`` is ``nodes[i]`` (ids ascending). The adjacency is
+    compressed over these local indices: vertex i's neighbours are
+    ``nbr[start[i]:start[i + 1]]``, ascending. ``adj`` and ``edges`` are
+    views of it by id.
+    """
 
     def __init__(self, nodes: Iterable[int], edges: Iterable[tuple[int, int]]):
         self.nodes = tuple(sorted(set(nodes)))
-        idx = {u: i for i, u in enumerate(self.nodes)}
-        self._idx = idx
-        adj = {u: set() for u in self.nodes}
-        seen = set()
+        idx = self._idx
+        ends = []
         for u, v in edges:
             if u == v or u not in idx or v not in idx:
                 raise InvalidInputError(f"bad edge ({u},{v})")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                continue
-            seen.add(key)
-            adj[u].add(v)
-            adj[v].add(u)
-        self.adj = {u: frozenset(s) for u, s in adj.items()}
-        self.edges = tuple(sorted(seen))
+            ends.append((idx[u], idx[v]))
+        a, b = np.array(ends, dtype=np.intp).reshape(-1, 2).T
+        # both directions, repeats dropped, sorted by (vertex, neighbour)
+        keys = np.unique(np.concatenate([a * self.n + b, b * self.n + a]))
+        src, nbr = np.divmod(keys, max(self.n, 1))
+        self.start = np.zeros(self.n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(src, minlength=self.n), out=self.start[1:])
+        self.nbr = nbr
 
     @property
     def n(self) -> int:
         return len(self.nodes)
 
-    def degree(self, u: int) -> int:
-        return len(self.adj[u])
+    @functools.cached_property
+    def _idx(self) -> dict[int, int]:
+        return {u: i for i, u in enumerate(self.nodes)}
+
+    @functools.cached_property
+    def adj(self) -> dict[int, frozenset[int]]:
+        nodes, start, nbr = self.nodes, self.start.tolist(), self.nbr.tolist()
+        return {u: frozenset(nodes[w] for w in nbr[start[i]:start[i + 1]])
+                for i, u in enumerate(nodes)}
+
+    def edge_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """Local indices ``a < b`` of every edge, in lexicographic order."""
+        src = np.repeat(np.arange(self.n), np.diff(self.start))
+        up = self.nbr > src
+        return src[up], self.nbr[up]
+
+    @functools.cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Every edge as ``(u, v)`` with ``u < v``, in lexicographic order."""
+        nodes = self.nodes
+        return tuple((nodes[a], nodes[b])
+                     for a, b in zip(*(x.tolist() for x in self.edge_ends())))
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
@@ -51,23 +76,25 @@ class Graph:
     def adjacency_matrix(self) -> np.ndarray:
         n = self.n
         a = np.zeros((n, n), dtype=bool)
-        for u, v in self.edges:
-            i, j = self._idx[u], self._idx[v]
-            a[i, j] = a[j, i] = True
+        a[np.repeat(np.arange(n), np.diff(self.start)), self.nbr] = True
         return a
 
     def is_connected(self) -> bool:
         if self.n == 0:
             return True
-        seen = {self.nodes[0]}
-        stack = [self.nodes[0]]
+        start, nbr = self.start.tolist(), self.nbr.tolist()
+        seen = [False] * self.n
+        seen[0] = True
+        stack = [0]
+        reached = 1
         while stack:
             u = stack.pop()
-            for v in self.adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == self.n
+            for w in nbr[start[u]:start[u + 1]]:
+                if not seen[w]:
+                    seen[w] = True
+                    reached += 1
+                    stack.append(w)
+        return reached == self.n
 
     @functools.cached_property
     def _sweeps(self) -> tuple[tuple[list[int], ...], bool]:
@@ -78,33 +105,51 @@ class Graph:
         The certificate is the umbrella property: every closed neighbourhood
         occupies contiguous positions of the order (Looges & Olariu 1993).
         It is checked, not assumed, so it is sound whatever the sweeps
-        return. A proper interval graph has no induced claw and no induced
-        net, whose pendants form an asteroidal triple (Roberts 1969).
+        return: one min and one max of the order positions per row. A proper
+        interval graph has no induced claw and no induced net, whose
+        pendants form an asteroidal triple (Roberts 1969).
         """
         if self.n == 0:
             return (), True
-        s1 = _lbfs(self, self.nodes[0], None)
-        s2 = _lbfs(self, s1[-1], s1)
-        s3 = _lbfs(self, s2[-1], s2)
-        pos = {u: i for i, u in enumerate(s3)}
-        certified = True
-        for v, nb in self.adj.items():
-            span = [pos[w] for w in nb]
-            span.append(pos[v])
-            if max(span) - min(span) != len(nb):
-                certified = False
-                break
-        return (s1, s2, s3), certified
+        s1 = _lbfs_local(self, 0, None)
+        s2 = _lbfs_local(self, s1[-1], s1)
+        s3 = _lbfs_local(self, s2[-1], s2)
+        pos = np.empty(self.n, dtype=np.intp)
+        pos[s3] = np.arange(self.n)
+        deg = np.diff(self.start)
+        lo, hi = pos.copy(), pos.copy()
+        rows = np.flatnonzero(deg)
+        if rows.size:
+            at = pos[self.nbr]
+            lo[rows] = np.minimum(lo[rows],
+                                  np.minimum.reduceat(at, self.start[rows]))
+            hi[rows] = np.maximum(hi[rows],
+                                  np.maximum.reduceat(at, self.start[rows]))
+        certified = bool(np.all(hi - lo == deg))
+        nodes = self.nodes
+        return tuple([nodes[i] for i in s] for s in (s1, s2, s3)), certified
 
     @classmethod
     def from_instance(cls, instance, node_ids: Iterable[int] | None = None) -> "Graph":
-        ids = set(node_ids) if node_ids is not None \
-            else {nd.id for nd in instance.nodes}
-        # Ids the instance does not have stay isolated vertices.
-        known = range(instance.n)
-        edges = [(u, v) for u in ids if u in known
-                 for v in instance.neighbors(u) if u < v and v in ids]
-        return cls(ids, edges)
+        """Induced subgraph of ``instance`` on ``node_ids`` (all nodes by
+        default), sliced from the instance's adjacency rows. Ids the
+        instance does not have stay isolated vertices."""
+        ids = np.arange(instance.n) if node_ids is None else \
+            np.unique(np.fromiter(node_ids, dtype=np.intp))
+        start, nbr, _ = instance.adjacency
+        known = np.flatnonzero((ids >= 0) & (ids < instance.n))
+        local = np.full(instance.n, -1, dtype=np.intp)
+        local[ids[known]] = known
+        owner, slots = row_slots(start, ids[known])
+        to = local[nbr[slots]]
+        keep = to >= 0
+        graph = cls.__new__(cls)
+        graph.nodes = tuple(ids.tolist())
+        # rows ascend by id, and so do their neighbours' local indices
+        graph.start = np.searchsorted(known[owner[keep]],
+                                      np.arange(len(ids) + 1))
+        graph.nbr = to[keep]
+        return graph
 
 
 @dataclass(frozen=True)
@@ -312,26 +357,39 @@ def _lbfs(graph: Graph, start: int, tie_order: Sequence[int] | None) -> list[int
     ``tie_order`` goes first (LBFS+), or the smallest id when there is no
     tie order.
     """
-    rest = graph.nodes if tie_order is None else reversed(tie_order)
+    idx = graph._idx
+    order = _lbfs_local(graph, idx[start], None if tie_order is None
+                        else [idx[u] for u in tie_order])
+    return [graph.nodes[i] for i in order]
+
+
+def _lbfs_local(graph: Graph, start: int,
+                tie_order: Sequence[int] | None) -> list[int]:
+    """:func:`_lbfs` over the graph's local vertex indices."""
+    n = graph.n
+    rest = range(n) if tie_order is None else reversed(tie_order)
     init = [start] + [u for u in rest if u != start]
-    rank = {u: r for r, u in enumerate(init)}
-    # Neighbour ranks in ascending order, so that the part split off a class
-    # keeps the tie order of the class it came from.
-    nbrs: list[list[int]] = [[] for _ in init]
-    for r, u in enumerate(init):
-        for w in graph.adj[u]:
-            nbrs[rank[w]].append(r)
+    rank = np.empty(n, dtype=np.intp)
+    rank[init] = np.arange(n)
+    # Neighbour ranks of each rank in ascending order, so that the part
+    # split off a class keeps the tie order of the class it came from:
+    # nbrs[off[r]:off[r + 1]] for rank r.
+    deg = np.diff(graph.start)
+    by_rank = np.argsort(rank[np.repeat(np.arange(n), deg)] * n
+                         + rank[graph.nbr])
+    nbrs = rank[graph.nbr][by_rank].tolist()
+    off = [0, *np.cumsum(deg[init]).tolist()]
     # Classes of equal label, in decreasing label order, form a linked list
     # behind the sentinel class 0. Class c lists its ranks in ascending order
     # in members[c] from head[c] on; a listed rank r is still in c only while
     # where[r] == c (a visited rank is in class 0).
-    where = [1] * len(init)
-    members = [[], list(range(len(init)))]
+    where = [1] * n
+    members = [[], list(range(n))]
     head = [0, 0]
     nxt = [1, -1]
     prv = [-1, 0]
     order = []
-    for _ in init:
+    for _ in range(n):
         c = nxt[0]
         while True:
             m, h = members[c], head[c]
@@ -346,7 +404,7 @@ def _lbfs(graph: Graph, start: int, tie_order: Sequence[int] | None) -> list[int
         where[u] = 0
         order.append(init[u])
         split: dict[int, int] = {}
-        for w in nbrs[u]:
+        for w in nbrs[off[u]:off[u + 1]]:
             c = where[w]
             if c == 0:
                 continue
@@ -381,10 +439,13 @@ def unit_interval_order(graph: Graph) -> LinearOrder:
     if graph.n == 1:
         return LinearOrder(sequence=(graph.nodes[0],))
     seq = list(graph._sweeps[0][2])
-    for a, b in zip(seq, seq[1:]):
-        if not graph.has_edge(a, b):
-            raise NoHamiltonianPathError(
-                f"ordering breaks at ({a},{b}); no monotone 1D order found")
+    at = np.searchsorted(graph.nodes, seq)
+    gaps = np.flatnonzero(
+        adjacency_slots(graph.start, graph.nbr, at[:-1], at[1:]) < 0)
+    if gaps.size:
+        a, b = seq[gaps[0]], seq[gaps[0] + 1]
+        raise NoHamiltonianPathError(
+            f"ordering breaks at ({a},{b}); no monotone 1D order found")
     if seq[0] > seq[-1]:
         seq.reverse()
     return LinearOrder(sequence=tuple(seq))

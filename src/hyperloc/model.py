@@ -46,43 +46,125 @@ class NodeRecord:
     plane_group: int | None = None
 
 
+EdgeArrays = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def row_slots(start: np.ndarray, rows: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Every adjacency slot of the given rows, row after row.
+
+    Returns, per slot, the position in ``rows`` of the row it belongs to
+    and its index into the adjacency arrays (each row's slice of
+    ``start[r]:start[r + 1]`` shifted from its offset in the output).
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    counts = start[rows + 1] - start[rows]
+    owner = np.repeat(np.arange(len(rows)), counts)
+    slots = np.arange(counts.sum()) + np.repeat(
+        start[rows] - (np.cumsum(counts) - counts), counts)
+    return owner, slots
+
+
+def adjacency_slots(start: np.ndarray, nbr: np.ndarray, u: np.ndarray,
+                    v: np.ndarray) -> np.ndarray:
+    """Slot of ``v[i]`` in row ``u[i]`` of a compressed adjacency, or -1
+    where the row does not hold it."""
+    owner, slots = row_slots(start, u)
+    hit = nbr[slots] == v[owner]
+    at = np.full(len(u), -1, dtype=np.intp)
+    at[owner[hit]] = slots[hit]
+    return at
+
+
+def _checked_adjacency(edges, n: int, radius: float) -> EdgeArrays:
+    """Compressed adjacency ``(start, nbr, length)`` of validated edges.
+
+    Edges are checked as if one by one in input order: the first edge that
+    is a self-loop, is out of range, repeats an earlier edge or has its
+    distance outside ``(0, radius]`` raises, named by the first of these
+    checks it fails. A list of triples is converted to arrays once; the
+    error message quotes the offending triple as given.
+    """
+    if isinstance(edges, tuple) and len(edges) == 3 and all(
+            isinstance(x, np.ndarray) and x.ndim == 1 for x in edges) \
+            and edges[0].dtype.kind in "iu":
+        rows = None
+        a, b, d = (np.asarray(x, dtype=float) for x in edges)
+    else:
+        rows = list(edges)
+        e = np.array(rows, dtype=float)
+        if e.size == 0:
+            e = e.reshape(0, 3)
+        if e.ndim != 2 or e.shape[1] != 3:
+            raise ValueError("edges must be (u, v, dist) triples")
+        a, b, d = e.T
+    m = len(a)
+    loop = a == b
+    with np.errstate(invalid="ignore"):     # inf % 1 is nan: not inside
+        inside = ((a >= 0) & (a < n) & (b >= 0) & (b < n)
+                  & (a % 1 == 0) & (b % 1 == 0))
+    lo = np.where(inside, np.minimum(a, b), 0).astype(np.intp)
+    hi = np.where(inside, np.maximum(a, b), 0).astype(np.intp)
+    key = np.where(inside & ~loop, lo * n + hi, -1 - np.arange(m))
+    order = np.argsort(key, kind="stable")
+    dup = np.zeros(m, dtype=bool)
+    dup[order[1:]] = key[order[1:]] == key[order[:-1]]
+    far = ~((d > 0.0) & (d <= radius + DEFAULT_EPS))
+    bad = loop | ~inside | dup | far
+    if bad.any():
+        i = int(np.argmax(bad))
+        u, v, dist = rows[i] if rows is not None else \
+            (int(a[i]), int(b[i]), float(d[i]))
+        if loop[i]:
+            raise InvalidInputError(f"self-loop at node {u}")
+        if not inside[i]:
+            raise InvalidInputError(f"edge ({u},{v}) out of range")
+        if u > v:
+            u, v = v, u
+        raise InvalidInputError(
+            f"duplicate edge ({u},{v})" if dup[i] else
+            f"edge ({u},{v}) has dist {dist!r} outside (0, radius]")
+    # Edges in (lo, hi) order; each node's row lists first its smaller
+    # neighbours (the edges where it is hi) and then its larger ones, both
+    # ascending, so a stable sort by node makes every row ascending.
+    lo, hi, d = lo[order], hi[order], d[order]
+    src = np.concatenate([hi, lo])
+    by_src = np.argsort(src, kind="stable")
+    start = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(src, minlength=n), out=start[1:])
+    adjacency = start, np.concatenate([lo, hi])[by_src], \
+        np.concatenate([d, d])[by_src]
+    for x in adjacency:
+        x.flags.writeable = False
+    return adjacency
+
+
 class NetworkInstance:
     """Immutable unit disk graph with measured edge distances.
 
-    Edges are stored undirected with ``u < v``, no duplicates, no self
-    loops, and ``0 < dist <= radius``.
+    Edges are undirected, with no duplicates, no self loops and
+    ``0 < dist <= radius``. They are stored once, as the compressed
+    adjacency ``adjacency = (start, nbr, length)``: node u's neighbours are
+    ``nbr[start[u]:start[u + 1]]`` in ascending order, and ``length`` holds
+    the measured distance of each. ``edges`` is a tuple view of it.
+
+    ``edges`` may be any iterable of ``(u, v, dist)`` triples, or the
+    ``(u, v, dist)`` arrays that :func:`udg_edges` and :meth:`edge_arrays`
+    return (integer ``u`` and ``v``).
     """
 
     def __init__(self, nodes: Sequence[NodeRecord],
-                 edges: Iterable[tuple[int, int, float]], radius: float):
+                 edges: Iterable[tuple[int, int, float]] | EdgeArrays,
+                 radius: float):
         if radius <= 0 or not math.isfinite(radius):
             raise InvalidInputError("radius must be positive and finite")
         nodes = tuple(nodes)
         ids = [nd.id for nd in nodes]
         if ids != list(range(len(nodes))):
             raise InvalidInputError("node ids must be contiguous 0..n-1")
-        norm_edges = []
-        seen = set()
-        for u, v, d in edges:
-            if u == v:
-                raise InvalidInputError(f"self-loop at node {u}")
-            if not (0 <= u < len(nodes) and 0 <= v < len(nodes)):
-                raise InvalidInputError(f"edge ({u},{v}) out of range")
-            if u > v:
-                u, v = v, u
-            if (u, v) in seen:
-                raise InvalidInputError(f"duplicate edge ({u},{v})")
-            if not (0.0 < d <= radius + DEFAULT_EPS):
-                raise InvalidInputError(
-                    f"edge ({u},{v}) has dist {d!r} outside (0, radius]")
-            seen.add((u, v))
-            norm_edges.append((u, v, float(d)))
-        norm_edges.sort()
         self.nodes = nodes
-        self.edges = tuple(norm_edges)
         self.radius = float(radius)
-        self._adj: dict[int, frozenset[int]] | None = None
-        self._dist: dict[tuple[int, int], float] | None = None
+        self.adjacency = _checked_adjacency(edges, len(nodes), self.radius)
 
     # -- basic accessors ----------------------------------------------------
 
@@ -92,43 +174,61 @@ class NetworkInstance:
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.adjacency[1]) // 2
 
-    def _build_lookups(self) -> None:
-        adj: dict[int, set[int]] = {nd.id: set() for nd in self.nodes}
-        dist: dict[tuple[int, int], float] = {}
-        for u, v, d in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-            dist[(u, v)] = d
-        self._adj = {u: frozenset(s) for u, s in adj.items()}
-        self._dist = dist
+    @functools.cached_property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """Every edge as ``(u, v, dist)`` with ``u < v``, in lexicographic
+        order."""
+        u, v, d = self.edge_arrays()
+        return tuple(zip(u.tolist(), v.tolist(), d.tolist()))
 
-    def neighbors(self, u: int) -> frozenset[int]:
-        if self._adj is None:
-            self._build_lookups()
-        return self._adj[u]
+    def edge_arrays(self) -> EdgeArrays:
+        """The arrays ``u``, ``v``, ``dist`` of ``edges``: the adjacency
+        entries whose neighbour is the larger id."""
+        start, nbr, length = self.adjacency
+        src = np.repeat(np.arange(self.n), np.diff(start))
+        up = nbr > src
+        return src[up], nbr[up], length[up]
+
+    @functools.cached_property
+    def _lists(self) -> tuple[list[int], list[int]]:
+        """``start`` and ``nbr`` as Python lists, for the one-row reads
+        below: they are called one at a time from Python loops, where a list
+        slice costs a fraction of an array slice."""
+        return self.adjacency[0].tolist(), self.adjacency[1].tolist()
+
+    def neighbors(self, u: int) -> tuple[int, ...]:
+        """Neighbour ids of ``u``, ascending."""
+        start, nbr = self._lists
+        if not 0 <= u < len(self.nodes):
+            raise KeyError(u)
+        return tuple(nbr[start[u]:start[u + 1]])
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.neighbors(u)
 
     def dist(self, u: int, v: int) -> float:
-        if self._dist is None:
-            self._build_lookups()
-        key = (u, v) if u < v else (v, u)
-        return self._dist[key]
+        """Measured length of edge ``(u, v)``; ``KeyError`` for a non-edge."""
+        start, nbr = self._lists
+        if not 0 <= u < len(self.nodes):
+            raise KeyError(u)
+        try:
+            return self.adjacency[2].item(nbr.index(v, start[u], start[u + 1]))
+        except ValueError:
+            raise KeyError((u, v) if u < v else (v, u)) from None
 
-    @functools.cached_property
-    def adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Compressed adjacency ``(start, nbr, length)``: node u's neighbours
-        are ``nbr[start[u]:start[u + 1]]`` in ascending order, and
-        ``length`` holds the measured distance of each."""
-        e = np.array(self.edges, dtype=float).reshape(-1, 3)
-        a, b = e[:, 0].astype(int), e[:, 1].astype(int)
-        src, nbr = np.concatenate([a, b]), np.concatenate([b, a])
-        order = np.lexsort((nbr, src))
-        start = np.searchsorted(src[order], np.arange(self.n + 1))
-        return start, nbr[order], np.concatenate([e[:, 2], e[:, 2]])[order]
+    def lengths(self, u, v) -> np.ndarray:
+        """Measured length of each edge ``(u[i], v[i])``, read off the
+        adjacency rows of ``u``; ``KeyError`` for the first non-edge."""
+        u = np.asarray(u, dtype=np.intp).reshape(-1)
+        v = np.asarray(v, dtype=np.intp).reshape(-1)
+        at = adjacency_slots(self.adjacency[0], self.adjacency[1], u, v)
+        if np.any(at < 0):
+            i = int(np.argmax(at < 0))
+            a, b = int(u[i]), int(v[i])
+            raise KeyError((a, b) if a < b else (b, a))
+        return self.adjacency[2][at]
 
     def has_positions(self) -> bool:
         return all(nd.true_pos is not None for nd in self.nodes)
@@ -148,14 +248,16 @@ class NetworkInstance:
 
     def validate_exact(self, eps: float = DEFAULT_EPS) -> None:
         """Check edges are exactly the pairs within radius, dists exact."""
-        expected = udg_edges(self.positions(), self.radius, eps)
-        if [(u, v) for u, v, _ in expected] != \
-                [(u, v) for u, v, _ in self.edges]:
+        eu, ev, ed = udg_edges(self.positions(), self.radius, eps)
+        u, v, w = self.edge_arrays()
+        if not (np.array_equal(eu, u) and np.array_equal(ev, v)):
             raise InvalidInputError("edge set does not match UDG of positions")
-        for (u, v, w), (_, _, d) in zip(self.edges, expected):
-            if abs(w - d) > eps:
-                raise InvalidInputError(
-                    f"edge ({u},{v}) dist {w} != true distance {d}")
+        bad = np.flatnonzero(np.abs(w - ed) > eps)
+        if bad.size:
+            i = bad[0]
+            raise InvalidInputError(
+                f"edge ({int(u[i])},{int(v[i])}) dist {float(w[i])} != "
+                f"true distance {float(ed[i])}")
 
 
 def build_udg(points: Sequence[Sequence[float]], radius: float, *,
@@ -185,53 +287,68 @@ def build_udg(points: Sequence[Sequence[float]], radius: float, *,
     return NetworkInstance(nodes, edges, radius)
 
 
-def _window_pairs(pos: np.ndarray, lim: float) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs ``u < v`` of ``pos`` whose gap along its widest axis is at
-    most ``lim``, each pair once: the candidates of a fixed-radius query.
+def _window_pairs(pos: np.ndarray, lim: float, split: int | None = None
+                  ) -> EdgeArrays:
+    """Index pairs ``u < v`` of ``pos`` within distance ``lim``, each pair
+    once, with their distances: a fixed-radius query.
 
     A fixed-radius near-neighbour sweep (Bentley, Stanat & Williams 1977):
     points are sorted along their widest axis and each is paired only with
     the later points whose gap on that axis is at most ``lim``. A pair's
     distance is never below that gap, so the window misses no pair, and no
-    n x n array is built.
+    n x n array is built. Window steps are filtered by distance as soon as
+    their candidates number ``len(pos)``, so no more than about twice that
+    many are held at a time. With ``split``, only pairs with
+    ``u < split <= v`` are candidates.
     """
     axis = int(np.argmax(pos.max(axis=0) - pos.min(axis=0)))
     order = np.argsort(pos[:, axis])
     xs = np.append(pos[order, axis], np.inf)  # the sentinel ends every window
-    heads, tails = [], []
+    us, vs, ds = [], [], []
+    heads, tails = [], []   # sorted positions of the held candidates
+    held = 0
     alive = np.arange(len(pos))
     k = 1
     while alive.size:
         alive = alive[xs[alive + k] - xs[alive] <= lim]
         heads.append(alive)
         tails.append(alive + k)
+        held += alive.size
         k += 1
-    a = order[np.concatenate(heads)]
-    b = order[np.concatenate(tails)]
-    return np.minimum(a, b), np.maximum(a, b)
+        if held >= len(pos) or not alive.size:
+            a = order[np.concatenate(heads)]
+            b = order[np.concatenate(tails)]
+            u, v = np.minimum(a, b), np.maximum(a, b)
+            if split is not None:
+                cross = (u < split) & (v >= split)
+                u, v = u[cross], v[cross]
+            d = np.linalg.norm(pos[u] - pos[v], axis=-1)
+            near = d <= lim
+            us.append(u[near])
+            vs.append(v[near])
+            ds.append(d[near])
+            heads, tails, held = [], [], 0
+    return np.concatenate(us), np.concatenate(vs), np.concatenate(ds)
 
 
 def udg_edges(positions: np.ndarray, radius: float,
-              eps: float = DEFAULT_EPS) -> list[tuple[int, int, float]]:
+              eps: float = DEFAULT_EPS) -> EdgeArrays:
     """All pairs within ``radius`` with their exact distances.
 
-    Pairs ``(u, v)`` come with ``u < v`` in lexicographic order, found by
-    the sweep of :func:`_window_pairs`.
+    Returns the arrays ``u``, ``v`` and ``dist``, pairs with ``u < v`` in
+    lexicographic order, found by the sweep of :func:`_window_pairs`.
     """
     pos = np.asarray(positions, dtype=float)
     if len(pos) < 2:
-        return []
-    lim = radius + eps
-    u, v = _window_pairs(pos, lim)
-    d = np.linalg.norm(pos[u] - pos[v], axis=-1)
-    keep = np.flatnonzero(d <= lim)
-    keep = keep[np.lexsort((v[keep], u[keep]))]
-    return list(zip(u[keep].tolist(), v[keep].tolist(), d[keep].tolist()))
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), \
+            np.zeros(0)
+    u, v, d = _window_pairs(pos, radius + eps)
+    keep = np.lexsort((v, u))
+    return u[keep], v[keep], d[keep]
 
 
 def cross_pairs(a: np.ndarray, b: np.ndarray, radius: float,
-                eps: float = DEFAULT_EPS
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                eps: float = DEFAULT_EPS) -> EdgeArrays:
     """Pairs ``(i, j)`` with ``|a[i] - b[j]| <= radius + eps``.
 
     The cross-set form of :func:`udg_edges`: the same sweep over the points
@@ -242,31 +359,25 @@ def cross_pairs(a: np.ndarray, b: np.ndarray, radius: float,
     pb = np.asarray(b, dtype=float)
     if not len(pa) or not len(pb):
         return np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0)
-    lim = radius + eps
     k = len(pa)
-    i, j = _window_pairs(np.vstack([pa, pb]), lim)
-    cross = (i < k) & (j >= k)
-    i, j = i[cross], j[cross] - k
-    d = np.linalg.norm(pa[i] - pb[j], axis=-1)
-    keep = np.flatnonzero(d <= lim)
-    keep = keep[np.lexsort((j[keep], i[keep]))]
-    return i[keep], j[keep], d[keep]
+    i, j, d = _window_pairs(np.vstack([pa, pb]), radius + eps, split=k)
+    keep = np.lexsort((j, i))
+    return i[keep], j[keep] - k, d[keep]
 
 
-def _with_noise(edges: Iterable[tuple[int, int, float]], sigma: float,
-                radius: float, rng: np.random.Generator
-                ) -> list[tuple[int, int, float]]:
+def _with_noise(edges: EdgeArrays, sigma: float, radius: float,
+                rng: np.random.Generator) -> EdgeArrays:
     """Scale each distance by ``1 + sigma * N(0, 1)``, clipped into
     ``(0, radius]``; one draw per edge, in edge order."""
-    return [(u, v, min(max(d * (1.0 + sigma * rng.standard_normal()), 1e-12),
-                       radius))
-            for u, v, d in edges]
+    u, v, d = edges
+    scaled = d * (1.0 + sigma * rng.standard_normal(len(d)))
+    return u, v, np.minimum(np.maximum(scaled, 1e-12), radius)
 
 
 def strip_ground_truth(instance: NetworkInstance) -> NetworkInstance:
     """Localizer-facing view: graph, dists and groupings without positions."""
     nodes = [replace(nd, true_pos=None) for nd in instance.nodes]
-    return NetworkInstance(nodes, instance.edges, instance.radius)
+    return NetworkInstance(nodes, instance.edge_arrays(), instance.radius)
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +424,20 @@ class GroupingFunction:
             labels[nd.id] = lab
         return cls.from_labels(level, labels)
 
+    @functools.cached_property
+    def _members(self) -> dict[int, list[int]]:
+        """Group id -> its nodes in ascending order, built once."""
+        count = len(self.assignment)
+        nodes = np.fromiter(self.assignment.keys(), dtype=np.intp, count=count)
+        gids = np.fromiter(self.assignment.values(), dtype=np.intp, count=count)
+        order = np.lexsort((nodes, gids))
+        bounds = np.searchsorted(gids[order], np.arange(1, self.k + 2)).tolist()
+        ordered = nodes[order].tolist()
+        return {g: ordered[bounds[g - 1]:bounds[g]] for g in range(1, self.k + 1)}
+
     def members(self, gid: int) -> list[int]:
-        return sorted(u for u, g in self.assignment.items() if g == gid)
+        """Nodes of group ``gid``, ascending."""
+        return list(self._members.get(gid, ()))
 
     def group_of(self, u: int) -> int:
         return self.assignment[u]

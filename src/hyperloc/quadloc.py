@@ -77,7 +77,7 @@ def find_seed_k4(instance: NetworkInstance,
     """Lexicographically smallest 4-clique realizing a proper tetrahedron."""
     n = instance.n
     for i in range(n):
-        ni = sorted(v for v in instance.neighbors(i) if v > i)
+        ni = [v for v in instance.neighbors(i) if v > i]
         for a, j in enumerate(ni):
             common_ij = [v for v in ni[a + 1:] if instance.has_edge(j, v)]
             for b, k in enumerate(common_ij):
@@ -214,14 +214,14 @@ def quadrilaterate(instance: NetworkInstance, eps: float = DEFAULT_EPS,
     while head < len(queue):
         u = queue[head]
         head += 1
-        for v in sorted(instance.neighbors(u)):
+        for v in instance.neighbors(u):
             if formation.is_localized(v):
                 continue
             count[v] += 1
             if count[v] < 4:
                 continue
-            anchors = sorted(w for w in instance.neighbors(v)
-                             if formation.is_localized(w))
+            anchors = [w for w in instance.neighbors(v)
+                       if formation.is_localized(w)]
             pts = formation.array(anchors)
             rs = np.array([instance.dist(v, w) for w in anchors])
             try:

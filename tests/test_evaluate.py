@@ -5,7 +5,7 @@ from hyperloc.errors import InvalidConfigError, TooFewPointsError
 from hyperloc.evaluate import (BenchConfig, ScenarioConfig, align_isometry,
                                bench_scaling, random_dense_instance,
                                run_experiment)
-from hyperloc.model import PointFormation, make_rng
+from hyperloc.model import PointFormation, build_udg, make_rng
 
 
 def formation_from(points):
@@ -113,6 +113,39 @@ class TestRunExperiment:
     def test_dense_random_instance_degree_floor(self):
         inst = random_dense_instance(50, seed=4)
         assert 2.0 * inst.m / inst.n >= 10.0
+
+    def test_dense_random_instance_matches_per_edge_reference(self):
+        # the degree loop and dict DFS the adjacency arrays replaced; the
+        # same draw is accepted, so the same instance comes back
+        def reference(n, target_degree, seed):
+            rng = make_rng(seed)
+            side = (n * 4.0 / 3.0 * np.pi / target_degree) ** (1.0 / 3.0)
+            for _ in range(200):
+                inst = build_udg(rng.uniform(0.0, side, size=(n, 3)), 1.0)
+                deg = np.zeros(n, dtype=int)
+                for u, v, _ in inst.edges:
+                    deg[u] += 1
+                    deg[v] += 1
+                if deg.min() < 5 or 2.0 * inst.m / n < 10.0:
+                    continue
+                seen, stack = {0}, [0]
+                while stack:
+                    for v in inst.neighbors(stack.pop()):
+                        if v not in seen:
+                            seen.add(v)
+                            stack.append(v)
+                if len(seen) == n:
+                    return inst
+            return None
+
+        for n, target, seed in ((60, 35.0, 0), (80, 20.0, 1), (200, 35.0, 7),
+                                (120, 44.0, 3)):
+            assert random_dense_instance(n, target, seed).edges == \
+                reference(n, target, seed).edges
+        # too sparse: every draw is rejected by both
+        assert reference(60, 12.0, 5) is None
+        with pytest.raises(InvalidConfigError):
+            random_dense_instance(60, 12.0, 5)
 
 
 class TestBenchScaling:

@@ -181,7 +181,8 @@ def relabel(h, perm):
 
 def _positions_valid(want: list[tuple[int, int]], pts: np.ndarray) -> bool:
     """Exact unit-disk realization check: edges iff within radius."""
-    return [(u, v) for u, v, _ in udg_edges(pts, RADIUS)] == want
+    u, v, _ = udg_edges(pts, RADIUS)
+    return list(zip(u.tolist(), v.tolist())) == want
 
 
 def reference_admitted(g):
@@ -255,7 +256,8 @@ def range_by_states(g):
              for nd in g._nodes]
     n_states = {"fixed": 1, "line": 4, "token": 2}
     near = {}
-    for a, b, _ in udg_edges(np.vstack(placed), RADIUS):
+    u, v, _ = udg_edges(np.vstack(placed), RADIUS)
+    for a, b in zip(u.tolist(), v.tolist()):
         (u, sa), (v, sb) = sorted((divmod(a, k)[::-1], divmod(b, k)[::-1]))
         if u != v:
             near.setdefault((u, v), set()).add((sa, sb))
@@ -415,8 +417,8 @@ class TestFlipRule:
 def cross_pairs(first, second):
     """Index pairs (i, j) with first[i] within the radius of second[j]."""
     k = len(first)
-    return {(a, b - k) for a, b, _ in udg_edges(np.vstack([first, second]),
-                                                 RADIUS) if a < k <= b}
+    u, v, _ = udg_edges(np.vstack([first, second]), RADIUS)
+    return {(a, b - k) for a, b in zip(u.tolist(), v.tolist()) if a < k <= b}
 
 
 def reference_tables(g):

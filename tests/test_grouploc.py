@@ -266,8 +266,9 @@ def _reference_check_placement(solver, g, transform):
         if np.any(np.abs(got - want) > tol):
             return False
     k = len(ids)
-    for a, b, _ in udg_edges(np.vstack([pts, loc_pts]),
-                             solver.inst.radius - NONEDGE_MARGIN, eps=0.0):
+    u, v, _ = udg_edges(np.vstack([pts, loc_pts]),
+                        solver.inst.radius - NONEDGE_MARGIN, eps=0.0)
+    for a, b in zip(u.tolist(), v.tolist()):
         if a < k <= b and not solver.inst.has_edge(ids[a], loc_ids[b - k]):
             return False
     return True
@@ -462,3 +463,34 @@ class TestHierarchical:
         d1 = _distance_matrix(r1.formation, ids)
         d2 = _distance_matrix(r2.formation, ids)
         assert np.max(np.abs(d1 - d2)) < 1e-9
+
+
+def _reference_verify_formation(instance, formation):
+    """The per-edge loop that the array form replaced."""
+    worst = 0.0
+    for u, v, d in instance.edges:
+        if formation.is_localized(u) and formation.is_localized(v):
+            got = float(np.linalg.norm(formation.position(u)
+                                       - formation.position(v)))
+            worst = max(worst, abs(got - d))
+    return worst
+
+
+class TestVerifyFormation:
+    def test_matches_per_edge_reference(self):
+        for seed in range(60):
+            rng = make_rng(seed)
+            n = int(rng.integers(2, 50))
+            inst = build_udg(rng.uniform(0, 3, (n, 3)), 1.0, noise_sigma=0.01,
+                             rng=make_rng(seed))
+            dim = int(rng.integers(1, 4))
+            # ids beyond the instance and unlocalized rows are skipped
+            f = PointFormation(dim, range(n + 3))
+            for u in np.flatnonzero(rng.random(n + 3) < 0.7).tolist():
+                f.mark(u, rng.uniform(-5, 5, dim) * 10 ** rng.uniform(-3, 3))
+            assert verify_formation(inst, f) == \
+                _reference_verify_formation(inst, f)
+
+    def test_nothing_localized(self):
+        inst = build_udg([(0, 0), (0.5, 0)], 1.0)
+        assert verify_formation(inst, PointFormation(2, [0, 1])) == 0.0

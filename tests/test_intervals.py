@@ -127,6 +127,44 @@ def labelled_graphs(draw, max_n=30):
     return Graph(ids, [(ids[i], ids[j]) for i, j in pairs])
 
 
+def _same_graph(a, b):
+    assert a.nodes == b.nodes
+    assert a.edges == b.edges
+    assert a.adj == b.adj
+    assert np.array_equal(a.start, b.start)
+    assert np.array_equal(a.nbr, b.nbr)
+    assert a._sweeps == b._sweeps
+
+
+class TestFromInstance:
+    @settings(max_examples=150, deadline=None, database=None,
+              derandomize=True)
+    @given(cells=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 3)),
+                          unique=True, max_size=30),
+           data=st.data())
+    def test_matches_constructor_on_filtered_edges(self, cells, data):
+        inst = build_udg(0.3 * np.array(cells, dtype=float).reshape(-1, 2),
+                         1.0)
+        # members drawn from a range wider than the instance's ids: those
+        # outside it stay isolated vertices
+        ids = data.draw(st.lists(st.integers(-3, inst.n + 3), max_size=40))
+        want = Graph(ids, [(u, v) for u, v, _ in inst.edges
+                           if u in ids and v in ids])
+        _same_graph(Graph.from_instance(inst, ids), want)
+        _same_graph(Graph.from_instance(inst, iter(ids)), want)
+
+    def test_whole_instance_by_default(self):
+        inst = build_udg(make_rng(2).uniform(0, 3, (40, 2)), 1.0)
+        _same_graph(Graph.from_instance(inst),
+                    Graph(range(inst.n), [(u, v) for u, v, _ in inst.edges]))
+
+    def test_outside_ids_only(self):
+        inst = build_udg([(0, 0), (0.5, 0)], 1.0)
+        g = Graph.from_instance(inst, [-1, 7])
+        assert g.nodes == (-1, 7) and g.edges == ()
+        assert g.adj == {-1: frozenset(), 7: frozenset()}
+
+
 class TestFindClaw:
     def test_star(self):
         claw = find_claw(Graph(range(4), [(0, 1), (0, 2), (0, 3)]))

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperloc.errors import InvalidConfigError, InvalidInputError
-from hyperloc.model import (BuildingConfig, GroupingFunction, Hyperplane,
+from hyperloc.model import (DEFAULT_EPS, BuildingConfig, GroupingFunction,
+                            Hyperplane,
                             NetworkInstance, NodeRecord, PointFormation,
                             build_udg, classify_edge, cross_pairs,
                             flagship_building_config, generate_building,
@@ -54,7 +55,9 @@ class TestUdgEdges:
     @example(pos=np.array([[0.0, 0.0, 0.0], [1.5, 0.0, 0.0], [0.0, 0.5, 1.5]]),
              radius=1.0, eps=0.5)
     def test_matches_all_pairs_reference(self, pos, radius, eps):
-        assert udg_edges(pos, radius, eps) == _all_pairs(pos, radius, eps)
+        u, v, d = udg_edges(pos, radius, eps)
+        assert list(zip(u.tolist(), v.tolist(), d.tolist())) == \
+            _all_pairs(pos, radius, eps)
 
 
 def _all_cross_pairs(a, b, radius, eps):
@@ -228,7 +231,134 @@ class TestBuildUdg:
                    for a, b in zip(exact.edges, noisy.edges))
 
 
+def reference_edges(n, edges, radius):
+    """The per-edge constructor check the array check replaced: edges in
+    input order, each checked for a self-loop, range, repetition and
+    distance in turn; the first failure raises. Returns the sorted edges."""
+    norm_edges = []
+    seen = set()
+    for u, v, d in edges:
+        if u == v:
+            raise InvalidInputError(f"self-loop at node {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise InvalidInputError(f"edge ({u},{v}) out of range")
+        if u > v:
+            u, v = v, u
+        if (u, v) in seen:
+            raise InvalidInputError(f"duplicate edge ({u},{v})")
+        if not (0.0 < d <= radius + DEFAULT_EPS):
+            raise InvalidInputError(
+                f"edge ({u},{v}) has dist {d!r} outside (0, radius]")
+        seen.add((u, v))
+        norm_edges.append((u, v, float(d)))
+    return tuple(sorted(norm_edges))
+
+
+def _outcome(build):
+    try:
+        return build()
+    except InvalidInputError as exc:
+        return ("error", str(exc))
+
+
+_dists = st.one_of(
+    st.sampled_from((0.0, -0.5, 0.5, 1.0, 1.0 + 1e-10, 1.0 + 1e-8, 1.5,
+                     float("nan"), float("inf"), 1)),
+    st.floats(-0.5, 1.5, allow_nan=False))
+
+
+@st.composite
+def _edge_lists(draw):
+    n = draw(st.integers(0, 6))
+    ends = st.integers(-2, n + 1)
+    edges = draw(st.lists(st.tuples(ends, ends, _dists), max_size=12))
+    return n, edges
+
+
+def _lookup_dict(inst):
+    adj = {u: set() for u in range(inst.n)}
+    dist = {}
+    for u, v, d in inst.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+        dist[(u, v)] = dist[(v, u)] = d
+    return adj, dist
+
+
 class TestNetworkInstance:
+    # each row: the edges, then what the per-edge check says about them
+    CRAFTED = [
+        [(0, 0, 0.5)],
+        [(0, 5, 0.5)],
+        [(-1, 2, 0.5)],
+        [(0, 1, 0.5), (1, 0, 0.5)],
+        [(0, 1, 1.5)],
+        [(1, 0, 0.0)],
+        [(0, 1, float("nan"))],
+        [(2, 1, 0.5), (3, 3, 0.1)],
+        [(0, 1, 0.5), (2, 3, 2.0), (1, 0, 0.3)],
+        [(3, 1, -1.0), (1, 1, 0.3)],
+        [(0, 1, 2)],
+        [(3, 2, 0.5), (0, 1, 1.0 + 1e-10), (2, 3, 0.1)],
+        [(1, 2, 0.5), (0, 3, 0.5), (4, 0, 0.5)],
+        [(2, 3, 0.9), (0, 1, 0.2), (1, 3, 1.0)],
+    ]
+
+    @pytest.mark.parametrize("edges", CRAFTED)
+    def test_crafted_edges_match_per_edge_reference(self, edges):
+        nodes = [NodeRecord(id=i) for i in range(4)]
+        want = _outcome(lambda: reference_edges(4, edges, 1.0))
+        got = _outcome(lambda: NetworkInstance(nodes, edges, 1.0).edges)
+        assert got == want
+
+    @settings(max_examples=400, deadline=None, database=None,
+              derandomize=True)
+    @given(case=_edge_lists())
+    def test_drawn_edges_match_per_edge_reference(self, case):
+        n, edges = case
+        nodes = [NodeRecord(id=i) for i in range(n)]
+        want = _outcome(lambda: reference_edges(n, edges, 1.0))
+        assert _outcome(lambda: NetworkInstance(nodes, edges, 1.0).edges) \
+            == want
+        # the array form, with float distances, says the same
+        floats = [(u, v, float(d)) for u, v, d in edges]
+        arrays = tuple(np.array(x, dtype=dt) for x, dt in zip(
+            zip(*floats) if floats else ((), (), ()), (int, int, float)))
+        assert _outcome(lambda: NetworkInstance(nodes, arrays, 1.0).edges) \
+            == _outcome(lambda: reference_edges(n, floats, 1.0))
+
+    @settings(max_examples=100, deadline=None, database=None,
+              derandomize=True)
+    @given(cells=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)),
+                          unique=True, max_size=30))
+    def test_lookups_agree_with_edge_dict(self, cells):
+        inst = build_udg(0.35 * np.array(cells, dtype=float).reshape(-1, 2),
+                         1.0)
+        adj, dist = _lookup_dict(inst)
+        for u in range(inst.n):
+            assert inst.neighbors(u) == tuple(sorted(adj[u]))
+            for v in range(inst.n):
+                assert inst.has_edge(u, v) == (v in adj[u])
+                if (u, v) in dist:
+                    assert inst.dist(u, v) == dist[(u, v)]
+                    assert inst.lengths([u], [v]).tolist() == [dist[(u, v)]]
+                else:
+                    with pytest.raises(KeyError):
+                        inst.dist(u, v)
+                    with pytest.raises(KeyError):
+                        inst.lengths([u], [v])
+        # the instance rebuilt from its own arrays is the same instance
+        again = NetworkInstance(inst.nodes, inst.edge_arrays(), inst.radius)
+        assert again.edges == inst.edges
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(again.adjacency, inst.adjacency))
+
+    def test_adjacency_is_read_only(self):
+        inst = build_udg([(0, 0), (0.5, 0)], 1.0)
+        for x in inst.adjacency:
+            with pytest.raises(ValueError):
+                x[0] = 0
+
     def test_adjacency_matches_lookups(self):
         inst = generate_building(flagship_building_config())
         start, nbr, length = inst.adjacency
@@ -237,6 +367,13 @@ class TestNetworkInstance:
             assert nbr[row].tolist() == sorted(inst.neighbors(u))
             assert length[row].tolist() == \
                 [inst.dist(u, v) for v in nbr[row].tolist()]
+        u, v, d = inst.edge_arrays()
+        assert inst.lengths(u, v).tolist() == d.tolist()
+        assert inst.lengths(v, u).tolist() == d.tolist()
+        with pytest.raises(KeyError):
+            inst.dist(0, inst.n - 1)
+        with pytest.raises(KeyError):
+            inst.neighbors(inst.n)
 
     def test_rejects_duplicate_and_self_loop(self):
         nodes = [NodeRecord(id=0), NodeRecord(id=1)]
@@ -365,6 +502,17 @@ class TestGroupingFunction:
     def test_rejects_gap_in_ids(self):
         with pytest.raises(InvalidInputError):
             GroupingFunction(level="collinear", assignment={0: 1, 1: 3}, k=3)
+
+    def test_members_match_sorted_scan(self):
+        rng = make_rng(3)
+        labels = {int(u): int(rng.integers(0, 9))
+                  for u in rng.permutation(200)}
+        g = GroupingFunction.from_labels("coplanar", labels)
+        for gid in range(0, g.k + 2):
+            assert g.members(gid) == sorted(
+                u for u, h in g.assignment.items() if h == gid)
+        g.members(1).append(-1)     # callers get their own list
+        assert -1 not in g.members(1)
 
     def test_requires_total_assignment_on_instance(self):
         nodes = [NodeRecord(id=0, line_group=1), NodeRecord(id=1)]
