@@ -13,10 +13,9 @@ from .gadget import (FlipConfiguration, GadgetInstance, Hypergraph3U,
                      build_gadget, enumerate_groupings, lift_to_3d,
                      two_colorings, verify_equivalence)
 from .grouploc import (GroupLocalState, GroupTransform, HierarchicalResult,
-                       compute_group_transform, fit_hyperplane,
-                       hierarchical_localize, localize_collinear_group,
-                       localize_groups, localize_path,
-                       localize_support_vertex)
+                       compute_group_transform, hierarchical_localize,
+                       localize_collinear_group, localize_groups,
+                       localize_path, localize_support_vertex)
 from .intervals import (Graph, InducedClaw, InducedNet, LinearOrder,
                         find_claw, find_net, hamiltonian_oracle,
                         unit_interval_order)
@@ -37,12 +36,12 @@ __all__ = [
     "NodeRecord", "PointFormation", "ScenarioConfig", "SeedTetrahedron",
     "align_isometry", "bench_scaling", "build_gadget", "build_udg",
     "classify_edge", "compute_group_transform", "enumerate_groupings",
-    "find_claw", "find_net", "find_seed_k4", "fit_hyperplane",
-    "flagship_building_config", "generate_building", "hamiltonian_oracle",
-    "hierarchical_localize", "lift_to_3d", "load_network",
-    "localize_collinear_group", "localize_groups", "localize_path",
-    "localize_support_vertex", "multilaterate", "network_from_json_dict",
-    "network_to_json_dict", "place_seed", "quadrilaterate", "run_experiment",
-    "save_network", "strip_ground_truth", "two_colorings",
-    "unit_interval_order", "verify_equivalence",
+    "find_claw", "find_net", "find_seed_k4", "flagship_building_config",
+    "generate_building", "hamiltonian_oracle", "hierarchical_localize",
+    "lift_to_3d", "load_network", "localize_collinear_group",
+    "localize_groups", "localize_path", "localize_support_vertex",
+    "multilaterate", "network_from_json_dict", "network_to_json_dict",
+    "place_seed", "quadrilaterate", "run_experiment", "save_network",
+    "strip_ground_truth", "two_colorings", "unit_interval_order",
+    "verify_equivalence",
 ]

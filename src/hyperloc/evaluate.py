@@ -11,7 +11,6 @@ import numpy as np
 
 from .errors import HyperlocError, InvalidConfigError, TooFewPointsError
 from .grouploc import hierarchical_localize
-from .intervals import Graph
 from .model import (BuildingConfig, NetworkInstance, PointFormation,
                     build_udg, flagship_building_config, generate_building,
                     make_rng, strip_ground_truth)
@@ -120,9 +119,9 @@ def random_dense_instance(n: int, target_degree: float = 35.0,
     for _ in range(200):
         pts = rng.uniform(0.0, side, size=(n, 3))
         inst = build_udg(pts, 1.0)
-        if np.diff(inst.adjacency[0]).min() < 5 or 2.0 * inst.m / n < 10.0:
+        if inst.graph.degrees().min() < 5 or 2.0 * inst.m / n < 10.0:
             continue
-        if Graph.from_instance(inst).is_connected():
+        if inst.graph.is_connected():
             return inst
     raise InvalidConfigError("could not sample a dense connected instance")
 
@@ -220,23 +219,25 @@ def run_experiment(config: ScenarioConfig) -> ExperimentReport:
 # scaling benchmark
 # ---------------------------------------------------------------------------
 
+# Every bench building has this many floors and corridors per floor.
+BENCH_FLOORS = 3
+BENCH_CORRIDORS = 4
+
+
 @dataclass(frozen=True)
 class BenchConfig:
     sizes: tuple[int, ...] = (100, 200, 400, 800)
-    floors: int = 3
-    corridors_per_floor: int = 4
     algorithms: tuple[str, ...] = ("group", "quad")
     seed: int = 0
     timeout_s: float = 60.0
 
 
-def _bench_building(n_target: int, floors: int, corridors: int,
-                    seed: int) -> BuildingConfig:
-    per_corridor = max(2, round(n_target / (floors * corridors)))
+def _bench_building(n_target: int, seed: int) -> BuildingConfig:
+    per_corridor = max(2, round(n_target / (BENCH_FLOORS * BENCH_CORRIDORS)))
     extent = (per_corridor - 1) * 0.9
-    return BuildingConfig(floors=floors, floor_spacing=0.8,
-                          corridors_per_floor=corridors, node_spacing=0.9,
-                          radius=1.0,
+    return BuildingConfig(floors=BENCH_FLOORS, floor_spacing=0.8,
+                          corridors_per_floor=BENCH_CORRIDORS,
+                          node_spacing=0.9, radius=1.0,
                           connector_columns=((round(extent / 2 / 0.9) * 0.9, 0.675),),
                           rng_seed=seed, corridor_spacing=0.45, extent=extent,
                           stagger=True)
@@ -244,12 +245,8 @@ def _bench_building(n_target: int, floors: int, corridors: int,
 
 def _timed_run(payload) -> float:
     name, instance = payload
-    run_algorithm(name, instance)  # warm-up discarded
     t0 = time.monotonic()
-    try:
-        run_algorithm(name, instance)
-    except HyperlocError:
-        pass
+    run_algorithm(name, instance)
     return (time.monotonic() - t0) * 1e3
 
 
@@ -278,8 +275,7 @@ def bench_scaling(config: BenchConfig) -> list[dict]:
         raise InvalidConfigError("bench sizes must be positive")
     rows = []
     for size in config.sizes:
-        bc = _bench_building(size, config.floors, config.corridors_per_floor,
-                             config.seed)
+        bc = _bench_building(size, config.seed)
         instance = generate_building(bc)
         k = len(instance.plane_group_ids())
         r = len(instance.line_group_ids())

@@ -22,7 +22,7 @@ from .errors import (AmbiguousPlacementError, ChordInconsistencyError,
 from .intervals import Graph, LinearOrder, unit_interval_order
 from .model import (COLLINEAR, COPLANAR, DEFAULT_EPS, GroupingFunction,
                     Hyperplane, NetworkInstance, PointFormation,
-                    cross_pairs, row_slots)
+                    cross_pairs)
 from .quadloc import solve_spheres
 
 # Placements that bring a non-adjacent pair this far inside the radio radius
@@ -55,7 +55,7 @@ def localize_collinear_group(instance: NetworkInstance,
     order = unit_interval_order(graph)
     seq = np.array(order.sequence)
     formation = localize_path(order, instance.lengths(seq[:-1], seq[1:]))
-    a, b = graph.edge_ends()
+    a, b, _ = graph.edge_ends()
     if not a.size:
         return formation
     ids = np.array(graph.nodes)
@@ -81,14 +81,7 @@ def localize_support_vertex(anchors, dists, d: int,
     a = np.asarray(anchors, dtype=float)
     if a.ndim != 2 or a.shape[1] != d:
         raise InvalidInputError(f"anchors must be points in R^{d}")
-    if a.shape[0] < d:
-        raise DegenerateAnchorsError(f"need at least {d} anchors in R^{d}")
     return solve_spheres(a, np.asarray(dists, dtype=float), eps=eps)
-
-
-def fit_hyperplane(points) -> Hyperplane:
-    """Unique canonicalized hyperplane through d affinely independent points."""
-    return Hyperplane.from_points(points)
 
 
 @dataclass(frozen=True)
@@ -183,7 +176,7 @@ class _GroupArrays:
     near: np.ndarray        # per edge: its member's index in ids, or -1
     far: np.ndarray         # per edge: the far end's formation row
     length: np.ndarray      # per edge: the measured length
-    keys: np.ndarray        # near * formation rows + far, for near >= 0
+    keys: np.ndarray        # sorted near * formation rows + far, near >= 0
 
 
 class _GroupSolver:
@@ -227,21 +220,21 @@ class _GroupSolver:
             np.isin(members, local.ids[local.mask])
         ids = members[has_row].tolist()
         index = np.where(has_row, np.cumsum(has_row) - 1, -1)
-        # every member's slice of the adjacency, concatenated, then only
-        # the edges whose far end is in scope
-        start, nbr, length = self.inst.adjacency
-        owner, edges = row_slots(start, members)
-        keep = self.in_scope[nbr[edges]]
-        owner, edges = owner[keep], edges[keep]
+        # every member's row of the adjacency, concatenated, then only the
+        # edges whose far end is in scope
+        owner, to, slots = self.inst.graph.row_entries(members)
+        keep = self.in_scope[to]
+        owner, to, slots = owner[keep], to[keep], slots[keep]
         near = index[owner]
-        far = self.formation.rows_of(nbr[edges])
+        far = self.formation.rows_of(to)
         measured = near >= 0
         return _GroupArrays(
             ids=ids,
             local=local.array(ids) if ids else np.zeros((0, self.d - 1)),
             starts=np.searchsorted(owner, np.arange(len(members) + 1)),
-            near=near, far=far, length=length[edges],
-            keys=near[measured] * len(self.formation.ids) + far[measured])
+            near=near, far=far, length=self.inst.length[slots],
+            keys=np.sort(near[measured] * len(self.formation.ids)
+                         + far[measured]))
 
     def _group_adjacent_to(self, g: int, h: int) -> bool:
         return bool(np.any(self.group_of_row[self.arrays[g].far] == h))
@@ -269,7 +262,7 @@ class _GroupSolver:
         if supports and len(supports) >= self.d:
             pts = np.array([p for _, p in supports[:self.d]])
             try:
-                state.plane = fit_hyperplane(pts)
+                state.plane = Hyperplane.from_points(pts)
             except DegeneratePointsError:
                 state.plane = None
         else:
@@ -354,7 +347,11 @@ class _GroupSolver:
         near = np.flatnonzero(f.mask & np.all(
             (f.points - hi <= reach) & (lo - f.points <= reach), axis=1))
         i, j, _ = cross_pairs(pts, f.points[near], reach, eps=0.0)
-        return bool(np.all(np.isin(i * len(f.ids) + near[j], arr.keys)))
+        pairs = i * len(f.ids) + near[j]
+        at = np.searchsorted(arr.keys, pairs)
+        found = at < len(arr.keys)
+        found[found] = arr.keys[at[found]] == pairs[found]
+        return bool(found.all())
 
     def _is_reflection_gauge(self) -> bool:
         """True while every localized node lies in one hyperplane, so a

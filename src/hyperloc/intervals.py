@@ -1,8 +1,8 @@
-"""Forbidden-subgraph detection (claw, net) and linear-order extraction.
+"""The package's graph type, claw and net detection, and linear orders.
 
-These operate on the induced subgraph of one collinear group, which on a
-valid deployment is a connected unit interval graph and therefore admits a
-Hamiltonian path readable off a proper-interval vertex ordering.
+The searches operate on the induced subgraph of one collinear group, which
+on a valid deployment is a connected unit interval graph and therefore
+admits a Hamiltonian path readable off a proper-interval vertex ordering.
 """
 
 from __future__ import annotations
@@ -15,16 +15,32 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, NoHamiltonianPathError, SizeLimitError
-from .model import adjacency_slots, row_slots
+
+
+def _rows(n: int, a: np.ndarray, b: np.ndarray
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only ``start`` and ``nbr`` of the edges ``(a[i], b[i])`` over
+    ``0..n-1``, and per slot the ``i`` of its edge (the first of repeats)."""
+    a = np.asarray(a, dtype=np.intp)
+    b = np.asarray(b, dtype=np.intp)
+    # both directions, sorted by (vertex, neighbour)
+    keys, first = np.unique(np.concatenate([a * n + b, b * n + a]),
+                            return_index=True)
+    src, nbr = np.divmod(keys, max(n, 1))
+    start = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(src, minlength=n), out=start[1:])
+    start.flags.writeable = nbr.flags.writeable = False
+    return start, nbr, first % max(len(a), 1)
 
 
 class Graph:
-    """Small immutable undirected graph keyed by arbitrary integer ids.
+    """Immutable undirected graph keyed by arbitrary integer ids.
 
-    Vertex ``i`` is ``nodes[i]`` (ids ascending). The adjacency is
-    compressed over these local indices: vertex i's neighbours are
-    ``nbr[start[i]:start[i + 1]]``, ascending. ``adj`` and ``edges`` are
-    views of it by id.
+    Vertex ``i`` is ``nodes[i]`` (ids ascending). The adjacency, the
+    package's one layout, is compressed over these local indices: vertex
+    i's neighbours are ``nbr[start[i]:start[i + 1]]``, ascending, and each
+    position of ``nbr`` is a slot. ``adj`` and ``edges`` are views of it by
+    id; the row methods work on local indices.
     """
 
     def __init__(self, nodes: Iterable[int], edges: Iterable[tuple[int, int]]):
@@ -36,12 +52,18 @@ class Graph:
                 raise InvalidInputError(f"bad edge ({u},{v})")
             ends.append((idx[u], idx[v]))
         a, b = np.array(ends, dtype=np.intp).reshape(-1, 2).T
-        # both directions, repeats dropped, sorted by (vertex, neighbour)
-        keys = np.unique(np.concatenate([a * self.n + b, b * self.n + a]))
-        src, nbr = np.divmod(keys, max(self.n, 1))
-        self.start = np.zeros(self.n + 1, dtype=np.intp)
-        np.cumsum(np.bincount(src, minlength=self.n), out=self.start[1:])
-        self.nbr = nbr
+        self.start, self.nbr, _ = _rows(self.n, a, b)
+
+    @classmethod
+    def from_pairs(cls, n: int, a: np.ndarray, b: np.ndarray
+                   ) -> tuple["Graph", np.ndarray]:
+        """Graph on ``0..n-1`` with the edges ``(a[i], b[i])``, ``a[i] !=
+        b[i]``, both in range; and per slot the index ``i`` of its edge, so
+        that per-edge values can be laid out along the rows."""
+        graph = cls.__new__(cls)
+        graph.nodes = tuple(range(n))
+        graph.start, graph.nbr, edge = _rows(n, a, b)
+        return graph, edge
 
     @property
     def n(self) -> int:
@@ -52,37 +74,76 @@ class Graph:
         return {u: i for i, u in enumerate(self.nodes)}
 
     @functools.cached_property
+    def _lists(self) -> tuple[list[int], list[int]]:
+        """``start`` and ``nbr`` as lists: the one-row reads come from
+        Python loops, where a list slice is cheaper than an array slice."""
+        return self.start.tolist(), self.nbr.tolist()
+
+    @functools.cached_property
     def adj(self) -> dict[int, frozenset[int]]:
-        nodes, start, nbr = self.nodes, self.start.tolist(), self.nbr.tolist()
+        nodes, (start, nbr) = self.nodes, self._lists
         return {u: frozenset(nodes[w] for w in nbr[start[i]:start[i + 1]])
                 for i, u in enumerate(nodes)}
 
-    def edge_ends(self) -> tuple[np.ndarray, np.ndarray]:
-        """Local indices ``a < b`` of every edge, in lexicographic order."""
-        src = np.repeat(np.arange(self.n), np.diff(self.start))
-        up = self.nbr > src
-        return src[up], self.nbr[up]
+    def degrees(self) -> np.ndarray:
+        return np.diff(self.start)
+
+    def row(self, i: int) -> list[int]:
+        """Neighbours of vertex ``i``, ascending."""
+        start, nbr = self._lists
+        return nbr[start[i]:start[i + 1]]
+
+    def slot(self, i: int, j: int) -> int:
+        """Slot of ``j`` in row ``i``, or -1 where the row does not hold it."""
+        start, nbr = self._lists
+        try:
+            return nbr.index(j, start[i], start[i + 1])
+        except ValueError:
+            return -1
+
+    def row_entries(self, rows: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every entry of the given rows, row after row: the position in
+        ``rows`` of its row, its neighbour and its slot."""
+        rows = np.asarray(rows, dtype=np.intp)
+        counts = self.start[rows + 1] - self.start[rows]
+        owner = np.repeat(np.arange(len(rows)), counts)
+        # each row's slots, shifted from its offset in the output
+        slots = np.arange(counts.sum()) + np.repeat(
+            self.start[rows] - (np.cumsum(counts) - counts), counts)
+        return owner, self.nbr[slots], slots
+
+    def pair_slots(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Slot of ``v[i]`` in row ``u[i]``, or -1 where the row does not
+        hold it."""
+        owner, to, slots = self.row_entries(u)
+        hit = to == v[owner]
+        at = np.full(len(u), -1, dtype=np.intp)
+        at[owner[hit]] = slots[hit]
+        return at
+
+    def edge_ends(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Local indices ``a < b`` of every edge, in lexicographic order,
+        and the slot of ``b`` in row ``a``."""
+        src = np.repeat(np.arange(self.n), self.degrees())
+        up = np.flatnonzero(self.nbr > src)
+        return src[up], self.nbr[up], up
 
     @functools.cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Every edge as ``(u, v)`` with ``u < v``, in lexicographic order."""
         nodes = self.nodes
-        return tuple((nodes[a], nodes[b])
-                     for a, b in zip(*(x.tolist() for x in self.edge_ends())))
+        a, b, _ = self.edge_ends()
+        return tuple((nodes[i], nodes[j])
+                     for i, j in zip(a.tolist(), b.tolist()))
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
 
-    def adjacency_matrix(self) -> np.ndarray:
-        n = self.n
-        a = np.zeros((n, n), dtype=bool)
-        a[np.repeat(np.arange(n), np.diff(self.start)), self.nbr] = True
-        return a
-
     def is_connected(self) -> bool:
         if self.n == 0:
             return True
-        start, nbr = self.start.tolist(), self.nbr.tolist()
+        start, nbr = self._lists
         seen = [False] * self.n
         seen[0] = True
         stack = [0]
@@ -116,7 +177,7 @@ class Graph:
         s3 = _lbfs_local(self, s2[-1], s2)
         pos = np.empty(self.n, dtype=np.intp)
         pos[s3] = np.arange(self.n)
-        deg = np.diff(self.start)
+        deg = self.degrees()
         lo, hi = pos.copy(), pos.copy()
         rows = np.flatnonzero(deg)
         if rows.size:
@@ -131,17 +192,18 @@ class Graph:
 
     @classmethod
     def from_instance(cls, instance, node_ids: Iterable[int] | None = None) -> "Graph":
-        """Induced subgraph of ``instance`` on ``node_ids`` (all nodes by
-        default), sliced from the instance's adjacency rows. Ids the
+        """The instance's own graph (all nodes, the default), or its induced
+        subgraph on ``node_ids``, sliced from the instance's rows. Ids the
         instance does not have stay isolated vertices."""
-        ids = np.arange(instance.n) if node_ids is None else \
-            np.unique(np.fromiter(node_ids, dtype=np.intp))
-        start, nbr, _ = instance.adjacency
+        whole = instance.graph
+        if node_ids is None:
+            return whole
+        ids = np.unique(np.fromiter(node_ids, dtype=np.intp))
         known = np.flatnonzero((ids >= 0) & (ids < instance.n))
         local = np.full(instance.n, -1, dtype=np.intp)
         local[ids[known]] = known
-        owner, slots = row_slots(start, ids[known])
-        to = local[nbr[slots]]
+        owner, to, _ = whole.row_entries(ids[known])
+        to = local[to]
         keep = to >= 0
         graph = cls.__new__(cls)
         graph.nodes = tuple(ids.tolist())
@@ -149,6 +211,7 @@ class Graph:
         graph.start = np.searchsorted(known[owner[keep]],
                                       np.arange(len(ids) + 1))
         graph.nbr = to[keep]
+        graph.start.flags.writeable = graph.nbr.flags.writeable = False
         return graph
 
 
@@ -173,27 +236,23 @@ def find_claw(graph: Graph) -> InducedClaw | None:
 
     Returns None at once when the graph's cached 3-sweep LBFS+ order
     certifies a proper interval graph (see ``Graph._sweeps``: O(n + m)
-    sweeps, umbrella property of the last order). Otherwise falls back to
-    the matrix search, with a vectorized pre-test per center: a claw exists
-    iff the complement of the neighborhood contains a triangle.
+    sweeps, umbrella property of the last order). Otherwise searches each
+    center's row, in order, for three pairwise non-adjacent neighbours,
+    narrowing the later leaves to each first leaf's non-neighbours.
     """
     if graph._sweeps[1]:
         return None
-    a = graph.adjacency_matrix()
+    rows = [graph.row(i) for i in range(graph.n)]
     nodes = graph.nodes
-    for ci, c in enumerate(nodes):
-        nb = np.nonzero(a[ci])[0]
-        if len(nb) < 3:
-            continue
-        comp = ~a[np.ix_(nb, nb)]
-        np.fill_diagonal(comp, False)
-        # triangle in comp <=> some pair of non-adjacent leaves shares a third
-        if not np.any((comp.astype(np.uint8) @ comp.astype(np.uint8)) * comp):
-            continue
-        for i, j, k in itertools.combinations(range(len(nb)), 3):
-            if comp[i, j] and comp[i, k] and comp[j, k]:
-                leaves = (nodes[nb[i]], nodes[nb[j]], nodes[nb[k]])
-                return InducedClaw(center=c, leaves=leaves)
+    for c, nb in enumerate(rows):
+        for i, x in enumerate(nb):
+            far = [y for y in nb[i + 1:] if y not in rows[x]]
+            for j, y in enumerate(far):
+                for z in far[j + 1:]:
+                    if z not in rows[y]:
+                        return InducedClaw(
+                            center=nodes[c],
+                            leaves=(nodes[x], nodes[y], nodes[z]))
     return None
 
 
@@ -202,45 +261,30 @@ def find_net(graph: Graph) -> InducedNet | None:
 
     Returns None at once when the graph's cached 3-sweep LBFS+ order
     certifies a proper interval graph (see ``Graph._sweeps``: O(n + m)
-    sweeps, umbrella property of the last order). Otherwise falls back to
-    the O(n^3) matrix search over triangles and their pendants.
+    sweeps, umbrella property of the last order). Otherwise scans the
+    triangles ``a < b < c`` over the rows in order; a corner's pendant can
+    only be one of its private neighbours (adjacent to neither other
+    corner), tried in order until three are pairwise non-adjacent.
     """
     if graph._sweeps[1]:
         return None
-    a = graph.adjacency_matrix()
+    rows = [graph.row(i) for i in range(graph.n)]
     nodes = graph.nodes
-    n = graph.n
-    for ai in range(n):
-        for bi in range(ai + 1, n):
-            if not a[ai, bi]:
+    for a, row_a in enumerate(rows):
+        for b in row_a:
+            if b <= a:
                 continue
-            for ci in range(bi + 1, n):
-                if not (a[ai, ci] and a[bi, ci]):
+            for c in rows[b]:
+                if c <= b or c not in row_a:
                     continue
-                tri = (ai, bi, ci)
-                cand = []
-                ok = True
-                for t in tri:
-                    others = [o for o in tri if o != t]
-                    p = a[t] & ~a[others[0]] & ~a[others[1]]
-                    for o in tri:
-                        p[o] = False
-                    cand.append(np.nonzero(p)[0])
-                    if len(cand[-1]) == 0:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                for x in cand[0]:
-                    for y in cand[1]:
-                        if a[x, y] or x == y:
-                            continue
-                        for z in cand[2]:
-                            if z == x or z == y or a[x, z] or a[y, z]:
-                                continue
-                            return InducedNet(
-                                triangle=(nodes[ai], nodes[bi], nodes[ci]),
-                                pendants=(nodes[x], nodes[y], nodes[z]))
+                private = [[x for x in rows[t] if x not in rows[o]
+                            and x not in rows[p]]
+                           for t, o, p in ((a, b, c), (b, a, c), (c, a, b))]
+                for x, y, z in itertools.product(*private):
+                    if not (y in rows[x] or z in rows[x] or z in rows[y]):
+                        return InducedNet(
+                            triangle=(nodes[a], nodes[b], nodes[c]),
+                            pendants=(nodes[x], nodes[y], nodes[z]))
     return None
 
 
@@ -374,7 +418,7 @@ def _lbfs_local(graph: Graph, start: int,
     # Neighbour ranks of each rank in ascending order, so that the part
     # split off a class keeps the tie order of the class it came from:
     # nbrs[off[r]:off[r + 1]] for rank r.
-    deg = np.diff(graph.start)
+    deg = graph.degrees()
     by_rank = np.argsort(rank[np.repeat(np.arange(n), deg)] * n
                          + rank[graph.nbr])
     nbrs = rank[graph.nbr][by_rank].tolist()
@@ -440,8 +484,7 @@ def unit_interval_order(graph: Graph) -> LinearOrder:
         return LinearOrder(sequence=(graph.nodes[0],))
     seq = list(graph._sweeps[0][2])
     at = np.searchsorted(graph.nodes, seq)
-    gaps = np.flatnonzero(
-        adjacency_slots(graph.start, graph.nbr, at[:-1], at[1:]) < 0)
+    gaps = np.flatnonzero(graph.pair_slots(at[:-1], at[1:]) < 0)
     if gaps.size:
         a, b = seq[gaps[0]], seq[gaps[0] + 1]
         raise NoHamiltonianPathError(

@@ -16,7 +16,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidInputError
+from .errors import (DegeneratePointsError, InvalidConfigError,
+                     InvalidInputError)
+from .intervals import Graph
 
 DEFAULT_EPS = 1e-9
 
@@ -49,35 +51,10 @@ class NodeRecord:
 EdgeArrays = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def row_slots(start: np.ndarray, rows: np.ndarray
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """Every adjacency slot of the given rows, row after row.
-
-    Returns, per slot, the position in ``rows`` of the row it belongs to
-    and its index into the adjacency arrays (each row's slice of
-    ``start[r]:start[r + 1]`` shifted from its offset in the output).
-    """
-    rows = np.asarray(rows, dtype=np.intp)
-    counts = start[rows + 1] - start[rows]
-    owner = np.repeat(np.arange(len(rows)), counts)
-    slots = np.arange(counts.sum()) + np.repeat(
-        start[rows] - (np.cumsum(counts) - counts), counts)
-    return owner, slots
-
-
-def adjacency_slots(start: np.ndarray, nbr: np.ndarray, u: np.ndarray,
-                    v: np.ndarray) -> np.ndarray:
-    """Slot of ``v[i]`` in row ``u[i]`` of a compressed adjacency, or -1
-    where the row does not hold it."""
-    owner, slots = row_slots(start, u)
-    hit = nbr[slots] == v[owner]
-    at = np.full(len(u), -1, dtype=np.intp)
-    at[owner[hit]] = slots[hit]
-    return at
-
-
-def _checked_adjacency(edges, n: int, radius: float) -> EdgeArrays:
-    """Compressed adjacency ``(start, nbr, length)`` of validated edges.
+def _checked_adjacency(edges, n: int, radius: float
+                       ) -> tuple[Graph, np.ndarray]:
+    """Graph over ``0..n-1`` of validated edges, and the measured length of
+    each of its adjacency slots.
 
     Edges are checked as if one by one in input order: the first edge that
     is a self-loop, is out of range, repeats an earlier edge or has its
@@ -124,29 +101,22 @@ def _checked_adjacency(edges, n: int, radius: float) -> EdgeArrays:
         raise InvalidInputError(
             f"duplicate edge ({u},{v})" if dup[i] else
             f"edge ({u},{v}) has dist {dist!r} outside (0, radius]")
-    # Edges in (lo, hi) order; each node's row lists first its smaller
-    # neighbours (the edges where it is hi) and then its larger ones, both
-    # ascending, so a stable sort by node makes every row ascending.
-    lo, hi, d = lo[order], hi[order], d[order]
-    src = np.concatenate([hi, lo])
-    by_src = np.argsort(src, kind="stable")
-    start = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(src, minlength=n), out=start[1:])
-    adjacency = start, np.concatenate([lo, hi])[by_src], \
-        np.concatenate([d, d])[by_src]
-    for x in adjacency:
-        x.flags.writeable = False
-    return adjacency
+    graph, edge = Graph.from_pairs(n, lo, hi)
+    length = d[edge]
+    length.flags.writeable = False
+    return graph, length
 
 
 class NetworkInstance:
     """Immutable unit disk graph with measured edge distances.
 
     Edges are undirected, with no duplicates, no self loops and
-    ``0 < dist <= radius``. They are stored once, as the compressed
-    adjacency ``adjacency = (start, nbr, length)``: node u's neighbours are
-    ``nbr[start[u]:start[u + 1]]`` in ascending order, and ``length`` holds
-    the measured distance of each. ``edges`` is a tuple view of it.
+    ``0 < dist <= radius``. They are stored once: ``graph`` is an
+    :class:`~hyperloc.intervals.Graph` over the node ids ``0..n-1``, and
+    ``length`` holds the measured distance of each of its adjacency slots.
+    ``adjacency = (start, nbr, length)`` gives the same arrays: node u's
+    neighbours are ``nbr[start[u]:start[u + 1]]`` in ascending order.
+    ``edges`` is a tuple view of them.
 
     ``edges`` may be any iterable of ``(u, v, dist)`` triples, or the
     ``(u, v, dist)`` arrays that :func:`udg_edges` and :meth:`edge_arrays`
@@ -164,7 +134,8 @@ class NetworkInstance:
             raise InvalidInputError("node ids must be contiguous 0..n-1")
         self.nodes = nodes
         self.radius = float(radius)
-        self.adjacency = _checked_adjacency(edges, len(nodes), self.radius)
+        self.graph, self.length = _checked_adjacency(edges, len(nodes),
+                                                     self.radius)
 
     # -- basic accessors ----------------------------------------------------
 
@@ -174,7 +145,11 @@ class NetworkInstance:
 
     @property
     def m(self) -> int:
-        return len(self.adjacency[1]) // 2
+        return len(self.length) // 2
+
+    @property
+    def adjacency(self) -> EdgeArrays:
+        return self.graph.start, self.graph.nbr, self.length
 
     @functools.cached_property
     def edges(self) -> tuple[tuple[int, int, float], ...]:
@@ -186,49 +161,38 @@ class NetworkInstance:
     def edge_arrays(self) -> EdgeArrays:
         """The arrays ``u``, ``v``, ``dist`` of ``edges``: the adjacency
         entries whose neighbour is the larger id."""
-        start, nbr, length = self.adjacency
-        src = np.repeat(np.arange(self.n), np.diff(start))
-        up = nbr > src
-        return src[up], nbr[up], length[up]
-
-    @functools.cached_property
-    def _lists(self) -> tuple[list[int], list[int]]:
-        """``start`` and ``nbr`` as Python lists, for the one-row reads
-        below: they are called one at a time from Python loops, where a list
-        slice costs a fraction of an array slice."""
-        return self.adjacency[0].tolist(), self.adjacency[1].tolist()
+        u, v, slots = self.graph.edge_ends()
+        return u, v, self.length[slots]
 
     def neighbors(self, u: int) -> tuple[int, ...]:
         """Neighbour ids of ``u``, ascending."""
-        start, nbr = self._lists
         if not 0 <= u < len(self.nodes):
             raise KeyError(u)
-        return tuple(nbr[start[u]:start[u + 1]])
+        return tuple(self.graph.row(u))
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.neighbors(u)
 
     def dist(self, u: int, v: int) -> float:
         """Measured length of edge ``(u, v)``; ``KeyError`` for a non-edge."""
-        start, nbr = self._lists
         if not 0 <= u < len(self.nodes):
             raise KeyError(u)
-        try:
-            return self.adjacency[2].item(nbr.index(v, start[u], start[u + 1]))
-        except ValueError:
-            raise KeyError((u, v) if u < v else (v, u)) from None
+        at = self.graph.slot(u, v)
+        if at < 0:
+            raise KeyError((u, v) if u < v else (v, u))
+        return self.length.item(at)
 
     def lengths(self, u, v) -> np.ndarray:
         """Measured length of each edge ``(u[i], v[i])``, read off the
         adjacency rows of ``u``; ``KeyError`` for the first non-edge."""
         u = np.asarray(u, dtype=np.intp).reshape(-1)
         v = np.asarray(v, dtype=np.intp).reshape(-1)
-        at = adjacency_slots(self.adjacency[0], self.adjacency[1], u, v)
+        at = self.graph.pair_slots(u, v)
         if np.any(at < 0):
             i = int(np.argmax(at < 0))
             a, b = int(u[i]), int(v[i])
             raise KeyError((a, b) if a < b else (b, a))
-        return self.adjacency[2][at]
+        return self.length[at]
 
     def has_positions(self) -> bool:
         return all(nd.true_pos is not None for nd in self.nodes)
@@ -558,7 +522,6 @@ class Hyperplane:
     @classmethod
     def from_points(cls, points) -> "Hyperplane":
         """Unique hyperplane through d affinely independent points in R^d."""
-        from .errors import DegeneratePointsError
         pts = np.asarray(points, dtype=float)
         d = pts.shape[1]
         if pts.shape[0] != d:

@@ -7,8 +7,7 @@ from hyperloc import grouploc
 from hyperloc.errors import (ChordInconsistencyError,
                              InconsistentDistancesError, NotLocalizableError)
 from hyperloc.grouploc import (NONEDGE_MARGIN, GroupTransform,
-                               compute_group_transform, fit_hyperplane,
-                               hierarchical_localize,
+                               compute_group_transform, hierarchical_localize,
                                localize_collinear_group, localize_groups,
                                localize_path, localize_support_vertex,
                                verify_formation)
@@ -142,23 +141,6 @@ class TestLocalizeSupportVertex:
         cands = localize_support_vertex(anchors, dists, d=3)
         assert len(cands) == 1
         assert np.allclose(cands[0], multilaterate(anchors, dists), atol=1e-9)
-
-
-class TestFitHyperplane:
-    def test_diagonal_line(self):
-        hp = fit_hyperplane([(0, 0), (1, 1)])
-        assert hp.normal == pytest.approx((1 / np.sqrt(2), -1 / np.sqrt(2)))
-        assert hp.offset == pytest.approx(0.0)
-
-    def test_xy_plane(self):
-        hp = fit_hyperplane([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
-        assert hp.normal == pytest.approx((0, 0, 1))
-
-    def test_random_residuals(self):
-        rng = make_rng(14)
-        pts = rng.standard_normal((3, 3)) * 2
-        hp = fit_hyperplane(pts)
-        assert max(abs(hp.residual(p)) for p in pts) < 1e-12
 
 
 class TestComputeGroupTransform:

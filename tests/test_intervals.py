@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from hyperloc.intervals import (Graph, InducedClaw, InducedNet, _lbfs,
                                 claw_oracle, find_claw, find_net,
                                 hamiltonian_oracle, net_oracle,
                                 unit_interval_order)
-from hyperloc.model import build_udg, make_rng
+from hyperloc.model import (BuildingConfig, build_udg,
+                            flagship_building_config, generate_building,
+                            make_rng)
 
 
 def random_unit_interval_graph(rng, n):
@@ -105,6 +108,68 @@ def reference_net_oracle(graph):
     tri, pend = best
     return InducedNet(triangle=tuple(nodes[i] for i in tri),
                       pendants=tuple(nodes[i] for i in pend))
+
+
+def _matrix(graph):
+    idx = {u: i for i, u in enumerate(graph.nodes)}
+    a = np.zeros((graph.n, graph.n), dtype=bool)
+    for u, v in graph.edges:
+        a[idx[u], idx[v]] = a[idx[v], idx[u]] = True
+    return a
+
+
+def reference_find_claw(graph):
+    """Dense-matrix claw search with a vectorized pre-test per center: a
+    claw exists iff the complement of the neighbourhood has a triangle."""
+    a = _matrix(graph)
+    nodes = graph.nodes
+    for ci, c in enumerate(nodes):
+        nb = np.nonzero(a[ci])[0]
+        if len(nb) < 3:
+            continue
+        comp = ~a[np.ix_(nb, nb)]
+        np.fill_diagonal(comp, False)
+        if not np.any((comp.astype(np.uint8) @ comp.astype(np.uint8)) * comp):
+            continue
+        for i, j, k in itertools.combinations(range(len(nb)), 3):
+            if comp[i, j] and comp[i, k] and comp[j, k]:
+                leaves = (nodes[nb[i]], nodes[nb[j]], nodes[nb[k]])
+                return InducedClaw(center=c, leaves=leaves)
+    return None
+
+
+def reference_find_net(graph):
+    """Dense-matrix net search over triangles and their pendants."""
+    a = _matrix(graph)
+    nodes = graph.nodes
+    n = graph.n
+    for ai in range(n):
+        for bi in range(ai + 1, n):
+            if not a[ai, bi]:
+                continue
+            for ci in range(bi + 1, n):
+                if not (a[ai, ci] and a[bi, ci]):
+                    continue
+                tri = (ai, bi, ci)
+                cand = []
+                for t in tri:
+                    others = [o for o in tri if o != t]
+                    p = a[t] & ~a[others[0]] & ~a[others[1]]
+                    p[list(tri)] = False
+                    cand.append(np.nonzero(p)[0])
+                if not all(len(c) for c in cand):
+                    continue
+                for x in cand[0]:
+                    for y in cand[1]:
+                        if a[x, y] or x == y:
+                            continue
+                        for z in cand[2]:
+                            if z == x or z == y or a[x, z] or a[y, z]:
+                                continue
+                            return InducedNet(
+                                triangle=(nodes[ai], nodes[bi], nodes[ci]),
+                                pendants=(nodes[x], nodes[y], nodes[z]))
+    return None
 
 
 @st.composite
@@ -230,6 +295,55 @@ class TestFindNet:
     @given(g=labelled_graphs(max_n=10))
     def test_oracle_matches_six_subset_scan_on_labelled_graphs(self, g):
         assert net_oracle(g) == reference_net_oracle(g)
+
+
+class TestRowSearchMatchesMatrix:
+    """The row searches return the dense-matrix search's first witness."""
+
+    def _check(self, g):
+        claw, net = find_claw(g), find_net(g)
+        assert claw == reference_find_claw(g)
+        assert net == reference_find_net(g)
+        return claw, net
+
+    def test_whole_buildings(self):
+        for cfg in (BuildingConfig(floors=1, corridors_per_floor=3,
+                                   extent=4.5),
+                    flagship_building_config()):
+            inst = generate_building(cfg)
+            claw, _ = self._check(Graph.from_instance(inst))
+            assert claw is not None
+
+    def test_random_2d_udgs(self):
+        rng = make_rng(3)
+        for n in (200, 350, 500):
+            side = np.sqrt(n * np.pi / 12)     # mean degree about 12
+            g = Graph.from_instance(
+                build_udg(rng.uniform(0, side, (n, 2)), 1.0))
+            assert not g._sweeps[1]
+            claw, net = self._check(g)
+            assert claw is not None and net is not None
+
+    def test_no_dense_copy_on_benchmark_building(self):
+        # n = 3201; an n x n boolean matrix alone would be n^2 bytes
+        inst = generate_building(BuildingConfig(
+            floors=3, floor_spacing=0.8, corridors_per_floor=4,
+            node_spacing=0.9, radius=1.0, corridor_spacing=0.45,
+            extent=266 * 0.9, stagger=True,
+            connector_columns=((119.7, 0.675),)))
+        g = Graph.from_instance(inst)
+        # the O(n + m) sweeps first: measured is the search they fall back to
+        assert not g._sweeps[1]
+        tracemalloc.start()
+        try:
+            claw, net = find_claw(g), find_net(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert inst.n == 3201
+        assert peak < inst.n ** 2 / 4
+        assert claw == reference_find_claw(g) is not None
+        assert net == reference_find_net(g) is not None
 
 
 class TestUnitIntervalOrder:

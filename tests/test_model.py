@@ -539,6 +539,12 @@ class TestHyperplane:
         for p in pts:
             assert abs(hp.residual(p)) < 1e-12
 
+    def test_random_residuals(self):
+        rng = make_rng(14)
+        pts = rng.standard_normal((3, 3)) * 2
+        hp = Hyperplane.from_points(pts)
+        assert max(abs(hp.residual(p)) for p in pts) < 1e-12
+
     def test_degenerate_points_rejected(self):
         from hyperloc.errors import DegeneratePointsError
         with pytest.raises(DegeneratePointsError):
