@@ -106,12 +106,16 @@ def two_colorings(h: Hypergraph3U, cap: int = COLORING_CAP) -> list[tuple[int, .
     """Exhaustive list of proper 2-colorings (no monochromatic edge)."""
     if h.n_vertices > cap:
         raise SizeCapError(f"two_colorings capped at {cap} vertices")
-    out = []
-    for mask in range(1 << h.n_vertices):
-        colors = tuple((mask >> v) & 1 for v in range(h.n_vertices))
-        if is_proper_coloring(h, colors):
-            out.append(colors)
-    return out
+    # bit v of a mask is vertex v's color; an edge is monochromatic under a
+    # mask holding none or all of its three bits
+    masks = np.arange(1 << h.n_vertices)
+    proper = np.ones(len(masks), dtype=bool)
+    for a, b, c in h.edges:
+        edge = (1 << a) | (1 << b) | (1 << c)
+        held = masks & edge
+        proper &= (held != 0) & (held != edge)
+    bits = (masks[proper, None] >> np.arange(h.n_vertices)) & 1
+    return [tuple(colors) for colors in bits.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -212,52 +216,70 @@ def _sign(color: int) -> int:
     return 1 if color == BLUE else -1
 
 
-_ORDER_BLOCK = 720      # = 6!; all 8! orders at once cost ~20 MB of peak RSS
-
-
 def _choose_order(h: Hypergraph3U) -> tuple[int, ...]:
     """Left-to-right layout of the vertex lines.
 
-    Prefers orders where each edge's positionally middle vertex serves as
-    the middle of no other edge and as an endpoint of none, keeping its
-    horizontal flip free to witness that edge's constraint.
+    An edge is clean when its positionally middle vertex is the middle of
+    no other edge and an end of none, which keeps that vertex's horizontal
+    flip free to witness the edge's constraint. The layout is the first
+    order, in lexicographic permutation order, with the most clean edges.
 
-    The first order in lexicographic permutation order with the most clean
-    edges wins; orders are scored in blocks of ``_ORDER_BLOCK``, so memory
-    stays flat while the scan stops at the first block holding an order
-    whose edges are all clean.
+    An edge's middle is the second of its members placed, so the layout is
+    found by a memoized search over states (edge vertices placed, middles
+    fixed so far), after Held & Karp 1962; a search, as exact betweenness
+    ordering is NP-complete (Opatrny 1979). A state's bound counts the
+    edges whose fixed middle is not yet disqualified, as another edge's
+    fixed middle or a non-middle member of an edge whose middle is fixed.
+    It never rises and is the exact score once every vertex is placed. The
+    target is the best bound over all choices of one middle per edge,
+    lowered until the empty state reaches it; the order then takes, slot
+    by slot, the smallest vertex whose next state still reaches it.
     """
     n = h.n_vertices
     if not h.edges or n > 8:
         return tuple(range(n))
-    edges = np.array(h.edges)
-    m = len(edges)
-    perms = itertools.permutations(range(n))
-    best, best_score = None, -1
-    while True:
-        block = np.fromiter(
-            itertools.chain.from_iterable(itertools.islice(perms, _ORDER_BLOCK)),
-            dtype=np.intp).reshape(-1, n)
-        if not len(block):
-            break
-        rows = np.arange(len(block))[:, None]
-        pos = np.argsort(block, axis=1)            # pos[k, v]: slot of v
-        by_pos = np.take_along_axis(
-            np.broadcast_to(edges, (len(block), m, 3)),
-            np.argsort(pos[:, edges], axis=2), axis=2)
-        mids = by_pos[:, :, 1]
-        mid_count = np.zeros((len(block), n), dtype=np.intp)
-        np.add.at(mid_count, (rows, mids), 1)
-        is_end = np.zeros((len(block), n), dtype=bool)
-        is_end[rows, by_pos[:, :, 0]] = True
-        is_end[rows, by_pos[:, :, 2]] = True
-        clean = ((mid_count[rows, mids] == 1) & ~is_end[rows, mids]).sum(axis=1)
-        k = int(np.argmax(clean))
-        if clean[k] > best_score:
-            best, best_score = block[k], int(clean[k])
-            if best_score == m:
-                break
-    return tuple(int(v) for v in best)
+    edges = h.edges
+    masks = [(1 << a) | (1 << b) | (1 << c) for a, b, c in edges]
+    full = int(np.bitwise_or.reduce(masks))
+
+    def bound(mids: Sequence[int]) -> int:
+        fixed = [(e, c) for e, c in zip(edges, mids) if c >= 0]
+        dead = {c for _, c in fixed if mids.count(c) > 1}
+        dead.update(v for e, c in fixed for v in e if v != c)
+        return len(edges) - sum(c in dead for _, c in fixed)
+
+    def step(state: tuple[int, tuple[int, ...]], v: int):
+        # v fixes the middle of each edge of which it is the second placed
+        placed, mids = state
+        bit = 1 << v
+        if not full & bit:
+            return state
+        return placed | bit, tuple(
+            v if mask & bit and (placed & mask).bit_count() == 1 else c
+            for mask, c in zip(masks, mids))
+
+    def ok(state) -> bool:
+        # whether the state can still reach `target` clean edges, memoized
+        # in `memo`; both are rebound below when the target is lowered
+        if state not in memo:
+            placed, mids = state
+            memo[state] = bound(mids) >= target and (placed == full or any(
+                ok(step(state, v)) for v in range(n)
+                if full & ~placed & (1 << v)))
+        return memo[state]
+
+    start = (0, (-1,) * len(edges))
+    target = max(bound(mids) for mids in itertools.product(*edges))
+    memo: dict = {}
+    while not ok(start):
+        target, memo = target - 1, {}
+    state, order, rest = start, [], list(range(n))
+    while rest:
+        v = next(v for v in rest if ok(step(state, v)))
+        state = step(state, v)
+        order.append(v)
+        rest.remove(v)
+    return tuple(order)
 
 
 def build_gadget(h: Hypergraph3U) -> GadgetInstance:
@@ -582,17 +604,6 @@ class _ConfigChecker:
             self.wire_tables.append((*w.end_vertices,
                                      agree[0][:, None, :] & agree[1][None]))
 
-    def wire_signs(self, config: FlipConfiguration) -> list[int] | None:
-        signs = []
-        for (va, vb, table), w in zip(self.wire_tables, self.g._wires):
-            sa = int(config.vertical[va]) | (int(config.horizontal[va]) << 1)
-            sb = int(config.vertical[vb]) | (int(config.horizontal[vb]) << 1)
-            feas = [bit for bit in (0, 1) if table[sa, sb, bit]]
-            if not feas:
-                return None
-            signs.append(1 if feas[0] else -1)
-        return signs
-
     def admitted_states(self) -> list[tuple[int, ...]]:
         """Per-vertex line states that every pair table and every chain
         table admits, found by a depth-first walk along ``g.order`` that
@@ -628,31 +639,32 @@ def enumerate_groupings(g: GadgetInstance) -> list[FlipConfiguration]:
     """All flip configurations whose implied placements realize the unit
     disk graph exactly, every node on its assigned line.
 
-    Each configuration the pair and chain tables admit takes its chain
-    sides from ``wire_signs`` and is then checked exactly by looking up
-    every pair of blocks, and every block, in ``_ConfigChecker.exact``.
-    The list is in increasing order of the key that puts vertex v's
-    vertical bit at bit 2v and its horizontal bit at bit 2v + 1.
+    Each configuration the pair and chain tables admit puts every chain on
+    side -1 where its table allows that side, else on side +1, and is then
+    checked exactly by looking up every pair of blocks, and every block, in
+    ``_ConfigChecker.exact``. The list is in increasing order of the key
+    that puts vertex v's vertical bit at bit 2v and its horizontal bit at
+    bit 2v + 1.
     """
     if g.hypergraph.n_vertices > MAX_VERTICES:
         raise SizeCapError("configuration enumeration beyond the size cap")
     checker = _ConfigChecker(g)
-    configs, states = [], []
-    for line_states in checker.admitted_states():
-        config = FlipConfiguration(
-            vertical=tuple(bool(s & 1) for s in line_states),
-            horizontal=tuple(bool(s >> 1) for s in line_states))
-        signs = checker.wire_signs(config)
-        if signs is not None:
-            configs.append(config)
-            states.append((0, *line_states, *(s > 0 for s in signs)))
+    lines = np.array(checker.admitted_states(),
+                     dtype=np.intp).reshape(-1, checker.n)
+    # the walk admits only states where every chain has a feasible side, so
+    # a chain's block state is 1 (side +1) exactly where side -1 is not
+    sides = [~table[lines[:, va], lines[:, vb], 0]
+             for va, vb, table in checker.wire_tables]
     # states[k, A]: block A's state in configuration k; only the block
     # pairs A <= B that some states fail need a lookup
     exact = checker.exact
-    states = np.array(states, dtype=np.intp).reshape(-1, len(exact))
+    states = np.column_stack([np.zeros(len(lines), dtype=np.intp), lines,
+                              *sides])
     blk_a, blk_b = np.nonzero(np.triu(~exact.all(axis=(1, 3))))
     valid = exact[blk_a, states[:, blk_a], blk_b, states[:, blk_b]].all(axis=1)
-    return [c for c, ok in zip(configs, valid) if ok]
+    return [FlipConfiguration(vertical=tuple(bool(s & 1) for s in row),
+                              horizontal=tuple(bool(s >> 1) for s in row))
+            for row in lines[valid].tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -185,16 +185,30 @@ def _positions_valid(want: list[tuple[int, int]], pts: np.ndarray) -> bool:
     return list(zip(u.tolist(), v.tolist())) == want
 
 
+def state(config, v):
+    return int(config.vertical[v]) | (int(config.horizontal[v]) << 1)
+
+
+def wire_signs(checker, config):
+    """Per chain, side -1 where its table allows that side for the states
+    of its end lines, else +1 where it allows that one; None when some
+    chain has no feasible side."""
+    signs = []
+    for va, vb, table in checker.wire_tables:
+        sa, sb = state(config, va), state(config, vb)
+        feas = [bit for bit in (0, 1) if table[sa, sb, bit]]
+        if not feas:
+            return None
+        signs.append(1 if feas[0] else -1)
+    return signs
+
+
 def reference_admitted(g):
     """Every one of the 4^n flip configurations in key order that the pair
     tables and the chain tables admit, with its placement (both levels of
     a lift)."""
     checker = _ConfigChecker(g)
     n = g.hypergraph.n_vertices
-
-    def state(config, v):
-        return int(config.vertical[v]) | (int(config.horizontal[v]) << 1)
-
     for bits in range(4 ** n):
         vert = tuple(bool((bits >> (2 * v)) & 1) for v in range(n))
         horiz = tuple(bool((bits >> (2 * v + 1)) & 1) for v in range(n))
@@ -202,7 +216,7 @@ def reference_admitted(g):
         if not all(table[state(config, va), state(config, vb)]
                    for va, vb, table in checker.pair_tables):
             continue
-        signs = checker.wire_signs(config)
+        signs = wire_signs(checker, config)
         if signs is None:
             continue
         pos = _config_positions(g, config, signs)
@@ -567,6 +581,14 @@ class TestChooseOrder:
         assert _choose_order(h) == reference_order(h) == tuple(range(6))
         h = Hypergraph3U(5, ((0, 1, 4), (1, 2, 3)))
         assert _choose_order(h) == reference_order(h)
+
+    def test_every_hypergraph_on_five_vertices(self):
+        triples = list(itertools.combinations(range(5), 3))
+        cases = [Hypergraph3U(5, edges) for m in range(5)
+                 for edges in itertools.combinations(triples, m)]
+        assert len(cases) == 386
+        for h in cases:
+            assert _choose_order(h) == reference_order(h), h
 
     def test_identity_without_edges_or_beyond_eight_vertices(self):
         assert _choose_order(Hypergraph3U(5, ())) == tuple(range(5))
