@@ -160,23 +160,49 @@ class Graph:
     @functools.cached_property
     def _sweeps(self) -> tuple[tuple[list[int], ...], bool]:
         """The three LBFS+ sweeps of the 3-sweep unit-interval recognition
-        (Corneil 2004), run once per graph in O(n + m), and whether the last
-        one is a proper-interval ordering.
+        (Corneil 2004), run once per graph in O(n + m) each, and whether the
+        last one is a proper-interval ordering.
 
         The certificate is the umbrella property: every closed neighbourhood
         occupies contiguous positions of the order (Looges & Olariu 1993).
         It is checked, not assumed, so it is sound whatever the sweeps
-        return: one min and one max of the order positions per row. A proper
-        interval graph has no induced claw and no induced net, whose
-        pendants form an asteroidal triple (Roberts 1969).
+        return. A proper interval graph has no induced claw and no induced
+        net, whose pendants form an asteroidal triple (Roberts 1969).
+
+        The sweeps stop at the first certified one and read the rest off
+        it: on an umbrella order s, LBFS+ from s[-1], ties going to the
+        latest in s, returns reversed(s). Proof: by induction the visited
+        set is a suffix of s. An unvisited vertex v's closed neighbourhood
+        is contiguous, so its visited neighbours are the visited positions
+        up to its last neighbour's position r(v), and its label grows with
+        r(v). r is non-decreasing along s (if u before v has a neighbour w
+        after v, v is adjacent to w too), so the last unvisited vertex of s
+        has the largest label and, the latest in s among its ties, goes
+        next. Twins and disconnected graphs need no special case. A
+        reversed umbrella order is one too, so a certified s1 gives
+        ``(s1, s1[::-1], s1)`` and a certified s2 gives
+        ``(s1, s2, s2[::-1])``: what running all three would return.
         """
         if self.n == 0:
             return (), True
         s1 = _lbfs_local(self, 0, None)
-        s2 = _lbfs_local(self, s1[-1], s1)
-        s3 = _lbfs_local(self, s2[-1], s2)
+        if self._umbrella(s1):
+            sweeps, certified = (s1, s1[::-1], s1), True
+        else:
+            s2 = _lbfs_local(self, s1[-1], s1)
+            if self._umbrella(s2):
+                sweeps, certified = (s1, s2, s2[::-1]), True
+            else:
+                s3 = _lbfs_local(self, s2[-1], s2)
+                sweeps, certified = (s1, s2, s3), self._umbrella(s3)
+        nodes = self.nodes
+        return tuple([nodes[i] for i in s] for s in sweeps), certified
+
+    def _umbrella(self, order: list[int]) -> bool:
+        """Whether every closed neighbourhood occupies contiguous positions
+        of ``order`` (local indices): one min and one max per row."""
         pos = np.empty(self.n, dtype=np.intp)
-        pos[s3] = np.arange(self.n)
+        pos[order] = np.arange(self.n)
         deg = self.degrees()
         lo, hi = pos.copy(), pos.copy()
         rows = np.flatnonzero(deg)
@@ -186,9 +212,7 @@ class Graph:
                                   np.minimum.reduceat(at, self.start[rows]))
             hi[rows] = np.maximum(hi[rows],
                                   np.maximum.reduceat(at, self.start[rows]))
-        certified = bool(np.all(hi - lo == deg))
-        nodes = self.nodes
-        return tuple([nodes[i] for i in s] for s in (s1, s2, s3)), certified
+        return bool(np.all(hi - lo == deg))
 
     @classmethod
     def from_instance(cls, instance, node_ids: Iterable[int] | None = None) -> "Graph":
@@ -234,9 +258,9 @@ class InducedNet:
 def find_claw(graph: Graph) -> InducedClaw | None:
     """First induced claw by (center, sorted leaves), or None.
 
-    Returns None at once when the graph's cached 3-sweep LBFS+ order
-    certifies a proper interval graph (see ``Graph._sweeps``: O(n + m)
-    sweeps, umbrella property of the last order). Otherwise searches each
+    Returns None at once when the graph's cached LBFS+ sweeps certify a
+    proper interval graph (see ``Graph._sweeps``: O(n + m) sweeps, stopped
+    at the first order with the umbrella property). Otherwise searches each
     center's row, in order, for three pairwise non-adjacent neighbours,
     narrowing the later leaves to each first leaf's non-neighbours.
     """
@@ -259,9 +283,9 @@ def find_claw(graph: Graph) -> InducedClaw | None:
 def find_net(graph: Graph) -> InducedNet | None:
     """First induced net by (sorted triangle, pendants), or None.
 
-    Returns None at once when the graph's cached 3-sweep LBFS+ order
-    certifies a proper interval graph (see ``Graph._sweeps``: O(n + m)
-    sweeps, umbrella property of the last order). Otherwise scans the
+    Returns None at once when the graph's cached LBFS+ sweeps certify a
+    proper interval graph (see ``Graph._sweeps``: O(n + m) sweeps, stopped
+    at the first order with the umbrella property). Otherwise scans the
     triangles ``a < b < c`` over the rows in order; a corner's pendant can
     only be one of its private neighbours (adjacent to neither other
     corner), tried in order until three are pairwise non-adjacent.
@@ -383,7 +407,7 @@ def hamiltonian_oracle(graph: Graph) -> list[int] | None:
 
 
 # ---------------------------------------------------------------------------
-# proper-interval ordering via three LBFS sweeps
+# proper-interval ordering via LBFS+ sweeps
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -412,7 +436,7 @@ def _lbfs_local(graph: Graph, start: int,
     """:func:`_lbfs` over the graph's local vertex indices."""
     n = graph.n
     rest = range(n) if tie_order is None else reversed(tie_order)
-    init = [start] + [u for u in rest if u != start]
+    init = np.array([start] + [u for u in rest if u != start], dtype=np.intp)
     rank = np.empty(n, dtype=np.intp)
     rank[init] = np.arange(n)
     # Neighbour ranks of each rank in ascending order, so that the part
@@ -426,7 +450,9 @@ def _lbfs_local(graph: Graph, start: int,
     # Classes of equal label, in decreasing label order, form a linked list
     # behind the sentinel class 0. Class c lists its ranks in ascending order
     # in members[c] from head[c] on; a listed rank r is still in c only while
-    # where[r] == c (a visited rank is in class 0).
+    # where[r] == c (a visited rank is in class 0). A split inserts the new
+    # class right before the old one, so c was split at this step exactly
+    # when prv[c] is at least ``fresh``, the first class made at this step.
     where = [1] * n
     members = [[], list(range(n))]
     head = [0, 0]
@@ -446,46 +472,52 @@ def _lbfs_local(graph: Graph, start: int,
         head[c] = h + 1
         u = m[h]
         where[u] = 0
-        order.append(init[u])
-        split: dict[int, int] = {}
+        order.append(u)
+        fresh = len(members)
         for w in nbrs[off[u]:off[u + 1]]:
             c = where[w]
             if c == 0:
                 continue
-            new = split.get(c)
-            if new is None:
-                new = split[c] = len(members)
+            new = prv[c]
+            if new < fresh:
+                p, new = new, len(members)
                 members.append([w])
                 head.append(0)
-                p = prv[c]
                 nxt.append(c)
                 prv.append(p)
                 nxt[p] = prv[c] = new
             else:
                 members[new].append(w)
             where[w] = new
-    return order
+    return init[order].tolist()
 
 
 def unit_interval_order(graph: Graph) -> LinearOrder:
     """Hamiltonian path consistent with a 1D realization of the graph.
 
-    Reads the last of the three O(n + m) LBFS+ sweeps (Corneil 2004) that
-    the graph caches together with its umbrella certificate (see
+    Reads the last of the graph's cached LBFS+ sweeps (Corneil 2004), which
+    stop at the first order with the umbrella certificate (see
     ``Graph._sweeps``), then validates that consecutive vertices are
     adjacent. The validation, not the sweep, is the contract: failure
-    signals the group is not a realizable collinear group.
+    signals the group is not a realizable collinear group. On a certified
+    order a gap between consecutive vertices means the graph is
+    disconnected (by the umbrella property, any edge across the gap would
+    make its two ends adjacent), so only an uncertified graph is searched
+    for connectivity.
     """
     if graph.n == 0:
         raise InvalidInputError("empty graph")
-    if not graph.is_connected():
-        raise InvalidInputError("group subgraph must be connected")
     if graph.n == 1:
         return LinearOrder(sequence=(graph.nodes[0],))
-    seq = list(graph._sweeps[0][2])
+    sweeps, certified = graph._sweeps
+    if not certified and not graph.is_connected():
+        raise InvalidInputError("group subgraph must be connected")
+    seq = list(sweeps[2])
     at = np.searchsorted(graph.nodes, seq)
     gaps = np.flatnonzero(graph.pair_slots(at[:-1], at[1:]) < 0)
     if gaps.size:
+        if certified:
+            raise InvalidInputError("group subgraph must be connected")
         a, b = seq[gaps[0]], seq[gaps[0] + 1]
         raise NoHamiltonianPathError(
             f"ordering breaks at ({a},{b}); no monotone 1D order found")

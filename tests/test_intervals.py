@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperloc import intervals
 from hyperloc.errors import (InvalidInputError, NoHamiltonianPathError,
                              SizeLimitError)
 from hyperloc.intervals import (Graph, InducedClaw, InducedNet, _lbfs,
@@ -18,8 +19,13 @@ from hyperloc.model import (BuildingConfig, build_udg,
                             make_rng)
 
 
-def random_unit_interval_graph(rng, n):
+def random_unit_interval_graph(rng, n, twins=0.0):
+    """Unit interval graph on ``0..n-1`` in position order. Each gap is
+    1e-9 with probability ``twins``, making twins unless a third point lies
+    within 1e-9 of distance 1 (the kernel rejects coincident points)."""
     gaps = rng.uniform(0.15, 0.95, n - 1)
+    if twins:
+        gaps[rng.random(n - 1) < twins] = 1e-9
     xs = np.concatenate([[0.0], np.cumsum(gaps)])
     return Graph.from_instance(build_udg(xs[:, None], 1.0))
 
@@ -33,6 +39,8 @@ def random_graph(rng, n, p):
 NET = Graph(range(6), [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)])
 C4 = Graph(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)])
 CLAW = Graph(range(4), [(0, 1), (0, 2), (0, 3)])
+# A path whose smallest id, where the first sweep starts, is inside it.
+SHUFFLED_PATH = Graph(range(6), [(5, 2), (2, 0), (0, 3), (3, 1), (1, 4)])
 # Claw centred at 2 with leaves 0, 1, 4, yet the 3-sweep order 0 2 1 3 4 is
 # a Hamiltonian path: consecutive adjacency alone certifies nothing.
 CLAW_WITH_PATH = Graph(range(5), [(0, 2), (1, 2), (1, 3), (2, 3), (2, 4),
@@ -190,6 +198,26 @@ def labelled_graphs(draw, max_n=30):
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
                  if rnd.random() < p]
     return Graph(ids, [(ids[i], ids[j]) for i, j in pairs])
+
+
+@st.composite
+def umbrella_ordered_graphs(draw):
+    """Unit interval graphs with twins, or disjoint unions of two, on
+    random ids, each with an umbrella order: its vertices by position."""
+    parts = []
+    for _ in range(draw(st.integers(1, 2))):
+        rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+        parts.append(random_unit_interval_graph(
+            rng, draw(st.integers(1, 25)),
+            twins=draw(st.sampled_from((0.0, 0.2, 0.5)))))
+    n = sum(g.n for g in parts)
+    ids = draw(st.lists(st.integers(-40, 200), min_size=n, max_size=n,
+                        unique=True))
+    edges, shift = [], 0
+    for g in parts:
+        edges += [(ids[shift + u], ids[shift + v]) for u, v in g.edges]
+        shift += g.n
+    return Graph(ids, edges), ids
 
 
 def _same_graph(a, b):
@@ -366,6 +394,23 @@ class TestUnitIntervalOrder:
         with pytest.raises(InvalidInputError):
             unit_interval_order(Graph(range(4), [(0, 1), (2, 3)]))
 
+    def test_certified_disconnected_is_invalid_input(self, monkeypatch):
+        # two disjoint paths: certified, so the gap between them in the
+        # order, not a graph search, shows they are disconnected
+        g = Graph([9, 4, 7, 1, 3, 8], [(9, 4), (4, 7), (1, 3), (3, 8)])
+        assert g._sweeps[1]
+
+        def no_search(self):
+            raise AssertionError("certified graph searched")
+
+        monkeypatch.setattr(Graph, "is_connected", no_search)
+        with pytest.raises(InvalidInputError,
+                           match="must be connected") as err:
+            unit_interval_order(g)
+        assert err.value.code == "invalid-input"
+        assert unit_interval_order(SHUFFLED_PATH).sequence == \
+            (4, 1, 3, 0, 2, 5)
+
     def test_vertices_appear_once_and_consecutive_adjacent(self):
         rng = make_rng(6)
         for _ in range(50):
@@ -409,6 +454,54 @@ class TestLbfs:
         else:
             with pytest.raises(NoHamiltonianPathError):
                 unit_interval_order(g)
+
+
+class TestSweepShortcut:
+    """``Graph._sweeps`` stops at the first certified sweep and reads the
+    rest off it."""
+
+    @settings(max_examples=300, deadline=None, database=None,
+              derandomize=True)
+    @given(drawn=umbrella_ordered_graphs())
+    def test_lbfs_from_umbrella_order_reverses_it(self, drawn):
+        g, by_position = drawn
+        sweeps, certified = g._sweeps
+        assert certified
+        for sigma in (by_position, sweeps[2]):
+            assert _lbfs(g, sigma[-1], sigma) == list(sigma[::-1])
+
+    @pytest.fixture
+    def lbfs_calls(self, monkeypatch):
+        """The arguments of every ``_lbfs_local`` call from here on."""
+        seen = []
+        lbfs_local = intervals._lbfs_local
+
+        def counting(*args):
+            seen.append(args)
+            return lbfs_local(*args)
+
+        monkeypatch.setattr(intervals, "_lbfs_local", counting)
+        return seen
+
+    @pytest.mark.parametrize("graph, calls", [
+        (SHUFFLED_PATH, 2), (C4, 3), (CLAW_WITH_PATH, 3),
+    ], ids=["shuffled path", "C4", "claw with path"])
+    def test_sweep_count(self, lbfs_calls, graph, calls):
+        fresh = Graph(graph.nodes, graph.edges)   # no cached sweeps
+        assert fresh._sweeps[0] == reference_sweeps(fresh)
+        assert len(lbfs_calls) == calls
+
+    def test_one_sweep_per_building_corridor(self, lbfs_calls):
+        inst = generate_building(flagship_building_config())
+        corridors = {}
+        for nd in inst.nodes:
+            corridors.setdefault(nd.line_group, []).append(nd.id)
+        for members in corridors.values():
+            g = Graph.from_instance(inst, members)
+            lbfs_calls.clear()
+            assert g._sweeps[1]
+            assert len(lbfs_calls) == 1
+            assert g._sweeps[0] == reference_sweeps(g)
 
 
 class TestProperIntervalCertificate:
