@@ -1,8 +1,10 @@
 """Exception hierarchy with machine-readable error codes.
 
 Every domain error carries a stable ``code`` string that the CLI emits as
-JSON on stderr. ``stage`` and ``group`` are filled in by the hierarchical
-driver when an error surfaces mid-pipeline.
+JSON on stderr. The hierarchical driver fills in ``stage`` when an error
+surfaces mid-pipeline. ``group`` is the label of the group at fault, as
+the network gives it: a corridor (``line_group``) in stages ``collinear``
+and ``floor``, a floor (``plane_group``) in stage ``building``.
 """
 
 from __future__ import annotations

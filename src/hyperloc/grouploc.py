@@ -151,7 +151,7 @@ def compute_group_transform(local, ambient,
 class GroupLocalState:
     """Placement record of one hyperplanar group."""
 
-    group: int
+    group: int          # the group's label
     status: str = "unlocalized"
     support_vertices: list[tuple[int, np.ndarray]] = field(default_factory=list)
     plane: Hyperplane | None = None
@@ -191,7 +191,7 @@ class _GroupSolver:
         self.local = local_formations
         self.d = d
         self.eps = eps
-        self.members = {g: grouping.members(g) for g in range(1, grouping.k + 1)}
+        self.members = {g: grouping.members(g) for g in grouping.groups}
         for g, f in local_formations.items():
             if f.dim != d - 1:
                 raise InvalidInputError(
@@ -400,7 +400,8 @@ class _GroupSolver:
                             if st.status == "localized"]
         if len(self.members) > 1 and localized_groups == [self.seed]:
             raise NotLocalizableError(
-                "no group could be localized against the seed group")
+                "no group could be localized against the seed group",
+                group=self.seed)
         # Phase B: remaining groups from nodes notified d+1 times, repeated
         # until no further group can be placed.
         progress = True
@@ -421,12 +422,16 @@ def localize_groups(instance: NetworkInstance, grouping: GroupingFunction,
                     ) -> tuple[PointFormation, dict[int, GroupLocalState]]:
     """Place every hyperplanar group of one level in ambient dimension d.
 
+    Groups are keyed by their labels: ``local_formations``, ``seed_group``
+    and the returned states all use ``grouping.groups``. The default seed
+    is the largest group, the smallest label on a tie.
+
     Phase A fixes support vertices of seed-adjacent groups from d anchors in
     the seed group (a mirror pair each); once d affinely independent supports
     exist, the surviving mirror combination determines the group plane and
     its transform. Phase B places the remaining groups from nodes with d+1
-    localized-neighbor notifications. Raises a not-localizable error when
-    phase A places nothing beyond the seed.
+    localized-neighbor notifications. Raises a not-localizable error,
+    naming the seed group, when phase A places nothing beyond the seed.
     """
     solver = _GroupSolver(instance, grouping, local_formations, d, eps,
                           seed_group)
@@ -451,7 +456,7 @@ class HierarchicalResult:
         return self.formation.localized_fraction()
 
 
-def _annotate(exc: HyperlocError, stage: str, group: int | None):
+def _annotate(exc: HyperlocError, stage: str, group: int | None = None):
     if exc.stage is None:
         exc.stage = stage
     if exc.group is None and group is not None:
@@ -464,43 +469,41 @@ def hierarchical_localize(instance: NetworkInstance,
                           seed_floor: int | None = None) -> HierarchicalResult:
     """Corridors in 1D, corridors per floor in 2D, floors in 3D.
 
-    Requires both grouping levels on every node. Output positions satisfy
-    every measured edge distance; nodes of groups that never acquire enough
-    supports stay unlocalized.
+    Requires both grouping levels on every node. Every group is keyed by
+    its own label: ``line_states`` by corridor label, ``floor_states`` and
+    ``seed_floor`` by floor label. An error names its stage and, where one
+    group is at fault, that group's label: a corridor in stages
+    ``collinear`` and ``floor``, a floor in stage ``building``. Output
+    positions satisfy every measured edge distance; nodes of groups that
+    never acquire enough supports stay unlocalized.
     """
     lines = GroupingFunction.from_instance(instance, COLLINEAR)
     planes = GroupingFunction.from_instance(instance, COPLANAR)
 
-    # stage 1: each corridor on its own axis, keyed by corridor label
+    # stage 1: each corridor on its own axis
     line_formations: dict[int, PointFormation] = {}
-    line_states: dict[int, str] = {}
-    for g in range(1, lines.k + 1):
-        label = lines.label_of_group.get(g, g)
+    for g in lines.groups:
         try:
-            line_formations[label] = localize_collinear_group(
+            line_formations[g] = localize_collinear_group(
                 instance, lines.members(g), eps=eps)
-            line_states[label] = "localized"
         except HyperlocError as exc:
-            raise _annotate(exc, "collinear", label)
+            raise _annotate(exc, "collinear", g)
+    line_states = dict.fromkeys(line_formations, "localized")
 
     pos1 = {u: x for f in line_formations.values()
             for u, x in zip(f.localized_ids(), f.points[f.mask, 0].tolist())}
 
     # stage 2: corridors against each other, one floor at a time
     floor_formations: dict[int, PointFormation] = {}
-    for fg in range(1, planes.k + 1):
-        label = planes.label_of_group.get(fg, fg)
-        floor_nodes = planes.members(fg)
-        sub_labels = {u: instance.nodes[u].line_group for u in floor_nodes}
-        sub_grouping = GroupingFunction.from_labels(COLLINEAR, sub_labels)
-        local = {g: line_formations[sub_grouping.label_of_group[g]]
-                 for g in range(1, sub_grouping.k + 1)}
+    for fg in planes.groups:
+        corridors = GroupingFunction(
+            {u: lines.assignment[u] for u in planes.members(fg)})
+        local = {g: line_formations[g] for g in corridors.groups}
         try:
-            formation2, _ = localize_groups(instance, sub_grouping, local, d=2,
-                                            eps=eps)
+            floor_formations[fg], _ = localize_groups(
+                instance, corridors, local, d=2, eps=eps)
         except HyperlocError as exc:
-            raise _annotate(exc, "floor", label)
-        floor_formations[fg] = formation2
+            raise _annotate(exc, "floor")
 
     pos2 = {u: tuple(p) for f in floor_formations.values()
             for u, p in zip(f.localized_ids(), f.points[f.mask].tolist())}
@@ -511,13 +514,11 @@ def hierarchical_localize(instance: NetworkInstance,
             instance, planes, floor_formations, d=3, eps=eps,
             seed_group=seed_floor)
     except HyperlocError as exc:
-        raise _annotate(exc, "building", None)
+        raise _annotate(exc, "building")
 
-    states_by_label = {planes.label_of_group.get(g, g): st
-                       for g, st in floor_states.items()}
     return HierarchicalResult(formation=formation3, pos1=pos1, pos2=pos2,
                               line_states=line_states,
-                              floor_states=states_by_label)
+                              floor_states=floor_states)
 
 
 def verify_formation(instance: NetworkInstance, formation: PointFormation,

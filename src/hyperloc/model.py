@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -113,9 +113,9 @@ class NetworkInstance:
     Edges are undirected, with no duplicates, no self loops and
     ``0 < dist <= radius``. They are stored once: ``graph`` is an
     :class:`~hyperloc.intervals.Graph` over the node ids ``0..n-1``, and
-    ``length`` holds the measured distance of each of its adjacency slots.
-    ``adjacency = (start, nbr, length)`` gives the same arrays: node u's
-    neighbours are ``nbr[start[u]:start[u + 1]]`` in ascending order.
+    ``length`` holds the measured distance of each of its adjacency slots:
+    node u's neighbours are ``graph.nbr[graph.start[u]:graph.start[u + 1]]``
+    in ascending order, at the lengths in the same slice of ``length``.
     ``edges`` is a tuple view of them.
 
     ``edges`` may be any iterable of ``(u, v, dist)`` triples, or the
@@ -146,10 +146,6 @@ class NetworkInstance:
     @property
     def m(self) -> int:
         return len(self.length) // 2
-
-    @property
-    def adjacency(self) -> EdgeArrays:
-        return self.graph.start, self.graph.nbr, self.length
 
     @functools.cached_property
     def edges(self) -> tuple[tuple[int, int, float], ...]:
@@ -350,34 +346,29 @@ def strip_ground_truth(instance: NetworkInstance) -> NetworkInstance:
 
 @dataclass(frozen=True)
 class GroupingFunction:
-    """Map node id -> group id in 1..k at one level (``collinear``/``coplanar``)."""
+    """Map node id -> group label, kept as given (gaps allowed): a group is
+    named by the label its nodes carry. Labels must be 64-bit integers."""
 
-    level: str
     assignment: Mapping[int, int]
-    k: int
-    label_of_group: Mapping[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.level not in (COLLINEAR, COPLANAR):
-            raise InvalidInputError(f"unknown grouping level {self.level!r}")
-        used = set(self.assignment.values())
-        if used != set(range(1, self.k + 1)):
-            raise InvalidInputError("group ids must be exactly 1..k, no empty group")
-
-    @classmethod
-    def from_labels(cls, level: str, labels: Mapping[int, int]) -> "GroupingFunction":
-        """Relabel arbitrary distinct group labels to canonical 1..k."""
+        labels = self.assignment.values()
         if not labels:
             raise InvalidInputError("empty grouping")
-        distinct = sorted(set(labels.values()))
-        remap = {lab: i + 1 for i, lab in enumerate(distinct)}
-        assignment = {node: remap[lab] for node, lab in labels.items()}
-        label_of = {gid: lab for lab, gid in remap.items()}
-        return cls(level=level, assignment=assignment, k=len(distinct),
-                   label_of_group=label_of)
+        for kind in set(map(type, labels)):
+            if kind is bool or not issubclass(kind, (int, np.integer)):
+                u = next(u for u, lab in self.assignment.items()
+                         if type(lab) is kind)
+                raise InvalidInputError(
+                    f"node {u} has group label {self.assignment[u]!r}; "
+                    "labels must be integers")
+        if not (-2**63 <= min(labels) and max(labels) < 2**63):
+            raise InvalidInputError("group labels must fit in 64 bits")
 
     @classmethod
     def from_instance(cls, instance: NetworkInstance, level: str) -> "GroupingFunction":
+        if level not in (COLLINEAR, COPLANAR):
+            raise InvalidInputError(f"unknown grouping level {level!r}")
         attr = "line_group" if level == COLLINEAR else "plane_group"
         labels = {}
         for nd in instance.nodes:
@@ -386,25 +377,28 @@ class GroupingFunction:
                 raise InvalidInputError(
                     f"node {nd.id} has no {attr}; grouping must be total")
             labels[nd.id] = lab
-        return cls.from_labels(level, labels)
+        return cls(labels)
 
     @functools.cached_property
     def _members(self) -> dict[int, list[int]]:
-        """Group id -> its nodes in ascending order, built once."""
+        """Label -> its nodes, both ascending, built once."""
         count = len(self.assignment)
         nodes = np.fromiter(self.assignment.keys(), dtype=np.intp, count=count)
-        gids = np.fromiter(self.assignment.values(), dtype=np.intp, count=count)
-        order = np.lexsort((nodes, gids))
-        bounds = np.searchsorted(gids[order], np.arange(1, self.k + 2)).tolist()
-        ordered = nodes[order].tolist()
-        return {g: ordered[bounds[g - 1]:bounds[g]] for g in range(1, self.k + 1)}
+        labels = np.fromiter(self.assignment.values(), dtype=np.int64,
+                             count=count)
+        order = np.lexsort((nodes, labels))
+        groups, first = np.unique(labels[order], return_index=True)
+        ordered = np.split(nodes[order], first[1:])
+        return {g: m.tolist() for g, m in zip(groups.tolist(), ordered)}
 
-    def members(self, gid: int) -> list[int]:
-        """Nodes of group ``gid``, ascending."""
-        return list(self._members.get(gid, ()))
+    @property
+    def groups(self) -> list[int]:
+        """The labels, ascending."""
+        return list(self._members)
 
-    def group_of(self, u: int) -> int:
-        return self.assignment[u]
+    def members(self, label: int) -> list[int]:
+        """Nodes of the group labelled ``label``, ascending."""
+        return list(self._members.get(label, ()))
 
 
 # ---------------------------------------------------------------------------

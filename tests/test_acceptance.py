@@ -164,7 +164,7 @@ def test_criterion_5_invariance_under_relabeling_and_seed():
             stripped = strip_ground_truth(inst)
             grouping = GroupingFunction.from_instance(stripped, COLLINEAR)
             local = {}
-            for g in range(1, grouping.k + 1):
+            for g in grouping.groups:
                 f = PointFormation(1, grouping.members(g))
                 for u in grouping.members(g):
                     f.mark(u, (inst.nodes[u].true_pos[0],))

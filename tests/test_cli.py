@@ -162,3 +162,17 @@ def test_stdout_is_pure_json(tmp_path, capsys):
     assert main(["verify-hardness", "--hypergraph", str(hg)]) == 0
     captured = capsys.readouterr()
     json.loads(captured.out)  # must parse as a single JSON document
+
+
+@pytest.mark.parametrize("labels", [("a", 2), ("a", "b")])
+def test_localize_rejects_non_integer_labels(tmp_path, capsys, labels):
+    # mixed str/int labels once escaped as a TypeError traceback
+    net = tmp_path / "labels.json"
+    net.write_text(json.dumps({
+        "radius": 1.0,
+        "nodes": [{"id": i, "line_group": lab, "plane_group": 1}
+                  for i, lab in enumerate(labels)],
+        "edges": [{"u": 0, "v": 1, "dist": 0.5}]}))
+    rc = main(["localize", "--algorithm", "group", "--input", str(net)])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "invalid-input"

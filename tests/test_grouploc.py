@@ -5,14 +5,15 @@ import pytest
 
 from hyperloc import grouploc
 from hyperloc.errors import (ChordInconsistencyError,
-                             InconsistentDistancesError, NotLocalizableError)
+                             InconsistentDistancesError, InvalidInputError,
+                             NotLocalizableError)
 from hyperloc.grouploc import (NONEDGE_MARGIN, GroupTransform,
                                compute_group_transform, hierarchical_localize,
                                localize_collinear_group, localize_groups,
                                localize_path, localize_support_vertex,
                                verify_formation)
 from hyperloc.intervals import Graph, LinearOrder, unit_interval_order
-from hyperloc.model import (COLLINEAR, DEFAULT_EPS, BuildingConfig,
+from hyperloc.model import (DEFAULT_EPS, BuildingConfig,
                             GroupingFunction,
                             NetworkInstance, NodeRecord, PointFormation,
                             build_udg, flagship_building_config,
@@ -210,7 +211,7 @@ def two_parallel_corridors():
     nodes = [NodeRecord(id=i) for i in range(len(pts))]
     edges = udg_edges(np.column_stack([np.array(pts), np.zeros(len(pts))]), 1.0)
     inst = NetworkInstance(nodes, edges, 1.0)
-    grouping = GroupingFunction.from_labels(COLLINEAR, labels)
+    grouping = GroupingFunction(labels)
     local = {}
     for g in (1, 2):
         f = PointFormation(1, grouping.members(g))
@@ -266,6 +267,14 @@ def _bench_building(offset):
     return generate_building(replace(cfg, connector_columns=((x, 0.675),)))
 
 
+def _relabelled(inst, line=100, plane=10):
+    """The same network with every line label times ``line`` and every
+    plane label times ``plane``."""
+    nodes = [replace(nd, line_group=nd.line_group * line,
+                     plane_group=nd.plane_group * plane) for nd in inst.nodes]
+    return NetworkInstance(nodes, inst.edge_arrays(), inst.radius)
+
+
 def single_cross_edge():
     """Two corridors with exactly one cross pair within range: (0, 6)."""
     pts = [(0.0, 0.0), (0.9, 0.0), (1.8, 0.0),
@@ -273,8 +282,7 @@ def single_cross_edge():
     nodes = [NodeRecord(id=i) for i in range(len(pts))]
     edges = udg_edges(np.column_stack([np.array(pts), np.zeros(7)]), 1.0)
     inst = NetworkInstance(nodes, edges, 1.0)
-    grouping = GroupingFunction.from_labels(
-        COLLINEAR, {i: (1 if i < 3 else 2) for i in range(7)})
+    grouping = GroupingFunction({i: (1 if i < 3 else 2) for i in range(7)})
     local = {}
     for g in (1, 2):
         f = PointFormation(1, grouping.members(g))
@@ -318,8 +326,7 @@ class TestPlacementCheckReference:
         nodes = [NodeRecord(id=i) for i in range(5)]
         edges = udg_edges(np.column_stack([np.array(pts), np.zeros(5)]), 1.0)
         inst = NetworkInstance(nodes, edges, 1.0)
-        grouping = GroupingFunction.from_labels(
-            COLLINEAR, {0: 1, 1: 1, 2: 1, 3: 2, 4: 2})
+        grouping = GroupingFunction({0: 1, 1: 1, 2: 1, 3: 2, 4: 2})
         local = {1: PointFormation(1, [0, 1, 2]), 2: PointFormation(1, [3, 4])}
         local[1].mark_many([0, 1, 2], [(0.0,), (0.9,), (1.8,)])
         local[2].mark_many([3, 4], [(0.0,), (0.9,)])
@@ -351,8 +358,7 @@ class TestLocalizeGroups:
 
     def test_single_group_trivial(self):
         inst, grouping, local, _ = two_parallel_corridors()
-        sub = GroupingFunction.from_labels(
-            COLLINEAR, {u: 1 for u in grouping.members(1)})
+        sub = GroupingFunction({u: 1 for u in grouping.members(1)})
         formation, states = localize_groups(inst, sub, {1: local[1]}, d=2)
         assert states[1].status == "localized"
         assert formation.localized_fraction() == 1.0
@@ -361,8 +367,9 @@ class TestLocalizeGroups:
         inst, grouping, local = single_cross_edge()
         cross = [(u, v) for u, v, _ in inst.edges if (u < 3) != (v < 3)]
         assert len(cross) == 1
-        with pytest.raises(NotLocalizableError):
+        with pytest.raises(NotLocalizableError) as exc:
             localize_groups(inst, grouping, local, d=2)
+        assert exc.value.group == 2     # the seed: group 2 is the larger
 
 
 class TestHierarchical:
@@ -415,9 +422,10 @@ class TestHierarchical:
                              node_spacing=0.9, corridor_spacing=0.45,
                              extent=4.5, connector_columns=())
         inst = generate_building(cfg)
-        with pytest.raises(NotLocalizableError) as exc:
-            hierarchical_localize(strip_ground_truth(inst))
-        assert exc.value.stage == "building"
+        for net, seed in ((inst, 1), (_relabelled(inst), 10)):
+            with pytest.raises(NotLocalizableError) as exc:
+                hierarchical_localize(strip_ground_truth(net))
+            assert (exc.value.stage, exc.value.group) == ("building", seed)
 
     def test_crossing_grid_partial_without_error(self):
         # y-parallel corridors of a crossing grid are anchor-starved; they
@@ -445,6 +453,46 @@ class TestHierarchical:
         d1 = _distance_matrix(r1.formation, ids)
         d2 = _distance_matrix(r2.formation, ids)
         assert np.max(np.abs(d1 - d2)) < 1e-9
+
+    def test_groups_keyed_by_their_labels(self):
+        inst = strip_ground_truth(_bench_building(0))
+        base = hierarchical_localize(inst)
+        res = hierarchical_localize(_relabelled(inst))
+        for f in ("ids", "points", "mask"):
+            assert np.array_equal(getattr(res.formation, f),
+                                  getattr(base.formation, f))
+        assert res.pos1 == base.pos1 and res.pos2 == base.pos2
+        assert res.line_states == {100 * g: st
+                                   for g, st in base.line_states.items()}
+        assert list(res.floor_states) == [10, 20, 30]
+        for g, st in res.floor_states.items():
+            old = base.floor_states[g // 10]
+            assert st.group == g and st.status == old.status
+            assert [u for u, _ in st.support_vertices] == \
+                [u for u, _ in old.support_vertices]
+            assert np.array_equal(st.transform.linear, old.transform.linear)
+
+    def test_seed_floor_is_a_label(self):
+        cfg = BuildingConfig(floors=2, floor_spacing=0.8, corridors_per_floor=3,
+                             node_spacing=0.9, corridor_spacing=0.45,
+                             extent=4.5, connector_columns=((2.7, 0.45),))
+        inst = strip_ground_truth(generate_building(cfg))
+        base = hierarchical_localize(inst, seed_floor=2)
+        res = hierarchical_localize(_relabelled(inst), seed_floor=20)
+        assert np.array_equal(res.formation.points, base.formation.points)
+        assert res.floor_states[20].support_vertices == []
+        with pytest.raises(InvalidInputError, match="unknown seed group 2$"):
+            hierarchical_localize(_relabelled(inst), seed_floor=2)
+
+    def test_floor_error_names_the_corridor_label(self):
+        # sigma = 1e-2 breaks stage 2 on floor 1 at corridor 2
+        inst = generate_building(replace(flagship_building_config(),
+                                         noise_sigma=1e-2))
+        for net, corridor in ((inst, 2), (_relabelled(inst), 200)):
+            with pytest.raises(InconsistentDistancesError) as exc:
+                hierarchical_localize(strip_ground_truth(net), eps=5e-2)
+            assert exc.value.payload()["stage"] == "floor"
+            assert exc.value.payload()["group"] == corridor
 
 
 def _reference_verify_formation(instance, formation):

@@ -350,18 +350,19 @@ class TestNetworkInstance:
         # the instance rebuilt from its own arrays is the same instance
         again = NetworkInstance(inst.nodes, inst.edge_arrays(), inst.radius)
         assert again.edges == inst.edges
-        assert all(np.array_equal(a, b)
-                   for a, b in zip(again.adjacency, inst.adjacency))
+        assert np.array_equal(again.graph.start, inst.graph.start)
+        assert np.array_equal(again.graph.nbr, inst.graph.nbr)
+        assert np.array_equal(again.length, inst.length)
 
     def test_adjacency_is_read_only(self):
         inst = build_udg([(0, 0), (0.5, 0)], 1.0)
-        for x in inst.adjacency:
+        for x in (inst.graph.start, inst.graph.nbr, inst.length):
             with pytest.raises(ValueError):
                 x[0] = 0
 
     def test_adjacency_matches_lookups(self):
         inst = generate_building(flagship_building_config())
-        start, nbr, length = inst.adjacency
+        start, nbr, length = inst.graph.start, inst.graph.nbr, inst.length
         for u in range(inst.n):
             row = slice(start[u], start[u + 1])
             assert nbr[row].tolist() == sorted(inst.neighbors(u))
@@ -493,22 +494,39 @@ class TestStripGroundTruth:
 
 
 class TestGroupingFunction:
-    def test_relabels_to_contiguous(self):
-        g = GroupingFunction.from_labels("collinear", {0: 7, 1: 7, 2: 12})
-        assert g.k == 2
-        assert g.assignment == {0: 1, 1: 1, 2: 2}
-        assert g.label_of_group == {1: 7, 2: 12}
+    def test_keeps_labels_as_given(self):
+        g = GroupingFunction({0: 12, 1: 7, 2: 7})
+        assert g.assignment == {0: 12, 1: 7, 2: 7}
+        assert g.groups == [7, 12]
+        assert g.members(7) == [1, 2] and g.members(12) == [0]
 
-    def test_rejects_gap_in_ids(self):
+    def test_allows_gap_in_labels(self):
+        g = GroupingFunction({0: 1, 1: 3, 2: -5})
+        assert g.groups == [-5, 1, 3]
+        assert g.members(2) == []
+
+    @pytest.mark.parametrize("label", ["1", 1.0, True, None, 2**63, -2**63 - 1])
+    def test_rejects_non_integer_labels(self, label):
         with pytest.raises(InvalidInputError):
-            GroupingFunction(level="collinear", assignment={0: 1, 1: 3}, k=3)
+            GroupingFunction({0: 1, 1: label})
+
+    def test_accepts_numpy_integer_labels(self):
+        g = GroupingFunction({0: np.int64(4), 1: np.int32(2), 2: 2**63 - 1})
+        assert g.groups == [2, 4, 2**63 - 1]
+        assert all(type(lab) is int for lab in g.groups)
+
+    def test_rejects_unknown_level(self):
+        inst = NetworkInstance([NodeRecord(id=0, line_group=1)], [], 1.0)
+        with pytest.raises(InvalidInputError):
+            GroupingFunction.from_instance(inst, "linear")
 
     def test_members_match_sorted_scan(self):
         rng = make_rng(3)
         labels = {int(u): int(rng.integers(0, 9))
                   for u in rng.permutation(200)}
-        g = GroupingFunction.from_labels("coplanar", labels)
-        for gid in range(0, g.k + 2):
+        g = GroupingFunction(labels)
+        assert g.groups == sorted(set(labels.values()))
+        for gid in range(-1, 10):
             assert g.members(gid) == sorted(
                 u for u, h in g.assignment.items() if h == gid)
         g.members(1).append(-1)     # callers get their own list
