@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -253,6 +252,7 @@ def _timed_run(payload) -> float:
 def _bench_row(name: str, instance: NetworkInstance, k: int, r: int,
                timeout_s: float) -> dict:
     """One timed run in a worker process so a timeout can kill it."""
+    import multiprocessing  # here, so that `import hyperloc` does not load it
     row = {"n": instance.n, "m": instance.m, "k": k, "r": r,
            "algo": name, "wall_time_ms": None, "error": ""}
     ctx = multiprocessing.get_context("fork")

@@ -553,15 +553,20 @@ class _ConfigChecker:
         def key(x, y):
             return np.minimum(x, y) * n_inst + np.maximum(x, y)
 
-        apex = np.isin(np.arange(n_inst), a.apexes)
+        def among(keys, q):
+            # membership of q in the sorted keys, without hashing
+            return np.r_[keys, -1][np.searchsorted(keys, q)] == q
+
+        apex = np.zeros(n_inst, dtype=bool)
+        apex[a.apexes] = True
         ends = np.array([w.end_apexes for w in g._wires],
                         dtype=np.intp).reshape(-1, 2)
-        links = key(a.tokens[:, None], ends[a.token_wire])
+        links = np.sort(key(a.tokens[:, None], ends[a.token_wire]), axis=None)
 
         def tally(out, x, y, i, j, weight):
             for layer, m in zip(out, (np.ones(len(x), dtype=bool),
                                       apex[x] & apex[y],
-                                      np.isin(key(x, y), links))):
+                                      among(links, key(x, y)))):
                 np.add.at(layer, (np.r_[i[m], j[m]], np.r_[j[m], i[m]]),
                           np.r_[weight[m], weight[m]])
 
@@ -573,12 +578,13 @@ class _ConfigChecker:
         # coinciding rows are queried once, which keeps the kernel's candidate
         # pairs and peak memory down; each pair of positions in range, and
         # each position with itself, stands for every pair of their rows
-        pos, at = np.unique(cloud, axis=0, return_inverse=True)
-        at = at.ravel()
-        by_pos, count = np.argsort(at, kind="stable"), np.bincount(at)
-        first = np.cumsum(count) - count
-        pu, pv, _ = udg_edges(pos, RADIUS)
-        pu, pv = np.r_[pu, :len(pos)], np.r_[pv, :len(pos)]
+        by_pos = np.lexsort(cloud.T[::-1])
+        ordered = cloud[by_pos]
+        first = np.flatnonzero(
+            np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)])
+        count = np.diff(np.r_[first, len(ordered)])
+        pu, pv, _ = udg_edges(ordered[first], RADIUS)
+        pu, pv = np.r_[pu, :len(first)], np.r_[pv, :len(first)]
         reps = count[pu] * count[pv]
         du, dv = np.divmod(np.arange(reps.sum())
                            - np.repeat(np.cumsum(reps) - reps, reps),
@@ -590,7 +596,7 @@ class _ConfigChecker:
                 & ((block[x] != block[y]) | (sx == sy)))
         x, y, sx, sy = x[keep], y[keep], sx[keep], sy[keep]
         tally(miss, x, y, 4 * block[x] + sx, 4 * block[y] + sy,
-              np.where(np.isin(key(x, y), eu * n_inst + ev), -1, 1))
+              np.where(among(np.sort(eu * n_inst + ev), key(x, y)), -1, 1))
         ok = (miss == 0).reshape(3, nb, 4, nb, 4)
         self.exact = ok[0]
         self.pair_tables: list[tuple[int, int, np.ndarray]] = [
@@ -604,35 +610,29 @@ class _ConfigChecker:
             self.wire_tables.append((*w.end_vertices,
                                      agree[0][:, None, :] & agree[1][None]))
 
-    def admitted_states(self) -> list[tuple[int, ...]]:
+    def admitted_states(self) -> np.ndarray:
         """Per-vertex line states that every pair table and every chain
-        table admits, found by a depth-first walk along ``g.order`` that
-        drops a branch at the first table rejecting it. Sorted by the key
+        table admits, one row per configuration, found by a level-by-level
+        walk along ``g.order``: at each slot the surviving partial rows are
+        repeated once per state of that slot's line and filtered by one
+        table lookup per check that the slot completes. Sorted by the key
         ``sum(state[v] << 2v)``."""
         order = self.g.order
         slot = {v: p for p, v in enumerate(order)}
         # checks[p]: (u, w, ok) tested once the line at slot p has a state
         checks: list[list] = [[] for _ in range(self.n)]
         for va, vb, table in self.pair_tables:
-            checks[max(slot[va], slot[vb])].append((va, vb, table.tolist()))
+            checks[max(slot[va], slot[vb])].append((va, vb, table))
         for va, vb, table in self.wire_tables:
-            checks[max(slot[va], slot[vb])].append(
-                (va, vb, table.any(axis=2).tolist()))
-        state = [0] * self.n
-        found = []
-
-        def walk(p: int) -> None:
-            if p == self.n:
-                found.append(tuple(state))
-                return
-            for s in range(4):
-                state[order[p]] = s
-                if all(ok[state[u]][state[w]] for u, w, ok in checks[p]):
-                    walk(p + 1)
-
-        walk(0)
-        found.sort(key=lambda st: sum(s << (2 * v) for v, s in enumerate(st)))
-        return found
+            checks[max(slot[va], slot[vb])].append((va, vb, table.any(axis=2)))
+        rows = np.zeros((1, self.n), dtype=np.intp)
+        for p, v in enumerate(order):
+            rows = rows.repeat(4, axis=0)
+            rows[:, v] = np.tile(np.arange(4), len(rows) // 4)
+            for u, w, ok in checks[p]:
+                rows = rows[ok[rows[:, u], rows[:, w]]]
+        key = (rows << 2 * np.arange(self.n)).sum(axis=1)
+        return rows[np.argsort(key)]
 
 
 def enumerate_groupings(g: GadgetInstance) -> list[FlipConfiguration]:
@@ -649,8 +649,7 @@ def enumerate_groupings(g: GadgetInstance) -> list[FlipConfiguration]:
     if g.hypergraph.n_vertices > MAX_VERTICES:
         raise SizeCapError("configuration enumeration beyond the size cap")
     checker = _ConfigChecker(g)
-    lines = np.array(checker.admitted_states(),
-                     dtype=np.intp).reshape(-1, checker.n)
+    lines = checker.admitted_states()
     # the walk admits only states where every chain has a feasible side, so
     # a chain's block state is 1 (side +1) exactly where side -1 is not
     sides = [~table[lines[:, va], lines[:, vb], 0]

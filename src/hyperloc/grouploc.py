@@ -469,13 +469,15 @@ def hierarchical_localize(instance: NetworkInstance,
                           seed_floor: int | None = None) -> HierarchicalResult:
     """Corridors in 1D, corridors per floor in 2D, floors in 3D.
 
-    Requires both grouping levels on every node. Every group is keyed by
-    its own label: ``line_states`` by corridor label, ``floor_states`` and
-    ``seed_floor`` by floor label. An error names its stage and, where one
-    group is at fault, that group's label: a corridor in stages
-    ``collinear`` and ``floor``, a floor in stage ``building``. Output
-    positions satisfy every measured edge distance; nodes of groups that
-    never acquire enough supports stay unlocalized.
+    Requires both grouping levels on every node, and each corridor on one
+    floor: a line label shared by two floors is ``invalid-input`` in stage
+    ``collinear``. Every group is keyed by its own label: ``line_states``
+    by corridor label, ``floor_states`` and ``seed_floor`` by floor label.
+    An error names its stage and, where one group is at fault, that
+    group's label: a corridor in stages ``collinear`` and ``floor``, a
+    floor in stage ``building``. Output positions satisfy every measured
+    edge distance; nodes of groups that never acquire enough supports stay
+    unlocalized.
     """
     lines = GroupingFunction.from_instance(instance, COLLINEAR)
     planes = GroupingFunction.from_instance(instance, COPLANAR)
@@ -483,9 +485,15 @@ def hierarchical_localize(instance: NetworkInstance,
     # stage 1: each corridor on its own axis
     line_formations: dict[int, PointFormation] = {}
     for g in lines.groups:
+        members = lines.members(g)
         try:
+            floors = sorted({planes.assignment[u] for u in members})
+            if len(floors) > 1:
+                raise InvalidInputError(
+                    f"line label {g} is on floors {floors}; line labels "
+                    "must be unique across floors")
             line_formations[g] = localize_collinear_group(
-                instance, lines.members(g), eps=eps)
+                instance, members, eps=eps)
         except HyperlocError as exc:
             raise _annotate(exc, "collinear", g)
     line_states = dict.fromkeys(line_formations, "localized")

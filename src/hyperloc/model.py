@@ -247,48 +247,49 @@ def build_udg(points: Sequence[Sequence[float]], radius: float, *,
     return NetworkInstance(nodes, edges, radius)
 
 
-def _window_pairs(pos: np.ndarray, lim: float, split: int | None = None
-                  ) -> EdgeArrays:
-    """Index pairs ``u < v`` of ``pos`` within distance ``lim``, each pair
-    once, with their distances: a fixed-radius query.
+def _window_pairs(pos: np.ndarray, lim: float,
+                  other: np.ndarray | None = None) -> EdgeArrays:
+    """Index pairs within distance ``lim``, with their distances: the pairs
+    ``u < v`` of ``pos``, each once, or with ``other`` the pairs ``(i, j)``
+    of ``pos[i]`` and ``other[j]``.
 
     A fixed-radius near-neighbour sweep (Bentley, Stanat & Williams 1977):
-    points are sorted along their widest axis and each is paired only with
-    the later points whose gap on that axis is at most ``lim``. A pair's
-    distance is never below that gap, so the window misses no pair, and no
-    n x n array is built. Window steps are filtered by distance as soon as
-    their candidates number ``len(pos)``, so no more than about twice that
-    many are held at a time. With ``split``, only pairs with
-    ``u < split <= v`` are candidates.
+    the searched set is sorted along its widest axis, and ``searchsorted``
+    gives each query point the window of points within ``lim`` on that
+    axis, over a bound widened by a few ulps so that no pair whose rounded
+    gap is within ``lim`` is missed. A pair's distance is never below that
+    gap, and the ``d <= lim`` filter decides. The windows are expanded into
+    candidates in chunks of fewer than twice as many as there are points,
+    so no n x n array is built.
     """
-    axis = int(np.argmax(pos.max(axis=0) - pos.min(axis=0)))
-    order = np.argsort(pos[:, axis])
-    xs = np.append(pos[order, axis], np.inf)  # the sentinel ends every window
-    us, vs, ds = [], [], []
-    heads, tails = [], []   # sorted positions of the held candidates
-    held = 0
-    alive = np.arange(len(pos))
-    k = 1
-    while alive.size:
-        alive = alive[xs[alive + k] - xs[alive] <= lim]
-        heads.append(alive)
-        tails.append(alive + k)
-        held += alive.size
-        k += 1
-        if held >= len(pos) or not alive.size:
-            a = order[np.concatenate(heads)]
-            b = order[np.concatenate(tails)]
-            u, v = np.minimum(a, b), np.maximum(a, b)
-            if split is not None:
-                cross = (u < split) & (v >= split)
-                u, v = u[cross], v[cross]
-            d = np.linalg.norm(pos[u] - pos[v], axis=-1)
-            near = d <= lim
-            us.append(u[near])
-            vs.append(v[near])
-            ds.append(d[near])
-            heads, tails, held = [], [], 0
-    return np.concatenate(us), np.concatenate(vs), np.concatenate(ds)
+    b = pos if other is None else other
+    axis = int(np.argmax(b.max(axis=0) - b.min(axis=0)))
+    order = np.argsort(b[:, axis])
+    xs, sb = b[order, axis], b[order]
+    wide = lim * (1.0 + 4.0 * np.finfo(float).eps)
+    if other is None:
+        q, qp, lo, hold = xs, sb, np.arange(1, len(xs) + 1), len(pos)
+    else:
+        q, qp, hold = pos[:, axis], pos, len(pos) + len(other)
+        lo = np.searchsorted(xs, q - wide)
+    count = np.searchsorted(xs, q + wide, side="right") - lo
+    end = np.cumsum(count)
+    shift = lo - end + count    # row r's flat candidate f is column shift[r]+f
+    # each chunk holds fewer than step + count.max() = 2 * hold candidates
+    step = 2 * hold - count.max()
+    cuts = np.searchsorted(end, np.arange(step, end[-1], step), side="right")
+    bounds = sorted({0, *cuts.tolist(), len(q)})
+    out = []
+    for r0, r1 in zip(bounds, bounds[1:]):
+        rows = np.repeat(np.arange(r0, r1), count[r0:r1])
+        cols = shift[rows] + np.arange(end[r0] - count[r0], end[r1 - 1])
+        d = np.linalg.norm(qp[rows] - sb[cols], axis=-1)
+        near = d <= lim
+        u, v = rows[near], order[cols[near]]
+        if other is None:
+            u, v = np.minimum(order[u], v), np.maximum(order[u], v)
+        out.append((u, v, d[near]))
+    return tuple(np.concatenate(parts) for parts in zip(*out))
 
 
 def udg_edges(positions: np.ndarray, radius: float,
@@ -311,18 +312,18 @@ def cross_pairs(a: np.ndarray, b: np.ndarray, radius: float,
                 eps: float = DEFAULT_EPS) -> EdgeArrays:
     """Pairs ``(i, j)`` with ``|a[i] - b[j]| <= radius + eps``.
 
-    The cross-set form of :func:`udg_edges`: the same sweep over the points
-    of both sets, keeping only pairs with one end in each. Returns the index
+    The cross-set form of :func:`udg_edges`: the sweep of
+    :func:`_window_pairs` sorts ``b`` alone and searches it once per point
+    of ``a``, so no pair within one set is a candidate. Returns the index
     arrays ``i``, ``j`` and the distances, sorted by ``(i, j)``.
     """
     pa = np.asarray(a, dtype=float)
     pb = np.asarray(b, dtype=float)
     if not len(pa) or not len(pb):
         return np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0)
-    k = len(pa)
-    i, j, d = _window_pairs(np.vstack([pa, pb]), radius + eps, split=k)
+    i, j, d = _window_pairs(pa, radius + eps, pb)
     keep = np.lexsort((j, i))
-    return i[keep], j[keep] - k, d[keep]
+    return i[keep], j[keep], d[keep]
 
 
 def _with_noise(edges: EdgeArrays, sigma: float, radius: float,

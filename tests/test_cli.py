@@ -176,3 +176,17 @@ def test_localize_rejects_non_integer_labels(tmp_path, capsys, labels):
     rc = main(["localize", "--algorithm", "group", "--input", str(net)])
     assert rc == 1
     assert json.loads(capsys.readouterr().err)["error"] == "invalid-input"
+
+
+def test_localize_rejects_line_label_shared_by_floors(tmp_path, capsys):
+    net = tmp_path / "shared.json"
+    net.write_text(json.dumps({
+        "radius": 1.0,
+        "nodes": [{"id": 0, "line_group": 1, "plane_group": 1},
+                  {"id": 1, "line_group": 1, "plane_group": 2}],
+        "edges": [{"u": 0, "v": 1, "dist": 0.5}]}))
+    rc = main(["localize", "--algorithm", "group", "--input", str(net)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["stage"], err["group"]) == \
+        ("invalid-input", "collinear", 1)

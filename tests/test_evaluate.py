@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import hyperloc
 from hyperloc.errors import InvalidConfigError, TooFewPointsError
 from hyperloc.evaluate import (BenchConfig, ScenarioConfig, align_isometry,
                                bench_scaling, random_dense_instance,
@@ -165,3 +171,13 @@ class TestBenchScaling:
         assert cols1 == cols2
         assert all(r["error"] == "" for r in rows1)
         assert all(r["wall_time_ms"] is not None for r in rows1)
+
+
+def test_import_does_not_load_multiprocessing():
+    # only bench_scaling's worker uses it; importing it costs every process
+    src = str(Path(hyperloc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, hyperloc; sys.exit('multiprocessing' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env,
+                          timeout=60).returncode == 0

@@ -484,6 +484,26 @@ class TestHierarchical:
         with pytest.raises(InvalidInputError, match="unknown seed group 2$"):
             hierarchical_localize(_relabelled(inst), seed_floor=2)
 
+    def test_rejects_a_line_label_shared_by_two_floors(self):
+        # corridors numbered 1..3 on each floor once merged across floors
+        # and failed as no-hamiltonian-path
+        cfg = BuildingConfig(floors=2, floor_spacing=0.8, corridors_per_floor=3,
+                             node_spacing=0.9, corridor_spacing=0.45,
+                             extent=4.5, connector_columns=((2.7, 0.45),))
+        inst = strip_ground_truth(generate_building(cfg))
+        first = {}
+        for nd in inst.nodes:
+            first.setdefault(nd.plane_group, nd.line_group)
+        nodes = [replace(nd, line_group=nd.line_group
+                         - first[nd.plane_group] + 1) for nd in inst.nodes]
+        assert {nd.line_group for nd in nodes} == {1, 2, 3}
+        net = NetworkInstance(nodes, inst.edge_arrays(), inst.radius)
+        with pytest.raises(InvalidInputError,
+                           match=r"line label 1 is on floors \[1, 2\]") as exc:
+            hierarchical_localize(net)
+        assert exc.value.payload()["stage"] == "collinear"
+        assert exc.value.payload()["group"] == 1
+
     def test_floor_error_names_the_corridor_label(self):
         # sigma = 1e-2 breaks stage 2 on floor 1 at corridor 2
         inst = generate_building(replace(flagship_building_config(),

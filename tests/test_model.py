@@ -54,6 +54,15 @@ class TestUdgEdges:
              radius=1.0, eps=0.0)
     @example(pos=np.array([[0.0, 0.0, 0.0], [1.5, 0.0, 0.0], [0.0, 0.5, 1.5]]),
              radius=1.0, eps=0.5)
+    # 200 points on one vertical line, as in the gadget: their candidates
+    # span many chunks; the same pair at radius + eps offset by 1e6; a pair
+    # whose rounded gap is the radius although the rounded window end
+    # (-1.0584... + 1.0) falls short of it
+    @example(pos=np.array([[0.0, 0.01 * i] for i in range(200)]
+                          + [[-3.0, 0.0], [3.0, 0.0]]), radius=1.0, eps=1e-9)
+    @example(pos=np.array([[1e6, 1e6], [1e6 + 1.5, 1e6]]), radius=1.0, eps=0.5)
+    @example(pos=np.array([[-1.0584364135603508], [-0.058436413560350765]]),
+             radius=1.0, eps=0.0)
     def test_matches_all_pairs_reference(self, pos, radius, eps):
         u, v, d = udg_edges(pos, radius, eps)
         assert list(zip(u.tolist(), v.tolist(), d.tolist())) == \
@@ -94,6 +103,21 @@ class TestCrossPairs:
     @example(ab=(np.array([[0.0, 0.0, 0.0]]),
                  np.array([[1.5, 0.0, 0.0], [0.0, 0.5, 1.5]])),
              radius=1.0, eps=0.5)
+    # two vertical lines of 100 and 120 points on one sweep coordinate: many
+    # chunks; a pair at radius + eps offset by 1e6; a pair whose rounded gap
+    # is the radius although the rounded window start (0.5699... - 1.0)
+    # lies above it; b outside every window of a
+    @example(ab=(np.array([[0.0, 0.02 * i] for i in range(100)]),
+                 np.array([[0.0, 0.015 * i + 0.001] for i in range(120)]
+                          + [[-3.0, 0.0], [3.0, 0.0]])),
+             radius=1.0, eps=1e-9)
+    @example(ab=(np.array([[1e6, 1e6]]), np.array([[1e6 + 1.5, 1e6]])),
+             radius=1.0, eps=0.5)
+    @example(ab=(np.array([[0.5699835785823403]]),
+                 np.array([[-0.43001642141765983]])), radius=1.0, eps=0.0)
+    @example(ab=(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.5]]),
+                 np.array([[-5.0, 0.0], [9.0, 1.0], [6.0, 3.0]])),
+             radius=1.5, eps=0.5)
     def test_matches_all_pairs_reference(self, ab, radius, eps):
         a, b = ab
         i, j, d = cross_pairs(a, b, radius, eps)
