@@ -182,11 +182,17 @@ class Graph:
         reversed umbrella order is one too, so a certified s1 gives
         ``(s1, s1[::-1], s1)`` and a certified s2 gives
         ``(s1, s2, s2[::-1])``: what running all three would return.
+
+        The first sweep is LBFS+ from the last vertex of the reversed index
+        order, ties going to the latest in it, so it returns the index order
+        whenever that order is certified. That is tested first, and then no
+        sweep runs (``generate_building`` numbers each corridor in order).
         """
         if self.n == 0:
             return (), True
-        s1 = _lbfs_local(self, 0, None)
-        if self._umbrella(s1):
+        s1 = list(range(self.n))
+        if self._umbrella(s1) or self._umbrella(
+                s1 := _lbfs_local(self, 0, None)):
             sweeps, certified = (s1, s1[::-1], s1), True
         else:
             s2 = _lbfs_local(self, s1[-1], s1)
@@ -222,7 +228,11 @@ class Graph:
         whole = instance.graph
         if node_ids is None:
             return whole
-        ids = np.unique(np.fromiter(node_ids, dtype=np.intp))
+        # sorted, one per run of repeats (a plain np.unique imports numpy.ma)
+        ids = np.sort(np.fromiter(node_ids, dtype=np.intp))
+        first = np.ones(len(ids), dtype=bool)
+        first[1:] = ids[1:] != ids[:-1]
+        ids = ids[first]
         known = np.flatnonzero((ids >= 0) & (ids < instance.n))
         local = np.full(instance.n, -1, dtype=np.intp)
         local[ids[known]] = known
@@ -258,9 +268,9 @@ class InducedNet:
 def find_claw(graph: Graph) -> InducedClaw | None:
     """First induced claw by (center, sorted leaves), or None.
 
-    Returns None at once when the graph's cached LBFS+ sweeps certify a
-    proper interval graph (see ``Graph._sweeps``: O(n + m) sweeps, stopped
-    at the first order with the umbrella property). Otherwise searches each
+    Returns None at once when the graph's cached sweeps certify a proper
+    interval graph (see ``Graph._sweeps``: the index order, else O(n + m)
+    LBFS+ sweeps, stopped at the first umbrella order). Otherwise searches each
     center's row, in order, for three pairwise non-adjacent neighbours,
     narrowing the later leaves to each first leaf's non-neighbours.
     """
@@ -283,9 +293,9 @@ def find_claw(graph: Graph) -> InducedClaw | None:
 def find_net(graph: Graph) -> InducedNet | None:
     """First induced net by (sorted triangle, pendants), or None.
 
-    Returns None at once when the graph's cached LBFS+ sweeps certify a
-    proper interval graph (see ``Graph._sweeps``: O(n + m) sweeps, stopped
-    at the first order with the umbrella property). Otherwise scans the
+    Returns None at once when the graph's cached sweeps certify a proper
+    interval graph (see ``Graph._sweeps``: the index order, else O(n + m)
+    LBFS+ sweeps, stopped at the first umbrella order). Otherwise scans the
     triangles ``a < b < c`` over the rows in order; a corner's pendant can
     only be one of its private neighbours (adjacent to neither other
     corner), tried in order until three are pairwise non-adjacent.
@@ -496,14 +506,14 @@ def unit_interval_order(graph: Graph) -> LinearOrder:
     """Hamiltonian path consistent with a 1D realization of the graph.
 
     Reads the last of the graph's cached LBFS+ sweeps (Corneil 2004), which
-    stop at the first order with the umbrella certificate (see
-    ``Graph._sweeps``), then validates that consecutive vertices are
-    adjacent. The validation, not the sweep, is the contract: failure
-    signals the group is not a realizable collinear group. On a certified
-    order a gap between consecutive vertices means the graph is
-    disconnected (by the umbrella property, any edge across the gap would
-    make its two ends adjacent), so only an uncertified graph is searched
-    for connectivity.
+    stop at the first order with the umbrella certificate and are not run
+    when the index order has it (see ``Graph._sweeps``), then validates that
+    consecutive vertices are adjacent. The validation, not the sweep, is
+    the contract: failure signals the group is not a realizable collinear
+    group. On a certified order a gap between consecutive vertices means
+    the graph is disconnected (by the umbrella property, any edge across
+    the gap would make its two ends adjacent), so only an uncertified graph
+    is searched for connectivity.
     """
     if graph.n == 0:
         raise InvalidInputError("empty graph")

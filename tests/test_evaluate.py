@@ -173,11 +173,31 @@ class TestBenchScaling:
         assert all(r["wall_time_ms"] is not None for r in rows1)
 
 
-def test_import_does_not_load_multiprocessing():
-    # only bench_scaling's worker uses it; importing it costs every process
+def _fresh_python(code):
+    """Exit code of ``code`` run in a new interpreter that imports this
+    checkout's package."""
     src = str(Path(hyperloc.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          timeout=60).returncode
+
+
+def test_import_does_not_load_multiprocessing():
+    # only bench_scaling's worker uses it; importing it costs every process
     code = "import sys, hyperloc; sys.exit('multiprocessing' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env,
-                          timeout=60).returncode == 0
+    assert _fresh_python(code) == 0
+
+
+def test_localize_does_not_load_numpy_ma():
+    # a plain np.unique imports numpy.ma, about 15 ms of a first localize
+    code = """
+import sys
+from hyperloc import (flagship_building_config, generate_building,
+                      hierarchical_localize, quadrilaterate)
+inst = generate_building(flagship_building_config())
+hierarchical_localize(inst)
+quadrilaterate(inst)
+sys.exit('numpy.ma' in sys.modules)
+"""
+    assert _fresh_python(code) == 0

@@ -491,7 +491,8 @@ class TestSweepShortcut:
         assert fresh._sweeps[0] == reference_sweeps(fresh)
         assert len(lbfs_calls) == calls
 
-    def test_one_sweep_per_building_corridor(self, lbfs_calls):
+    def test_no_sweep_on_building_corridors(self, lbfs_calls):
+        # generate_building numbers each corridor's nodes along it
         inst = generate_building(flagship_building_config())
         corridors = {}
         for nd in inst.nodes:
@@ -500,8 +501,31 @@ class TestSweepShortcut:
             g = Graph.from_instance(inst, members)
             lbfs_calls.clear()
             assert g._sweeps[1]
-            assert len(lbfs_calls) == 1
+            assert len(lbfs_calls) == 0
             assert g._sweeps[0] == reference_sweeps(g)
+
+    def test_position_ordered_graphs(self, lbfs_calls):
+        """Unit interval graphs with twins, and disjoint unions of two, with
+        ids in position order take no sweep; they and the same graphs
+        relabelled at random get the reference sweeps."""
+        rng = make_rng(15)
+        for _ in range(60):
+            nodes, edges = [], []
+            for _ in range(int(rng.integers(1, 3))):
+                part = random_unit_interval_graph(
+                    rng, int(rng.integers(1, 40)), twins=0.3)
+                shift = len(nodes)
+                nodes += [shift + u for u in part.nodes]
+                edges += [(shift + u, shift + v) for u, v in part.edges]
+            g = Graph(nodes, edges)
+            lbfs_calls.clear()
+            assert g._sweeps[1]
+            assert len(lbfs_calls) == 0
+            label = rng.permutation(len(nodes)).tolist()
+            relabelled = Graph(label, [(label[u], label[v]) for u, v in edges])
+            for h in (g, relabelled):
+                assert h._sweeps[1]
+                assert h._sweeps[0] == reference_sweeps(h)
 
 
 class TestProperIntervalCertificate:

@@ -6,16 +6,34 @@ import pytest
 from hyperloc.errors import (DegenerateAnchorsError, DegenerateDistancesError,
                              InconsistentDistancesError, NoSeedError)
 from hyperloc.evaluate import random_dense_instance
-from hyperloc.model import (BuildingConfig, build_udg, generate_building,
+from hyperloc.model import (BuildingConfig, build_udg,
+                            flagship_building_config, generate_building,
                             make_rng, strip_ground_truth)
-from hyperloc.quadloc import (cayley_menger, find_seed_k4, multilaterate,
-                              place_seed, quadrilaterate, solve_spheres)
+from hyperloc.quadloc import (cayley_menger, find_seed_k4,
+                              is_degenerate_tetra, multilaterate, place_seed,
+                              quadrilaterate, solve_spheres)
 
 
 def regular_tetra_dists():
     d = np.ones((4, 4))
     np.fill_diagonal(d, 0.0)
     return d
+
+
+def brute_force_seed(inst):
+    """First 4-subset in lexicographic order that is a clique and not a
+    degenerate tetrahedron, by scanning every 4-subset."""
+    adj = [set(inst.neighbors(u)) for u in range(inst.n)]
+    for quad in itertools.combinations(range(inst.n), 4):
+        pairs = list(itertools.combinations(quad, 2))
+        if not all(v in adj[u] for u, v in pairs):
+            continue
+        d2 = np.zeros((4, 4))
+        for (i, j), (u, v) in zip(itertools.combinations(range(4), 2), pairs):
+            d2[i, j] = d2[j, i] = inst.dist(u, v) ** 2
+        if not is_degenerate_tetra(d2):
+            return quad
+    return None
 
 
 class TestFindSeedK4:
@@ -31,6 +49,17 @@ class TestFindSeedK4:
                              corridor_spacing=0.45, extent=3.6)
         inst = generate_building(cfg)
         assert find_seed_k4(inst) is None
+
+    @pytest.mark.parametrize("n", [12, 20, 30, 40])
+    def test_lexicographically_smallest_on_random_dense(self, n):
+        for seed in range(3):
+            inst = random_dense_instance(n, seed=seed)
+            assert find_seed_k4(inst).vertices == brute_force_seed(inst)
+
+    def test_lexicographically_smallest_on_flagship(self):
+        # five K4s before the seed lie in the first floor: all coplanar
+        inst = generate_building(flagship_building_config())
+        assert find_seed_k4(inst).vertices == brute_force_seed(inst)
 
     def test_random_dense_membership_and_volume(self):
         inst = random_dense_instance(50, seed=3)
