@@ -15,9 +15,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import (AmbiguousPlacementError, ChordInconsistencyError,
-                     DegenerateAnchorsError, DegeneratePointsError,
-                     DegenerateSupportsError, HyperlocError,
-                     InconsistentDistancesError, InvalidInputError,
+                     DegenerateAnchorsError, DegenerateSupportsError,
+                     HyperlocError, InconsistentDistancesError, InvalidInputError,
                      NonIsometricCorrespondenceError, NotLocalizableError)
 from .intervals import Graph, LinearOrder, unit_interval_order
 from .model import (COLLINEAR, COPLANAR, DEFAULT_EPS, GroupingFunction,
@@ -104,11 +103,6 @@ class GroupTransform:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return (pts[:, None, :] @ self.linear.T)[:, 0, :] + self.translation
 
-    @classmethod
-    def canonical_embedding(cls, d: int) -> "GroupTransform":
-        lin = np.vstack([np.eye(d - 1), np.zeros((1, d - 1))])
-        return cls(linear=lin, translation=np.zeros(d))
-
 
 def compute_group_transform(local, ambient,
                             eps: float = DEFAULT_EPS) -> GroupTransform:
@@ -149,13 +143,23 @@ def compute_group_transform(local, ambient,
 
 @dataclass
 class GroupLocalState:
-    """Placement record of one hyperplanar group."""
+    """Placement record of one hyperplanar group: the first d affinely
+    independent supports in member order with their positions (none for the
+    seed), and the transform; ``plane`` is read off the transform, ``None``
+    while the group is unplaced."""
 
     group: int          # the group's label
     status: str = "unlocalized"
     support_vertices: list[tuple[int, np.ndarray]] = field(default_factory=list)
-    plane: Hyperplane | None = None
     transform: GroupTransform | None = None
+
+    @property
+    def plane(self) -> Hyperplane | None:
+        if self.transform is None:
+            return None
+        q, t = self.transform.linear, self.transform.translation
+        normal = np.cross(*q.T) if len(t) == 3 else np.array([-q[1, 0], q[0, 0]])
+        return Hyperplane(normal=tuple(normal), offset=float(normal @ t))
 
 
 # ---------------------------------------------------------------------------
@@ -239,66 +243,24 @@ class _GroupSolver:
     def _group_adjacent_to(self, g: int, h: int) -> bool:
         return bool(np.any(self.group_of_row[self.arrays[g].far] == h))
 
-    def _local_row(self, g: int, u: int) -> np.ndarray | None:
-        f = self.local.get(g)
-        if f is None or not f.is_localized(u):
-            return None
-        return f.position(u)
-
-    def _commit_seed(self) -> None:
-        g = self.seed
-        transform = GroupTransform.canonical_embedding(self.d)
-        self._apply_transform(g, transform, supports=[])
-
     def _apply_transform(self, g: int, transform: GroupTransform,
                          supports: list[tuple[int, np.ndarray]]) -> None:
-        state = self.states[g]
         arr = self.arrays[g]
-        if arr.ids:
-            self.formation.mark_many(arr.ids, transform.apply(arr.local))
-        state.status = "localized"
-        state.transform = transform
-        state.support_vertices = supports
-        if supports and len(supports) >= self.d:
-            pts = np.array([p for _, p in supports[:self.d]])
-            try:
-                state.plane = Hyperplane.from_points(pts)
-            except DegeneratePointsError:
-                state.plane = None
-        else:
-            # the seed group keeps the canonical embedding: x_d = 0
-            state.plane = Hyperplane(normal=tuple(np.eye(self.d)[-1]),
-                                     offset=0.0)
+        self.formation.mark_many(arr.ids, transform.apply(arr.local))
+        self.states[g] = GroupLocalState(g, "localized", supports, transform)
 
     # -- mirror/sign resolution ----------------------------------------------
 
-    def _pick_independent_supports(self, g: int,
-                                   supports: list[tuple[int, list[np.ndarray]]]):
-        chosen: list[tuple[int, list[np.ndarray]]] = []
-        locs: list[np.ndarray] = []
-        for u, cands in supports:
-            row = self._local_row(g, u)
-            if row is None:
-                continue
-            trial = locs + [row]
-            if len(trial) > 1:
-                diffs = np.array(trial[1:]) - trial[0]
-                if np.linalg.matrix_rank(diffs, tol=1e-9) < len(trial) - 1:
-                    continue
-            chosen.append((u, cands))
-            locs.append(row)
-            if len(chosen) == self.d:
-                return chosen, np.array(locs)
-        return None, None
-
-    def _try_place_group(self, g: int,
-                         supports: list[tuple[int, list[np.ndarray]]]) -> bool:
-        chosen, locs = self._pick_independent_supports(g, supports)
-        if chosen is None:
-            return False
+    def _place_group(self, g: int, rows: list[int],
+                     cands: list[list[np.ndarray]]) -> None:
+        """Place group g from its d supports' local ``rows`` and candidate
+        positions; raise if no mirror combination survives, or if several
+        do and the mirror between them is not a free global reflection."""
+        arr = self.arrays[g]
+        locs = arr.local[rows]
         survivors = []
-        for combo in itertools.product(*[range(len(c)) for _, c in chosen]):
-            ambient = np.array([chosen[i][1][ci] for i, ci in enumerate(combo)])
+        for combo in itertools.product(*[range(len(c)) for c in cands]):
+            ambient = np.array([c[ci] for c, ci in zip(cands, combo)])
             try:
                 transform = compute_group_transform(locs, ambient, eps=self.eps)
             except (NonIsometricCorrespondenceError, DegenerateSupportsError):
@@ -316,18 +278,14 @@ class _GroupSolver:
                 raise AmbiguousPlacementError(
                     "multiple placements survive all distance constraints",
                     group=g)
-        combo, transform = survivors[0]
-        sup_pts = [(u, transform.apply(self._local_row(g, u))[0])
-                   for u, _ in chosen]
-        self._apply_transform(g, transform, supports=sup_pts)
-        return True
+        _, transform = survivors[0]
+        self._apply_transform(g, transform, list(zip(
+            [arr.ids[i] for i in rows], transform.apply(locs))))
 
     def _check_placement(self, g: int, transform: GroupTransform) -> bool:
         """True if group g's positions under the transform satisfy every
         measured edge to the localized set and violate no unit-disk non-edge."""
         arr = self.arrays[g]
-        if not arr.ids:
-            return False
         f = self.formation
         if not f.mask.any():
             return True
@@ -357,48 +315,59 @@ class _GroupSolver:
         """True while every localized node lies in one hyperplane, so a
         mirror across it is still a global isometry (free choice)."""
         pts = self.formation.points[self.formation.mask]
-        if len(pts) <= self.d:
-            return True
-        diffs = pts[1:] - pts[0]
-        return np.linalg.matrix_rank(diffs, tol=1e-9) < self.d
+        return len(pts) <= self.d or \
+            np.linalg.matrix_rank(pts[1:] - pts[0], tol=1e-9) < self.d
 
     # -- phases ---------------------------------------------------------------
 
     def _scan_group(self, g: int, group_filter: int | None,
                     min_anchors: int) -> bool:
+        """Solve supports in member order, keeping each whose local row is
+        affinely independent of those kept; the d-th places the group."""
         arr = self.arrays[g]
         f = self.formation
         usable = f.mask[arr.far]
         if group_filter is not None:
             usable &= self.group_of_row[arr.far] == group_filter
         seen = np.concatenate([[0], np.cumsum(usable)])
-        enough = seen[arr.starts[1:]] - seen[arr.starts[:-1]] >= min_anchors
-        supports: list[tuple[int, list[np.ndarray]]] = []
-        for m in np.flatnonzero(enough).tolist():
+        enough = np.flatnonzero(
+            seen[arr.starts[1:]] - seen[arr.starts[:-1]] >= min_anchors)
+        # each edge's near is its member's local row (-1: none), and a member
+        # with enough anchors has at least one edge
+        rows = arr.near[arr.starts[enough]]
+        chosen: list[int] = []
+        cands: list[list[np.ndarray]] = []
+        for m, row in zip(enough[rows >= 0].tolist(), rows[rows >= 0].tolist()):
             edges = slice(arr.starts[m], arr.starts[m + 1])
             take = usable[edges]
             try:
-                cands = localize_support_vertex(
+                cand = localize_support_vertex(
                     f.points[arr.far[edges][take]], arr.length[edges][take],
                     self.d, eps=self.eps)
             except (DegenerateAnchorsError, InconsistentDistancesError):
                 continue
-            supports.append((self.members[g][m], cands))
-            if len(supports) >= self.d and \
-                    self._try_place_group(g, supports):
+            trial = arr.local[chosen + [row]]
+            if chosen and np.linalg.matrix_rank(trial[1:] - trial[0],
+                                                tol=1e-9) < len(chosen):
+                continue
+            chosen.append(row)
+            cands.append(cand)
+            if len(chosen) == self.d:
+                self._place_group(g, chosen, cands)
                 return True
         return False
 
     def run(self) -> tuple[PointFormation, dict[int, GroupLocalState]]:
-        self._commit_seed()
+        self._apply_transform(self.seed, GroupTransform(
+            linear=np.eye(self.d, self.d - 1), translation=np.zeros(self.d)),
+            supports=[])
         # Phase A: groups adjacent to the seed, supports anchored in the seed.
+        placed = False
         for g in sorted(self.members):
-            if g == self.seed or not self._group_adjacent_to(g, self.seed):
-                continue
-            self._scan_group(g, group_filter=self.seed, min_anchors=self.d)
-        localized_groups = [g for g, st in self.states.items()
-                            if st.status == "localized"]
-        if len(self.members) > 1 and localized_groups == [self.seed]:
+            if g != self.seed and self._group_adjacent_to(g, self.seed):
+                placed |= self._scan_group(g, group_filter=self.seed,
+                                           min_anchors=self.d)
+        if len(self.members) > 1 and not placed:
             raise NotLocalizableError(
                 "no group could be localized against the seed group",
                 group=self.seed)
@@ -408,10 +377,8 @@ class _GroupSolver:
         while progress:
             progress = False
             for g in sorted(self.members):
-                if self.states[g].status == "localized":
-                    continue
-                if self._scan_group(g, group_filter=None,
-                                    min_anchors=self.d + 1):
+                if self.states[g].status != "localized" and self._scan_group(
+                        g, group_filter=None, min_anchors=self.d + 1):
                     progress = True
         return self.formation, self.states
 
@@ -427,9 +394,11 @@ def localize_groups(instance: NetworkInstance, grouping: GroupingFunction,
     is the largest group, the smallest label on a tie.
 
     Phase A fixes support vertices of seed-adjacent groups from d anchors in
-    the seed group (a mirror pair each); once d affinely independent supports
-    exist, the surviving mirror combination determines the group plane and
-    its transform. Phase B places the remaining groups from nodes with d+1
+    the seed group (a mirror pair each), in member order; the first d with
+    affinely independent local rows decide the group: it is placed by the
+    one surviving mirror combination's transform, which also gives its
+    plane, or rejected as inconsistent-distances or ambiguous-placement.
+    Phase B places the remaining groups from nodes with d+1
     localized-neighbor notifications. Raises a not-localizable error,
     naming the seed group, when phase A places nothing beyond the seed.
     """

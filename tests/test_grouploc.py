@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,7 @@ from hyperloc.grouploc import (NONEDGE_MARGIN, GroupTransform,
                                localize_path, localize_support_vertex,
                                verify_formation)
 from hyperloc.intervals import Graph, LinearOrder, unit_interval_order
-from hyperloc.model import (DEFAULT_EPS, BuildingConfig,
+from hyperloc.model import (COLLINEAR, COPLANAR, DEFAULT_EPS, BuildingConfig,
                             GroupingFunction,
                             NetworkInstance, NodeRecord, PointFormation,
                             build_udg, flagship_building_config,
@@ -226,7 +227,8 @@ def _reference_check_placement(solver, g, transform):
     one udg_edges over the group's points plus all of them."""
     ids, pts = [], []
     for u in solver.members[g]:
-        row = solver._local_row(g, u)
+        row = solver.local[g].position(u) \
+            if solver.local[g].is_localized(u) else None
         if row is not None:
             ids.append(u)
             pts.append(transform.apply(row)[0])
@@ -332,7 +334,8 @@ class TestPlacementCheckReference:
         local[2].mark_many([3, 4], [(0.0,), (0.9,)])
         solver = grouploc._GroupSolver(inst, grouping, local, 2, DEFAULT_EPS,
                                        seed_group=1)
-        solver._commit_seed()
+        solver._apply_transform(1, GroupTransform(
+            linear=np.eye(2, 1), translation=np.zeros(2)), supports=[])
         vertical = np.array([[0.0], [1.0]])
         for shift, ok in (((2.4, -0.45), False), ((2.9, -0.45), True),
                           ((10.0, 0.0), True)):
@@ -370,6 +373,105 @@ class TestLocalizeGroups:
         with pytest.raises(NotLocalizableError) as exc:
             localize_groups(inst, grouping, local, d=2)
         assert exc.value.group == 2     # the seed: group 2 is the larger
+
+
+def _result_digest(results):
+    """SHA-256 over the exact bits of hierarchical results: the formation,
+    pos1, pos2, line states, and each floor's status, support ids and
+    transform."""
+    h = hashlib.sha256()
+    for res in results:
+        f = res.formation
+        h.update(f.ids.astype(np.int64).tobytes())
+        h.update(f.points.tobytes())
+        h.update(f.mask.tobytes())
+        for pos in (res.pos1, res.pos2):
+            keys = sorted(pos)
+            h.update(np.array(keys, dtype=np.int64).tobytes())
+            h.update(np.array([pos[u] for u in keys], dtype=float).tobytes())
+        h.update(repr(sorted(res.line_states.items())).encode())
+        for g, st in sorted(res.floor_states.items()):
+            h.update(repr((g, st.status,
+                           [u for u, _ in st.support_vertices])).encode())
+            if st.transform is not None:
+                h.update(st.transform.linear.tobytes())
+                h.update(st.transform.translation.tobytes())
+    return h.hexdigest()
+
+
+class TestPinnedOutputs:
+    # Exact bits on this platform's NumPy/LAPACK; a platform whose LAPACK
+    # rounds differently may need a re-pin.
+    PINNED = "4efd94a1782446c430282392b5d68fa1c301917cdb6bbc62acca77360afe32fd"
+
+    def test_flagship_and_bench_building(self):
+        insts = [generate_building(flagship_building_config())]
+        insts += [_bench_building(offset) for offset in (-40, 0, 40)]
+        results = [hierarchical_localize(strip_ground_truth(inst))
+                   for inst in insts]
+        assert _result_digest(results) == self.PINNED
+
+
+def _crossing_floor_stage2():
+    """Stage 2 alone on a crossing-grid floor: the seed corridor, one placed
+    beside it, and the two anchor-starved cross corridors left unplaced."""
+    cfg = BuildingConfig(floors=1, corridors_per_floor=(2, 2),
+                         node_spacing=0.9, corridor_spacing=0.45, extent=4.5)
+    inst = strip_ground_truth(generate_building(cfg))
+    lines = GroupingFunction.from_instance(inst, COLLINEAR)
+    local = {g: localize_collinear_group(inst, lines.members(g))
+             for g in lines.groups}
+    formation, states = localize_groups(inst, lines, local, d=2)
+    return formation, states, lines
+
+
+class TestPlanesAndSupports:
+    @pytest.fixture(params=["stage3-flagship", "stage2-crossing-floor"])
+    def placed(self, request):
+        """(formation, states, grouping, seed label, d) of one placement."""
+        if request.param == "stage2-crossing-floor":
+            return (*_crossing_floor_stage2(), 1, 2)
+        inst = strip_ground_truth(generate_building(flagship_building_config()))
+        res = hierarchical_localize(inst)
+        planes = GroupingFunction.from_instance(inst, COPLANAR)
+        return res.formation, res.floor_states, planes, 1, 3
+
+    def test_plane_holds_every_member(self, placed):
+        formation, states, grouping, _, _ = placed
+        scale = max(1.0, float(np.abs(formation.points).max()))
+        for g, st in states.items():
+            if st.status != "localized":
+                continue
+            plane = st.plane
+            assert plane is not None
+            pts = formation.array(grouping.members(g))
+            assert np.all(np.abs(pts @ np.array(plane.normal) - plane.offset)
+                          <= 1e-9 * scale)
+
+    def test_unplaced_group_has_no_plane(self):
+        _, states, _ = _crossing_floor_stage2()
+        unplaced = [g for g, st in states.items() if st.status != "localized"]
+        assert unplaced == [3, 4]
+        for g in unplaced:
+            assert states[g].plane is None and states[g].transform is None
+
+    def test_seed_plane_is_the_last_axis(self, placed):
+        _, states, _, seed, d = placed
+        plane = states[seed].plane
+        assert plane.normal == tuple(np.eye(d)[-1]) and plane.offset == 0.0
+        assert states[seed].support_vertices == []
+
+    def test_supports_independent_and_placed(self, placed):
+        formation, states, _, seed, d = placed
+        others = [st for g, st in states.items()
+                  if g != seed and st.status == "localized"]
+        assert others
+        for st in others:
+            assert len(st.support_vertices) == d
+            ids = [u for u, _ in st.support_vertices]
+            pts = np.array([p for _, p in st.support_vertices])
+            assert np.array_equal(pts, formation.array(ids))
+            assert np.linalg.matrix_rank(pts[1:] - pts[0]) == d - 1
 
 
 class TestHierarchical:
