@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 domain error (machine-readable JSON on stderr),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -145,7 +146,9 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``main`` reuses it."""
     parser = argparse.ArgumentParser(
         prog="hyperloc",
         description="Localize unit-disk sensor networks with hyperplanar "

@@ -703,7 +703,8 @@ def lift_to_3d(g: GadgetInstance) -> GadgetInstance:
     base = g.instance
     n = base.n
     nodes = list(base.nodes) + [
-        replace(nd, id=nd.id + n, true_pos=(*nd.true_pos[:2], 1.0))
+        NodeRecord(nd.id + n, (*nd.true_pos[:2], 1.0), nd.line_group,
+                   nd.plane_group)
         for nd in base.nodes]
     u, v, d = base.edge_arrays()
     copy = np.arange(n)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -337,7 +337,8 @@ def _with_noise(edges: EdgeArrays, sigma: float, radius: float,
 
 def strip_ground_truth(instance: NetworkInstance) -> NetworkInstance:
     """Localizer-facing view: graph, dists and groupings without positions."""
-    nodes = [replace(nd, true_pos=None) for nd in instance.nodes]
+    nodes = [NodeRecord(nd.id, None, nd.line_group, nd.plane_group)
+             for nd in instance.nodes]
     return NetworkInstance(nodes, instance.edge_arrays(), instance.radius)
 
 
@@ -642,59 +643,53 @@ def _corridor_coords(offset: float, extent: float, spacing: float,
 def generate_building(config: BuildingConfig) -> NetworkInstance:
     """Deterministic corridor-grid deployment per the config.
 
-    Nodes are placed along corridor lines at ``node_spacing`` intervals per
-    floor; floors stack at ``floor_spacing``; connector columns densify the
-    corridors passing near them. ``line_group`` ids are unique across the
-    whole building, ``plane_group`` is the floor index (both 1-based).
+    Nodes are placed along corridor lines at ``node_spacing`` intervals;
+    connector columns densify the corridors passing near them. A point
+    within ``_MIN_NODE_SEP`` on both axes of an earlier kept point of its
+    floor is dropped. Every floor has this same layout, and floors stack at
+    ``floor_spacing``. Ids run floor by floor, then corridor by corridor
+    (x-parallel first), then along the corridor. ``line_group`` ids are
+    unique across the whole building, ``plane_group`` is the floor index
+    (both 1-based).
     """
     config.validate()
     nx, ny = config.counts()
     half = config.node_spacing / 2.0
-    nodes: list[NodeRecord] = []
-    line_gid = 0
-    for f in range(config.floors):
-        z = f * config.floor_spacing
-        plane_gid = f + 1
-        # Cells of side 2 * _MIN_NODE_SEP: a point within _MIN_NODE_SEP per
-        # axis then lies in one of the 3x3 cells around, with a margin that
-        # rounding in x / side cannot cross.
-        cells: dict[tuple[int, int], list[tuple[float, float]]] = {}
-
-        def _emit(x: float, y: float) -> None:
-            cx = math.floor(x / (2.0 * _MIN_NODE_SEP))
-            cy = math.floor(y / (2.0 * _MIN_NODE_SEP))
-            for i in (cx - 1, cx, cx + 1):
-                for j in (cy - 1, cy, cy + 1):
-                    for (px, py) in cells.get((i, j), ()):
-                        if abs(px - x) <= _MIN_NODE_SEP and \
-                                abs(py - y) <= _MIN_NODE_SEP:
-                            return
-            cells.setdefault((cx, cy), []).append((x, y))
-            nodes.append(NodeRecord(id=len(nodes), true_pos=(x, y, z),
-                                    line_group=line_gid, plane_group=plane_gid))
-
-        for i in range(nx):
-            line_gid += 1
-            y = i * config.corridor_spacing
-            offset = half if (config.stagger and i % 2 == 1) else 0.0
-            stair = [sx + t for (sx, sy) in config.connector_columns
-                     if abs(y - sy) <= _STAIR_REACH for t in _STAIR_OFFSETS]
-            for x in _corridor_coords(offset, config.extent,
-                                      config.node_spacing, stair):
-                _emit(x, y)
-        for j in range(ny):
-            line_gid += 1
-            x = j * config.corridor_spacing
-            offset = half if (config.stagger and j % 2 == 1) else 0.0
-            stair = [sy + t for (sx, sy) in config.connector_columns
-                     if abs(x - sx) <= _STAIR_REACH for t in _STAIR_OFFSETS]
-            for y in _corridor_coords(offset, config.extent,
-                                      config.node_spacing, stair):
-                _emit(x, y)
-
-    if not nodes:
+    xs, ys, ks = [], [], []     # one floor's candidate points and corridors
+    for k in range(nx + ny):
+        i, a = (k, 0) if k < nx else (k - nx, 1)   # a: the axis run along
+        c = i * config.corridor_spacing
+        offset = half if (config.stagger and i % 2 == 1) else 0.0
+        stair = [col[a] + t for col in config.connector_columns
+                 if abs(c - col[1 - a]) <= _STAIR_REACH
+                 for t in _STAIR_OFFSETS]
+        along = _corridor_coords(offset, config.extent, config.node_spacing,
+                                 stair)
+        xs += along if a == 0 else [c] * len(along)
+        ys += [c] * len(along) if a == 0 else along
+        ks += [k] * len(along)
+    if not xs:
         raise InvalidConfigError("configuration produces no nodes")
-    positions = np.array([nd.true_pos for nd in nodes])
+    xy = np.array([xs, ys], dtype=float).T
+    if not np.isfinite(xy).all():
+        raise InvalidConfigError("corridor coordinates must be finite")
+    # pairs within _MIN_NODE_SEP on both axes, taken by their later point:
+    # it is dropped iff the earlier one is kept
+    u, v, _ = _window_pairs(xy, 2 * _MIN_NODE_SEP)
+    clash = np.all(np.abs(xy[u] - xy[v]) <= _MIN_NODE_SEP, axis=1)
+    keep = [True] * len(xs)
+    for later, earlier in sorted(zip(v[clash].tolist(), u[clash].tolist())):
+        if keep[earlier]:
+            keep[later] = False
+    floor = [p for p, kept in zip(zip(xs, ys, ks), keep) if kept]
+    zs = [f * config.floor_spacing for f in range(config.floors)]
+    nodes: list[NodeRecord] = []
+    for f, z in enumerate(zs):
+        first, line = len(nodes), f * (nx + ny) + 1
+        nodes += [NodeRecord(first + p, (x, y, z), line + k, f + 1)
+                  for p, (x, y, k) in enumerate(floor)]
+    positions = np.column_stack([np.tile(xy[np.array(keep)], (len(zs), 1)),
+                                 np.repeat(zs, len(floor))])
     edges = udg_edges(positions, config.radius)
     if config.noise_sigma > 0:
         edges = _with_noise(edges, config.noise_sigma, config.radius,

@@ -190,3 +190,21 @@ def test_localize_rejects_line_label_shared_by_floors(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert (err["error"], err["stage"], err["group"]) == \
         ("invalid-input", "collinear", 1)
+
+
+def test_parser_is_built_once_and_survives_a_usage_error(tmp_path,
+                                                         building_config_file):
+    from hyperloc.cli import build_parser
+    assert build_parser() is build_parser()
+    assert main(["generate"]) == 2
+    out = str(tmp_path / "net.json")
+    assert main(["generate", "--config", building_config_file, "-o", out]) == 0
+    assert json.loads(open(out).read())["nodes"]
+
+
+def test_generate_rejects_non_finite_corridor_spacing(tmp_path, capsys):
+    # a NaN spacing once escaped as a ValueError traceback
+    cfg = tmp_path / "nan.json"
+    cfg.write_text('{"corridor_spacing": NaN}')
+    assert main(["generate", "--config", str(cfg)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "invalid-config"

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,8 @@ from hyperloc.model import (DEFAULT_EPS, BuildingConfig, GroupingFunction,
                             make_rng, network_from_json_dict,
                             network_to_json_dict, strip_ground_truth,
                             udg_edges)
+from hyperloc.model import (_MIN_NODE_SEP, _STAIR_OFFSETS, _STAIR_REACH,
+                            _corridor_coords, _with_noise)
 
 
 def _all_pairs(pos, radius, eps):
@@ -420,7 +423,157 @@ class TestNetworkInstance:
             inst.validate_exact()
 
 
+def _reference_generate_building(config: BuildingConfig) -> NetworkInstance:
+    """Per-node generator: each floor laid out anew, each point tested
+    against the kept points of its floor in a dict of cells."""
+    config.validate()
+    nx, ny = config.counts()
+    half = config.node_spacing / 2.0
+    nodes: list[NodeRecord] = []
+    line_gid = 0
+    for f in range(config.floors):
+        z = f * config.floor_spacing
+        plane_gid = f + 1
+        # Cells of side 2 * _MIN_NODE_SEP: a point within _MIN_NODE_SEP per
+        # axis then lies in one of the 3x3 cells around, with a margin that
+        # rounding in x / side cannot cross.
+        cells: dict[tuple[int, int], list[tuple[float, float]]] = {}
+
+        def _emit(x: float, y: float) -> None:
+            cx = math.floor(x / (2.0 * _MIN_NODE_SEP))
+            cy = math.floor(y / (2.0 * _MIN_NODE_SEP))
+            for i in (cx - 1, cx, cx + 1):
+                for j in (cy - 1, cy, cy + 1):
+                    for (px, py) in cells.get((i, j), ()):
+                        if abs(px - x) <= _MIN_NODE_SEP and \
+                                abs(py - y) <= _MIN_NODE_SEP:
+                            return
+            cells.setdefault((cx, cy), []).append((x, y))
+            nodes.append(NodeRecord(id=len(nodes), true_pos=(x, y, z),
+                                    line_group=line_gid, plane_group=plane_gid))
+
+        for i in range(nx):
+            line_gid += 1
+            y = i * config.corridor_spacing
+            offset = half if (config.stagger and i % 2 == 1) else 0.0
+            stair = [sx + t for (sx, sy) in config.connector_columns
+                     if abs(y - sy) <= _STAIR_REACH for t in _STAIR_OFFSETS]
+            for x in _corridor_coords(offset, config.extent,
+                                      config.node_spacing, stair):
+                _emit(x, y)
+        for j in range(ny):
+            line_gid += 1
+            x = j * config.corridor_spacing
+            offset = half if (config.stagger and j % 2 == 1) else 0.0
+            stair = [sy + t for (sx, sy) in config.connector_columns
+                     if abs(x - sx) <= _STAIR_REACH for t in _STAIR_OFFSETS]
+            for y in _corridor_coords(offset, config.extent,
+                                      config.node_spacing, stair):
+                _emit(x, y)
+
+    if not nodes:
+        raise InvalidConfigError("configuration produces no nodes")
+    positions = np.array([nd.true_pos for nd in nodes])
+    edges = udg_edges(positions, config.radius)
+    if config.noise_sigma > 0:
+        edges = _with_noise(edges, config.noise_sigma, config.radius,
+                            make_rng(config.rng_seed))
+    return NetworkInstance(nodes, edges, config.radius)
+
+
+# spacings below _MIN_NODE_SEP make corridors and stair points clash
+_spacing = st.one_of(st.sampled_from((0.03, 0.04, 0.08, 0.45, 0.9)),
+                     st.floats(0.02, 1.0))
+
+
+@st.composite
+def _building_configs(draw):
+    node_spacing = draw(_spacing)
+    corridor_spacing = draw(_spacing)
+    corridors = draw(st.one_of(
+        st.integers(1, 4),
+        st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any)))
+    # at most about 20 lattice points per corridor
+    extent = node_spacing * draw(st.floats(0.01, 20.0))
+    span = corridor_spacing * 3
+    # columns anywhere near the floor, or on the half-spacing lattice
+    x = st.one_of(st.floats(-0.5, extent + 0.5),
+                  st.integers(0, 40).map(lambda m: m * node_spacing / 2))
+    y = st.one_of(st.floats(-0.5, span + 0.5),
+                  st.integers(0, 6).map(lambda m: m * corridor_spacing / 2))
+    return BuildingConfig(
+        floors=draw(st.integers(1, 4)),
+        floor_spacing=draw(st.sampled_from((0.04, 0.5, 0.8, 1.0))),
+        corridors_per_floor=corridors,
+        node_spacing=node_spacing,
+        corridor_spacing=corridor_spacing,
+        extent=extent,
+        connector_columns=tuple(draw(st.lists(st.tuples(x, y), max_size=3))),
+        stagger=draw(st.booleans()),
+        noise_sigma=draw(st.sampled_from((0.0, 1e-3))),
+        rng_seed=draw(st.integers(0, 3)))
+
+
+def _generated(generate, config):
+    """Nodes, the type of every coordinate and each edge array's dtype and
+    bytes; or the config error raised."""
+    try:
+        inst = generate(config)
+    except InvalidConfigError as exc:
+        return ("error", str(exc))
+    return (inst.nodes, [tuple(map(type, nd.true_pos)) for nd in inst.nodes],
+            [(a.dtype, a.tobytes()) for a in inst.edge_arrays()])
+
+
 class TestGenerateBuilding:
+    @settings(max_examples=100, deadline=None, database=None,
+              derandomize=True)
+    @given(config=_building_configs())
+    # the flagship; the benchmark building with its stairwell in the middle;
+    # a crossing grid finer than the separation, where points clash across
+    # corridors and stair points; staggered corridors 0.04 apart, whose
+    # points clash on the diagonal, 0.057 apart
+    @example(config=flagship_building_config())
+    @example(config=BuildingConfig(
+        floors=3, floor_spacing=0.8, corridors_per_floor=4, node_spacing=0.9,
+        corridor_spacing=0.45, extent=266 * 0.9,
+        connector_columns=((round(133 * 0.9, 12), 0.675),)))
+    @example(config=BuildingConfig(
+        floors=2, corridors_per_floor=(2, 2), node_spacing=0.03,
+        corridor_spacing=0.04, extent=1.0, connector_columns=((0.5, 0.02),)))
+    @example(config=BuildingConfig(
+        floors=2, corridors_per_floor=(2, 2), node_spacing=0.08,
+        corridor_spacing=0.04, extent=1.0))
+    def test_matches_per_node_reference(self, config):
+        assert _generated(generate_building, config) == \
+            _generated(_reference_generate_building, config)
+
+    def test_separation_per_floor_on_both_axes_over_kept_points(self):
+        # One floor, in emission order: (0, 0) and (0.08, 0) on the
+        # x-parallel corridor; (0, 0) again, dropped, and (0, 0.08) on the
+        # first y-parallel one; (0.04, 0.04) on the second, 0.057 from
+        # (0, 0) but within 0.05 on both axes, dropped; (0.08, 0) again,
+        # dropped, and (0.08, 0.08) on the third, within 0.05 of the dropped
+        # (0.04, 0.04) only, kept. The floors are 0.04 apart, so a rule
+        # across floors would drop the whole second floor.
+        cfg = BuildingConfig(floors=2, floor_spacing=0.04,
+                             corridors_per_floor=(1, 3), node_spacing=0.08,
+                             corridor_spacing=0.04, extent=0.1)
+        inst = generate_building(cfg)
+        layout = [((0.0, 0.0), 1), ((0.08, 0.0), 1), ((0.0, 0.08), 2),
+                  ((0.08, 0.08), 4)]
+        assert [(nd.true_pos, nd.line_group, nd.plane_group)
+                for nd in inst.nodes] == \
+            [((*xy, z), line + 4 * f, f + 1)
+             for f, z in enumerate((0.0, 0.04)) for xy, line in layout]
+
+    def test_non_finite_corridor_spacing_rejected(self):
+        with pytest.raises(InvalidConfigError):
+            generate_building(BuildingConfig(corridor_spacing=float("nan")))
+        with pytest.raises(InvalidConfigError):
+            generate_building(BuildingConfig(
+                corridors_per_floor=(0, 3), corridor_spacing=1e308))
+
     def test_every_node_has_vertical_interplanar_edge(self):
         cfg = BuildingConfig(floors=3, floor_spacing=0.8, corridors_per_floor=2,
                              node_spacing=0.9, corridor_spacing=0.45,
