@@ -21,7 +21,7 @@ from .intervals import (Graph, InducedClaw, InducedNet, LinearOrder,
                         unit_interval_order)
 from .model import (BuildingConfig, GroupingFunction, Hyperplane,
                     NetworkInstance, NodeRecord, PointFormation, build_udg,
-                    classify_edge, flagship_building_config,
+                    flagship_building_config,
                     generate_building, load_network, network_from_json_dict,
                     network_to_json_dict, save_network, strip_ground_truth)
 from .quadloc import (LocalizationTrace, SeedTetrahedron, find_seed_k4,
@@ -35,7 +35,7 @@ __all__ = [
     "InducedNet", "LinearOrder", "LocalizationTrace", "NetworkInstance",
     "NodeRecord", "PointFormation", "ScenarioConfig", "SeedTetrahedron",
     "align_isometry", "bench_scaling", "build_gadget", "build_udg",
-    "classify_edge", "compute_group_transform", "enumerate_groupings",
+    "compute_group_transform", "enumerate_groupings",
     "find_claw", "find_net", "find_seed_k4", "flagship_building_config",
     "generate_building", "hamiltonian_oracle", "hierarchical_localize",
     "lift_to_3d", "load_network", "localize_collinear_group",

@@ -180,7 +180,8 @@ class _GroupArrays:
     near: np.ndarray        # per edge: its member's index in ids, or -1
     far: np.ndarray         # per edge: the far end's formation row
     length: np.ndarray      # per edge: the measured length
-    keys: np.ndarray        # sorted near * formation rows + far, near >= 0
+    keys: np.ndarray        # sorted near * formation rows + far, near >= 0,
+                            # then a sentinel above every such key
 
 
 class _GroupSolver:
@@ -208,6 +209,7 @@ class _GroupSolver:
             self.group_of_row[self.formation.rows_of(mem)] = g
         self.arrays = {g: self._build_arrays(g) for g in self.members}
         self.states = {g: GroupLocalState(group=g) for g in self.members}
+        self.gauge, self.placed = True, 0
         if seed_group is None:
             seed_group = min(self.members,
                              key=lambda g: (-len(self.members[g]), g))
@@ -237,15 +239,13 @@ class _GroupSolver:
             local=local.array(ids) if ids else np.zeros((0, self.d - 1)),
             starts=np.searchsorted(owner, np.arange(len(members) + 1)),
             near=near, far=far, length=self.inst.length[slots],
-            keys=np.sort(near[measured] * len(self.formation.ids)
-                         + far[measured]))
-
-    def _group_adjacent_to(self, g: int, h: int) -> bool:
-        return bool(np.any(self.group_of_row[self.arrays[g].far] == h))
+            keys=np.append(np.sort(near[measured] * len(self.formation.ids)
+                                   + far[measured]), np.iinfo(np.intp).max))
 
     def _apply_transform(self, g: int, transform: GroupTransform,
                          supports: list[tuple[int, np.ndarray]]) -> None:
         arr = self.arrays[g]
+        self.placed += 1
         self.formation.mark_many(arr.ids, transform.apply(arr.local))
         self.states[g] = GroupLocalState(g, "localized", supports, transform)
 
@@ -254,37 +254,39 @@ class _GroupSolver:
     def _place_group(self, g: int, rows: list[int],
                      cands: list[list[np.ndarray]]) -> None:
         """Place group g from its d supports' local ``rows`` and candidate
-        positions; raise if no mirror combination survives, or if several
-        do and the mirror between them is not a free global reflection."""
+        positions: the first surviving mirror combination while the mirror
+        is a free global reflection, else the only one; raise otherwise."""
         arr = self.arrays[g]
         locs = arr.local[rows]
-        survivors = []
+        survivor = None
         for combo in itertools.product(*[range(len(c)) for c in cands]):
             ambient = np.array([c[ci] for c, ci in zip(cands, combo)])
             try:
                 transform = compute_group_transform(locs, ambient, eps=self.eps)
             except (NonIsometricCorrespondenceError, DegenerateSupportsError):
                 continue
-            if self._check_placement(g, transform):
-                survivors.append((combo, transform))
-        if not survivors:
-            raise InconsistentDistancesError(
-                "no mirror-candidate combination reproduces the measurements",
-                group=g)
-        if len(survivors) > 1:
-            if self._is_reflection_gauge():
-                survivors.sort(key=lambda s: s[0])
-            else:
+            if not self._check_placement(g, transform, rows):
+                continue
+            if survivor is not None:
                 raise AmbiguousPlacementError(
                     "multiple placements survive all distance constraints",
                     group=g)
-        _, transform = survivors[0]
-        self._apply_transform(g, transform, list(zip(
-            [arr.ids[i] for i in rows], transform.apply(locs))))
+            survivor = transform
+            if self._is_reflection_gauge():
+                break
+        if survivor is None:
+            raise InconsistentDistancesError(
+                "no mirror-candidate combination reproduces the measurements",
+                group=g)
+        self._apply_transform(g, survivor, list(zip(
+            [arr.ids[i] for i in rows], survivor.apply(locs))))
 
-    def _check_placement(self, g: int, transform: GroupTransform) -> bool:
+    def _check_placement(self, g: int, transform: GroupTransform,
+                         rows: Sequence[int] = ()) -> bool:
         """True if group g's positions under the transform satisfy every
-        measured edge to the localized set and violate no unit-disk non-edge."""
+        measured edge to the localized set and violate no unit-disk
+        non-edge; the support ``rows``' non-edges, the likeliest to fail,
+        are tested first by the same arithmetic."""
         arr = self.arrays[g]
         f = self.formation
         if not f.mask.any():
@@ -304,19 +306,28 @@ class _GroupSolver:
         lo, hi = pts.min(axis=0), pts.max(axis=0)
         near = np.flatnonzero(f.mask & np.all(
             (f.points - hi <= reach) & (lo - f.points <= reach), axis=1))
+
+        def all_measured(i, j):
+            pairs = i * len(f.ids) + near[j]
+            return np.all(arr.keys[np.searchsorted(arr.keys, pairs)] == pairs)
+
+        i = np.repeat(np.asarray(rows, dtype=int), len(near))
+        j = np.tile(np.arange(len(near)), len(rows))
+        hit = np.linalg.norm(pts[i] - f.points[near[j]], axis=-1) <= reach
+        if not all_measured(i[hit], j[hit]):
+            return False
         i, j, _ = cross_pairs(pts, f.points[near], reach, eps=0.0)
-        pairs = i * len(f.ids) + near[j]
-        at = np.searchsorted(arr.keys, pairs)
-        found = at < len(arr.keys)
-        found[found] = arr.keys[at[found]] == pairs[found]
-        return bool(found.all())
+        return bool(all_measured(i, j))
 
     def _is_reflection_gauge(self) -> bool:
         """True while every localized node lies in one hyperplane, so a
-        mirror across it is still a global isometry (free choice)."""
-        pts = self.formation.points[self.formation.mask]
-        return len(pts) <= self.d or \
-            np.linalg.matrix_rank(pts[1:] - pts[0], tol=1e-9) < self.d
+        mirror across it is still a global isometry (free choice): always
+        while the seed group alone is placed, and never again once false."""
+        if self.gauge and self.placed > 1:
+            pts = self.formation.points[self.formation.mask]
+            self.gauge = len(pts) <= self.d or \
+                np.linalg.matrix_rank(pts[1:] - pts[0], tol=1e-9) < self.d
+        return self.gauge
 
     # -- phases ---------------------------------------------------------------
 
@@ -364,7 +375,8 @@ class _GroupSolver:
         # Phase A: groups adjacent to the seed, supports anchored in the seed.
         placed = False
         for g in sorted(self.members):
-            if g != self.seed and self._group_adjacent_to(g, self.seed):
+            if g != self.seed and np.any(
+                    self.group_of_row[self.arrays[g].far] == self.seed):
                 placed |= self._scan_group(g, group_filter=self.seed,
                                            min_anchors=self.d)
         if len(self.members) > 1 and not placed:
@@ -395,9 +407,11 @@ def localize_groups(instance: NetworkInstance, grouping: GroupingFunction,
 
     Phase A fixes support vertices of seed-adjacent groups from d anchors in
     the seed group (a mirror pair each), in member order; the first d with
-    affinely independent local rows decide the group: it is placed by the
-    one surviving mirror combination's transform, which also gives its
-    plane, or rejected as inconsistent-distances or ambiguous-placement.
+    affinely independent local rows decide the group. Its mirror
+    combinations are checked in order: while the localized nodes lie in
+    one hyperplane the first survivor is placed, otherwise the only one is,
+    and a second is ambiguous-placement; none is inconsistent-distances.
+    The placing transform also gives the group's plane.
     Phase B places the remaining groups from nodes with d+1
     localized-neighbor notifications. Raises a not-localizable error,
     naming the seed group, when phase A places nothing beyond the seed.

@@ -578,6 +578,8 @@ class BuildingConfig:
             raise InvalidConfigError("radius must be positive")
         if not (0 < self.node_spacing <= self.radius):
             raise InvalidConfigError("node_spacing must be in (0, radius]")
+        if not math.isfinite(self.floor_spacing):
+            raise InvalidConfigError("floor_spacing must be finite")
         if self.floors > 1 and not (0 < self.floor_spacing <= self.radius):
             raise InvalidConfigError("floor_spacing must be in (0, radius]")
         if self.extent <= 0 or self.corridor_spacing <= 0:
@@ -711,28 +713,6 @@ def flagship_building_config(seed: int = 42) -> BuildingConfig:
         extent=6.3,
         stagger=True,
     )
-
-
-# ---------------------------------------------------------------------------
-# edge classification
-# ---------------------------------------------------------------------------
-
-EDGE_COLLINEAR = "collinear"
-EDGE_INTERLINEAR = "interlinear"
-EDGE_INTERPLANAR = "interplanar"
-
-
-def classify_edge(instance: NetworkInstance, u: int, v: int) -> str:
-    """collinear, interlinear-but-coplanar, or interplanar."""
-    a, b = instance.nodes[u], instance.nodes[v]
-    if a.plane_group is None or a.line_group is None \
-            or b.plane_group is None or b.line_group is None:
-        raise InvalidInputError("both grouping levels required to classify edges")
-    if a.plane_group != b.plane_group:
-        return EDGE_INTERPLANAR
-    if a.line_group != b.line_group:
-        return EDGE_INTERLINEAR
-    return EDGE_COLLINEAR
 
 
 # ---------------------------------------------------------------------------

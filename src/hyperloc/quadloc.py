@@ -7,7 +7,6 @@ least-squares solution of the linearized sphere system.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,21 +20,14 @@ from .model import DEFAULT_EPS, NetworkInstance, PointFormation
 DEFAULT_TAU = 1e-12
 
 
-def cayley_menger(d2: np.ndarray) -> float:
-    """Cayley-Menger determinant of a squared-distance matrix (4 points)."""
-    k = d2.shape[0]
-    m = np.ones((k + 1, k + 1))
-    m[0, 0] = 0.0
-    m[1:, 1:] = d2
-    return float(np.linalg.det(m))
-
-
-def _pairwise_sq(instance: NetworkInstance, quad) -> np.ndarray:
-    d2 = np.zeros((4, 4))
-    for i, j in itertools.combinations(range(4), 2):
-        d = instance.dist(quad[i], quad[j])
-        d2[i, j] = d2[j, i] = d * d
-    return d2
+def cayley_menger(d2: np.ndarray) -> float | np.ndarray:
+    """Cayley-Menger determinant of a squared-distance matrix (4 points), or
+    an array of them for a stack of matrices."""
+    m = np.ones(d2.shape[:-2] + (d2.shape[-1] + 1,) * 2)
+    m[..., 0, 0] = 0.0
+    m[..., 1:, 1:] = d2
+    det = np.linalg.det(m)
+    return det if det.ndim else float(det)
 
 
 @dataclass(frozen=True)
@@ -62,34 +54,78 @@ class LocalizationTrace:
         return len(self.steps)
 
 
+def _is_flat(cm: float, dmax: float, tau: float) -> bool:
+    # on Python floats: NumPy's vector power may round dmax ** 6 otherwise
+    return dmax == 0 or abs(cm) / dmax ** 6 <= tau
+
+
 def is_degenerate_tetra(dists: np.ndarray, tau: float = DEFAULT_TAU) -> bool:
     """True if the 6-distance tuple is not realizable as a proper tetrahedron."""
     d2 = np.asarray(dists, dtype=float)
-    cm = cayley_menger(d2)
-    dmax = float(np.sqrt(d2.max()))
-    if dmax == 0:
-        return True
-    return abs(cm) / dmax ** 6 <= tau
+    return _is_flat(cayley_menger(d2), float(np.sqrt(d2.max())), tau)
+
+
+def _ranges(count: np.ndarray, size: int, cap: int):
+    """Consecutive ranges ``[lo, hi)`` of ``count``'s indices whose sums
+    start near ``size`` and double up to ``cap``, or hold one index."""
+    end = np.cumsum(count)
+    lo = 0
+    while lo < len(count):
+        hi = max(int(np.searchsorted(end, end[lo] - count[lo] + size,
+                                     side="right")), lo + 1)
+        yield lo, hi
+        lo, size = hi, min(2 * size, cap)
 
 
 def find_seed_k4(instance: NetworkInstance,
                  tau: float = DEFAULT_TAU) -> SeedTetrahedron | None:
-    """Lexicographically smallest 4-clique realizing a proper tetrahedron."""
-    n = instance.n
-    for i in range(n):
-        ni = [v for v in instance.neighbors(i) if v > i]
-        for a, j in enumerate(ni):
-            common_ij = [v for v in ni[a + 1:] if instance.has_edge(j, v)]
-            for b, k in enumerate(common_ij):
-                for l in common_ij[b + 1:]:
-                    if not instance.has_edge(k, l):
-                        continue
-                    quad = (i, j, k, l)
-                    d2 = _pairwise_sq(instance, quad)
-                    if is_degenerate_tetra(d2, tau):
-                        continue
-                    pos = place_seed(np.sqrt(d2), tau=tau)
-                    return SeedTetrahedron(vertices=quad, positions=pos)
+    """Lexicographically smallest 4-clique realizing a proper tetrahedron.
+
+    The 4-cliques ``i < j < k < l`` are built in that order from the edges
+    ``a < b``, in blocks: edge ``(i, j)`` with each later ``(i, k)`` of row
+    i is a triangle if ``(j, k)`` is an edge, and a triangle with each later
+    ``(i, l)`` a 4-clique if ``(j, l)`` and ``(k, l)`` are. A block holds
+    O(n + m) candidates, so a graph with no seed is scanned in that memory.
+    """
+    graph = instance.graph
+    a, b, slot = graph.edge_ends()
+    n, m = instance.n, len(a)
+    key = a * n + b                         # ascending, as the edges are
+    later = graph.start[a + 1] - slot - 1   # the rest of ascending row a
+    pairs = np.triu_indices(4, 1)           # (0, 1), (0, 2), ..., (2, 3)
+
+    def edge(u, v):     # the index of each edge (u[t], v[t]), if it is one
+        at = np.minimum(np.searchsorted(key, u * n + v), m - 1)
+        return at, key[at] == u * n + v
+
+    def extend(e):      # each edge e[t] = (i, x) with each later one of row i
+        c = later[e]
+        t = np.repeat(np.arange(len(e)), c)
+        return t, np.arange(len(t)) + np.repeat(e + 1 - np.cumsum(c) + c, c)
+
+    cap = 2 * (n + m)
+    for lo, hi in _ranges(later, 256, cap):
+        t, ik = extend(np.arange(lo, hi))
+        jk, ok = edge(b[t + lo], b[ik])
+        ij, ik, jk = t[ok] + lo, ik[ok], jk[ok]
+        for lo2, hi2 in _ranges(later[ik], cap, cap):
+            t, il = extend(ik[lo2:hi2])
+            t += lo2
+            jl, ok = edge(b[ij[t]], b[il])
+            kl, ok_k = edge(b[ik[t]], b[il])
+            # each 4-clique's edges, in the order of ``pairs``
+            six = np.stack([ij[t], ik[t], il, jk[t], jl, kl], 1)[ok & ok_k]
+            length = instance.length[slot[six]]
+            d2 = np.zeros((len(six), 4, 4))
+            d2[:, pairs[0], pairs[1]] = d2[:, pairs[1], pairs[0]] = \
+                length * length
+            top = np.sqrt(d2.max(axis=(1, 2), initial=0.0)).tolist()
+            for q, cm in enumerate(cayley_menger(d2).tolist()):
+                if not _is_flat(cm, top[q], tau):
+                    quad = (a[six[q, 0]], *b[six[q, :3]])
+                    return SeedTetrahedron(
+                        vertices=tuple(int(v) for v in quad),
+                        positions=place_seed(np.sqrt(d2[q]), tau=tau))
     return None
 
 

@@ -208,3 +208,12 @@ def test_generate_rejects_non_finite_corridor_spacing(tmp_path, capsys):
     cfg.write_text('{"corridor_spacing": NaN}')
     assert main(["generate", "--config", str(cfg)]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "invalid-config"
+
+
+@pytest.mark.parametrize("spacing", ["NaN", "Infinity"])
+def test_generate_rejects_non_finite_floor_spacing(tmp_path, capsys, spacing):
+    # a one-floor config once generated its nodes at z = nan
+    cfg = tmp_path / "floor.json"
+    cfg.write_text('{"floors": 1, "floor_spacing": %s}' % spacing)
+    assert main(["generate", "--config", str(cfg)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "invalid-config"

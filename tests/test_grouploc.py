@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hyperloc import grouploc
-from hyperloc.errors import (ChordInconsistencyError,
+from hyperloc.errors import (AmbiguousPlacementError, ChordInconsistencyError,
                              InconsistentDistancesError, InvalidInputError,
                              NotLocalizableError)
 from hyperloc.grouploc import (NONEDGE_MARGIN, GroupTransform,
@@ -301,8 +301,8 @@ class TestPlacementCheckReference:
         seen = []
         fast = grouploc._GroupSolver._check_placement
 
-        def both(solver, g, transform):
-            got = fast(solver, g, transform)
+        def both(solver, g, transform, *rows):
+            got = fast(solver, g, transform, *rows)
             seen.append((got, _reference_check_placement(solver, g,
                                                          transform)))
             return got
@@ -352,7 +352,43 @@ class TestPlacementCheckReference:
         assert verdicts and all(a == b for a, b in verdicts)
 
 
+def corridor_beside_a_spanned_floor(left=True):
+    """Seed corridor 2 along y = 0; corridor 3 beside its right end,
+    anchored only on it; with ``left``, corridor 1 beside its left end."""
+    rows = [(2, 0.0, [0.9 * k for k in range(11)]), (3, 0.45, [7.65, 8.55])]
+    if left:
+        rows.append((1, 0.45, [0.45, 1.35]))
+    pts, labels = [], {}
+    for label, y, xs in rows:
+        for x in xs:
+            labels[len(pts)] = label
+            pts.append((x, y))
+    grouping = GroupingFunction(labels)
+    local = {}
+    for g in grouping.groups:
+        members = grouping.members(g)
+        local[g] = PointFormation(1, members)
+        local[g].mark_many(members, [(pts[u][0],) for u in members])
+    return build_udg(pts, 1.0), grouping, local
+
+
 class TestLocalizeGroups:
+    def test_mirror_after_the_plane_is_spanned_is_ambiguous(self):
+        # corridor 1 is placed first, so the localized set spans the plane;
+        # both mirrors of corridor 3 across the seed line then survive
+        inst, grouping, local = corridor_beside_a_spanned_floor()
+        with pytest.raises(AmbiguousPlacementError) as exc:
+            localize_groups(inst, grouping, local, d=2)
+        assert exc.value.code == "ambiguous-placement"
+        assert exc.value.group == 3
+
+    def test_mirror_on_a_line_is_a_free_choice(self):
+        inst, grouping, local = corridor_beside_a_spanned_floor(left=False)
+        formation, states = localize_groups(inst, grouping, local, d=2)
+        assert states[3].status == "localized"
+        # the first mirror combination: the positive side of the seed line
+        assert np.all(formation.array(grouping.members(3))[:, 1] > 0)
+
     def test_two_parallel_corridors(self):
         inst, grouping, local, pts = two_parallel_corridors()
         formation, states = localize_groups(inst, grouping, local, d=2)
@@ -373,6 +409,41 @@ class TestLocalizeGroups:
         with pytest.raises(NotLocalizableError) as exc:
             localize_groups(inst, grouping, local, d=2)
         assert exc.value.group == 2     # the seed: group 2 is the larger
+
+
+class TestPlacementWork:
+    def test_checks_and_non_edge_queries_on_the_bench_building(
+            self, monkeypatch):
+        """A search stops at its first survivor while the mirror is free,
+        a mirror whose supports land on localized nodes is rejected before
+        the full non-edge query (19 checks and 16 queries before), and the
+        reflection gauge costs no rank test while only the seed is placed
+        or once the localized nodes span the space."""
+        checks, queries, ranks = [], [], []
+        check = grouploc._GroupSolver._check_placement
+        query = grouploc.cross_pairs
+        rank = np.linalg.matrix_rank
+
+        def counted_check(solver, *args):
+            checks.append(solver.d)
+            return check(solver, *args)
+
+        def counted_query(*args, **kwargs):
+            queries.append(args)
+            return query(*args, **kwargs)
+
+        monkeypatch.setattr(grouploc._GroupSolver, "_check_placement",
+                            counted_check)
+        def counted_rank(*args, **kwargs):
+            ranks.append(args)
+            return rank(*args, **kwargs)
+
+        monkeypatch.setattr(grouploc, "cross_pairs", counted_query)
+        monkeypatch.setattr(np.linalg, "matrix_rank", counted_rank)
+        hierarchical_localize(strip_ground_truth(_bench_building(0)))
+        assert (checks.count(2), checks.count(3), len(queries)) == (12, 3, 11)
+        # 14 support independence tests and 4 gauge tests
+        assert len(ranks) == 18
 
 
 def _result_digest(results):

@@ -11,7 +11,7 @@ from hyperloc.errors import InvalidConfigError, InvalidInputError
 from hyperloc.model import (DEFAULT_EPS, BuildingConfig, GroupingFunction,
                             Hyperplane,
                             NetworkInstance, NodeRecord, PointFormation,
-                            build_udg, classify_edge, cross_pairs,
+                            build_udg, cross_pairs,
                             flagship_building_config, generate_building,
                             make_rng, network_from_json_dict,
                             network_to_json_dict, strip_ground_truth,
@@ -574,6 +574,19 @@ class TestGenerateBuilding:
             generate_building(BuildingConfig(
                 corridors_per_floor=(0, 3), corridor_spacing=1e308))
 
+    @pytest.mark.parametrize("spacing", [float("nan"), float("inf")])
+    def test_non_finite_floor_spacing_rejected_on_any_floor_count(self,
+                                                                  spacing):
+        # one floor once generated its nodes at z = nan with no edges
+        for floors in (1, 2):
+            with pytest.raises(InvalidConfigError):
+                generate_building(BuildingConfig(floors=floors,
+                                                 floor_spacing=spacing))
+
+    def test_one_floor_ignores_the_floor_spacing_range(self):
+        inst = generate_building(BuildingConfig(floor_spacing=5.0))
+        assert inst.n == 6 and inst.positions()[:, 2].tolist() == [0.0] * 6
+
     def test_every_node_has_vertical_interplanar_edge(self):
         cfg = BuildingConfig(floors=3, floor_spacing=0.8, corridors_per_floor=2,
                              node_spacing=0.9, corridor_spacing=0.45,
@@ -641,6 +654,14 @@ class TestGenerateBuilding:
             counts[classify_edge(inst, u, v)] += 1
         assert sum(counts.values()) == inst.m
         assert all(c > 0 for c in counts.values())
+
+
+def classify_edge(inst, u, v):
+    """collinear, interlinear-but-coplanar, or interplanar."""
+    a, b = inst.nodes[u], inst.nodes[v]
+    if a.plane_group != b.plane_group:
+        return "interplanar"
+    return "interlinear" if a.line_group != b.line_group else "collinear"
 
 
 class TestStripGroundTruth:

@@ -6,10 +6,11 @@ import pytest
 from hyperloc.errors import (DegenerateAnchorsError, DegenerateDistancesError,
                              InconsistentDistancesError, NoSeedError)
 from hyperloc.evaluate import random_dense_instance
-from hyperloc.model import (BuildingConfig, build_udg,
+from hyperloc.model import (BuildingConfig, NetworkInstance, NodeRecord,
+                            build_udg,
                             flagship_building_config, generate_building,
                             make_rng, strip_ground_truth)
-from hyperloc.quadloc import (cayley_menger, find_seed_k4,
+from hyperloc.quadloc import (_ranges, cayley_menger, find_seed_k4,
                               is_degenerate_tetra, multilaterate, place_seed,
                               quadrilaterate, solve_spheres)
 
@@ -36,6 +37,33 @@ def brute_force_seed(inst):
     return None
 
 
+def seed_by_neighbourhoods(inst):
+    """``brute_force_seed`` on each vertex's closed upper neighbourhood in
+    turn: the first seed with first vertex i lies in the one of i, and comes
+    there before every 4-subset without i."""
+    for i in range(inst.n):
+        ids = [i] + [v for v in inst.neighbors(i) if v > i]
+        edges = [(a, b, inst.dist(ids[a], ids[b]))
+                 for a, b in itertools.combinations(range(len(ids)), 2)
+                 if inst.has_edge(ids[a], ids[b])]
+        sub = NetworkInstance([NodeRecord(id=k) for k in range(len(ids))],
+                              edges, inst.radius)
+        quad = brute_force_seed(sub)
+        if quad is not None and quad[0] == 0:
+            return tuple(ids[k] for k in quad)
+    return None
+
+
+def bench_building(floors=3, offset=0):
+    """The benchmark's 3 x 4 building, stairwell ``offset`` grid steps from
+    the middle; or its first floors alone."""
+    return generate_building(BuildingConfig(
+        floors=floors, floor_spacing=0.8, corridors_per_floor=4,
+        node_spacing=0.9, corridor_spacing=0.45, extent=266 * 0.9,
+        stagger=True,
+        connector_columns=((round((133 + offset) * 0.9, 12), 0.675),)))
+
+
 class TestFindSeedK4:
     def test_regular_tetrahedron(self):
         pts = [(0, 0, 0), (1, 0, 0), (0.5, np.sqrt(3) / 2, 0),
@@ -60,6 +88,41 @@ class TestFindSeedK4:
         # five K4s before the seed lie in the first floor: all coplanar
         inst = generate_building(flagship_building_config())
         assert find_seed_k4(inst).vertices == brute_force_seed(inst)
+
+    def test_neighbourhood_oracle_matches_brute_force(self):
+        for seed in range(3):
+            inst = random_dense_instance(20, seed=seed)
+            assert seed_by_neighbourhoods(inst) == brute_force_seed(inst)
+
+    @pytest.mark.parametrize("offset", [-40, 0, 40])
+    def test_bench_building_seed_past_the_first_blocks(self, offset):
+        # the seed's first vertex is the stairwell node at 133 + offset
+        inst = bench_building(offset=offset)
+        seed = find_seed_k4(inst)
+        assert seed.vertices == seed_by_neighbourhoods(inst)
+        assert seed.vertices[0] == 133 + offset
+
+    def test_one_floor_of_the_bench_building_has_none(self):
+        inst = bench_building(floors=1)
+        assert find_seed_k4(inst) is None
+        assert seed_by_neighbourhoods(inst) is None
+        # not for want of 4-cliques: every one of them is coplanar
+        k4 = sum(all(inst.has_edge(u, v) for u, v in
+                     itertools.combinations(three, 2))
+                 for i in range(inst.n) for three in itertools.combinations(
+                     [v for v in inst.neighbors(i) if v > i], 3))
+        assert k4 > 100
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_blocks_cover_every_index_once_within_the_cap(self, seed):
+        count = make_rng(seed).integers(0, 40, size=500)
+        count[::97] = 300                   # single indices over the cap
+        got = list(_ranges(count, 64, 256))
+        assert [lo for lo, _ in got] == [0] + [hi for _, hi in got[:-1]]
+        assert got[-1][1] == len(count)
+        sums = [int(count[lo:hi].sum()) for lo, hi in got]
+        assert all(s <= 256 or hi - lo == 1 for s, (lo, hi) in zip(sums, got))
+        assert sums[0] <= 64 or got[0] == (0, 1)
 
     def test_random_dense_membership_and_volume(self):
         inst = random_dense_instance(50, seed=3)
