@@ -17,8 +17,7 @@ from .grouploc import (GroupLocalState, GroupTransform, HierarchicalResult,
                        localize_collinear_group, localize_groups,
                        localize_path, localize_support_vertex)
 from .intervals import (Graph, InducedClaw, InducedNet, LinearOrder,
-                        find_claw, find_net, hamiltonian_oracle,
-                        unit_interval_order)
+                        find_claw, find_net, unit_interval_order)
 from .model import (BuildingConfig, GroupingFunction, Hyperplane,
                     NetworkInstance, NodeRecord, PointFormation, build_udg,
                     flagship_building_config,
@@ -37,7 +36,7 @@ __all__ = [
     "align_isometry", "bench_scaling", "build_gadget", "build_udg",
     "compute_group_transform", "enumerate_groupings",
     "find_claw", "find_net", "find_seed_k4", "flagship_building_config",
-    "generate_building", "hamiltonian_oracle", "hierarchical_localize",
+    "generate_building", "hierarchical_localize",
     "lift_to_3d", "load_network", "localize_collinear_group",
     "localize_groups", "localize_path", "localize_support_vertex",
     "multilaterate", "network_from_json_dict", "network_to_json_dict",

@@ -541,7 +541,8 @@ class _ConfigChecker:
             g, FlipConfiguration(vertical=(bool(s & 1),) * n,
                                  horizontal=(bool(s >> 1),) * n),
             [1 if s & 1 else -1] * len(g._wires)) for s in range(4)]
-        rows = [np.arange(n2), np.r_[a.flips, a.tokens], a.flips, a.flips]
+        rows = [np.arange(n2), np.concatenate([a.flips, a.tokens]), a.flips,
+                a.flips]
         cloud = np.vstack([p[r] for p, r in zip(placed, rows)])
         node = np.concatenate(rows)
         state = np.repeat(np.arange(4), [len(r) for r in rows])
@@ -555,7 +556,7 @@ class _ConfigChecker:
 
         def among(keys, q):
             # membership of q in the sorted keys, without hashing
-            return np.r_[keys, -1][np.searchsorted(keys, q)] == q
+            return np.append(keys, -1)[np.searchsorted(keys, q)] == q
 
         apex = np.zeros(n_inst, dtype=bool)
         apex[a.apexes] = True
@@ -567,8 +568,9 @@ class _ConfigChecker:
             for layer, m in zip(out, (np.ones(len(x), dtype=bool),
                                       apex[x] & apex[y],
                                       among(links, key(x, y)))):
-                np.add.at(layer, (np.r_[i[m], j[m]], np.r_[j[m], i[m]]),
-                          np.r_[weight[m], weight[m]])
+                ij = np.concatenate([i[m], j[m]])
+                ji = np.concatenate([j[m], i[m]])
+                np.add.at(layer, (ij, ji), np.tile(weight[m], 2))
 
         eu, ev, _ = inst.edge_arrays()
         # miss: recorded edges, less those in range, plus non-edges in range
@@ -580,11 +582,12 @@ class _ConfigChecker:
         # each position with itself, stands for every pair of their rows
         by_pos = np.lexsort(cloud.T[::-1])
         ordered = cloud[by_pos]
-        first = np.flatnonzero(
-            np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)])
-        count = np.diff(np.r_[first, len(ordered)])
+        first = np.flatnonzero(np.concatenate(
+            [[True], (ordered[1:] != ordered[:-1]).any(axis=1)]))
+        count = np.diff(first, append=len(ordered))
         pu, pv, _ = udg_edges(ordered[first], RADIUS)
-        pu, pv = np.r_[pu, :len(first)], np.r_[pv, :len(first)]
+        pu = np.concatenate([pu, np.arange(len(first))])
+        pv = np.concatenate([pv, np.arange(len(first))])
         reps = count[pu] * count[pv]
         du, dv = np.divmod(np.arange(reps.sum())
                            - np.repeat(np.cumsum(reps) - reps, reps),
@@ -661,9 +664,10 @@ def enumerate_groupings(g: GadgetInstance) -> list[FlipConfiguration]:
                               *sides])
     blk_a, blk_b = np.nonzero(np.triu(~exact.all(axis=(1, 3))))
     valid = exact[blk_a, states[:, blk_a], blk_b, states[:, blk_b]].all(axis=1)
-    return [FlipConfiguration(vertical=tuple(bool(s & 1) for s in row),
-                              horizontal=tuple(bool(s >> 1) for s in row))
-            for row in lines[valid].tolist()]
+    rows = lines[valid]
+    bits = np.stack([rows & 1, rows >> 1], axis=1).astype(bool).tolist()
+    return [FlipConfiguration(vertical=tuple(v), horizontal=tuple(h))
+            for v, h in bits]
 
 
 # ---------------------------------------------------------------------------
@@ -677,13 +681,14 @@ def verify_equivalence(g: GadgetInstance) -> dict:
     colorable = bool(colorings)
     configs = enumerate_groupings(g)
     groupable = bool(configs)
+    # bits[k]: configuration k's vertical and horizontal rows
+    bits = np.array([c.vertical + c.horizontal for c in configs],
+                    dtype=np.intp).reshape(-1, 2, g.hypergraph.n_vertices)
+    names = np.array([COLOR_NAMES[RED], COLOR_NAMES[BLUE]])
+    colors = names[np.asarray(g.base_coloring, dtype=np.intp) ^ bits[:, 0]]
     correspondence = [
-        {
-            "vertical": [int(b) for b in c.vertical],
-            "horizontal": [int(b) for b in c.horizontal],
-            "coloring": [COLOR_NAMES[ci] for ci in g.coloring_of(c)],
-        }
-        for c in configs
+        {"vertical": v, "horizontal": h, "coloring": c}
+        for (v, h), c in zip(bits.tolist(), colors.tolist())
     ]
     return {
         "colorable": colorable,

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, NoHamiltonianPathError, SizeLimitError
+from .errors import InvalidInputError, NoHamiltonianPathError
 
 
 def _rows(n: int, a: np.ndarray, b: np.ndarray
@@ -319,100 +319,6 @@ def find_net(graph: Graph) -> InducedNet | None:
                         return InducedNet(
                             triangle=(nodes[a], nodes[b], nodes[c]),
                             pendants=(nodes[x], nodes[y], nodes[z]))
-    return None
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracles
-# ---------------------------------------------------------------------------
-
-def claw_oracle(graph: Graph) -> InducedClaw | None:
-    """Exhaustive 4-subset scan; first claw by (center, sorted leaves)."""
-    best = None
-    for quad in itertools.combinations(graph.nodes, 4):
-        for c in quad:
-            leaves = tuple(sorted(u for u in quad if u != c))
-            if all(graph.has_edge(c, u) for u in leaves) and \
-                    not any(graph.has_edge(u, v)
-                            for u, v in itertools.combinations(leaves, 2)):
-                key = (c, leaves)
-                if best is None or key < best:
-                    best = key
-    if best is None:
-        return None
-    return InducedClaw(center=best[0], leaves=best[1])
-
-
-def net_oracle(graph: Graph) -> InducedNet | None:
-    """Exhaustive net search; first net by (triangle, pendants).
-
-    Triangles are scanned in index order; for each, only the private
-    neighbours of its corners (adjacent to that corner alone) can be its
-    pendants, tried in index order until three are pairwise non-adjacent.
-    """
-    nodes = graph.nodes
-    idx = {u: i for i, u in enumerate(nodes)}
-    bits = [sum(1 << idx[v] for v in graph.adj[u]) for u in nodes]
-
-    def members(mask: int) -> list[int]:
-        return [i for i in range(mask.bit_length()) if (mask >> i) & 1]
-
-    for a in range(len(nodes)):
-        for b in members(bits[a] >> (a + 1) << (a + 1)):
-            for c in members((bits[a] & bits[b]) >> (b + 1) << (b + 1)):
-                private = [members(bits[u] & ~bits[v] & ~bits[w])
-                           for u, v, w in ((a, b, c), (b, a, c), (c, a, b))]
-                for x, y, z in itertools.product(*private):
-                    if not ((bits[x] >> y) & 1 or (bits[x] >> z) & 1
-                            or (bits[y] >> z) & 1):
-                        return InducedNet(
-                            triangle=(nodes[a], nodes[b], nodes[c]),
-                            pendants=(nodes[x], nodes[y], nodes[z]))
-    return None
-
-
-def hamiltonian_oracle(graph: Graph) -> list[int] | None:
-    """Exhaustive Hamiltonian path search, lexicographically smallest.
-
-    Capped at n <= 12; raises a size-limit error beyond that.
-    """
-    if graph.n > 12:
-        raise SizeLimitError(f"hamiltonian_oracle capped at n=12, got {graph.n}")
-    if graph.n == 0:
-        return []
-    if graph.n == 1:
-        return [graph.nodes[0]]
-    n = graph.n
-    nodes = graph.nodes
-    adj_bits = []
-    idx = {u: i for i, u in enumerate(nodes)}
-    for u in nodes:
-        bits = 0
-        for v in graph.adj[u]:
-            bits |= 1 << idx[v]
-        adj_bits.append(bits)
-    dead: set[tuple[int, int]] = set()
-
-    def dfs(last: int, mask: int, path: list[int]) -> list[int] | None:
-        if mask == (1 << n) - 1:
-            return path
-        if (last, mask) in dead:
-            return None
-        nxt = adj_bits[last] & ~mask
-        while nxt:
-            b = nxt & -nxt
-            nxt ^= b
-            v = b.bit_length() - 1
-            res = dfs(v, mask | b, path + [v])
-            if res is not None:
-                return res
-        dead.add((last, mask))
-        return None
-
-    for start in range(n):
-        res = dfs(start, 1 << start, [start])
-        if res is not None:
-            return [nodes[i] for i in res]
     return None
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -253,36 +253,90 @@ def _window_pairs(pos: np.ndarray, lim: float,
     ``u < v`` of ``pos``, each once, or with ``other`` the pairs ``(i, j)``
     of ``pos[i]`` and ``other[j]``.
 
-    A fixed-radius near-neighbour sweep (Bentley, Stanat & Williams 1977):
-    the searched set is sorted along its widest axis, and ``searchsorted``
-    gives each query point the window of points within ``lim`` on that
-    axis, over a bound widened by a few ulps so that no pair whose rounded
-    gap is within ``lim`` is missed. A pair's distance is never below that
-    gap, and the ``d <= lim`` filter decides. The windows are expanded into
-    candidates in chunks of fewer than twice as many as there are points,
-    so no n x n array is built.
+    A fixed-radius near-neighbour search over cells (Bentley, Stanat &
+    Williams 1977). The searched set is swept along its widest axis:
+    ``searchsorted`` gives each query point the window of points within
+    ``lim`` on that axis, over a bound widened by a few ulps so that no pair
+    whose rounded gap is within ``lim`` is missed. When those windows hold
+    more candidates than one chunk, every other axis that spans more than
+    three cells of side about ``lim`` cuts the set into strips, the points
+    are sorted by (strip, sweep coordinate), and a query point gets such a
+    window in its own strip and in each neighbouring one; a point of the set
+    searches its own strip forward and only the neighbours in its
+    half-shell, so each pair comes once. A pair's distance is never below
+    its gap on any axis, and the ``d <= lim`` filter decides. The windows
+    are expanded into candidates in chunks of fewer than twice as many as
+    there are points, so no n x n array is built.
     """
     b = pos if other is None else other
-    axis = int(np.argmax(b.max(axis=0) - b.min(axis=0)))
+    n, low = len(b), b.min(axis=0)
+    span = b.max(axis=0) - low
+    axis = int(np.argmax(span))
+    fp = np.finfo(float).eps
+    wide = lim * (1.0 + 4.0 * fp)
     order = np.argsort(b[:, axis])
-    xs, sb = b[order, axis], b[order]
-    wide = lim * (1.0 + 4.0 * np.finfo(float).eps)
-    if other is None:
-        q, qp, lo, hold = xs, sb, np.arange(1, len(xs) + 1), len(pos)
-    else:
-        q, qp, hold = pos[:, axis], pos, len(pos) + len(other)
-        lo = np.searchsorted(xs, q - wide)
-    count = np.searchsorted(xs, q + wide, side="right") - lo
+    xs = b[order, axis]
+    qx, hold = (xs, n) if other is None else (pos[:, axis], len(pos) + n)
+    # the sweep: each query point's window on the sweep axis; a point of the
+    # set looks only forward from itself
+    above = np.searchsorted(xs, qx + wide, side="right")
+    below = (np.arange(1, n + 1) if other is None
+             else np.searchsorted(xs, qx - wide))
+    starts, stops = [below], [above]
+    steps = [0]                     # linear offsets of the neighbour strips
+    # strips pay only where the sweep's windows outgrow one chunk
+    if (above - below).sum() > 2 * hold:
+        sets = (b,) if other is None else (b, pos)
+        strips = [np.zeros(len(p), dtype=np.intp) for p in sets]
+        for a in range(b.shape[1]):
+            # the side outgrows the rounding of (x - low) / side, so a pair
+            # within wide on this axis is never two cells apart; at most
+            # 2**16 cells
+            side = max(wide + 4.0 * fp * span[a], span[a] / 2.0 ** 16)
+            if a == axis or not 3.0 * side < span[a] < np.inf:
+                continue
+            # the set's cells are 2 .. size - 3; a query point outside them
+            # is clipped to a cell two away from every one of them
+            size = int(span[a] / side) + 5
+            strips = [t * size + np.clip(np.floor((p[:, a] - low[a]) / side)
+                                         + 2, 0, size - 1).astype(np.intp)
+                      for t, p in zip(strips, sets)]
+            steps = [t * size + o for t in steps for o in (-1, 0, 1)]
+    if len(steps) > 1:
+        # sorted by (strip, rank on the sweep axis), so that the points of a
+        # strip within a window of ranks are one range of keys
+        rank = np.empty(n, dtype=np.intp)
+        rank[order] = np.arange(n)
+        order = order[np.argsort(strips[0][order], kind="stable")]
+        keys = strips[0][order] * n + rank[order]
+        if other is None:
+            # the set's points in the new order: own strip forward, then the
+            # strips of the half-shell
+            qs, above = strips[0][order], above[rank[order]]
+            below = np.searchsorted(xs, b[order, axis] - wide)
+            starts = [np.arange(1, n + 1)]
+            stops = [np.searchsorted(keys, qs * n + above)]
+            steps = [t for t in steps if t > 0]
+        else:
+            qs, starts, stops = strips[1], [], []
+        for t in steps:
+            starts.append(np.searchsorted(keys, (qs + t) * n + below))
+            stops.append(np.searchsorted(keys, (qs + t) * n + above))
+    sb = b[order]
+    qp = sb if other is None else pos
+    lo = np.concatenate(starts)
+    count = np.concatenate(stops) - lo
     end = np.cumsum(count)
-    shift = lo - end + count    # row r's flat candidate f is column shift[r]+f
+    shift = lo - end + count    # window w's flat candidate f is column shift[w]+f
     # each chunk holds fewer than step + count.max() = 2 * hold candidates
     step = 2 * hold - count.max()
     cuts = np.searchsorted(end, np.arange(step, end[-1], step), side="right")
-    bounds = sorted({0, *cuts.tolist(), len(q)})
+    bounds = sorted({0, *cuts.tolist(), len(lo)})
     out = []
-    for r0, r1 in zip(bounds, bounds[1:]):
-        rows = np.repeat(np.arange(r0, r1), count[r0:r1])
-        cols = shift[rows] + np.arange(end[r0] - count[r0], end[r1 - 1])
+    for w0, w1 in zip(bounds, bounds[1:]):
+        win = np.repeat(np.arange(w0, w1), count[w0:w1])
+        cols = shift[win] + np.arange(end[w0] - count[w0], end[w1 - 1])
+        rows = win if len(lo) == len(qp) else win % len(qp)
         d = np.linalg.norm(qp[rows] - sb[cols], axis=-1)
         near = d <= lim
         u, v = rows[near], order[cols[near]]
@@ -607,15 +661,22 @@ class BuildingConfig:
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "BuildingConfig":
         kwargs = dict(d)
-        if "corridors_per_floor" in kwargs:
-            c = kwargs["corridors_per_floor"]
-            kwargs["corridors_per_floor"] = tuple(c) if isinstance(c, (list, tuple)) else int(c)
-        if "connector_columns" in kwargs:
-            kwargs["connector_columns"] = tuple(
-                (float(x), float(y)) for x, y in kwargs["connector_columns"])
+        # numeric fields take JSON numbers only (no strings, no booleans)
+        kinds = {"int": (int, "an integer"), "float": ((int, float), "a number")}
+        for f in fields(cls):
+            kind, what = kinds.get(f.type, (None, None))
+            v = kwargs.get(f.name, 0)
+            if what and (isinstance(v, bool) or not isinstance(v, kind)):
+                raise InvalidConfigError(f"{f.name} must be {what}, got {v!r}")
         try:
+            if "corridors_per_floor" in kwargs:
+                c = kwargs["corridors_per_floor"]
+                kwargs["corridors_per_floor"] = tuple(c) if isinstance(c, (list, tuple)) else int(c)
+            if "connector_columns" in kwargs:
+                kwargs["connector_columns"] = tuple(
+                    (float(x), float(y)) for x, y in kwargs["connector_columns"])
             return cls(**kwargs)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise InvalidConfigError(f"bad building config: {exc}") from exc
 
 

@@ -16,14 +16,15 @@ from hyperloc.evaluate import (BenchConfig, align_isometry, bench_scaling,
 from hyperloc.gadget import (Hypergraph3U, build_gadget, enumerate_groupings,
                              lift_to_3d, two_colorings, verify_equivalence)
 from hyperloc.grouploc import hierarchical_localize, localize_groups
-from hyperloc.intervals import (Graph, claw_oracle, find_claw, find_net,
-                                hamiltonian_oracle, net_oracle,
+from hyperloc.intervals import (Graph, find_claw, find_net,
                                 unit_interval_order)
 from hyperloc.model import (COLLINEAR, BuildingConfig, GroupingFunction,
                             NetworkInstance, NodeRecord, PointFormation,
                             build_udg, flagship_building_config,
                             generate_building, make_rng, strip_ground_truth)
 from hyperloc.quadloc import quadrilaterate
+
+from graph_oracles import claw_oracle, hamiltonian_oracle, net_oracle
 
 RADIUS = 1.0
 

@@ -1,10 +1,15 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from hyperloc.cli import main
+from hyperloc.gadget import (Hypergraph3U, build_gadget, enumerate_groupings,
+                             lift_to_3d, verify_equivalence)
 from hyperloc.model import flagship_building_config
+
+from test_gadget import random_hypergraph
 
 
 @pytest.fixture
@@ -115,6 +120,55 @@ def test_verify_hardness_bytes_pinned(tmp_path, capsys, text):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_HARDNESS[text]
 
 
+def _hardness_report(h, lift, full):
+    """The verify-hardness report, built as the command builds it."""
+    g2 = build_gadget(h)
+    report = verify_equivalence(g2)
+    if lift:
+        g3 = lift_to_3d(g2)
+        lifted = enumerate_groupings(g3)
+        report["lift_3d"] = {
+            "groupable": bool(lifted),
+            "n_valid_configs": len(lifted),
+            "preserves_verdict": bool(lifted) == report["groupable"],
+            "nodes": g3.instance.n,
+            "edges": g3.instance.m,
+        }
+    if not full:
+        report["correspondence"] = report["correspondence"][:8]
+    return report
+
+
+_WRITER_INPUTS = [random_hypergraph(np.random.default_rng(seed), min_n=3,
+                                    max_n=8, max_m=4) for seed in range(6)]
+_WRITER_INPUTS.append(Hypergraph3U(4, ()))
+
+
+@pytest.mark.parametrize("h", _WRITER_INPUTS,
+                         ids=[f"seed{i}" for i in range(6)] + ["no-edges"])
+def test_verify_hardness_writes_the_json_module_bytes(tmp_path, capsys, h):
+    hg = tmp_path / "h.txt"
+    hg.write_text(h.to_text())
+    for lift, full in ((True, True), (True, False), (False, True),
+                       (False, False)):
+        flags = ["--lift-3d"] * lift + ["--full-correspondence"] * full
+        assert main(["verify-hardness", "--hypergraph", str(hg), *flags]) == 0
+        want = json.dumps(_hardness_report(h, lift, full), indent=1) + "\n"
+        assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [{"vertical": [], "horizontal": [1], "coloring": ["red"]}],
+    [{"a%s": [True, None, 1.5], "b": ["\u00e9\n\"%d", "x"]},
+     {"a%s": [0, -2, 1e300], "b": ["", "%%"]}],
+], ids=["no-rows", "empty-list", "escapes"])
+def test_hardness_writer_matches_json_module(rows):
+    from hyperloc.cli import _hardness_json
+    report = {"groupable": True, "correspondence": rows, "lift_3d": {"n": 1}}
+    assert _hardness_json(report) == json.dumps(report, indent=1)
+
+
 def test_verify_hardness_over_cap_is_domain_error(tmp_path, capsys):
     fano = "7 7\n0 1 2\n0 3 4\n0 5 6\n1 3 5\n1 4 6\n2 3 6\n2 4 5\n"
     hg = tmp_path / "fano.txt"
@@ -215,5 +269,15 @@ def test_generate_rejects_non_finite_floor_spacing(tmp_path, capsys, spacing):
     # a one-floor config once generated its nodes at z = nan
     cfg = tmp_path / "floor.json"
     cfg.write_text('{"floors": 1, "floor_spacing": %s}' % spacing)
+    assert main(["generate", "--config", str(cfg)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "invalid-config"
+
+
+@pytest.mark.parametrize("text", ['{"floor_spacing": "a"}', '{"radius": "1"}'],
+                         ids=["floor_spacing", "radius"])
+def test_generate_rejects_non_numeric_fields(tmp_path, capsys, text):
+    # a string in a numeric field once escaped as a TypeError traceback
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(text)
     assert main(["generate", "--config", str(cfg)]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "invalid-config"

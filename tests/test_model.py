@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -43,6 +44,29 @@ def _points(draw):
     return np.array(rows, dtype=float).reshape(len(rows), dim)
 
 
+def _lines(xs, ys, step=0.3, top=10.0):
+    """Points ``step`` apart on [0, top] along vertical lines at ``xs`` and
+    horizontal lines at ``ys``, stacked as the hardness gadget stacks its
+    nodes: many cells on both axes, dozens of points per coordinate."""
+    t = np.arange(0.0, top + step / 2, step)
+    return np.array([(x, y) for x in xs for y in t]
+                    + [(x, y) for y in ys for x in t])
+
+
+def _layers(p, gap=1.0):
+    """``p`` at z = 0 and again at z = ``gap``."""
+    return np.column_stack([np.tile(p, (2, 1)), np.repeat([0.0, gap], len(p))])
+
+
+def _lattice(*sizes):
+    """Integer points of a box: neighbours exactly 1 apart, each a few ulps
+    inside a strip boundary of a query within 1."""
+    return np.array(list(itertools.product(*map(range, sizes))), dtype=float)
+
+
+_GADGET_LIKE = _lines([0.0, 2.5, 5.0, 7.5], [4.5, 6.5])
+
+
 class TestUdgEdges:
     @settings(max_examples=300, deadline=None, database=None,
               derandomize=True)
@@ -66,10 +90,32 @@ class TestUdgEdges:
     @example(pos=np.array([[1e6, 1e6], [1e6 + 1.5, 1e6]]), radius=1.0, eps=0.5)
     @example(pos=np.array([[-1.0584364135603508], [-0.058436413560350765]]),
              radius=1.0, eps=0.0)
+    # strips: the gadget's vertical and horizontal lines in 2D, and lifted
+    # to two z-layers exactly the radius apart; lattices whose neighbours
+    # sit exactly radius + eps apart across strip boundaries, on one strip
+    # axis and on two; the lines offset by 1e6
+    @example(pos=_GADGET_LIKE, radius=1.0, eps=1e-9)
+    @example(pos=_layers(_GADGET_LIKE), radius=1.0, eps=0.0)
+    @example(pos=_lattice(7, 5), radius=0.5, eps=0.5)
+    @example(pos=_lattice(7, 5, 5), radius=1.0, eps=0.0)
+    @example(pos=np.vstack([_lattice(7, 5, 5), _lattice(7, 5, 5) * 1.0000001
+                            + 0.5]), radius=1.0, eps=1e-9)
+    @example(pos=_GADGET_LIKE + 1e6, radius=1.0, eps=1e-9)
     def test_matches_all_pairs_reference(self, pos, radius, eps):
         u, v, d = udg_edges(pos, radius, eps)
         assert list(zip(u.tolist(), v.tolist(), d.tolist())) == \
             _all_pairs(pos, radius, eps)
+
+    @pytest.mark.parametrize("corridors", [4, (4, 4)])
+    def test_tall_building_matches_reference(self, corridors):
+        # eight floors: z spans more than three cells, and with corridors
+        # along y so does y
+        pos = generate_building(BuildingConfig(
+            floors=8, corridors_per_floor=corridors, extent=9.0,
+            connector_columns=((4.5, 0.675),))).positions()
+        u, v, d = udg_edges(pos, 1.0)
+        assert list(zip(u.tolist(), v.tolist(), d.tolist())) == \
+            _all_pairs(pos, 1.0, DEFAULT_EPS)
 
 
 def _all_cross_pairs(a, b, radius, eps):
@@ -121,6 +167,21 @@ class TestCrossPairs:
     @example(ab=(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.5]]),
                  np.array([[-5.0, 0.0], [9.0, 1.0], [6.0, 3.0]])),
              radius=1.5, eps=0.5)
+    # strips: two sets of gadget lines; query points in the set's edge
+    # strips, one strip outside them and far outside them, each at exactly
+    # radius + eps from the set; the same at a 1e6 offset; two z-layers
+    # exactly the radius apart
+    @example(ab=(_lines([0.0, 2.5], [4.5]), _lines([1.25, 3.75], [5.5])),
+             radius=1.0, eps=1e-9)
+    @example(ab=(np.array([[3.0, y] for y in (-9.0, -1.0, 0.0, 4.0, 5.0,
+                                              12.0)]), _lattice(7, 5)),
+             radius=0.5, eps=0.5)
+    @example(ab=(np.array([[3.0, y] for y in (-9.0, -1.0, 0.0, 4.0, 5.0,
+                                              12.0)]) + 1e6,
+                 _lattice(7, 5) + 1e6), radius=0.5, eps=0.5)
+    @example(ab=(np.column_stack([_lattice(7, 5), np.zeros(35)]),
+                 np.column_stack([_lattice(7, 5), np.ones(35)])),
+             radius=1.0, eps=0.0)
     def test_matches_all_pairs_reference(self, ab, radius, eps):
         a, b = ab
         i, j, d = cross_pairs(a, b, radius, eps)
