@@ -196,12 +196,6 @@ class GadgetInstance:
     _apex_of: dict[tuple[int, int], int] = field(default_factory=dict)
     _arrays: _NodeArrays | None = None
 
-    def coloring_of(self, config: FlipConfiguration) -> tuple[int, ...]:
-        """Vertex colors induced by a configuration: the color of the edge
-        line side a vertex line's flags vacate."""
-        return tuple(c ^ int(v) for c, v in
-                     zip(self.base_coloring, config.vertical))
-
 
 def _line_x(pos: int) -> float:
     return VSPACE * pos
@@ -684,6 +678,7 @@ def verify_equivalence(g: GadgetInstance) -> dict:
     # bits[k]: configuration k's vertical and horizontal rows
     bits = np.array([c.vertical + c.horizontal for c in configs],
                     dtype=np.intp).reshape(-1, 2, g.hypergraph.n_vertices)
+    # a vertex's color is that of the edge line side its flags vacate
     names = np.array([COLOR_NAMES[RED], COLOR_NAMES[BLUE]])
     colors = names[np.asarray(g.base_coloring, dtype=np.intp) ^ bits[:, 0]]
     correspondence = [

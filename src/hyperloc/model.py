@@ -661,22 +661,34 @@ class BuildingConfig:
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "BuildingConfig":
         kwargs = dict(d)
-        # numeric fields take JSON numbers only (no strings, no booleans)
-        kinds = {"int": (int, "an integer"), "float": ((int, float), "a number")}
+
+        # JSON numbers only: no strings, and no booleans where numbers go
+        def num(v, kind=(int, float)) -> bool:
+            return isinstance(v, kind) and not isinstance(v, bool)
+
+        def pair(v, kind=(int, float)) -> bool:
+            return (isinstance(v, (list, tuple)) and len(v) == 2
+                    and all(num(x, kind) for x in v))
+
+        checks = {"int": (lambda v: num(v, int), "an integer"),
+                  "float": (num, "a number"),
+                  "bool": (lambda v: isinstance(v, bool), "true or false"),
+                  "corridors_per_floor": (lambda v: num(v, int) or pair(v, int),
+                                          "an integer or a pair of integers"),
+                  "connector_columns": (lambda v: isinstance(v, (list, tuple))
+                                        and all(map(pair, v)),
+                                        "a list of number pairs")}
         for f in fields(cls):
-            kind, what = kinds.get(f.type, (None, None))
-            v = kwargs.get(f.name, 0)
-            if what and (isinstance(v, bool) or not isinstance(v, kind)):
+            ok, what = checks.get(f.name) or checks[f.type]
+            if f.name in kwargs and not ok(v := kwargs[f.name]):
                 raise InvalidConfigError(f"{f.name} must be {what}, got {v!r}")
+        if not isinstance(c := kwargs.get("corridors_per_floor", 1), int):
+            kwargs["corridors_per_floor"] = tuple(c)
+        kwargs["connector_columns"] = tuple(
+            (float(x), float(y)) for x, y in kwargs.get("connector_columns", ()))
         try:
-            if "corridors_per_floor" in kwargs:
-                c = kwargs["corridors_per_floor"]
-                kwargs["corridors_per_floor"] = tuple(c) if isinstance(c, (list, tuple)) else int(c)
-            if "connector_columns" in kwargs:
-                kwargs["connector_columns"] = tuple(
-                    (float(x), float(y)) for x, y in kwargs["connector_columns"])
             return cls(**kwargs)
-        except (TypeError, ValueError) as exc:
+        except TypeError as exc:
             raise InvalidConfigError(f"bad building config: {exc}") from exc
 
 

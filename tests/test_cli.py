@@ -273,8 +273,14 @@ def test_generate_rejects_non_finite_floor_spacing(tmp_path, capsys, spacing):
     assert json.loads(capsys.readouterr().err)["error"] == "invalid-config"
 
 
-@pytest.mark.parametrize("text", ['{"floor_spacing": "a"}', '{"radius": "1"}'],
-                         ids=["floor_spacing", "radius"])
+@pytest.mark.parametrize(
+    "text", ['{"floor_spacing": "a"}', '{"radius": "1"}',
+             '{"corridors_per_floor": "3"}', '{"corridors_per_floor": [true, 1]}',
+             '{"corridors_per_floor": ["a", 1]}',
+             '{"corridors_per_floor": [1, 2, 3]}',
+             '{"connector_columns": [["1", 2]]}', '{"stagger": "yes"}'],
+    ids=["floor_spacing", "radius", "corridors_str", "corridors_bool",
+         "corridors_pair_str", "corridors_triple", "connector_str", "stagger"])
 def test_generate_rejects_non_numeric_fields(tmp_path, capsys, text):
     # a string in a numeric field once escaped as a TypeError traceback
     cfg = tmp_path / "bad.json"

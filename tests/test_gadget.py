@@ -6,7 +6,8 @@ import pytest
 
 from hyperloc import gadget
 from hyperloc.errors import InvalidInputError, SizeCapError
-from hyperloc.gadget import (RADIUS, FlipConfiguration, Hypergraph3U,
+from hyperloc.gadget import (COLOR_NAMES, RADIUS, FlipConfiguration,
+                             Hypergraph3U,
                              _choose_order, _config_positions, _ConfigChecker,
                              build_gadget, enumerate_groupings,
                              is_proper_coloring, lift_to_3d, two_colorings,
@@ -16,6 +17,12 @@ from hyperloc.model import NetworkInstance, make_rng, udg_edges
 FANO = Hypergraph3U(7, (
     (0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6),
     (2, 4, 5)))
+
+
+def coloring_of(g, config):
+    """Reference rule: the vertex colors a configuration induces, the color
+    of the edge line side a vertex line's flags vacate."""
+    return tuple(c ^ int(v) for c, v in zip(g.base_coloring, config.vertical))
 
 
 def random_hypergraph(rng, max_n=5, max_m=3, min_n=3):
@@ -121,8 +128,15 @@ class TestEnumerateGroupings:
         for _ in range(10):
             h = random_hypergraph(rng)
             g = build_gadget(h)
-            for config in enumerate_groupings(g):
-                assert is_proper_coloring(h, g.coloring_of(config))
+            configs = enumerate_groupings(g)
+            rows = verify_equivalence(g)["correspondence"]
+            assert len(rows) == len(configs)
+            for config, row in zip(configs, rows):
+                coloring = coloring_of(g, config)
+                assert is_proper_coloring(h, coloring)
+                assert row["coloring"] == [COLOR_NAMES[c] for c in coloring]
+                assert row["vertical"] == [int(b) for b in config.vertical]
+                assert row["horizontal"] == [int(b) for b in config.horizontal]
 
     def test_global_vertical_toggle_symmetry(self):
         g = build_gadget(Hypergraph3U(4, ((0, 1, 2), (1, 2, 3))))
