@@ -70,9 +70,9 @@ def _cmd_localize(args) -> int:
                        "offset": st.plane.offset} if st.plane else None}
             for g, st in sorted(res.floor_states.items())]
     result["formation"] = {
-        str(u): ([float(c) for c in formation.position(u)]
-                 if formation.is_localized(u) else None)
-        for u in formation.ids.tolist()}
+        str(u): p if held else None for u, p, held in zip(
+            formation.ids.tolist(), formation.points.tolist(),
+            formation.mask.tolist())}
     result["localized_fraction"] = formation.localized_fraction()
     if instance.has_positions() and len(formation.localized_ids()) >= 4:
         result["aligned_rmse"] = align_isometry(formation, instance).rmse

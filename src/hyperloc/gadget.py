@@ -102,10 +102,10 @@ def is_proper_coloring(h: Hypergraph3U, colors: Sequence[int]) -> bool:
                for a, b, c in h.edges)
 
 
-def two_colorings(h: Hypergraph3U, cap: int = COLORING_CAP) -> list[tuple[int, ...]]:
+def two_colorings(h: Hypergraph3U) -> list[tuple[int, ...]]:
     """Exhaustive list of proper 2-colorings (no monochromatic edge)."""
-    if h.n_vertices > cap:
-        raise SizeCapError(f"two_colorings capped at {cap} vertices")
+    if h.n_vertices > COLORING_CAP:
+        raise SizeCapError(f"two_colorings capped at {COLORING_CAP} vertices")
     # bit v of a mask is vertex v's color; an edge is monochromatic under a
     # mask holding none or all of its three bits
     masks = np.arange(1 << h.n_vertices)
@@ -593,7 +593,7 @@ class _ConfigChecker:
                 & ((block[x] != block[y]) | (sx == sy)))
         x, y, sx, sy = x[keep], y[keep], sx[keep], sy[keep]
         tally(miss, x, y, 4 * block[x] + sx, 4 * block[y] + sy,
-              np.where(among(np.sort(eu * n_inst + ev), key(x, y)), -1, 1))
+              np.where(inst.graph.pair_slots(x, y) >= 0, -1, 1))
         ok = (miss == 0).reshape(3, nb, 4, nb, 4)
         self.exact = ok[0]
         self.pair_tables: list[tuple[int, int, np.ndarray]] = [
@@ -697,7 +697,10 @@ def verify_equivalence(g: GadgetInstance) -> dict:
 
 def lift_to_3d(g: GadgetInstance) -> GadgetInstance:
     """Copy every node to z = 1; each node is adjacent to its own copy and
-    to no other copy, flags become triangle prisms, lines become planes."""
+    to no other copy, flags become triangle prisms, lines become planes.
+
+    Exact by construction: the 2D edges repeat on the copy, a copy edge is
+    1, and the audit's 0.1 separation puts other cross pairs >= sqrt(1.01)."""
     if g.dim != 2:
         raise InvalidInputError("lift starts from a 2D gadget")
     base = g.instance
@@ -712,7 +715,6 @@ def lift_to_3d(g: GadgetInstance) -> GadgetInstance:
                                     np.concatenate([v, v + n, copy + n]),
                                     np.concatenate([d, d, np.ones(n)])),
                             RADIUS)
-    inst3.validate_exact()
     planes3 = [(Hyperplane(normal=(p.normal[0], p.normal[1], 0.0),
                            offset=p.offset), color, label)
                for p, color, label in g.hyperplanes]

@@ -174,14 +174,12 @@ class _GroupArrays:
     order; member ``m`` of the group owns edges ``starts[m]:starts[m + 1]``.
     """
 
-    ids: list[int]          # members with a local row, ascending
+    ids: np.ndarray         # members with a local row, ascending
     local: np.ndarray       # their local coordinates, (len(ids), d - 1)
     starts: np.ndarray      # (members + 1,) edge offsets
     near: np.ndarray        # per edge: its member's index in ids, or -1
     far: np.ndarray         # per edge: the far end's formation row
     length: np.ndarray      # per edge: the measured length
-    keys: np.ndarray        # sorted near * formation rows + far, near >= 0,
-                            # then a sentinel above every such key
 
 
 class _GroupSolver:
@@ -224,7 +222,7 @@ class _GroupSolver:
         local = self.local.get(g)
         has_row = np.zeros(len(members), dtype=bool) if local is None else \
             np.isin(members, local.ids[local.mask])
-        ids = members[has_row].tolist()
+        ids = members[has_row]
         index = np.where(has_row, np.cumsum(has_row) - 1, -1)
         # every member's row of the adjacency, concatenated, then only the
         # edges whose far end is in scope
@@ -232,15 +230,12 @@ class _GroupSolver:
         keep = self.in_scope[to]
         owner, to, slots = owner[keep], to[keep], slots[keep]
         near = index[owner]
-        far = self.formation.rows_of(to)
-        measured = near >= 0
         return _GroupArrays(
             ids=ids,
-            local=local.array(ids) if ids else np.zeros((0, self.d - 1)),
+            local=local.array(ids) if len(ids) else np.zeros((0, self.d - 1)),
             starts=np.searchsorted(owner, np.arange(len(members) + 1)),
-            near=near, far=far, length=self.inst.length[slots],
-            keys=np.append(np.sort(near[measured] * len(self.formation.ids)
-                                   + far[measured]), np.iinfo(np.intp).max))
+            near=near, far=self.formation.rows_of(to),
+            length=self.inst.length[slots])
 
     def _apply_transform(self, g: int, transform: GroupTransform,
                          supports: list[tuple[int, np.ndarray]]) -> None:
@@ -279,7 +274,7 @@ class _GroupSolver:
                 "no mirror-candidate combination reproduces the measurements",
                 group=g)
         self._apply_transform(g, survivor, list(zip(
-            [arr.ids[i] for i in rows], survivor.apply(locs))))
+            arr.ids[rows].tolist(), survivor.apply(locs))))
 
     def _check_placement(self, g: int, transform: GroupTransform,
                          rows: Sequence[int] = ()) -> bool:
@@ -308,8 +303,8 @@ class _GroupSolver:
             (f.points - hi <= reach) & (lo - f.points <= reach), axis=1))
 
         def all_measured(i, j):
-            pairs = i * len(f.ids) + near[j]
-            return np.all(arr.keys[np.searchsorted(arr.keys, pairs)] == pairs)
+            return np.all(self.inst.graph.pair_slots(arr.ids[i],
+                                                     f.ids[near[j]]) >= 0)
 
         i = np.repeat(np.asarray(rows, dtype=int), len(near))
         j = np.tile(np.arange(len(near)), len(rows))

@@ -40,7 +40,9 @@ class Graph:
     package's one layout, is compressed over these local indices: vertex
     i's neighbours are ``nbr[start[i]:start[i + 1]]``, ascending, and each
     position of ``nbr`` is a slot. ``adj`` and ``edges`` are views of it by
-    id; the row methods work on local indices.
+    id; the row methods work on local indices. ``pair_slots`` is the one
+    array lookup of pairs; ``has_edge`` stays a set test on ``adj`` for the
+    one-pair queries of Python loops, where a hash beats an array call.
     """
 
     def __init__(self, nodes: Iterable[int], edges: Iterable[tuple[int, int]]):
@@ -93,14 +95,6 @@ class Graph:
         start, nbr = self._lists
         return nbr[start[i]:start[i + 1]]
 
-    def slot(self, i: int, j: int) -> int:
-        """Slot of ``j`` in row ``i``, or -1 where the row does not hold it."""
-        start, nbr = self._lists
-        try:
-            return nbr.index(j, start[i], start[i + 1])
-        except ValueError:
-            return -1
-
     def row_entries(self, rows: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every entry of the given rows, row after row: the position in
@@ -113,14 +107,22 @@ class Graph:
             self.start[rows] - (np.cumsum(counts) - counts), counts)
         return owner, self.nbr[slots], slots
 
-    def pair_slots(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    @functools.cached_property
+    def _keys(self) -> np.ndarray:
+        """Slot keys ``i * n + j``, ascending, and ``n * n`` to end them."""
+        src = np.repeat(np.arange(self.n), self.degrees())
+        return np.append(src * self.n + self.nbr, self.n * self.n)
+
+    def pair_slots(self, u, v) -> np.ndarray:
         """Slot of ``v[i]`` in row ``u[i]``, or -1 where the row does not
-        hold it."""
-        owner, to, slots = self.row_entries(u)
-        hit = to == v[owner]
-        at = np.full(len(u), -1, dtype=np.intp)
-        at[owner[hit]] = slots[hit]
-        return at
+        hold it or either is not a vertex, by one ``searchsorted`` over the
+        slot keys; without the range check ``(0, n)`` would read ``(1, 0)``."""
+        u, v = np.asarray(u, dtype=np.intp), np.asarray(v, dtype=np.intp)
+        n, keys = self.n, self._keys
+        inside = (np.minimum(u, v) >= 0) & (np.maximum(u, v) < n)
+        q = np.where(inside, u * n + v, -1)     # -1: below every key
+        at = keys.searchsorted(q)
+        return np.where(keys[at] == q, at, -1)
 
     def edge_ends(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Local indices ``a < b`` of every edge, in lexicographic order,

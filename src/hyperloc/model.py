@@ -8,6 +8,7 @@ positions. Localizers must only ever see the output of
 
 from __future__ import annotations
 
+import copy
 import functools
 import json
 import math
@@ -171,16 +172,11 @@ class NetworkInstance:
 
     def dist(self, u: int, v: int) -> float:
         """Measured length of edge ``(u, v)``; ``KeyError`` for a non-edge."""
-        if not 0 <= u < len(self.nodes):
-            raise KeyError(u)
-        at = self.graph.slot(u, v)
-        if at < 0:
-            raise KeyError((u, v) if u < v else (v, u))
-        return self.length.item(at)
+        return self.lengths([u], [v]).item()
 
     def lengths(self, u, v) -> np.ndarray:
-        """Measured length of each edge ``(u[i], v[i])``, read off the
-        adjacency rows of ``u``; ``KeyError`` for the first non-edge."""
+        """Measured length of each edge ``(u[i], v[i])``, at the slots of
+        ``graph.pair_slots``; ``KeyError`` for the first non-edge."""
         u = np.asarray(u, dtype=np.intp).reshape(-1)
         v = np.asarray(v, dtype=np.intp).reshape(-1)
         at = self.graph.pair_slots(u, v)
@@ -390,10 +386,14 @@ def _with_noise(edges: EdgeArrays, sigma: float, radius: float,
 
 
 def strip_ground_truth(instance: NetworkInstance) -> NetworkInstance:
-    """Localizer-facing view: graph, dists and groupings without positions."""
-    nodes = [NodeRecord(nd.id, None, nd.line_group, nd.plane_group)
-             for nd in instance.nodes]
-    return NetworkInstance(nodes, instance.edge_arrays(), instance.radius)
+    """Localizer-facing view: graph, dists and groupings without positions.
+
+    A shallow copy: it shares the instance's read-only ``graph`` and
+    ``length``, checked when the instance was built."""
+    stripped = copy.copy(instance)
+    stripped.nodes = tuple(NodeRecord(nd.id, None, nd.line_group,
+                                      nd.plane_group) for nd in instance.nodes)
+    return stripped
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +465,8 @@ class PointFormation:
     """Node id -> position table in R^dim, meaningful up to isometry.
 
     Positions live in one ``(len(ids), dim)`` array, ``points``, whose rows
-    follow the sorted ids in ``ids``; ``mask`` flags the localized rows.
+    follow the sorted ids in ``ids``, found by ``searchsorted`` over them;
+    ``mask`` flags the localized rows.
     """
 
     def __init__(self, dim: int, ids: Iterable[int] = ()):
@@ -475,17 +476,6 @@ class PointFormation:
         self.ids = np.array(sorted(set(ids)), dtype=int)
         self.points = np.zeros((len(self.ids), dim))
         self.mask = np.zeros(len(self.ids), dtype=bool)
-        self._row = {u: i for i, u in enumerate(self.ids.tolist())}
-
-    def _add_ids(self, new: Iterable[int]) -> None:
-        ids = np.union1d(self.ids, np.fromiter(new, dtype=int))
-        old = np.searchsorted(ids, self.ids)
-        points = np.zeros((len(ids), self.dim))
-        points[old] = self.points
-        mask = np.zeros(len(ids), dtype=bool)
-        mask[old] = self.mask
-        self.ids, self.points, self.mask = ids, points, mask
-        self._row = {u: i for i, u in enumerate(ids.tolist())}
 
     def rows_of(self, ids: Sequence[int]) -> np.ndarray:
         """Row of each id in ``points``; ``KeyError`` for an unknown id."""
@@ -501,22 +491,29 @@ class PointFormation:
         self.mark_many([u], np.atleast_1d(np.asarray(pos, dtype=float))[None])
 
     def mark_many(self, ids: Sequence[int], positions) -> None:
-        """Mark ``ids[i]`` localized at ``positions[i]``, all at once."""
+        """Mark ``ids[i]`` localized at ``positions[i]``, adding new ids."""
         p = np.asarray(positions, dtype=float)
         if p.shape != (len(ids), self.dim) or not np.all(np.isfinite(p)):
             label = f"node {ids[0]}" if len(ids) == 1 else "nodes"
             raise InvalidInputError(
                 f"position for {label} must be a finite point in R^{self.dim}")
-        missing = [u for u in ids if u not in self._row]
-        if missing:
-            self._add_ids(missing)
-        rows = self.rows_of(ids)
+        try:
+            rows = self.rows_of(ids)
+        except KeyError:
+            every = np.union1d(self.ids, np.asarray(ids, dtype=int))
+            old = np.searchsorted(every, self.ids)
+            points = np.zeros((len(every), self.dim))
+            mask = np.zeros(len(every), dtype=bool)
+            points[old], mask[old] = self.points, self.mask
+            self.ids, self.points, self.mask = every, points, mask
+            rows = self.rows_of(ids)
         self.points[rows] = p
         self.mask[rows] = True
 
     def is_localized(self, u: int) -> bool:
-        i = self._row.get(u)
-        return i is not None and bool(self.mask[i])
+        row = self.ids.searchsorted(u)      # the search of rows_of, one id
+        return bool(row < len(self.ids) and self.ids[row] == u
+                    and self.mask[row])
 
     def localized_ids(self) -> list[int]:
         return self.ids[self.mask].tolist()
@@ -529,12 +526,14 @@ class PointFormation:
     def position(self, u: int) -> np.ndarray:
         if not self.is_localized(u):
             raise KeyError(u)
-        return self.points[self._row[u]].copy()
+        return self.points[self.ids.searchsorted(u)].copy()
 
     def array(self, ids: Sequence[int]) -> np.ndarray:
+        """Positions of ``ids``; ``KeyError`` if one is not localized."""
         rows = self.rows_of(ids)
-        if not np.all(self.mask[rows]):
-            raise KeyError(next(u for u in ids if not self.is_localized(u)))
+        off = ~self.mask[rows]
+        if off.any():
+            raise KeyError(int(self.ids[rows[off][0]]))
         return self.points[rows]
 
 

@@ -89,40 +89,37 @@ def find_seed_k4(instance: NetworkInstance,
     """
     graph = instance.graph
     a, b, slot = graph.edge_ends()
-    n, m = instance.n, len(a)
-    key = a * n + b                         # ascending, as the edges are
     later = graph.start[a + 1] - slot - 1   # the rest of ascending row a
     pairs = np.triu_indices(4, 1)           # (0, 1), (0, 2), ..., (2, 3)
-
-    def edge(u, v):     # the index of each edge (u[t], v[t]), if it is one
-        at = np.minimum(np.searchsorted(key, u * n + v), m - 1)
-        return at, key[at] == u * n + v
 
     def extend(e):      # each edge e[t] = (i, x) with each later one of row i
         c = later[e]
         t = np.repeat(np.arange(len(e)), c)
         return t, np.arange(len(t)) + np.repeat(e + 1 - np.cumsum(c) + c, c)
 
-    cap = 2 * (n + m)
+    cap = 2 * (instance.n + len(a))
     for lo, hi in _ranges(later, 256, cap):
         t, ik = extend(np.arange(lo, hi))
-        jk, ok = edge(b[t + lo], b[ik])
+        jk = graph.pair_slots(b[t + lo], b[ik])
+        ok = jk >= 0
         ij, ik, jk = t[ok] + lo, ik[ok], jk[ok]
         for lo2, hi2 in _ranges(later[ik], cap, cap):
             t, il = extend(ik[lo2:hi2])
             t += lo2
-            jl, ok = edge(b[ij[t]], b[il])
-            kl, ok_k = edge(b[ik[t]], b[il])
-            # each 4-clique's edges, in the order of ``pairs``
-            six = np.stack([ij[t], ik[t], il, jk[t], jl, kl], 1)[ok & ok_k]
-            length = instance.length[slot[six]]
+            jl = graph.pair_slots(b[ij[t]], b[il])
+            kl = graph.pair_slots(b[ik[t]], b[il])
+            ok = (jl >= 0) & (kl >= 0)
+            # (i, j), (i, k), (i, l) per 4-clique; its six slots, as ``pairs``
+            first = np.stack([ij[t], ik[t], il], 1)[ok]
+            six = np.column_stack([slot[first], jk[t][ok], jl[ok], kl[ok]])
+            length = instance.length[six]
             d2 = np.zeros((len(six), 4, 4))
             d2[:, pairs[0], pairs[1]] = d2[:, pairs[1], pairs[0]] = \
                 length * length
             top = np.sqrt(d2.max(axis=(1, 2), initial=0.0)).tolist()
             for q, cm in enumerate(cayley_menger(d2).tolist()):
                 if not _is_flat(cm, top[q], tau):
-                    quad = (a[six[q, 0]], *b[six[q, :3]])
+                    quad = (a[first[q, 0]], *b[first[q]])
                     return SeedTetrahedron(
                         vertices=tuple(int(v) for v in quad),
                         positions=place_seed(np.sqrt(d2[q]), tau=tau))
@@ -238,9 +235,12 @@ def quadrilaterate(instance: NetworkInstance, eps: float = DEFAULT_EPS,
     seed = find_seed_k4(instance, tau=tau)
     if seed is None:
         raise NoSeedError("no non-coplanar K4 exists in the instance")
-    formation = PointFormation(3, ids=(nd.id for nd in instance.nodes))
+    graph, length = instance.graph, instance.length
+    # node ids are 0..n-1, so each node's row of the formation is its id
+    formation = PointFormation(3, ids=range(instance.n))
+    mask, points = formation.mask, formation.points
     trace = LocalizationTrace()
-    count = {nd.id: 0 for nd in instance.nodes}
+    count = [0] * instance.n
     queue: list[int] = []
     for v, pos in zip(seed.vertices, seed.positions):
         formation.mark(v, pos)
@@ -250,22 +250,23 @@ def quadrilaterate(instance: NetworkInstance, eps: float = DEFAULT_EPS,
     while head < len(queue):
         u = queue[head]
         head += 1
-        for v in instance.neighbors(u):
-            if formation.is_localized(v):
+        for v in graph.row(u):
+            if mask[v]:
                 continue
             count[v] += 1
             if count[v] < 4:
                 continue
-            anchors = [w for w in instance.neighbors(v)
-                       if formation.is_localized(w)]
-            pts = formation.array(anchors)
-            rs = np.array([instance.dist(v, w) for w in anchors])
+            # v's localized neighbours and their lengths: one masked row
+            row = slice(graph.start[v], graph.start[v + 1])
+            held = mask[graph.nbr[row]]
+            anchors = graph.nbr[row][held]
             try:
-                pos = multilaterate(pts, rs, eps=eps)
+                pos = multilaterate(points[anchors], length[row][held],
+                                    eps=eps)
             except (DegenerateAnchorsError, InconsistentDistancesError):
                 continue
             formation.mark(v, pos)
-            trace.steps.append((v, pos, tuple(anchors)))
+            trace.steps.append((v, pos, tuple(anchors.tolist())))
             queue.append(v)
     trace.formation = formation
     return trace

@@ -113,6 +113,9 @@ class TestBuildGadget:
     def test_instance_is_exact_udg(self):
         g = build_gadget(Hypergraph3U(4, ((0, 1, 2), (0, 2, 3))))
         g.instance.validate_exact()
+        # the lift is exact by construction and does not check itself
+        for h in BENCH_SHAPES:
+            lift_to_3d(build_gadget(h)).instance.validate_exact()
 
 
 class TestEnumerateGroupings:

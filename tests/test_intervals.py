@@ -258,6 +258,64 @@ class TestFromInstance:
         assert g.adj == {-1: frozenset(), 7: frozenset()}
 
 
+def _check_pair_slots(g, pairs, u, v):
+    """``g.pair_slots(u, v)`` against ``pairs``, the set of its local
+    ``(i, j)`` adjacencies: the slot of ``j`` in row ``i``, or -1."""
+    got = g.pair_slots(np.array(u, dtype=np.intp), np.array(v, dtype=np.intp))
+    assert got.shape == (len(u),)
+    for a, b, at in zip(u, v, got.tolist()):
+        if (a, b) in pairs:
+            assert g.start[a] <= at < g.start[a + 1] and g.nbr[at] == b
+        else:
+            assert at == -1
+
+
+class TestPairSlots:
+    @settings(max_examples=150, deadline=None, database=None,
+              derandomize=True)
+    @given(n=st.integers(0, 12), data=st.data())
+    def test_matches_set_of_pairs_on_random_graphs(self, n, data):
+        ends = st.integers(0, max(n - 1, 0))
+        edges = [] if n < 2 else data.draw(st.lists(
+            st.tuples(ends, ends).filter(lambda e: e[0] != e[1]),
+            max_size=30))
+        g = Graph(range(n), edges)
+        pairs = {*edges, *((b, a) for a, b in edges)}
+        # every pair in range, and drawn ones reaching below 0 and past n
+        drawn = data.draw(st.lists(st.tuples(st.integers(-3, n + 3),
+                                             st.integers(-3, n + 3)),
+                                   max_size=30))
+        q = [*itertools.product(range(n), repeat=2), *drawn]
+        _check_pair_slots(g, pairs, [a for a, _ in q], [b for _, b in q])
+
+    @settings(max_examples=100, deadline=None, database=None,
+              derandomize=True)
+    @given(cells=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 3)),
+                          unique=True, max_size=30),
+           data=st.data())
+    def test_matches_set_of_pairs_on_induced_subgraphs(self, cells, data):
+        inst = build_udg(0.3 * np.array(cells, dtype=float).reshape(-1, 2),
+                         1.0)
+        ids = data.draw(st.lists(st.integers(-3, inst.n + 3), max_size=40))
+        g = Graph.from_instance(inst, ids)
+        local = {u: i for i, u in enumerate(g.nodes)}
+        pairs = {(local[a], local[b]) for u, v, _ in inst.edges
+                 for a, b in ((u, v), (v, u)) if u in local and v in local}
+        q = list(itertools.product(range(-2, g.n + 2), repeat=2))
+        _check_pair_slots(g, pairs, [a for a, _ in q], [b for _, b in q])
+
+    def test_out_of_range_ids_alias_no_key(self):
+        # keys i * 3 + j: (0, 3), (-1, 4) and (3, -2) would read as the
+        # keys of (1, 0), (0, 1) and (2, 1)
+        g = Graph(range(3), [(0, 1), (1, 2)])
+        got = g.pair_slots(np.array([0, -1, 3, 2, 1]),
+                           np.array([3, 4, -2, 1, 0]))
+        assert got.tolist() == [-1, -1, -1, 3, 1]
+        assert Graph((), ()).pair_slots(np.array([0, -1]),
+                                        np.array([0, 0])).tolist() == [-1, -1]
+        assert Graph((), ()).pair_slots(np.zeros(0), np.zeros(0)).size == 0
+
+
 class TestFindClaw:
     def test_star(self):
         claw = find_claw(Graph(range(4), [(0, 1), (0, 2), (0, 3)]))

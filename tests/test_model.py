@@ -734,6 +734,13 @@ class TestStripGroundTruth:
         assert [nd.line_group for nd in stripped.nodes] == \
                [nd.line_group for nd in inst.nodes]
 
+    def test_shares_the_checked_arrays(self):
+        inst = generate_building(flagship_building_config())
+        stripped = strip_ground_truth(inst)
+        assert stripped.graph is inst.graph and stripped.length is inst.length
+        assert all(nd.true_pos is None for nd in stripped.nodes)
+        assert inst.has_positions()
+
     def test_idempotent(self):
         inst = generate_building(flagship_building_config())
         once = strip_ground_truth(inst)

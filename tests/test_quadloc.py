@@ -5,7 +5,7 @@ import pytest
 
 from hyperloc.errors import (DegenerateAnchorsError, DegenerateDistancesError,
                              InconsistentDistancesError, NoSeedError)
-from hyperloc.evaluate import random_dense_instance
+from hyperloc.evaluate import ScenarioConfig, random_dense_instance
 from hyperloc.model import (BuildingConfig, NetworkInstance, NodeRecord,
                             build_udg,
                             flagship_building_config, generate_building,
@@ -52,6 +52,34 @@ def seed_by_neighbourhoods(inst):
         if quad is not None and quad[0] == 0:
             return tuple(ids[k] for k in quad)
     return None
+
+
+def reference_walk(inst):
+    """The queue walk of ``quadrilaterate`` by id: counts and positions in
+    dicts, anchors from ``neighbors``, their lengths from ``dist``."""
+    seed = find_seed_k4(inst)
+    placed = dict(zip(seed.vertices, seed.positions))
+    steps = [(v, p, ()) for v, p in placed.items()]
+    count = dict.fromkeys(range(inst.n), 0)
+    queue = list(seed.vertices)
+    for u in queue:
+        for v in inst.neighbors(u):
+            if v in placed:
+                continue
+            count[v] += 1
+            if count[v] < 4:
+                continue
+            anchors = [w for w in inst.neighbors(v) if w in placed]
+            try:
+                pos = multilaterate(np.array([placed[w] for w in anchors]),
+                                    np.array([inst.dist(v, w)
+                                              for w in anchors]))
+            except (DegenerateAnchorsError, InconsistentDistancesError):
+                continue
+            placed[v] = pos
+            steps.append((v, pos, tuple(anchors)))
+            queue.append(v)
+    return steps
 
 
 def bench_building(floors=3, offset=0):
@@ -240,6 +268,21 @@ class TestQuadrilaterate:
         for u, _, anchors in trace.steps:
             assert all(a in placed for a in anchors)
             placed.append(u)
+
+    @pytest.mark.parametrize("make", [
+        lambda: generate_building(flagship_building_config()),
+        lambda: generate_building(ScenarioConfig.dense_building().building),
+        *[lambda s=s: random_dense_instance(50, seed=s) for s in range(3)]],
+        ids=["flagship", "dense-building", "dense-0", "dense-1", "dense-2"])
+    def test_matches_reference_walk(self, make):
+        inst = strip_ground_truth(make())
+        trace = quadrilaterate(inst)
+        want = reference_walk(inst)
+        assert len(trace.steps) == len(want)
+        for (u, pos, anchors), (u0, pos0, anchors0) in zip(trace.steps, want):
+            assert type(u) is int and u == u0
+            assert all(type(a) is int for a in anchors) and anchors == anchors0
+            assert np.array_equal(pos, pos0)
 
     def test_termination_smoke_large_sparse(self):
         cfg = BuildingConfig(floors=3, floor_spacing=0.8, corridors_per_floor=4,
