@@ -58,10 +58,6 @@ class NoHamiltonianPathError(HyperlocError):
     code = "no-hamiltonian-path"
 
 
-class SizeLimitError(HyperlocError):
-    code = "size-limit"
-
-
 class ChordInconsistencyError(HyperlocError):
     code = "chord-inconsistency"
 

@@ -97,11 +97,6 @@ class Hypergraph3U:
         return "\n".join(out) + "\n"
 
 
-def is_proper_coloring(h: Hypergraph3U, colors: Sequence[int]) -> bool:
-    return all(len({colors[a], colors[b], colors[c]}) > 1
-               for a, b, c in h.edges)
-
-
 def two_colorings(h: Hypergraph3U) -> list[tuple[int, ...]]:
     """Exhaustive list of proper 2-colorings (no monochromatic edge)."""
     if h.n_vertices > COLORING_CAP:

@@ -41,33 +41,56 @@ def localize_path(path: LinearOrder, weights: Sequence[float]) -> PointFormation
     return formation
 
 
+def _line_pass(instance: NetworkInstance, ids: np.ndarray, first: np.ndarray,
+               eps: float, seq: Sequence[int] | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Stage 1 for the blocks ``ids[first[k]:first[k + 1]]`` (ascending, with
+    the edges inside them) at once: positions along each index order, and
+    per block whether it is an umbrella order of adjacent consecutive nodes
+    whose chords are all within ``eps``. With ``seq``, a path through the
+    one block, lays it out along ``seq``; the first chord off raises."""
+    n, k = len(ids), len(first)
+    block = np.repeat(np.arange(k), np.diff(first, append=n))
+    graph, slot = Graph.within(instance.graph, ids, block)
+    length = instance.length[slot]
+    path = np.arange(n) if seq is None else np.searchsorted(ids, seq)
+    at = graph.pair_slots(path[:-1], path[1:])
+    inner = block[1:] == block[:-1]
+    joined = inner & (at >= 0)
+    step = np.zeros(n)
+    step[1:][joined] = length[at[joined]]
+    # one running sum per block, as localize_path adds: a global cumsum
+    # less each block's start would drift off these bits
+    x, bounds = np.empty((n, 1)), [*first.tolist(), n]
+    x[path, 0] = np.concatenate([np.cumsum(step[s:e])
+                                 for s, e in zip(bounds, bounds[1:])])
+    a, b, ab = graph.edge_ends()
+    got = np.abs(x[a, 0] - x[b, 0])
+    off = np.abs(got - length[ab]) > eps
+    if seq is not None and off.any():
+        i = int(np.argmax(off))
+        u, v = int(ids[a[i]]), int(ids[b[i]])
+        raise ChordInconsistencyError(
+            f"chord ({u},{v}) embeds at {float(got[i])}, "
+            f"measured {float(length[ab][i])}", edge=(u, v))
+    fails = np.concatenate([block[~graph.umbrella(path)],
+                            block[1:][inner & ~joined], block[a[off]]])
+    return x, np.bincount(fails, minlength=k) == 0
+
+
 def localize_collinear_group(instance: NetworkInstance,
                              members: Sequence[int],
                              eps: float = DEFAULT_EPS) -> PointFormation:
     """1D embedding of one collinear group's induced subgraph.
 
-    Orders the vertices, accumulates path-edge lengths, then validates every
-    chord: a violated chord means the order is not geometrically monotone
-    (or the grouping itself is wrong).
+    Orders the vertices (``unit_interval_order``), accumulates path-edge
+    lengths and validates every chord (``_line_pass``): a violated chord
+    means the order is not geometrically monotone (or the grouping is wrong).
     """
-    graph = Graph.from_instance(instance, members)
-    order = unit_interval_order(graph)
-    seq = np.array(order.sequence)
-    formation = localize_path(order, instance.lengths(seq[:-1], seq[1:]))
-    a, b, _ = graph.edge_ends()
-    if not a.size:
-        return formation
-    ids = np.array(graph.nodes)
-    xs = formation.array(ids)[:, 0]
-    got = np.abs(xs[a] - xs[b])
-    want = instance.lengths(ids[a], ids[b])
-    bad = np.flatnonzero(np.abs(got - want) > eps)
-    if bad.size:
-        u, v = int(ids[a[bad[0]]]), int(ids[b[bad[0]]])
-        raise ChordInconsistencyError(
-            f"chord ({u},{v}) embeds at {float(got[bad[0]])}, "
-            f"measured {float(want[bad[0]])}", edge=(u, v))
-    return formation
+    ids = np.array(sorted(set(members)), dtype=np.intp)
+    seq = unit_interval_order(Graph.from_instance(instance, ids)).sequence
+    x, _ = _line_pass(instance, ids, np.zeros(1, dtype=np.intp), eps, seq)
+    return PointFormation(1, ids, x)
 
 
 def localize_support_vertex(anchors, dists, d: int,
@@ -460,24 +483,31 @@ def hierarchical_localize(instance: NetworkInstance,
     lines = GroupingFunction.from_instance(instance, COLLINEAR)
     planes = GroupingFunction.from_instance(instance, COPLANAR)
 
-    # stage 1: each corridor on its own axis
-    line_formations: dict[int, PointFormation] = {}
-    for g in lines.groups:
-        members = lines.members(g)
+    # stage 1: every corridor at once, its nodes sorted by (label, id); a
+    # corridor that fails, in label order, takes localize_collinear_group
+    line_of, plane_of = (np.fromiter(g.assignment.values(), np.int64,
+                                     instance.n) for g in (lines, planes))
+    order = np.argsort(line_of, kind="stable")
+    label, floor = line_of[order], plane_of[order]
+    first = np.flatnonzero(np.append(True, label[1:] != label[:-1]))
+    groups, bounds = label[first].tolist(), [*first.tolist(), instance.n]
+    x, ok = _line_pass(instance, order, first, eps)
+    ok &= np.minimum.reduceat(floor, first) == np.maximum.reduceat(floor,
+                                                                     first)
+    for k in np.flatnonzero(~ok).tolist():
+        s, e = bounds[k], bounds[k + 1]
         try:
-            floors = sorted({planes.assignment[u] for u in members})
-            if len(floors) > 1:
+            if len(floors := sorted(set(floor[s:e].tolist()))) > 1:
                 raise InvalidInputError(
-                    f"line label {g} is on floors {floors}; line labels "
-                    "must be unique across floors")
-            line_formations[g] = localize_collinear_group(
-                instance, members, eps=eps)
+                    f"line label {groups[k]} is on floors {floors}; line "
+                    "labels must be unique across floors")
+            x[s:e] = localize_collinear_group(instance, order[s:e], eps).points
         except HyperlocError as exc:
-            raise _annotate(exc, "collinear", g)
-    line_states = dict.fromkeys(line_formations, "localized")
-
-    pos1 = {u: x for f in line_formations.values()
-            for u, x in zip(f.localized_ids(), f.points[f.mask, 0].tolist())}
+            raise _annotate(exc, "collinear", groups[k])
+    line_formations = {g: PointFormation(1, order[s:e], x[s:e])
+                       for g, s, e in zip(groups, bounds, bounds[1:])}
+    line_states = dict.fromkeys(groups, "localized")
+    pos1 = dict(zip(order.tolist(), x[:, 0].tolist()))
 
     # stage 2: corridors against each other, one floor at a time
     floor_formations: dict[int, PointFormation] = {}

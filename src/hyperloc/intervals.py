@@ -47,7 +47,7 @@ class Graph:
 
     def __init__(self, nodes: Iterable[int], edges: Iterable[tuple[int, int]]):
         self.nodes = tuple(sorted(set(nodes)))
-        idx = self._idx
+        idx = {u: i for i, u in enumerate(self.nodes)}
         ends = []
         for u, v in edges:
             if u == v or u not in idx or v not in idx:
@@ -70,10 +70,6 @@ class Graph:
     @property
     def n(self) -> int:
         return len(self.nodes)
-
-    @functools.cached_property
-    def _idx(self) -> dict[int, int]:
-        return {u: i for i, u in enumerate(self.nodes)}
 
     @functools.cached_property
     def _lists(self) -> tuple[list[int], list[int]]:
@@ -143,21 +139,14 @@ class Graph:
         return v in self.adj[u]
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
         start, nbr = self._lists
-        seen = [False] * self.n
-        seen[0] = True
-        stack = [0]
-        reached = 1
-        while stack:
+        seen, stack = {0}, [0]
+        while stack and len(seen) < self.n:
             u = stack.pop()
-            for w in nbr[start[u]:start[u + 1]]:
-                if not seen[w]:
-                    seen[w] = True
-                    reached += 1
-                    stack.append(w)
-        return reached == self.n
+            new = set(nbr[start[u]:start[u + 1]]) - seen
+            seen |= new
+            stack += new
+        return len(seen) >= self.n
 
     @functools.cached_property
     def _sweeps(self) -> tuple[tuple[list[int], ...], bool]:
@@ -193,22 +182,22 @@ class Graph:
         if self.n == 0:
             return (), True
         s1 = list(range(self.n))
-        if self._umbrella(s1) or self._umbrella(
-                s1 := _lbfs_local(self, 0, None)):
+        if self.umbrella(s1).all() or self.umbrella(
+                s1 := _lbfs_local(self, 0, None)).all():
             sweeps, certified = (s1, s1[::-1], s1), True
         else:
             s2 = _lbfs_local(self, s1[-1], s1)
-            if self._umbrella(s2):
+            if self.umbrella(s2).all():
                 sweeps, certified = (s1, s2, s2[::-1]), True
             else:
                 s3 = _lbfs_local(self, s2[-1], s2)
-                sweeps, certified = (s1, s2, s3), self._umbrella(s3)
+                sweeps, certified = (s1, s2, s3), bool(self.umbrella(s3).all())
         nodes = self.nodes
         return tuple([nodes[i] for i in s] for s in sweeps), certified
 
-    def _umbrella(self, order: list[int]) -> bool:
-        """Whether every closed neighbourhood occupies contiguous positions
-        of ``order`` (local indices): one min and one max per row."""
+    def umbrella(self, order) -> np.ndarray:
+        """Per vertex, whether its closed neighbourhood occupies contiguous
+        positions of ``order`` (local indices): one min and one max per row."""
         pos = np.empty(self.n, dtype=np.intp)
         pos[order] = np.arange(self.n)
         deg = self.degrees()
@@ -220,35 +209,40 @@ class Graph:
                                   np.minimum.reduceat(at, self.start[rows]))
             hi[rows] = np.maximum(hi[rows],
                                   np.maximum.reduceat(at, self.start[rows]))
-        return bool(np.all(hi - lo == deg))
+        return hi - lo == deg
 
     @classmethod
     def from_instance(cls, instance, node_ids: Iterable[int] | None = None) -> "Graph":
         """The instance's own graph (all nodes, the default), or its induced
         subgraph on ``node_ids``, sliced from the instance's rows. Ids the
         instance does not have stay isolated vertices."""
-        whole = instance.graph
         if node_ids is None:
-            return whole
-        # sorted, one per run of repeats (a plain np.unique imports numpy.ma)
-        ids = np.sort(np.fromiter(node_ids, dtype=np.intp))
-        first = np.ones(len(ids), dtype=bool)
-        first[1:] = ids[1:] != ids[:-1]
-        ids = ids[first]
-        known = np.flatnonzero((ids >= 0) & (ids < instance.n))
-        local = np.full(instance.n, -1, dtype=np.intp)
-        local[ids[known]] = known
-        owner, to, _ = whole.row_entries(ids[known])
-        to = local[to]
-        keep = to >= 0
-        graph = cls.__new__(cls)
+            return instance.graph
+        ids = np.array(sorted(set(node_ids)), dtype=np.intp)
+        graph, _ = cls.within(instance.graph, ids, np.zeros_like(ids))
         graph.nodes = tuple(ids.tolist())
-        # rows ascend by id, and so do their neighbours' local indices
-        graph.start = np.searchsorted(known[owner[keep]],
-                                      np.arange(len(ids) + 1))
+        return graph
+
+    @classmethod
+    def within(cls, whole: "Graph", ids: np.ndarray, block: np.ndarray
+               ) -> tuple["Graph", np.ndarray]:
+        """The edges of ``whole`` between ids of one block, as a graph whose
+        vertex i is ``ids[i]`` in block ``block[i]`` (ids ascend within a
+        block; ids ``whole`` lacks are isolated), and per slot its slot in
+        ``whole``."""
+        known = np.flatnonzero((ids >= 0) & (ids < whole.n))
+        local = np.full(whole.n, -1, dtype=np.intp)
+        local[ids[known]] = known
+        owner, to, slot = whole.row_entries(ids[known])
+        owner, to = known[owner], local[to]
+        keep = (to >= 0) & (block[to] == block[owner])
+        graph = cls.__new__(cls)
+        graph.nodes = tuple(range(len(ids)))
+        # rows follow ids, and within a block so do their neighbours
+        graph.start = np.searchsorted(owner[keep], np.arange(len(ids) + 1))
         graph.nbr = to[keep]
         graph.start.flags.writeable = graph.nbr.flags.writeable = False
-        return graph
+        return graph, slot[keep]
 
 
 @dataclass(frozen=True)
@@ -335,23 +329,15 @@ class LinearOrder:
     sequence: tuple[int, ...]
 
 
-def _lbfs(graph: Graph, start: int, tie_order: Sequence[int] | None) -> list[int]:
-    """Lexicographic BFS by partition refinement (Habib, McConnell, Paul &
-    Viennot 2000), O(n + m) per sweep.
-
-    ``start`` goes first. Among vertices with equal labels the one latest in
-    ``tie_order`` goes first (LBFS+), or the smallest id when there is no
-    tie order.
-    """
-    idx = graph._idx
-    order = _lbfs_local(graph, idx[start], None if tie_order is None
-                        else [idx[u] for u in tie_order])
-    return [graph.nodes[i] for i in order]
-
-
 def _lbfs_local(graph: Graph, start: int,
                 tie_order: Sequence[int] | None) -> list[int]:
-    """:func:`_lbfs` over the graph's local vertex indices."""
+    """Lexicographic BFS by partition refinement (Habib, McConnell, Paul &
+    Viennot 2000), O(n + m) per sweep, over local vertex indices.
+
+    ``start`` goes first. Among vertices with equal labels the one latest in
+    ``tie_order`` goes first (LBFS+), or the smallest index when there is no
+    tie order.
+    """
     n = graph.n
     rest = range(n) if tie_order is None else reversed(tie_order)
     init = np.array([start] + [u for u in rest if u != start], dtype=np.intp)
@@ -425,8 +411,6 @@ def unit_interval_order(graph: Graph) -> LinearOrder:
     """
     if graph.n == 0:
         raise InvalidInputError("empty graph")
-    if graph.n == 1:
-        return LinearOrder(sequence=(graph.nodes[0],))
     sweeps, certified = graph._sweeps
     if not certified and not graph.is_connected():
         raise InvalidInputError("group subgraph must be connected")

@@ -8,6 +8,7 @@ positions. Localizers must only ever see the output of
 
 from __future__ import annotations
 
+import bisect
 import copy
 import functools
 import json
@@ -171,8 +172,14 @@ class NetworkInstance:
         return v in self.neighbors(u)
 
     def dist(self, u: int, v: int) -> float:
-        """Measured length of edge ``(u, v)``; ``KeyError`` for a non-edge."""
-        return self.lengths([u], [v]).item()
+        """Measured length of edge ``(u, v)``, read at the slot a bisection
+        of row ``u`` finds; ``KeyError`` for a non-edge or a non-node."""
+        start, nbr = self.graph._lists
+        if 0 <= u < self.n:
+            at = bisect.bisect_left(nbr, v, start[u], start[u + 1])
+            if at < start[u + 1] and nbr[at] == v:
+                return float(self.length[at])
+        raise KeyError((u, v) if u < v else (v, u))
 
     def lengths(self, u, v) -> np.ndarray:
         """Measured length of each edge ``(u[i], v[i])``, at the slots of
@@ -426,14 +433,12 @@ class GroupingFunction:
         if level not in (COLLINEAR, COPLANAR):
             raise InvalidInputError(f"unknown grouping level {level!r}")
         attr = "line_group" if level == COLLINEAR else "plane_group"
-        labels = {}
-        for nd in instance.nodes:
-            lab = getattr(nd, attr)
-            if lab is None:
-                raise InvalidInputError(
-                    f"node {nd.id} has no {attr}; grouping must be total")
-            labels[nd.id] = lab
-        return cls(labels)
+        labels = [getattr(nd, attr) for nd in instance.nodes]
+        missing = [u for u, lab in enumerate(labels) if lab is None]
+        if missing:             # node ids are 0..n-1
+            raise InvalidInputError(f"node {missing[0]} has no {attr}; "
+                                    "grouping must be total")
+        return cls(dict(enumerate(labels)))
 
     @functools.cached_property
     def _members(self) -> dict[int, list[int]]:
@@ -466,16 +471,19 @@ class PointFormation:
 
     Positions live in one ``(len(ids), dim)`` array, ``points``, whose rows
     follow the sorted ids in ``ids``, found by ``searchsorted`` over them;
-    ``mask`` flags the localized rows.
+    ``mask`` flags the localized rows. Given ``points``, the formation
+    takes ``ids`` (an ascending array of distinct ids) and ``points`` as
+    they are, every row localized.
     """
 
-    def __init__(self, dim: int, ids: Iterable[int] = ()):
+    def __init__(self, dim: int, ids: Iterable[int] = (), points=None):
         if dim not in (1, 2, 3):
             raise InvalidInputError("formation dim must be 1, 2 or 3")
         self.dim = dim
-        self.ids = np.array(sorted(set(ids)), dtype=int)
-        self.points = np.zeros((len(self.ids), dim))
-        self.mask = np.zeros(len(self.ids), dtype=bool)
+        given = points is not None
+        self.ids = ids if given else np.array(sorted(set(ids)), dtype=int)
+        self.points = points if given else np.zeros((len(self.ids), dim))
+        self.mask = np.full(len(self.ids), given)
 
     def rows_of(self, ids: Sequence[int]) -> np.ndarray:
         """Row of each id in ``points``; ``KeyError`` for an unknown id."""
@@ -560,10 +568,6 @@ class Hyperplane:
         object.__setattr__(self, "normal", tuple(float(x) for x in n))
         object.__setattr__(self, "offset", float(b))
 
-    @property
-    def dim(self) -> int:
-        return len(self.normal)
-
     def residual(self, point) -> float:
         p = np.asarray(point, dtype=float)
         return float(np.dot(self.normal, p) - self.offset)
@@ -643,19 +647,10 @@ class BuildingConfig:
             raise InvalidConfigError("noise_sigma must be >= 0")
 
     def to_json_dict(self) -> dict:
-        return {
-            "floors": self.floors,
-            "floor_spacing": self.floor_spacing,
-            "corridors_per_floor": list(self.counts()),
-            "node_spacing": self.node_spacing,
-            "radius": self.radius,
-            "connector_columns": [list(c) for c in self.connector_columns],
-            "rng_seed": self.rng_seed,
-            "corridor_spacing": self.corridor_spacing,
-            "extent": self.extent,
-            "stagger": self.stagger,
-            "noise_sigma": self.noise_sigma,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["corridors_per_floor"] = list(self.counts())
+        out["connector_columns"] = [list(c) for c in self.connector_columns]
+        return out
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "BuildingConfig":

@@ -1,12 +1,28 @@
 """Brute-force oracles for the claw, net and Hamiltonian-path searches of
-:mod:`hyperloc.intervals`, used only by the tests."""
+:mod:`hyperloc.intervals`, and an id-keyed form of its LBFS, used only by
+the tests."""
 
 from __future__ import annotations
 
 import itertools
 
-from hyperloc.errors import SizeLimitError
-from hyperloc.intervals import Graph, InducedClaw, InducedNet
+from hyperloc.errors import HyperlocError
+from hyperloc.intervals import Graph, InducedClaw, InducedNet, _lbfs_local
+
+
+class SizeLimitError(HyperlocError):
+    """An oracle's input is beyond its size cap."""
+
+    code = "size-limit"
+
+
+def _lbfs(graph: Graph, start: int, tie_order) -> list[int]:
+    """``intervals._lbfs_local`` on ids: ``start`` first, ties going to the
+    latest in ``tie_order`` (LBFS+), or to the smallest id without one."""
+    idx = {u: i for i, u in enumerate(graph.nodes)}
+    order = _lbfs_local(graph, idx[start], None if tie_order is None
+                        else [idx[u] for u in tie_order])
+    return [graph.nodes[i] for i in order]
 
 
 def claw_oracle(graph: Graph) -> InducedClaw | None:

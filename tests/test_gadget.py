@@ -9,14 +9,19 @@ from hyperloc.errors import InvalidInputError, SizeCapError
 from hyperloc.gadget import (COLOR_NAMES, RADIUS, FlipConfiguration,
                              Hypergraph3U,
                              _choose_order, _config_positions, _ConfigChecker,
-                             build_gadget, enumerate_groupings,
-                             is_proper_coloring, lift_to_3d, two_colorings,
-                             verify_equivalence)
+                             build_gadget, enumerate_groupings, lift_to_3d,
+                             two_colorings, verify_equivalence)
 from hyperloc.model import NetworkInstance, make_rng, udg_edges
 
 FANO = Hypergraph3U(7, (
     (0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6),
     (2, 4, 5)))
+
+
+def is_proper_coloring(h, colors):
+    """No hyperedge of ``h`` is monochromatic under ``colors``."""
+    return all(len({colors[a], colors[b], colors[c]}) > 1
+               for a, b, c in h.edges)
 
 
 def coloring_of(g, config):

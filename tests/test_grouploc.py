@@ -1,10 +1,13 @@
 import hashlib
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hyperloc import grouploc
+from hyperloc import evaluate, grouploc
 from hyperloc.errors import (AmbiguousPlacementError, ChordInconsistencyError,
                              InconsistentDistancesError, InvalidInputError,
                              NotLocalizableError)
@@ -20,6 +23,7 @@ from hyperloc.model import (COLLINEAR, COPLANAR, DEFAULT_EPS, BuildingConfig,
                             build_udg, flagship_building_config,
                             generate_building, make_rng, strip_ground_truth,
                             udg_edges)
+from hyperloc.errors import HyperlocError
 from hyperloc.quadloc import multilaterate
 
 
@@ -717,3 +721,188 @@ class TestVerifyFormation:
     def test_nothing_localized(self):
         inst = build_udg([(0, 0), (0.5, 0)], 1.0)
         assert verify_formation(inst, PointFormation(2, [0, 1])) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# stage 1: the whole-building pass against the per-corridor entry point
+# ---------------------------------------------------------------------------
+
+def _renumbered(inst, perm, edges=None):
+    """``inst``, with ``edges`` (arrays) if given, and node ``perm[i]``
+    renumbered ``i``."""
+    new = np.argsort(perm)
+    u, v, d = inst.edge_arrays() if edges is None else edges
+    nodes = [replace(inst.nodes[p], id=i) for i, p in enumerate(perm.tolist())]
+    return NetworkInstance(nodes, (new[u], new[v], d), inst.radius)
+
+
+def _outcome(error, pos1=None, formations=None):
+    """What stage 1 gave, to the bit: the error's class, code, message,
+    stage, group and edge; or ``pos1`` in order and each corridor
+    formation's ids, points and mask."""
+    if error is not None:
+        return ("error", type(error).__name__, error.code, str(error),
+                error.stage, error.group, getattr(error, "edge", None))
+    return ("ok", repr(list(pos1.items())),
+            [(g, f.dim, f.ids.tolist(), f.points.tobytes(), f.mask.tobytes())
+             for g, f in formations.items()])
+
+
+def _stage1(inst, eps=DEFAULT_EPS):
+    """``hierarchical_localize`` with stages 2 and 3 stubbed out: its
+    ``pos1`` and the corridor formations it hands to stage 2."""
+    fed = {}
+
+    def stub(instance, grouping, local, d, eps=DEFAULT_EPS, seed_group=None):
+        if d == 2:
+            fed.update(local)
+        return PointFormation(d, grouping.assignment), {}
+
+    with mock.patch.object(grouploc, "localize_groups", stub):
+        try:
+            pos1 = hierarchical_localize(inst, eps=eps).pos1
+        except HyperlocError as exc:
+            return _outcome(exc)
+    return _outcome(None, pos1, dict(sorted(fed.items())))
+
+
+def _reference_stage1(inst, eps=DEFAULT_EPS):
+    """The per-corridor loop: ``localize_collinear_group`` on each line
+    label in turn, the first error named as the driver names it."""
+    lines = GroupingFunction.from_instance(inst, COLLINEAR)
+    formations = {}
+    for g in lines.groups:
+        try:
+            formations[g] = localize_collinear_group(inst, lines.members(g),
+                                                     eps)
+        except HyperlocError as exc:
+            exc.stage, exc.group = "collinear", g
+            return _outcome(exc)
+    pos1 = {u: x for f in formations.values()
+            for u, x in zip(f.ids.tolist(), f.points[:, 0].tolist())}
+    return _outcome(None, pos1, formations)
+
+
+@st.composite
+def _relabelled_buildings(draw, spacings=(0.3, 0.45, 0.9)):
+    """A small building, ``perm`` for ``_renumbered`` that keeps, reverses
+    or shuffles each corridor's ids among themselves, and whether any was
+    shuffled. A kept or reversed corridor passes the index-order pass; a
+    shuffled one mostly takes the sweeps, and may fail on twins swapped
+    against their geometric order."""
+    cfg = BuildingConfig(
+        floors=draw(st.integers(1, 2)),
+        corridors_per_floor=draw(st.integers(1, 3)),
+        node_spacing=draw(st.sampled_from(spacings)),
+        extent=draw(st.sampled_from((0.9, 2.7, 4.5))),
+        stagger=draw(st.booleans()),
+        connector_columns=draw(st.sampled_from(((), ((1.8, 0.45),)))))
+    inst = generate_building(cfg)
+    line = np.array([nd.line_group for nd in inst.nodes])
+    perm, shuffled = np.arange(inst.n), False
+    for g in np.unique(line).tolist():
+        members = np.flatnonzero(line == g)
+        how = draw(st.sampled_from(("keep", "reverse", "shuffle")))
+        if how == "reverse":
+            perm[members] = members[::-1]
+        elif how == "shuffle":
+            perm[members] = draw(st.permutations(members.tolist()))
+            shuffled = True
+    return inst, perm, shuffled
+
+
+class TestStageOnePass:
+    @settings(max_examples=80, deadline=None, database=None,
+              derandomize=True)
+    @given(drawn=_relabelled_buildings())
+    def test_matches_the_per_corridor_loop(self, drawn):
+        inst, perm, shuffled = drawn
+        net = strip_ground_truth(_renumbered(inst, perm))
+        got = _stage1(net)
+        assert got == _reference_stage1(net)
+        assert shuffled or got[0] == "ok"
+
+    @settings(max_examples=80, deadline=None, database=None,
+              derandomize=True)
+    @given(drawn=_relabelled_buildings(spacings=(0.3, 0.45)), data=st.data())
+    def test_first_failing_corridor_raises_as_the_loop_does(self, drawn,
+                                                             data):
+        # corrupt a chord of corridor k and cut a later corridor j in two
+        inst, perm, _ = drawn
+        line = np.array([nd.line_group for nd in inst.nodes])
+        labels = np.unique(line).tolist()
+        k = data.draw(st.sampled_from(labels))
+        j = data.draw(st.sampled_from([g for g in labels if g > k] or [k]))
+        x = inst.positions()[:, 0]
+        u, v, d = (a.copy() for a in inst.edge_arrays())
+        lo, hi = np.minimum(x[u], x[v]), np.maximum(x[u], x[v])
+        inner = (line[u] == line[v])
+        between = [np.any((line == k) & (x > a) & (x < b))
+                   for a, b in zip(lo.tolist(), hi.tolist())]
+        chords = np.flatnonzero(inner & (line[u] == k) & between)
+        if chords.size:
+            d[chords[data.draw(st.integers(0, chords.size - 1))]] -= 0.05
+        xs = np.sort(x[line == j])
+        cut = (xs[len(xs) // 2 - 1] + xs[len(xs) // 2]) / 2
+        keep = ~(inner & (line[u] == j) & (lo < cut) & (cut < hi))
+        net = strip_ground_truth(_renumbered(
+            inst, perm, (u[keep], v[keep], d[keep])))
+        got = _stage1(net)
+        assert got == _reference_stage1(net)
+        if chords.size or not keep.all():
+            assert got[0] == "error" and got[4] == "collinear"
+
+
+class TestStageOneFallback:
+    """On the bench building, stage 1 runs no sweep; a corridor whose ids
+    are shuffled alone goes through ``localize_collinear_group``."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = {"from_instance": [], "unit_interval_order": 0, "fallback": []}
+        from_instance = Graph.from_instance
+        order = grouploc.unit_interval_order
+        one_group = grouploc.localize_collinear_group
+
+        def spy_from_instance(instance, node_ids=None):
+            seen["from_instance"].append(
+                None if node_ids is None else sorted(map(int, node_ids)))
+            return from_instance(instance, node_ids)
+
+        def spy_order(graph):
+            seen["unit_interval_order"] += 1
+            return order(graph)
+
+        def spy_one_group(instance, members, eps=DEFAULT_EPS):
+            seen["fallback"].append(sorted(map(int, members)))
+            return one_group(instance, members, eps)
+
+        monkeypatch.setattr(Graph, "from_instance",
+                            staticmethod(spy_from_instance))
+        monkeypatch.setattr(grouploc, "unit_interval_order", spy_order)
+        monkeypatch.setattr(grouploc, "localize_collinear_group",
+                            spy_one_group)
+        return seen
+
+    @pytest.fixture(scope="class")
+    def bench(self):
+        return generate_building(evaluate._bench_building(3201, 0))
+
+    def test_ids_in_position_order_take_no_sweep(self, bench, calls):
+        res = hierarchical_localize(strip_ground_truth(bench))
+        assert calls == {"from_instance": [], "unit_interval_order": 0,
+                         "fallback": []}
+        assert res.localized_fraction() == 1.0
+
+    def test_a_shuffled_corridor_alone_falls_back(self, bench, calls):
+        line = np.array([nd.line_group for nd in bench.nodes])
+        members = np.flatnonzero(line == 6)
+        perm = np.arange(bench.n)
+        perm[members] = make_rng(6).permutation(members)
+        net = strip_ground_truth(_renumbered(bench, perm))
+        res = hierarchical_localize(net)
+        assert calls == {"from_instance": [members.tolist()],
+                         "unit_interval_order": 1,
+                         "fallback": [members.tolist()]}
+        assert res.localized_fraction() == 1.0
+        assert _stage1(net) == _reference_stage1(net)

@@ -8,15 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperloc import intervals
-from hyperloc.errors import (InvalidInputError, NoHamiltonianPathError,
-                             SizeLimitError)
-from hyperloc.intervals import (Graph, InducedClaw, InducedNet, _lbfs,
-                                find_claw, find_net, unit_interval_order)
+from hyperloc.errors import InvalidInputError, NoHamiltonianPathError
+from hyperloc.intervals import (Graph, InducedClaw, InducedNet, find_claw,
+                                find_net, unit_interval_order)
 from hyperloc.model import (BuildingConfig, build_udg,
                             flagship_building_config, generate_building,
                             make_rng)
 
-from graph_oracles import claw_oracle, hamiltonian_oracle, net_oracle
+from graph_oracles import (SizeLimitError, _lbfs, claw_oracle,
+                           hamiltonian_oracle, net_oracle)
 
 
 def random_unit_interval_graph(rng, n, twins=0.0):

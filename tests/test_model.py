@@ -484,6 +484,32 @@ class TestNetworkInstance:
             inst.validate_exact()
 
 
+class TestDist:
+    """``dist`` bisects the neighbour ids of one row and reads its slot."""
+
+    def test_every_edge_both_ways(self):
+        inst = generate_building(flagship_building_config())
+        u, v, d = (x.tolist() for x in inst.edge_arrays())
+        assert [inst.dist(a, b) for a, b in zip(u, v)] == d
+        assert [inst.dist(b, a) for a, b in zip(u, v)] == d
+        assert {type(inst.dist(a, b)) for a, b in zip(u, v)} == {float}
+
+    @pytest.mark.parametrize("u, v", [(0, 2), (2, 0), (1, 1), (0, 0)])
+    def test_non_edge_is_a_key_error_on_the_sorted_pair(self, u, v):
+        inst = build_udg([(0, 0), (0.5, 0), (1.4, 0)], 1.0)
+        with pytest.raises(KeyError) as exc:
+            inst.dist(u, v)
+        assert exc.value.args[0] == (min(u, v), max(u, v))
+
+    @pytest.mark.parametrize("u, v", [(3, 1), (1, 3), (-1, 0), (0, -1),
+                                      (-3, -1), (10**9, 2), (2, 10**9)])
+    def test_a_non_node_is_a_key_error_not_an_index_error(self, u, v):
+        inst = build_udg([(0, 0), (0.5, 0), (1.4, 0)], 1.0)
+        with pytest.raises(KeyError) as exc:
+            inst.dist(u, v)
+        assert exc.value.args[0] == (min(u, v), max(u, v))
+
+
 def _reference_generate_building(config: BuildingConfig) -> NetworkInstance:
     """Per-node generator: each floor laid out anew, each point tested
     against the kept points of its floor in a dict of cells."""
