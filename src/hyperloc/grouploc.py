@@ -21,7 +21,7 @@ from .errors import (AmbiguousPlacementError, ChordInconsistencyError,
 from .intervals import Graph, LinearOrder, unit_interval_order
 from .model import (COLLINEAR, COPLANAR, DEFAULT_EPS, GroupingFunction,
                     Hyperplane, NetworkInstance, PointFormation,
-                    cross_pairs)
+                    WindowIndex)
 from .quadloc import solve_spheres
 
 # Placements that bring a non-adjacent pair this far inside the radio radius
@@ -42,18 +42,22 @@ def localize_path(path: LinearOrder, weights: Sequence[float]) -> PointFormation
 
 
 def _line_pass(instance: NetworkInstance, ids: np.ndarray, first: np.ndarray,
-               eps: float, seq: Sequence[int] | None = None
+               eps: float, sweep: bool = False
                ) -> tuple[np.ndarray, np.ndarray]:
     """Stage 1 for the blocks ``ids[first[k]:first[k + 1]]`` (ascending, with
     the edges inside them) at once: positions along each index order, and
     per block whether it is an umbrella order of adjacent consecutive nodes
-    whose chords are all within ``eps``. With ``seq``, a path through the
-    one block, lays it out along ``seq``; the first chord off raises."""
+    whose chords are all within ``eps``. With ``sweep``, lays the one block
+    out along ``unit_interval_order`` of its graph; the first chord off
+    raises."""
     n, k = len(ids), len(first)
     block = np.repeat(np.arange(k), np.diff(first, append=n))
     graph, slot = Graph.within(instance.graph, ids, block)
     length = instance.length[slot]
-    path = np.arange(n) if seq is None else np.searchsorted(ids, seq)
+    path = np.arange(n)
+    if sweep:
+        graph.nodes = tuple(ids.tolist())
+        path = np.searchsorted(ids, unit_interval_order(graph).sequence)
     at = graph.pair_slots(path[:-1], path[1:])
     inner = block[1:] == block[:-1]
     joined = inner & (at >= 0)
@@ -67,7 +71,7 @@ def _line_pass(instance: NetworkInstance, ids: np.ndarray, first: np.ndarray,
     a, b, ab = graph.edge_ends()
     got = np.abs(x[a, 0] - x[b, 0])
     off = np.abs(got - length[ab]) > eps
-    if seq is not None and off.any():
+    if sweep and off.any():
         i = int(np.argmax(off))
         u, v = int(ids[a[i]]), int(ids[b[i]])
         raise ChordInconsistencyError(
@@ -84,12 +88,13 @@ def localize_collinear_group(instance: NetworkInstance,
     """1D embedding of one collinear group's induced subgraph.
 
     Orders the vertices (``unit_interval_order``), accumulates path-edge
-    lengths and validates every chord (``_line_pass``): a violated chord
-    means the order is not geometrically monotone (or the grouping is wrong).
+    lengths and validates every chord, all on one induced subgraph
+    (``_line_pass``): a violated chord means the order is not geometrically
+    monotone (or the grouping is wrong).
     """
     ids = np.array(sorted(set(members)), dtype=np.intp)
-    seq = unit_interval_order(Graph.from_instance(instance, ids)).sequence
-    x, _ = _line_pass(instance, ids, np.zeros(1, dtype=np.intp), eps, seq)
+    x, _ = _line_pass(instance, ids, np.zeros(1, dtype=np.intp), eps,
+                      sweep=True)
     return PointFormation(1, ids, x)
 
 
@@ -191,7 +196,10 @@ class GroupLocalState:
 
 @dataclass
 class _GroupArrays:
-    """One group's members and its measured edges into scope, built once.
+    """One group's members and its measured edges to the other groups in
+    scope, built once. A group's arrays are read only while it is unplaced,
+    when an edge inside it has no localized end, so those edges are left
+    out.
 
     Edges run member by member, each member's far ends in ascending id
     order; member ``m`` of the group owns edges ``starts[m]:starts[m + 1]``.
@@ -202,6 +210,7 @@ class _GroupArrays:
     starts: np.ndarray      # (members + 1,) edge offsets
     near: np.ndarray        # per edge: its member's index in ids, or -1
     far: np.ndarray         # per edge: the far end's formation row
+    far_group: np.ndarray   # per edge: the far end's group label
     length: np.ndarray      # per edge: the measured length
 
 
@@ -223,12 +232,17 @@ class _GroupSolver:
                 raise InvalidInputError(
                     f"group {g} local formation has dim {f.dim}, expected {d - 1}")
         self.formation = PointFormation(d, ids=grouping.assignment)
-        self.in_scope = np.zeros(instance.n, dtype=bool)
-        self.in_scope[self.formation.ids] = True
-        self.group_of_row = np.zeros(len(self.formation.ids), dtype=int)
-        for g, mem in self.members.items():
-            self.group_of_row[self.formation.rows_of(mem)] = g
+        count = len(grouping.assignment)
+        self.labels = np.array(grouping.groups, dtype=np.int64)
+        # per node: the index of its group's label in labels, -1 out of scope
+        self.group_at = np.full(instance.n, -1, dtype=np.intp)
+        self.group_at[np.fromiter(grouping.assignment, np.intp, count)] = \
+            self.labels.searchsorted(np.fromiter(
+                grouping.assignment.values(), np.int64, count))
         self.arrays = {g: self._build_arrays(g) for g in self.members}
+        # the kernel's index over the localized points and their largest
+        # |coordinate|, built at the first check after each placement
+        self._near: tuple[WindowIndex | None, float] | None = None
         self.states = {g: GroupLocalState(group=g) for g in self.members}
         self.gauge, self.placed = True, 0
         if seed_group is None:
@@ -248,17 +262,17 @@ class _GroupSolver:
         ids = members[has_row]
         index = np.where(has_row, np.cumsum(has_row) - 1, -1)
         # every member's row of the adjacency, concatenated, then only the
-        # edges whose far end is in scope
+        # edges whose far end is in scope and in another group
         owner, to, slots = self.inst.graph.row_entries(members)
-        keep = self.in_scope[to]
-        owner, to, slots = owner[keep], to[keep], slots[keep]
-        near = index[owner]
+        at = self.group_at[to]
+        keep = (at >= 0) & (at != self.labels.searchsorted(g))
+        owner, to, slots, at = owner[keep], to[keep], slots[keep], at[keep]
         return _GroupArrays(
             ids=ids,
             local=local.array(ids) if len(ids) else np.zeros((0, self.d - 1)),
             starts=np.searchsorted(owner, np.arange(len(members) + 1)),
-            near=near, far=self.formation.rows_of(to),
-            length=self.inst.length[slots])
+            near=index[owner], far=self.formation.rows_of(to),
+            far_group=self.labels[at], length=self.inst.length[slots])
 
     def _apply_transform(self, g: int, transform: GroupTransform,
                          supports: list[tuple[int, np.ndarray]]) -> None:
@@ -266,6 +280,7 @@ class _GroupSolver:
         self.placed += 1
         self.formation.mark_many(arr.ids, transform.apply(arr.local))
         self.states[g] = GroupLocalState(g, "localized", supports, transform)
+        self._near = None
 
     # -- mirror/sign resolution ----------------------------------------------
 
@@ -302,40 +317,41 @@ class _GroupSolver:
     def _check_placement(self, g: int, transform: GroupTransform,
                          rows: Sequence[int] = ()) -> bool:
         """True if group g's positions under the transform satisfy every
-        measured edge to the localized set and violate no unit-disk
-        non-edge; the support ``rows``' non-edges, the likeliest to fail,
-        are tested first by the same arithmetic."""
+        measured edge to the localized set and bring no other localized
+        point within the radius less ``NONEDGE_MARGIN`` (reach).
+
+        The measured edges are tested first, in one residual test. The
+        non-edges are then searched in the kernel's index over the
+        localized points, first from the support ``rows`` (a wrong mirror
+        usually lands one on a localized node), then from the whole group.
+        A query finds every measured edge within reach, at the same bits
+        as the residual test (the same operands), and g has no localized
+        member, so its pairs are all measured edges exactly when it finds
+        as many as there are."""
         arr = self.arrays[g]
         f = self.formation
-        if not f.mask.any():
+        if self._near is None:
+            loc = f.points[f.mask]
+            self._near = (WindowIndex(loc, self.inst.radius - NONEDGE_MARGIN)
+                          if len(loc) else None,
+                          float(np.abs(loc).max(initial=0.0)))
+        index, extent = self._near
+        if index is None:
             return True
         pts = transform.apply(arr.local)
-        scale = max(1.0, float(np.abs(pts).max()),
-                    float(np.abs(f.points[f.mask]).max()))
-        tol = max(self.eps, 1e-9) * scale
+        tol = max(self.eps, 1e-9) * max(1.0, float(np.abs(pts).max()), extent)
         measured = (arr.near >= 0) & f.mask[arr.far]
-        got = np.linalg.norm(pts[arr.near[measured]] - f.points[arr.far[measured]],
-                             axis=-1)
+        near = arr.near[measured]
+        got = np.linalg.norm(pts[near] - f.points[arr.far[measured]], axis=-1)
         if np.any(np.abs(got - arr.length[measured]) > tol):
             return False
-        # Non-edges: only localized points within reach of the group's
-        # bounding box can come within the radius of one of its points.
-        reach = self.inst.radius - NONEDGE_MARGIN
-        lo, hi = pts.min(axis=0), pts.max(axis=0)
-        near = np.flatnonzero(f.mask & np.all(
-            (f.points - hi <= reach) & (lo - f.points <= reach), axis=1))
-
-        def all_measured(i, j):
-            return np.all(self.inst.graph.pair_slots(arr.ids[i],
-                                                     f.ids[near[j]]) >= 0)
-
-        i = np.repeat(np.asarray(rows, dtype=int), len(near))
-        j = np.tile(np.arange(len(near)), len(rows))
-        hit = np.linalg.norm(pts[i] - f.points[near[j]], axis=-1) <= reach
-        if not all_measured(i[hit], j[hit]):
+        # each measured edge within reach, by its member's row
+        within = near[got <= index.lim]
+        rows = np.asarray(rows, dtype=np.intp)
+        if len(rows) and len(index.pairs(pts[rows])[0]) != \
+                np.count_nonzero(within[:, None] == rows):
             return False
-        i, j, _ = cross_pairs(pts, f.points[near], reach, eps=0.0)
-        return bool(all_measured(i, j))
+        return len(index.pairs(pts)[0]) == len(within)
 
     def _is_reflection_gauge(self) -> bool:
         """True while every localized node lies in one hyperplane, so a
@@ -357,7 +373,7 @@ class _GroupSolver:
         f = self.formation
         usable = f.mask[arr.far]
         if group_filter is not None:
-            usable &= self.group_of_row[arr.far] == group_filter
+            usable &= arr.far_group == group_filter
         seen = np.concatenate([[0], np.cumsum(usable)])
         enough = np.flatnonzero(
             seen[arr.starts[1:]] - seen[arr.starts[:-1]] >= min_anchors)
@@ -394,7 +410,7 @@ class _GroupSolver:
         placed = False
         for g in sorted(self.members):
             if g != self.seed and np.any(
-                    self.group_of_row[self.arrays[g].far] == self.seed):
+                    self.arrays[g].far_group == self.seed):
                 placed |= self._scan_group(g, group_filter=self.seed,
                                            min_anchors=self.d)
         if len(self.members) > 1 and not placed:

@@ -250,103 +250,131 @@ def build_udg(points: Sequence[Sequence[float]], radius: float, *,
     return NetworkInstance(nodes, edges, radius)
 
 
-def _window_pairs(pos: np.ndarray, lim: float,
-                  other: np.ndarray | None = None) -> EdgeArrays:
-    """Index pairs within distance ``lim``, with their distances: the pairs
-    ``u < v`` of ``pos``, each once, or with ``other`` the pairs ``(i, j)``
-    of ``pos[i]`` and ``other[j]``.
+_FP = np.finfo(float).eps
 
-    A fixed-radius near-neighbour search over cells (Bentley, Stanat &
-    Williams 1977). The searched set is swept along its widest axis:
-    ``searchsorted`` gives each query point the window of points within
-    ``lim`` on that axis, over a bound widened by a few ulps so that no pair
-    whose rounded gap is within ``lim`` is missed. When those windows hold
-    more candidates than one chunk, every other axis that spans more than
-    three cells of side about ``lim`` cuts the set into strips, the points
-    are sorted by (strip, sweep coordinate), and a query point gets such a
-    window in its own strip and in each neighbouring one; a point of the set
-    searches its own strip forward and only the neighbours in its
-    half-shell, so each pair comes once. A pair's distance is never below
-    its gap on any axis, and the ``d <= lim`` filter decides. The windows
-    are expanded into candidates in chunks of fewer than twice as many as
-    there are points, so no n x n array is built.
+
+class WindowIndex:
+    """Fixed-radius near-neighbour index of ``points`` (a non-empty
+    ``(n, dim)`` array) for pairs within distance ``lim``, over cells
+    (Bentley, Stanat & Williams 1977): this is the searched half of the
+    kernel, and :meth:`pairs` the query half.
+
+    The points are sorted once along their widest axis. Every other axis
+    that spans more than three cells of side about ``lim`` can cut them
+    into strips; the first query whose windows on the sweep axis hold more
+    candidates than one chunk sorts them by (strip, sweep coordinate), and
+    later queries reuse both orders.
     """
-    b = pos if other is None else other
-    n, low = len(b), b.min(axis=0)
-    span = b.max(axis=0) - low
-    axis = int(np.argmax(span))
-    fp = np.finfo(float).eps
-    wide = lim * (1.0 + 4.0 * fp)
-    order = np.argsort(b[:, axis])
-    xs = b[order, axis]
-    qx, hold = (xs, n) if other is None else (pos[:, axis], len(pos) + n)
-    # the sweep: each query point's window on the sweep axis; a point of the
-    # set looks only forward from itself
-    above = np.searchsorted(xs, qx + wide, side="right")
-    below = (np.arange(1, n + 1) if other is None
-             else np.searchsorted(xs, qx - wide))
-    starts, stops = [below], [above]
-    steps = [0]                     # linear offsets of the neighbour strips
-    # strips pay only where the sweep's windows outgrow one chunk
-    if (above - below).sum() > 2 * hold:
-        sets = (b,) if other is None else (b, pos)
-        strips = [np.zeros(len(p), dtype=np.intp) for p in sets]
-        for a in range(b.shape[1]):
+
+    def __init__(self, points: np.ndarray, lim: float):
+        self.points, self.lim = points, lim
+        self.low = points.min(axis=0)
+        span = points.max(axis=0) - self.low
+        self.axis = int(np.argmax(span))
+        self.wide = lim * (1.0 + 4.0 * _FP)
+        self.order = np.argsort(points[:, self.axis])
+        self.sorted = points[self.order]
+        self.xs = self.sorted[:, self.axis].copy()
+        self.cuts = []      # (axis, side, cells) of each axis that cuts
+        for a, extent in enumerate(span.tolist()):
             # the side outgrows the rounding of (x - low) / side, so a pair
             # within wide on this axis is never two cells apart; at most
             # 2**16 cells
-            side = max(wide + 4.0 * fp * span[a], span[a] / 2.0 ** 16)
-            if a == axis or not 3.0 * side < span[a] < np.inf:
-                continue
-            # the set's cells are 2 .. size - 3; a query point outside them
-            # is clipped to a cell two away from every one of them
-            size = int(span[a] / side) + 5
-            strips = [t * size + np.clip(np.floor((p[:, a] - low[a]) / side)
-                                         + 2, 0, size - 1).astype(np.intp)
-                      for t, p in zip(strips, sets)]
-            steps = [t * size + o for t in steps for o in (-1, 0, 1)]
-    if len(steps) > 1:
-        # sorted by (strip, rank on the sweep axis), so that the points of a
-        # strip within a window of ranks are one range of keys
+            side = max(self.wide + 4.0 * _FP * extent, extent / 2.0 ** 16)
+            if a != self.axis and 3.0 * side < extent < np.inf:
+                # the set's cells are 2 .. cells - 3; a query point outside
+                # them is clipped to a cell two away from every one of them
+                self.cuts.append((a, side, int(extent / side) + 5))
+
+    def _strip_of(self, p: np.ndarray) -> np.ndarray:
+        """Each point's strip: its cells on the cut axes as one index."""
+        strip = np.zeros(len(p), dtype=np.intp)
+        for a, side, cells in self.cuts:
+            strip = strip * cells + np.clip(
+                np.floor((p[:, a] - self.low[a]) / side) + 2, 0,
+                cells - 1).astype(np.intp)
+        return strip
+
+    @functools.cached_property
+    def _by_strip(self) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                 np.ndarray, list[int]]:
+        """The points sorted by (strip, rank on the sweep axis), so that the
+        points of a strip within a window of ranks are one range of keys
+        ``strip * n + rank``: that order, the points in it, their keys and
+        ranks, and the linear offsets of a strip's neighbours."""
+        n = len(self.points)
         rank = np.empty(n, dtype=np.intp)
-        rank[order] = np.arange(n)
-        order = order[np.argsort(strips[0][order], kind="stable")]
-        keys = strips[0][order] * n + rank[order]
-        if other is None:
-            # the set's points in the new order: own strip forward, then the
-            # strips of the half-shell
-            qs, above = strips[0][order], above[rank[order]]
-            below = np.searchsorted(xs, b[order, axis] - wide)
-            starts = [np.arange(1, n + 1)]
-            stops = [np.searchsorted(keys, qs * n + above)]
-            steps = [t for t in steps if t > 0]
-        else:
-            qs, starts, stops = strips[1], [], []
-        for t in steps:
-            starts.append(np.searchsorted(keys, (qs + t) * n + below))
-            stops.append(np.searchsorted(keys, (qs + t) * n + above))
-    sb = b[order]
-    qp = sb if other is None else pos
-    lo = np.concatenate(starts)
-    count = np.concatenate(stops) - lo
-    end = np.cumsum(count)
-    shift = lo - end + count    # window w's flat candidate f is column shift[w]+f
-    # each chunk holds fewer than step + count.max() = 2 * hold candidates
-    step = 2 * hold - count.max()
-    cuts = np.searchsorted(end, np.arange(step, end[-1], step), side="right")
-    bounds = sorted({0, *cuts.tolist(), len(lo)})
-    out = []
-    for w0, w1 in zip(bounds, bounds[1:]):
-        win = np.repeat(np.arange(w0, w1), count[w0:w1])
-        cols = shift[win] + np.arange(end[w0] - count[w0], end[w1 - 1])
-        rows = win if len(lo) == len(qp) else win % len(qp)
-        d = np.linalg.norm(qp[rows] - sb[cols], axis=-1)
-        near = d <= lim
-        u, v = rows[near], order[cols[near]]
-        if other is None:
-            u, v = np.minimum(order[u], v), np.maximum(order[u], v)
-        out.append((u, v, d[near]))
-    return tuple(np.concatenate(parts) for parts in zip(*out))
+        rank[self.order] = np.arange(n)
+        strip = self._strip_of(self.points)
+        order = self.order[np.argsort(strip[self.order], kind="stable")]
+        steps = [0]
+        for _, _, cells in self.cuts:
+            steps = [t * cells + o for t in steps for o in (-1, 0, 1)]
+        return (order, self.points[order], strip[order] * n + rank[order],
+                rank[order], steps)
+
+    def pairs(self, pos: np.ndarray | None = None) -> EdgeArrays:
+        """Index pairs within distance ``lim``, with their distances: the
+        pairs ``u < v`` of the indexed points, each once, or with ``pos``
+        the pairs ``(i, j)`` of ``pos[i]`` and ``points[j]``.
+
+        ``searchsorted`` gives each query point the window of indexed
+        points within ``lim`` on the sweep axis, over a bound widened by a
+        few ulps so that no pair whose rounded gap is within ``lim`` is
+        missed; with strips, a window in its own strip and in each
+        neighbouring one. An indexed point searches its own strip forward
+        and only the neighbours in its half-shell, so each pair comes once.
+        A pair's distance is never below its gap on any axis, and the
+        ``d <= lim`` filter decides. The windows are expanded into
+        candidates in chunks of fewer than twice as many as there are
+        points, so no n x n array is built.
+        """
+        n, axis, wide = len(self.points), self.axis, self.wide
+        order, sb, xs = self.order, self.sorted, self.xs
+        qx, hold = (xs, n) if pos is None else (pos[:, axis], len(pos) + n)
+        # the sweep: each query point's window on the sweep axis; an
+        # indexed point looks only forward from itself
+        above = np.searchsorted(xs, qx + wide, side="right")
+        below = (np.arange(1, n + 1) if pos is None
+                 else np.searchsorted(xs, qx - wide))
+        starts, stops = [below], [above]
+        # strips pay only where the sweep's windows outgrow one chunk
+        if (above - below).sum() > 2 * hold and self.cuts:
+            order, sb, keys, rank, steps = self._by_strip
+            if pos is None:
+                # the indexed points in the new order: own strip forward,
+                # then the strips of the half-shell
+                qs, above = keys // n, above[rank]
+                below = np.searchsorted(xs, sb[:, axis] - wide)
+                starts = [np.arange(1, n + 1)]
+                stops = [np.searchsorted(keys, qs * n + above)]
+                steps = [t for t in steps if t > 0]
+            else:
+                qs, starts, stops = self._strip_of(pos), [], []
+            for t in steps:
+                starts.append(np.searchsorted(keys, (qs + t) * n + below))
+                stops.append(np.searchsorted(keys, (qs + t) * n + above))
+        qp = sb if pos is None else pos
+        lo = np.concatenate(starts)
+        count = np.concatenate(stops) - lo
+        end = np.cumsum(count)
+        shift = lo - end + count    # window w's flat candidate f is column shift[w]+f
+        # each chunk holds fewer than step + count.max() = 2 * hold candidates
+        step = 2 * hold - count.max()
+        cuts = np.searchsorted(end, np.arange(step, end[-1], step), side="right")
+        bounds = sorted({0, *cuts.tolist(), len(lo)})
+        out = []
+        for w0, w1 in zip(bounds, bounds[1:]):
+            win = np.repeat(np.arange(w0, w1), count[w0:w1])
+            cols = shift[win] + np.arange(end[w0] - count[w0], end[w1 - 1])
+            rows = win if len(lo) == len(qp) else win % len(qp)
+            d = np.linalg.norm(qp[rows] - sb[cols], axis=-1)
+            near = d <= self.lim
+            u, v = rows[near], order[cols[near]]
+            if pos is None:
+                u, v = np.minimum(order[u], v), np.maximum(order[u], v)
+            out.append((u, v, d[near]))
+        return tuple(np.concatenate(parts) for parts in zip(*out))
 
 
 def udg_edges(positions: np.ndarray, radius: float,
@@ -354,13 +382,13 @@ def udg_edges(positions: np.ndarray, radius: float,
     """All pairs within ``radius`` with their exact distances.
 
     Returns the arrays ``u``, ``v`` and ``dist``, pairs with ``u < v`` in
-    lexicographic order, found by the sweep of :func:`_window_pairs`.
+    lexicographic order, found by one :class:`WindowIndex` over them.
     """
     pos = np.asarray(positions, dtype=float)
     if len(pos) < 2:
         return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), \
             np.zeros(0)
-    u, v, d = _window_pairs(pos, radius + eps)
+    u, v, d = WindowIndex(pos, radius + eps).pairs()
     keep = np.lexsort((v, u))
     return u[keep], v[keep], d[keep]
 
@@ -369,16 +397,16 @@ def cross_pairs(a: np.ndarray, b: np.ndarray, radius: float,
                 eps: float = DEFAULT_EPS) -> EdgeArrays:
     """Pairs ``(i, j)`` with ``|a[i] - b[j]| <= radius + eps``.
 
-    The cross-set form of :func:`udg_edges`: the sweep of
-    :func:`_window_pairs` sorts ``b`` alone and searches it once per point
-    of ``a``, so no pair within one set is a candidate. Returns the index
-    arrays ``i``, ``j`` and the distances, sorted by ``(i, j)``.
+    The cross-set form of :func:`udg_edges`: a :class:`WindowIndex` over
+    ``b`` alone, queried with the points of ``a``, so no pair within one
+    set is a candidate. Returns the index arrays ``i``, ``j`` and the
+    distances, sorted by ``(i, j)``.
     """
     pa = np.asarray(a, dtype=float)
     pb = np.asarray(b, dtype=float)
     if not len(pa) or not len(pb):
         return np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0)
-    i, j, d = _window_pairs(pa, radius + eps, pb)
+    i, j, d = WindowIndex(pb, radius + eps).pairs(pa)
     keep = np.lexsort((j, i))
     return i[keep], j[keep], d[keep]
 
@@ -744,7 +772,7 @@ def generate_building(config: BuildingConfig) -> NetworkInstance:
         raise InvalidConfigError("corridor coordinates must be finite")
     # pairs within _MIN_NODE_SEP on both axes, taken by their later point:
     # it is dropped iff the earlier one is kept
-    u, v, _ = _window_pairs(xy, 2 * _MIN_NODE_SEP)
+    u, v, _ = WindowIndex(xy, 2 * _MIN_NODE_SEP).pairs()
     clash = np.all(np.abs(xy[u] - xy[v]) <= _MIN_NODE_SEP, axis=1)
     keep = [True] * len(xs)
     for later, earlier in sorted(zip(v[clash].tolist(), u[clash].tolist())):

@@ -21,8 +21,8 @@ from hyperloc.model import (COLLINEAR, COPLANAR, DEFAULT_EPS, BuildingConfig,
                             GroupingFunction,
                             NetworkInstance, NodeRecord, PointFormation,
                             build_udg, flagship_building_config,
-                            generate_building, make_rng, strip_ground_truth,
-                            udg_edges)
+                            WindowIndex, generate_building, make_rng,
+                            strip_ground_truth, udg_edges)
 from hyperloc.errors import HyperlocError
 from hyperloc.quadloc import multilaterate
 
@@ -347,6 +347,54 @@ class TestPlacementCheckReference:
             assert solver._check_placement(2, t) is ok
             assert _reference_check_placement(solver, 2, t) is ok
 
+    @pytest.mark.parametrize("edge", [True, False])
+    def test_pair_at_exactly_reach(self, edge):
+        # node 3 lands exactly the reach from node 0, left of group 1: an
+        # edge there is measured and passes, a non-edge there fails
+        reach = 1.0 - NONEDGE_MARGIN
+        nodes = [NodeRecord(id=i) for i in range(5)]
+        edges = [(0, 1, 0.9), (1, 2, 0.9), (3, 4, 0.9)]
+        inst = NetworkInstance(nodes, edges + [(0, 3, reach)] * edge, 1.0)
+        grouping = GroupingFunction({0: 1, 1: 1, 2: 1, 3: 2, 4: 2})
+        local = {1: PointFormation(1, [0, 1, 2]), 2: PointFormation(1, [3, 4])}
+        local[1].mark_many([0, 1, 2], [(0.0,), (0.9,), (1.8,)])
+        local[2].mark_many([3, 4], [(0.0,), (0.9,)])
+        solver = grouploc._GroupSolver(inst, grouping, local, 2, DEFAULT_EPS,
+                                       seed_group=1)
+        solver._apply_transform(1, GroupTransform(
+            linear=np.eye(2, 1), translation=np.zeros(2)), supports=[])
+        t = GroupTransform(linear=np.array([[0.0], [1.0]]),
+                           translation=np.array([-reach, 0.0]))
+        assert np.linalg.norm(t.apply([[0.0]])[0]) == reach
+        assert solver._check_placement(2, t, [0, 1]) is edge
+        assert _reference_check_placement(solver, 2, t) is edge
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    @pytest.mark.parametrize("config", [
+        # a tall building: the localized floors stack past three cells on z
+        BuildingConfig(floors=12, corridors_per_floor=4, extent=27.0,
+                       connector_columns=((13.5, 0.0),)),
+        # a 32-corridor floor: the localized corridors span 14 across
+        BuildingConfig(corridors_per_floor=32, extent=27.0)],
+        ids=["tall", "wide"])
+    def test_shapes_that_cut_strips(self, verdicts, monkeypatch, config,
+                                    shuffled):
+        """Where the index over the localized points cuts strips, with ids
+        as generated and shuffled."""
+        inst = generate_building(config)
+        if shuffled:
+            inst = _renumbered(inst, make_rng(5).permutation(inst.n))
+        cut = []
+        strip_of = WindowIndex._strip_of
+
+        def spy_strip_of(index, points):
+            cut.append(len(points))
+            return strip_of(index, points)
+
+        monkeypatch.setattr(WindowIndex, "_strip_of", spy_strip_of)
+        hierarchical_localize(strip_ground_truth(inst))
+        assert cut and verdicts and all(a == b for a, b in verdicts)
+
     def test_small_fixtures(self, verdicts):
         inst, grouping, local, _ = two_parallel_corridors()
         localize_groups(inst, grouping, local, d=2)
@@ -423,18 +471,19 @@ class TestPlacementWork:
         the full non-edge query (19 checks and 16 queries before), and the
         reflection gauge costs no rank test while only the seed is placed
         or once the localized nodes span the space."""
+        net = strip_ground_truth(_bench_building(0))
         checks, queries, ranks = [], [], []
         check = grouploc._GroupSolver._check_placement
-        query = grouploc.cross_pairs
+        query = WindowIndex.pairs
         rank = np.linalg.matrix_rank
 
         def counted_check(solver, *args):
             checks.append(solver.d)
             return check(solver, *args)
 
-        def counted_query(*args, **kwargs):
-            queries.append(args)
-            return query(*args, **kwargs)
+        def counted_query(index, pos=None):
+            queries.append(len(pos))
+            return query(index, pos)
 
         monkeypatch.setattr(grouploc._GroupSolver, "_check_placement",
                             counted_check)
@@ -442,10 +491,15 @@ class TestPlacementWork:
             ranks.append(args)
             return rank(*args, **kwargs)
 
-        monkeypatch.setattr(grouploc, "cross_pairs", counted_query)
+        monkeypatch.setattr(WindowIndex, "pairs", counted_query)
         monkeypatch.setattr(np.linalg, "matrix_rank", counted_rank)
-        hierarchical_localize(strip_ground_truth(_bench_building(0)))
-        assert (checks.count(2), checks.count(3), len(queries)) == (12, 3, 11)
+        hierarchical_localize(net)
+        # a full query asks with every point of a group (266 or more), a
+        # support query with the d support rows; 3 checks fail the residual
+        # test before either
+        full = sum(k > 3 for k in queries)
+        assert (checks.count(2), checks.count(3), full) == (12, 3, 11)
+        assert len(queries) - full == 12
         # 14 support independence tests and 4 gauge tests
         assert len(ranks) == 18
 
@@ -854,20 +908,20 @@ class TestStageOnePass:
 
 
 class TestStageOneFallback:
-    """On the bench building, stage 1 runs no sweep; a corridor whose ids
-    are shuffled alone goes through ``localize_collinear_group``."""
+    """On the bench building, stage 1 runs no sweep and builds one induced
+    graph of every corridor; a corridor whose ids are shuffled alone goes
+    through ``localize_collinear_group``, which builds its graph once."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        seen = {"from_instance": [], "unit_interval_order": 0, "fallback": []}
-        from_instance = Graph.from_instance
+        seen = {"within": [], "unit_interval_order": 0, "fallback": []}
+        within = Graph.within
         order = grouploc.unit_interval_order
         one_group = grouploc.localize_collinear_group
 
-        def spy_from_instance(instance, node_ids=None):
-            seen["from_instance"].append(
-                None if node_ids is None else sorted(map(int, node_ids)))
-            return from_instance(instance, node_ids)
+        def spy_within(whole, ids, block):
+            seen["within"].append(sorted(map(int, ids)))
+            return within(whole, ids, block)
 
         def spy_order(graph):
             seen["unit_interval_order"] += 1
@@ -877,8 +931,7 @@ class TestStageOneFallback:
             seen["fallback"].append(sorted(map(int, members)))
             return one_group(instance, members, eps)
 
-        monkeypatch.setattr(Graph, "from_instance",
-                            staticmethod(spy_from_instance))
+        monkeypatch.setattr(Graph, "within", staticmethod(spy_within))
         monkeypatch.setattr(grouploc, "unit_interval_order", spy_order)
         monkeypatch.setattr(grouploc, "localize_collinear_group",
                             spy_one_group)
@@ -890,8 +943,8 @@ class TestStageOneFallback:
 
     def test_ids_in_position_order_take_no_sweep(self, bench, calls):
         res = hierarchical_localize(strip_ground_truth(bench))
-        assert calls == {"from_instance": [], "unit_interval_order": 0,
-                         "fallback": []}
+        assert calls == {"within": [list(range(bench.n))],
+                         "unit_interval_order": 0, "fallback": []}
         assert res.localized_fraction() == 1.0
 
     def test_a_shuffled_corridor_alone_falls_back(self, bench, calls):
@@ -901,7 +954,7 @@ class TestStageOneFallback:
         perm[members] = make_rng(6).permutation(members)
         net = strip_ground_truth(_renumbered(bench, perm))
         res = hierarchical_localize(net)
-        assert calls == {"from_instance": [members.tolist()],
+        assert calls == {"within": [list(range(bench.n)), members.tolist()],
                          "unit_interval_order": 1,
                          "fallback": [members.tolist()]}
         assert res.localized_fraction() == 1.0

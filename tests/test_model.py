@@ -12,6 +12,7 @@ from hyperloc.errors import InvalidConfigError, InvalidInputError
 from hyperloc.model import (DEFAULT_EPS, BuildingConfig, GroupingFunction,
                             Hyperplane,
                             NetworkInstance, NodeRecord, PointFormation,
+                            WindowIndex,
                             build_udg, cross_pairs,
                             flagship_building_config, generate_building,
                             make_rng, network_from_json_dict,
@@ -187,6 +188,48 @@ class TestCrossPairs:
         i, j, d = cross_pairs(a, b, radius, eps)
         assert list(zip(i.tolist(), j.tolist(), d.tolist())) == \
             _all_cross_pairs(a, b, radius, eps)
+
+
+@st.composite
+def _stacked_clouds(draw):
+    """A cloud and one to three query clouds on a quarter-unit grid, in up
+    to 12 layers a unit apart on z, at a drawn offset: pairs at exactly
+    radius 1 on every axis, and once the layers stack past three cells the
+    windows outgrow a chunk and the index cuts strips."""
+    layers = draw(st.integers(1, 12))
+    offset = draw(st.sampled_from((0.0, 0.1, 1e6)))
+    cell = st.tuples(st.integers(0, 16), st.integers(0, 4),
+                     st.integers(0, layers - 1))
+
+    def cloud():
+        rows = draw(st.lists(cell, min_size=1, max_size=80))
+        return np.array(rows, dtype=float) * (0.25, 0.25, 1.0) + offset
+
+    return cloud(), [cloud() for _ in range(draw(st.integers(1, 3)))]
+
+
+class TestWindowIndex:
+    @settings(max_examples=150, deadline=None, database=None,
+              derandomize=True)
+    @given(clouds=_stacked_clouds())
+    # twelve full layers, queried with themselves and then with the top
+    # layer: the first query cuts strips, the second reuses them
+    @example(clouds=(_lattice(17, 5, 12) * (0.25, 0.25, 1.0),
+                     [_lattice(17, 5, 12) * (0.25, 0.25, 1.0),
+                      _lattice(17, 5, 1) * (0.25, 0.25, 1.0) + (0, 0, 11)]))
+    def test_queries_of_one_index_match_cross_pairs(self, clouds):
+        """One index queried in turn returns, per query, the pairs, order
+        aside, and the distance bits of a fresh ``cross_pairs``."""
+        b, queries = clouds
+        index = WindowIndex(b, 1.0)
+        for q in queries:
+            i, j, d = index.pairs(q)
+            keep = np.lexsort((j, i))
+            got = list(zip(i[keep].tolist(), j[keep].tolist(),
+                           d[keep].tolist()))
+            want = cross_pairs(q, b, 1.0, eps=0.0)
+            assert got == list(zip(*(a.tolist() for a in want)))
+            assert got == _all_cross_pairs(q, b, 1.0, 0.0)
 
 
 class _DictFormation:
