@@ -72,10 +72,6 @@ class ChordInconsistencyError(HyperlocError):
         return out
 
 
-class DegeneratePointsError(HyperlocError):
-    code = "degenerate-points"
-
-
 class DegenerateSupportsError(HyperlocError):
     code = "degenerate-supports"
 

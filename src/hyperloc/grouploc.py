@@ -233,10 +233,16 @@ class _GroupSolver:
                     f"group {g} local formation has dim {f.dim}, expected {d - 1}")
         self.formation = PointFormation(d, ids=grouping.assignment)
         count = len(grouping.assignment)
+        nodes = np.fromiter(grouping.assignment, np.intp, count)
+        outside = nodes[(nodes < 0) | (nodes >= instance.n)]
+        if outside.size:
+            raise InvalidInputError(
+                f"grouping names node {int(outside[0])}, outside the "
+                f"instance's nodes 0..{instance.n - 1}")
         self.labels = np.array(grouping.groups, dtype=np.int64)
         # per node: the index of its group's label in labels, -1 out of scope
         self.group_at = np.full(instance.n, -1, dtype=np.intp)
-        self.group_at[np.fromiter(grouping.assignment, np.intp, count)] = \
+        self.group_at[nodes] = \
             self.labels.searchsorted(np.fromiter(
                 grouping.assignment.values(), np.int64, count))
         self.arrays = {g: self._build_arrays(g) for g in self.members}

@@ -18,8 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (DegeneratePointsError, InvalidConfigError,
-                     InvalidInputError)
+from .errors import InvalidConfigError, InvalidInputError
 from .intervals import Graph
 
 DEFAULT_EPS = 1e-9
@@ -180,18 +179,6 @@ class NetworkInstance:
             if at < start[u + 1] and nbr[at] == v:
                 return float(self.length[at])
         raise KeyError((u, v) if u < v else (v, u))
-
-    def lengths(self, u, v) -> np.ndarray:
-        """Measured length of each edge ``(u[i], v[i])``, at the slots of
-        ``graph.pair_slots``; ``KeyError`` for the first non-edge."""
-        u = np.asarray(u, dtype=np.intp).reshape(-1)
-        v = np.asarray(v, dtype=np.intp).reshape(-1)
-        at = self.graph.pair_slots(u, v)
-        if np.any(at < 0):
-            i = int(np.argmax(at < 0))
-            a, b = int(u[i]), int(v[i])
-            raise KeyError((a, b) if a < b else (b, a))
-        return self.length[at]
 
     def has_positions(self) -> bool:
         return all(nd.true_pos is not None for nd in self.nodes)
@@ -393,24 +380,6 @@ def udg_edges(positions: np.ndarray, radius: float,
     return u[keep], v[keep], d[keep]
 
 
-def cross_pairs(a: np.ndarray, b: np.ndarray, radius: float,
-                eps: float = DEFAULT_EPS) -> EdgeArrays:
-    """Pairs ``(i, j)`` with ``|a[i] - b[j]| <= radius + eps``.
-
-    The cross-set form of :func:`udg_edges`: a :class:`WindowIndex` over
-    ``b`` alone, queried with the points of ``a``, so no pair within one
-    set is a candidate. Returns the index arrays ``i``, ``j`` and the
-    distances, sorted by ``(i, j)``.
-    """
-    pa = np.asarray(a, dtype=float)
-    pb = np.asarray(b, dtype=float)
-    if not len(pa) or not len(pb):
-        return np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0)
-    i, j, d = WindowIndex(pb, radius + eps).pairs(pa)
-    keep = np.lexsort((j, i))
-    return i[keep], j[keep], d[keep]
-
-
 def _with_noise(edges: EdgeArrays, sigma: float, radius: float,
                 rng: np.random.Generator) -> EdgeArrays:
     """Scale each distance by ``1 + sigma * N(0, 1)``, clipped into
@@ -595,27 +564,6 @@ class Hyperplane:
             b = -b
         object.__setattr__(self, "normal", tuple(float(x) for x in n))
         object.__setattr__(self, "offset", float(b))
-
-    def residual(self, point) -> float:
-        p = np.asarray(point, dtype=float)
-        return float(np.dot(self.normal, p) - self.offset)
-
-    @classmethod
-    def from_points(cls, points) -> "Hyperplane":
-        """Unique hyperplane through d affinely independent points in R^d."""
-        pts = np.asarray(points, dtype=float)
-        d = pts.shape[1]
-        if pts.shape[0] != d:
-            raise DegeneratePointsError(
-                f"need exactly {d} points in R^{d}, got {pts.shape[0]}")
-        diffs = pts[1:] - pts[0]
-        if d == 1:
-            raise DegeneratePointsError("no hyperplane exists in R^1 from 1 point")
-        _, s, vt = np.linalg.svd(diffs)
-        if len(s) == d - 1 and s[-1] <= 1e-9 * max(s[0], 1.0):
-            raise DegeneratePointsError("points are affinely dependent")
-        normal = vt[-1]
-        return cls(normal=tuple(normal), offset=float(normal @ pts[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -840,6 +788,9 @@ def network_from_json_dict(data: Mapping) -> NetworkInstance:
             pos = rec.get("pos")
             if pos is not None:
                 pos = tuple(float(x) for x in pos)
+                if len(pos) not in (2, 3) or not all(map(math.isfinite, pos)):
+                    raise ValueError(f"node {rec['id']} pos {rec['pos']} is "
+                                     "not 2 or 3 finite numbers")
                 if len(pos) == 2:
                     pos = (pos[0], pos[1], 0.0)
             nodes.append(NodeRecord(

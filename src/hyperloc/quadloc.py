@@ -37,10 +37,6 @@ class SeedTetrahedron:
     vertices: tuple[int, int, int, int]
     positions: np.ndarray
 
-    def volume(self) -> float:
-        a, b, c, d = self.positions
-        return abs(np.linalg.det(np.stack([b - a, c - a, d - a]))) / 6.0
-
 
 @dataclass
 class LocalizationTrace:

@@ -246,6 +246,19 @@ def test_localize_rejects_line_label_shared_by_floors(tmp_path, capsys):
         ("invalid-input", "collinear", 1)
 
 
+def test_localize_rejects_a_one_coordinate_pos(tmp_path, capsys,
+                                               network_file):
+    with open(network_file) as fh:
+        data = json.load(fh)
+    for node in data["nodes"]:
+        node["pos"] = node["pos"][:1]
+    net = tmp_path / "pos.json"
+    net.write_text(json.dumps(data))
+    rc = main(["localize", "--algorithm", "group", "--input", str(net)])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "invalid-input"
+
+
 def test_parser_is_built_once_and_survives_a_usage_error(tmp_path,
                                                          building_config_file):
     from hyperloc.cli import build_parser

@@ -462,6 +462,14 @@ class TestLocalizeGroups:
             localize_groups(inst, grouping, local, d=2)
         assert exc.value.group == 2     # the seed: group 2 is the larger
 
+    def test_grouping_node_outside_the_instance_is_invalid_input(self):
+        inst = build_udg([(0, 0), (0.5, 0), (1, 0), (0, 0.5), (0.5, 0.5)],
+                         1.0)
+        for node in (7, -1):
+            grouping = GroupingFunction({0: 1, 1: 1, 2: 2, 3: 2, node: 2})
+            with pytest.raises(InvalidInputError, match=f"node {node},"):
+                localize_groups(inst, grouping, {}, d=2)
+
 
 class TestPlacementWork:
     def test_checks_and_non_edge_queries_on_the_bench_building(

@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 
 from hyperloc.errors import InvalidConfigError, InvalidInputError
 from hyperloc.model import (DEFAULT_EPS, BuildingConfig, GroupingFunction,
-                            Hyperplane,
                             NetworkInstance, NodeRecord, PointFormation,
                             WindowIndex,
-                            build_udg, cross_pairs,
+                            build_udg,
                             flagship_building_config, generate_building,
                             make_rng, network_from_json_dict,
                             network_to_json_dict, strip_ground_truth,
@@ -120,9 +119,7 @@ class TestUdgEdges:
 
 
 def _all_cross_pairs(a, b, radius, eps):
-    """Dense all-pairs reference for cross_pairs."""
-    if not len(a) or not len(b):
-        return []
+    """Dense all-pairs reference for the pairs of ``a`` and ``b``."""
     d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1)
     return [(i, j, float(d[i, j])) for i in range(len(a))
             for j in range(len(b)) if d[i, j] <= radius + eps]
@@ -131,7 +128,8 @@ def _all_cross_pairs(a, b, radius, eps):
 @st.composite
 def _point_pairs(draw):
     dim = draw(st.sampled_from((1, 2, 3)))
-    sets = [draw(st.lists(st.tuples(*[_coord] * dim), max_size=25))
+    sets = [draw(st.lists(st.tuples(*[_coord] * dim), min_size=1,
+                          max_size=25))
             for _ in range(2)]
     return tuple(np.array(rows, dtype=float).reshape(len(rows), dim)
                  for rows in sets)
@@ -142,10 +140,8 @@ class TestCrossPairs:
               derandomize=True)
     @given(ab=_point_pairs(), radius=st.sampled_from((0.5, 1.0, 1.5)),
            eps=st.sampled_from((0.0, 1e-9, 0.5)))
-    # an empty side; coincident points across the sets; ties on the sweep
-    # axis with a pair at exactly radius; a pair at exactly radius + eps
-    @example(ab=(np.zeros((0, 2)), np.zeros((3, 2))), radius=1.0, eps=1e-9)
-    @example(ab=(np.zeros((2, 3)), np.zeros((0, 3))), radius=1.0, eps=1e-9)
+    # coincident points across the sets; ties on the sweep axis with a pair
+    # at exactly radius; a pair at exactly radius + eps
     @example(ab=(np.zeros((3, 3)), np.zeros((2, 3))), radius=1.0, eps=0.0)
     @example(ab=(np.array([[0.5 * i, 0.0] for i in range(6)]),
                  np.array([[0.5 * i, 1.0] for i in range(6)] + [[0.0, 5.0]])),
@@ -185,8 +181,10 @@ class TestCrossPairs:
              radius=1.0, eps=0.0)
     def test_matches_all_pairs_reference(self, ab, radius, eps):
         a, b = ab
-        i, j, d = cross_pairs(a, b, radius, eps)
-        assert list(zip(i.tolist(), j.tolist(), d.tolist())) == \
+        i, j, d = WindowIndex(b, radius + eps).pairs(a)
+        keep = np.lexsort((j, i))
+        assert list(zip(i[keep].tolist(), j[keep].tolist(),
+                        d[keep].tolist())) == \
             _all_cross_pairs(a, b, radius, eps)
 
 
@@ -219,7 +217,7 @@ class TestWindowIndex:
                       _lattice(17, 5, 1) * (0.25, 0.25, 1.0) + (0, 0, 11)]))
     def test_queries_of_one_index_match_cross_pairs(self, clouds):
         """One index queried in turn returns, per query, the pairs, order
-        aside, and the distance bits of a fresh ``cross_pairs``."""
+        aside, and the distance bits of a fresh index over the same set."""
         b, queries = clouds
         index = WindowIndex(b, 1.0)
         for q in queries:
@@ -227,8 +225,10 @@ class TestWindowIndex:
             keep = np.lexsort((j, i))
             got = list(zip(i[keep].tolist(), j[keep].tolist(),
                            d[keep].tolist()))
-            want = cross_pairs(q, b, 1.0, eps=0.0)
-            assert got == list(zip(*(a.tolist() for a in want)))
+            i, j, d = WindowIndex(b, 1.0).pairs(q)
+            keep = np.lexsort((j, i))
+            assert got == list(zip(i[keep].tolist(), j[keep].tolist(),
+                                   d[keep].tolist()))
             assert got == _all_cross_pairs(q, b, 1.0, 0.0)
 
 
@@ -472,12 +472,12 @@ class TestNetworkInstance:
                 assert inst.has_edge(u, v) == (v in adj[u])
                 if (u, v) in dist:
                     assert inst.dist(u, v) == dist[(u, v)]
-                    assert inst.lengths([u], [v]).tolist() == [dist[(u, v)]]
+                    assert inst.length[inst.graph.pair_slots(
+                        [u], [v])].tolist() == [dist[(u, v)]]
                 else:
                     with pytest.raises(KeyError):
                         inst.dist(u, v)
-                    with pytest.raises(KeyError):
-                        inst.lengths([u], [v])
+                    assert inst.graph.pair_slots([u], [v]).tolist() == [-1]
         # the instance rebuilt from its own arrays is the same instance
         again = NetworkInstance(inst.nodes, inst.edge_arrays(), inst.radius)
         assert again.edges == inst.edges
@@ -500,8 +500,8 @@ class TestNetworkInstance:
             assert length[row].tolist() == \
                 [inst.dist(u, v) for v in nbr[row].tolist()]
         u, v, d = inst.edge_arrays()
-        assert inst.lengths(u, v).tolist() == d.tolist()
-        assert inst.lengths(v, u).tolist() == d.tolist()
+        assert inst.length[inst.graph.pair_slots(u, v)].tolist() == d.tolist()
+        assert inst.length[inst.graph.pair_slots(v, u)].tolist() == d.tolist()
         with pytest.raises(KeyError):
             inst.dist(0, inst.n - 1)
         with pytest.raises(KeyError):
@@ -874,36 +874,6 @@ class TestGroupingFunction:
             GroupingFunction.from_instance(inst, "collinear")
 
 
-class TestHyperplane:
-    def test_canonical_line_through_origin(self):
-        hp = Hyperplane.from_points([(0, 0), (1, 1)])
-        assert hp.normal == pytest.approx((1 / np.sqrt(2), -1 / np.sqrt(2)))
-        assert hp.offset == pytest.approx(0.0)
-
-    def test_z_zero_plane(self):
-        hp = Hyperplane.from_points([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
-        assert hp.normal == pytest.approx((0, 0, 1))
-        assert hp.offset == pytest.approx(0.0)
-
-    def test_random_points_on_plane(self):
-        rng = make_rng(5)
-        pts = rng.standard_normal((3, 3))
-        hp = Hyperplane.from_points(pts)
-        for p in pts:
-            assert abs(hp.residual(p)) < 1e-12
-
-    def test_random_residuals(self):
-        rng = make_rng(14)
-        pts = rng.standard_normal((3, 3)) * 2
-        hp = Hyperplane.from_points(pts)
-        assert max(abs(hp.residual(p)) for p in pts) < 1e-12
-
-    def test_degenerate_points_rejected(self):
-        from hyperloc.errors import DegeneratePointsError
-        with pytest.raises(DegeneratePointsError):
-            Hyperplane.from_points([(0, 0, 0), (1, 0, 0), (2, 0, 0)])
-
-
 class TestJson:
     def test_round_trip(self):
         inst = generate_building(flagship_building_config())
@@ -913,3 +883,10 @@ class TestJson:
     def test_malformed_rejected(self):
         with pytest.raises(InvalidInputError):
             network_from_json_dict({"radius": 1.0, "nodes": [{"id": 0}]})
+
+    @pytest.mark.parametrize("pos", [[0.5], [0.0, 0.0, 0.0, 1.0],
+                                     [0.0, float("nan")], [float("inf"), 0.0]])
+    def test_pos_must_be_two_or_three_finite_numbers(self, pos):
+        with pytest.raises(InvalidInputError, match="node 0 pos"):
+            network_from_json_dict({"radius": 1.0, "edges": [],
+                                    "nodes": [{"id": 0, "pos": pos}]})

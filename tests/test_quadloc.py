@@ -98,7 +98,9 @@ class TestFindSeedK4:
                (0.5, np.sqrt(3) / 6, np.sqrt(6) / 3)]
         seed = find_seed_k4(build_udg(pts, 1.0))
         assert seed.vertices == (0, 1, 2, 3)
-        assert seed.volume() > 1e-3
+        p = seed.positions
+        assert abs(np.linalg.det(np.stack([p[1] - p[0], p[2] - p[0],
+                                           p[3] - p[0]]))) / 6.0 > 1e-3
 
     def test_coplanar_floor_has_none(self):
         cfg = BuildingConfig(floors=1, corridors_per_floor=3, node_spacing=0.9,
