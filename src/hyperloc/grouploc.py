@@ -21,7 +21,7 @@ from .errors import (AmbiguousPlacementError, ChordInconsistencyError,
 from .intervals import Graph, LinearOrder, unit_interval_order
 from .model import (COLLINEAR, COPLANAR, DEFAULT_EPS, GroupingFunction,
                     Hyperplane, NetworkInstance, PointFormation,
-                    WindowIndex)
+                    WindowIndex, group_labels)
 from .quadloc import solve_spheres
 
 # Placements that bring a non-adjacent pair this far inside the radio radius
@@ -197,12 +197,12 @@ class GroupLocalState:
 @dataclass
 class _GroupArrays:
     """One group's members and its measured edges to the other groups in
-    scope, built once. A group's arrays are read only while it is unplaced,
-    when an edge inside it has no localized end, so those edges are left
-    out.
+    scope. A group's arrays are read only while it is unplaced, when an
+    edge inside it has no localized end, so those edges are left out.
 
     Edges run member by member, each member's far ends in ascending id
     order; member ``m`` of the group owns edges ``starts[m]:starts[m + 1]``.
+    The edge fields are slices of arrays built once per level.
     """
 
     ids: np.ndarray         # members with a local row, ascending
@@ -215,70 +215,77 @@ class _GroupArrays:
 
 
 class _GroupSolver:
-    """Single run of the two-phase group placement over one grouping level."""
+    """Single run of the two-phase group placement over one grouping level.
+
+    The level is set up in one pass over its nodes in (label, id) order,
+    each group a block of them (``GroupingFunction.blocks``): one
+    ``Graph.row_entries`` reads all their rows, each far end's group and
+    formation row come from node-indexed maps, and each group's edges are
+    then a slice; its members' local rows are one search of its formation.
+    """
 
     def __init__(self, instance: NetworkInstance, grouping: GroupingFunction,
                  local_formations: Mapping[int, PointFormation], d: int,
                  eps: float, seed_group: int | None):
         if d not in (2, 3):
             raise InvalidInputError("group localization runs in d=2 or d=3")
-        self.inst = instance
+        self.inst, self.grouping, self.d, self.eps = instance, grouping, d, eps
         self.local = local_formations
-        self.d = d
-        self.eps = eps
-        self.members = {g: grouping.members(g) for g in grouping.groups}
         for g, f in local_formations.items():
             if f.dim != d - 1:
                 raise InvalidInputError(
                     f"group {g} local formation has dim {f.dim}, expected {d - 1}")
-        self.formation = PointFormation(d, ids=grouping.assignment)
-        count = len(grouping.assignment)
-        nodes = np.fromiter(grouping.assignment, np.intp, count)
-        outside = nodes[(nodes < 0) | (nodes >= instance.n)]
-        if outside.size:
-            raise InvalidInputError(
-                f"grouping names node {int(outside[0])}, outside the "
-                f"instance's nodes 0..{instance.n - 1}")
-        self.labels = np.array(grouping.groups, dtype=np.int64)
-        # per node: the index of its group's label in labels, -1 out of scope
-        self.group_at = np.full(instance.n, -1, dtype=np.intp)
-        self.group_at[nodes] = \
-            self.labels.searchsorted(np.fromiter(
-                grouping.assignment.values(), np.int64, count))
-        self.arrays = {g: self._build_arrays(g) for g in self.members}
+        nodes, labels, first = grouping.blocks
+        n, count = instance.n, len(nodes)
+        if np.any((nodes < 0) | (nodes >= n)):
+            u = next(u for u in grouping.assignment if not 0 <= u < n)
+            raise InvalidInputError(f"grouping names node {u}, outside the "
+                                    f"instance's nodes 0..{n - 1}")
+        self.groups = labels.tolist()
+        bounds = np.append(first, count)
+        group = np.repeat(np.arange(len(first)), np.diff(bounds))
+        # node-indexed maps: group index (-1 out of scope), formation row
+        group_at = np.full(n, -1, dtype=np.intp)
+        group_at[nodes] = group
+        row = np.cumsum(group_at >= 0) - 1
+        self.formation = PointFormation(d, np.flatnonzero(group_at >= 0),
+                                        np.zeros((count, d)))
+        self.formation.mask[:] = False      # no row localized yet
+        # every node's row of the adjacency, then only the edges whose far
+        # end is in scope and in another group
+        owner, to, slots = instance.graph.row_entries(nodes)
+        at = group_at[to]
+        keep = (at >= 0) & (at != group[owner])
+        owner, to, slots, at = owner[keep], to[keep], slots[keep], at[keep]
+        starts = np.append(0, np.cumsum(np.bincount(owner, minlength=count)))
+        far, far_group = row[to], labels[at]
+        length = instance.length[slots]
+        # each member's local row is found among its group's formation ids
+        self.arrays, empty = {}, PointFormation(d - 1)
+        for g, s, e in zip(self.groups, first.tolist(), bounds[1:].tolist()):
+            f, members = local_formations.get(g, empty), nodes[s:e]
+            r = f.ids.searchsorted(members)
+            ok = r < len(f.ids)
+            ok[ok] = (f.ids[r[ok]] == members[ok]) & f.mask[r[ok]]
+            edges = slice(starts[s], starts[e])
+            self.arrays[g] = _GroupArrays(
+                ids=members[ok], local=f.points[r[ok]],
+                starts=starts[s:e + 1] - starts[s],
+                near=np.where(ok, np.cumsum(ok) - 1, -1)[owner[edges] - s],
+                far=far[edges], far_group=far_group[edges],
+                length=length[edges])
         # the kernel's index over the localized points and their largest
         # |coordinate|, built at the first check after each placement
         self._near: tuple[WindowIndex | None, float] | None = None
-        self.states = {g: GroupLocalState(group=g) for g in self.members}
+        self.states = {g: GroupLocalState(group=g) for g in self.groups}
         self.gauge, self.placed = True, 0
-        if seed_group is None:
-            seed_group = min(self.members,
-                             key=lambda g: (-len(self.members[g]), g))
-        elif seed_group not in self.members:
+        if seed_group is None:      # the largest, the smallest label on a tie
+            seed_group = self.groups[int(np.argmax(np.diff(bounds)))]
+        elif seed_group not in self.arrays:
             raise InvalidInputError(f"unknown seed group {seed_group}")
         self.seed = seed_group
 
     # -- helpers ------------------------------------------------------------
-
-    def _build_arrays(self, g: int) -> _GroupArrays:
-        members = np.array(self.members[g], dtype=int)
-        local = self.local.get(g)
-        has_row = np.zeros(len(members), dtype=bool) if local is None else \
-            np.isin(members, local.ids[local.mask])
-        ids = members[has_row]
-        index = np.where(has_row, np.cumsum(has_row) - 1, -1)
-        # every member's row of the adjacency, concatenated, then only the
-        # edges whose far end is in scope and in another group
-        owner, to, slots = self.inst.graph.row_entries(members)
-        at = self.group_at[to]
-        keep = (at >= 0) & (at != self.labels.searchsorted(g))
-        owner, to, slots, at = owner[keep], to[keep], slots[keep], at[keep]
-        return _GroupArrays(
-            ids=ids,
-            local=local.array(ids) if len(ids) else np.zeros((0, self.d - 1)),
-            starts=np.searchsorted(owner, np.arange(len(members) + 1)),
-            near=index[owner], far=self.formation.rows_of(to),
-            far_group=self.labels[at], length=self.inst.length[slots])
 
     def _apply_transform(self, g: int, transform: GroupTransform,
                          supports: list[tuple[int, np.ndarray]]) -> None:
@@ -414,12 +421,12 @@ class _GroupSolver:
             supports=[])
         # Phase A: groups adjacent to the seed, supports anchored in the seed.
         placed = False
-        for g in sorted(self.members):
+        for g in self.groups:
             if g != self.seed and np.any(
                     self.arrays[g].far_group == self.seed):
                 placed |= self._scan_group(g, group_filter=self.seed,
                                            min_anchors=self.d)
-        if len(self.members) > 1 and not placed:
+        if len(self.groups) > 1 and not placed:
             raise NotLocalizableError(
                 "no group could be localized against the seed group",
                 group=self.seed)
@@ -428,7 +435,7 @@ class _GroupSolver:
         progress = True
         while progress:
             progress = False
-            for g in sorted(self.members):
+            for g in self.groups:
                 if self.states[g].status != "localized" and self._scan_group(
                         g, group_filter=None, min_anchors=self.d + 1):
                     progress = True
@@ -502,17 +509,15 @@ def hierarchical_localize(instance: NetworkInstance,
     edge distance; nodes of groups that never acquire enough supports stay
     unlocalized.
     """
-    lines = GroupingFunction.from_instance(instance, COLLINEAR)
-    planes = GroupingFunction.from_instance(instance, COPLANAR)
+    line_of = group_labels(instance, COLLINEAR)
+    plane_of = group_labels(instance, COPLANAR)
 
     # stage 1: every corridor at once, its nodes sorted by (label, id); a
     # corridor that fails, in label order, takes localize_collinear_group
-    line_of, plane_of = (np.fromiter(g.assignment.values(), np.int64,
-                                     instance.n) for g in (lines, planes))
-    order = np.argsort(line_of, kind="stable")
-    label, floor = line_of[order], plane_of[order]
-    first = np.flatnonzero(np.append(True, label[1:] != label[:-1]))
-    groups, bounds = label[first].tolist(), [*first.tolist(), instance.n]
+    order, labels, first = GroupingFunction.from_arrays(
+        np.arange(instance.n), line_of).blocks
+    floor, groups = plane_of[order], labels.tolist()
+    bounds = [*first.tolist(), instance.n]
     x, ok = _line_pass(instance, order, first, eps)
     ok &= np.minimum.reduceat(floor, first) == np.maximum.reduceat(floor,
                                                                      first)
@@ -531,11 +536,15 @@ def hierarchical_localize(instance: NetworkInstance,
     line_states = dict.fromkeys(groups, "localized")
     pos1 = dict(zip(order.tolist(), x[:, 0].tolist()))
 
-    # stage 2: corridors against each other, one floor at a time
+    # stage 2: corridors against each other, one floor at a time, each
+    # floor's nodes a block of the planes grouping
+    planes = GroupingFunction.from_arrays(np.arange(instance.n), plane_of)
+    nodes, floors, first = planes.blocks
+    bounds = [*first.tolist(), instance.n]
     floor_formations: dict[int, PointFormation] = {}
-    for fg in planes.groups:
-        corridors = GroupingFunction(
-            {u: lines.assignment[u] for u in planes.members(fg)})
+    for fg, s, e in zip(floors.tolist(), bounds, bounds[1:]):
+        corridors = GroupingFunction.from_arrays(nodes[s:e],
+                                                 line_of[nodes[s:e]])
         local = {g: line_formations[g] for g in corridors.groups}
         try:
             floor_formations[fg], _ = localize_groups(
@@ -543,8 +552,9 @@ def hierarchical_localize(instance: NetworkInstance,
         except HyperlocError as exc:
             raise _annotate(exc, "floor")
 
-    pos2 = {u: tuple(p) for f in floor_formations.values()
-            for u, p in zip(f.localized_ids(), f.points[f.mask].tolist())}
+    ids, pts = (np.concatenate(a) for a in zip(*[
+        (f.ids[f.mask], f.points[f.mask]) for f in floor_formations.values()]))
+    pos2 = dict(zip(ids.tolist(), zip(*pts.T.tolist())))
 
     # stage 3: floors against each other in 3D
     try:

@@ -13,6 +13,7 @@ import copy
 import functools
 import json
 import math
+import operator
 from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
@@ -404,55 +405,91 @@ def strip_ground_truth(instance: NetworkInstance) -> NetworkInstance:
 # grouping functions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+def _int64_labels(nodes: Sequence[int], labels: list, kinds: set
+                  ) -> np.ndarray:
+    """``labels`` as int64, checked as a grouping's labels: at least one,
+    each an integer (no bool) of 64 bits. ``nodes[i]`` has ``labels[i]``,
+    and ``kinds`` is ``set(map(type, labels))``."""
+    if not labels:
+        raise InvalidInputError("empty grouping")
+    for kind in kinds:
+        if kind is bool or not issubclass(kind, (int, np.integer)):
+            i = next(i for i, lab in enumerate(labels) if type(lab) is kind)
+            raise InvalidInputError(f"node {nodes[i]} has group label "
+                                    f"{labels[i]!r}; labels must be integers")
+    try:
+        return np.fromiter(labels, np.int64, len(labels))
+    except OverflowError:
+        raise InvalidInputError("group labels must fit in 64 bits") from None
+
+
+def group_labels(instance: NetworkInstance, level: str) -> np.ndarray:
+    """Every node's label at ``level``, by node id, as int64: the one
+    reader of the labels, raising what ``GroupingFunction`` raises."""
+    if level not in (COLLINEAR, COPLANAR):
+        raise InvalidInputError(f"unknown grouping level {level!r}")
+    attr = "line_group" if level == COLLINEAR else "plane_group"
+    labels = list(map(operator.attrgetter(attr), instance.nodes))
+    kinds = set(map(type, labels))
+    if type(None) in kinds:     # node ids are 0..n-1
+        u = next(u for u, lab in enumerate(labels) if lab is None)
+        raise InvalidInputError(f"node {u} has no {attr}; "
+                                "grouping must be total")
+    return _int64_labels(range(len(labels)), labels, kinds)
+
+
 class GroupingFunction:
     """Map node id -> group label, kept as given (gaps allowed): a group is
-    named by the label its nodes carry. Labels must be 64-bit integers."""
+    named by the label its nodes carry. Labels must be 64-bit integers.
 
-    assignment: Mapping[int, int]
+    ``blocks`` lays the map out as arrays: the nodes in (label, id) order,
+    each label once, ascending, and the offset of its first node, so that
+    group k is ``nodes[first[k]:first[k + 1]]``."""
 
-    def __post_init__(self):
-        labels = self.assignment.values()
-        if not labels:
-            raise InvalidInputError("empty grouping")
-        for kind in set(map(type, labels)):
-            if kind is bool or not issubclass(kind, (int, np.integer)):
-                u = next(u for u, lab in self.assignment.items()
-                         if type(lab) is kind)
-                raise InvalidInputError(
-                    f"node {u} has group label {self.assignment[u]!r}; "
-                    "labels must be integers")
-        if not (-2**63 <= min(labels) and max(labels) < 2**63):
-            raise InvalidInputError("group labels must fit in 64 bits")
+    def __init__(self, assignment: Mapping[int, int]):
+        labels = list(assignment.values())
+        labels = _int64_labels(list(assignment), labels,
+                               set(map(type, labels)))
+        self.assignment = assignment
+        self.blocks = self.from_arrays(np.fromiter(
+            assignment, np.intp, len(labels)), labels).blocks
 
     @classmethod
     def from_instance(cls, instance: NetworkInstance, level: str) -> "GroupingFunction":
-        if level not in (COLLINEAR, COPLANAR):
-            raise InvalidInputError(f"unknown grouping level {level!r}")
-        attr = "line_group" if level == COLLINEAR else "plane_group"
-        labels = [getattr(nd, attr) for nd in instance.nodes]
-        missing = [u for u, lab in enumerate(labels) if lab is None]
-        if missing:             # node ids are 0..n-1
-            raise InvalidInputError(f"node {missing[0]} has no {attr}; "
-                                    "grouping must be total")
-        return cls(dict(enumerate(labels)))
+        return cls.from_arrays(np.arange(instance.n),
+                               group_labels(instance, level))
+
+    @classmethod
+    def from_arrays(cls, nodes: np.ndarray, labels: np.ndarray
+                    ) -> "GroupingFunction":
+        """``nodes[i] -> labels[i]`` for distinct ids and labels that
+        ``group_labels`` gave, taken without a second check."""
+        order = np.lexsort((nodes, labels))
+        nodes, labels = nodes[order], labels[order]
+        first = np.flatnonzero(np.append(True, labels[1:] != labels[:-1]))
+        grouping = cls.__new__(cls)
+        grouping.blocks = nodes, labels[first], first
+        return grouping
+
+    @functools.cached_property
+    def assignment(self) -> dict[int, int]:
+        """The map as given to the constructor, else built from ``blocks``
+        on first use."""
+        nodes, labels, first = self.blocks
+        return dict(zip(nodes.tolist(), np.repeat(
+            labels, np.diff(first, append=len(nodes))).tolist()))
 
     @functools.cached_property
     def _members(self) -> dict[int, list[int]]:
         """Label -> its nodes, both ascending, built once."""
-        count = len(self.assignment)
-        nodes = np.fromiter(self.assignment.keys(), dtype=np.intp, count=count)
-        labels = np.fromiter(self.assignment.values(), dtype=np.int64,
-                             count=count)
-        order = np.lexsort((nodes, labels))
-        groups, first = np.unique(labels[order], return_index=True)
-        ordered = np.split(nodes[order], first[1:])
-        return {g: m.tolist() for g, m in zip(groups.tolist(), ordered)}
+        nodes, labels, first = self.blocks
+        return {g: m.tolist()
+                for g, m in zip(labels.tolist(), np.split(nodes, first[1:]))}
 
     @property
     def groups(self) -> list[int]:
         """The labels, ascending."""
-        return list(self._members)
+        return self.blocks[1].tolist()
 
     def members(self, label: int) -> list[int]:
         """Nodes of the group labelled ``label``, ascending."""

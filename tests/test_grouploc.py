@@ -22,7 +22,7 @@ from hyperloc.model import (COLLINEAR, COPLANAR, DEFAULT_EPS, BuildingConfig,
                             NetworkInstance, NodeRecord, PointFormation,
                             build_udg, flagship_building_config,
                             WindowIndex, generate_building, make_rng,
-                            strip_ground_truth, udg_edges)
+                            group_labels, strip_ground_truth, udg_edges)
 from hyperloc.errors import HyperlocError
 from hyperloc.quadloc import multilaterate
 
@@ -230,7 +230,7 @@ def _reference_check_placement(solver, g, transform):
     """The O(localized) placement check: stack every localized point and run
     one udg_edges over the group's points plus all of them."""
     ids, pts = [], []
-    for u in solver.members[g]:
+    for u in solver.grouping.members(g):
         row = solver.local[g].position(u) \
             if solver.local[g].is_localized(u) else None
         if row is not None:
@@ -511,6 +511,134 @@ class TestPlacementWork:
         # 14 support independence tests and 4 gauge tests
         assert len(ranks) == 18
 
+    def test_one_adjacency_pass_per_level(self, monkeypatch):
+        """Stage 1's Graph.within reads every node's row once, and each
+        localize_groups call (three floors at d = 2, the building at d = 3)
+        reads its scope's rows in one pass: 5 reads, not 1 + one per group."""
+        net = strip_ground_truth(_bench_building(0))
+        rows, levels = [], []
+        entries, place = Graph.row_entries, grouploc.localize_groups
+
+        def counted_entries(graph, r):
+            rows.append(len(r))
+            return entries(graph, r)
+
+        def counted_place(instance, grouping, local, d, **kwargs):
+            levels.append(d)
+            return place(instance, grouping, local, d, **kwargs)
+
+        monkeypatch.setattr(Graph, "row_entries", counted_entries)
+        monkeypatch.setattr(grouploc, "localize_groups", counted_place)
+        hierarchical_localize(net)
+        floors = np.bincount(group_labels(net, COPLANAR))[1:].tolist()
+        assert levels == [2, 2, 2, 3]
+        assert rows == [net.n, *floors, net.n] and len(floors) == 3
+
+
+def _reference_group_arrays(inst, grouping, local, d):
+    """The per-group set-up that the one pass replaced: each group's own
+    rows of the adjacency, np.isin for its local rows, and a formation row
+    search for each far end; with the formation it starts from."""
+    formation = PointFormation(d, ids=grouping.assignment)
+    count = len(grouping.assignment)
+    nodes = np.fromiter(grouping.assignment, np.intp, count)
+    labels = np.array(grouping.groups, dtype=np.int64)
+    group_at = np.full(inst.n, -1, dtype=np.intp)
+    group_at[nodes] = labels.searchsorted(
+        np.fromiter(grouping.assignment.values(), np.int64, count))
+    arrays = {}
+    for g in grouping.groups:
+        members = np.array(grouping.members(g), dtype=int)
+        f = local.get(g)
+        has_row = np.zeros(len(members), dtype=bool) if f is None else \
+            np.isin(members, f.ids[f.mask])
+        ids = members[has_row]
+        index = np.where(has_row, np.cumsum(has_row) - 1, -1)
+        owner, to, slots = inst.graph.row_entries(members)
+        at = group_at[to]
+        keep = (at >= 0) & (at != labels.searchsorted(g))
+        owner, to, slots, at = owner[keep], to[keep], slots[keep], at[keep]
+        arrays[g] = grouploc._GroupArrays(
+            ids=ids,
+            local=f.array(ids) if len(ids) else np.zeros((0, d - 1)),
+            starts=np.searchsorted(owner, np.arange(len(members) + 1)),
+            near=index[owner], far=formation.rows_of(to),
+            far_group=labels[at], length=inst.length[slots])
+    return formation, arrays
+
+
+@st.composite
+def _group_levels(draw):
+    """A small building, ids as generated or shuffled, one grouping level
+    (d = 2: one floor's corridors; d = 3: the floors) and local formations
+    that may be whole, leave rows unlocalized, miss members, hold ids of
+    other groups or outside the instance, or be absent (the seed's too)."""
+    cfg = BuildingConfig(
+        floors=draw(st.integers(1, 3)),
+        corridors_per_floor=draw(st.integers(1, 3)),
+        node_spacing=draw(st.sampled_from((0.45, 0.9))),
+        extent=draw(st.sampled_from((0.9, 2.7, 4.5))),
+        stagger=draw(st.booleans()),
+        connector_columns=draw(st.sampled_from(((), ((1.8, 0.45),)))))
+    inst = generate_building(cfg)
+    if draw(st.booleans()):
+        inst = _renumbered(inst, np.array(draw(st.permutations(
+            range(inst.n)))))
+    d = draw(st.sampled_from((2, 3)))
+    line, plane = group_labels(inst, COLLINEAR), group_labels(inst, COPLANAR)
+    if d == 2:
+        floor = draw(st.sampled_from(np.unique(plane).tolist()))
+        grouping = GroupingFunction({u: int(line[u]) for u in
+                                     np.flatnonzero(plane == floor).tolist()})
+    else:
+        grouping = GroupingFunction(dict(enumerate(plane.tolist())))
+    rng = make_rng(draw(st.integers(0, 2**16)))
+    local = {}
+    for g in grouping.groups:
+        members = grouping.members(g)
+        how = draw(st.sampled_from(("none", "whole", "partial", "missing",
+                                    "foreign")))
+        if how == "none":
+            continue
+        ids = members
+        if how == "missing":
+            ids = [u for u in members if rng.random() < 0.6]
+        elif how == "foreign":
+            mine = set(members)
+            others = [u for u in range(inst.n) if u not in mine]
+            ids = members + rng.permutation(others)[:3].tolist() + \
+                [-2, inst.n + 3]
+        f = PointFormation(d - 1, ids)
+        marked = [u for u in f.ids.tolist()
+                  if how != "partial" or rng.random() < 0.6]
+        f.mark_many(marked, rng.normal(size=(len(marked), d - 1)))
+        local[g] = f
+    return inst, grouping, local, d
+
+
+class TestGroupArrays:
+    @settings(max_examples=80, deadline=None, database=None,
+              derandomize=True)
+    @given(level=_group_levels())
+    def test_one_pass_matches_the_per_group_builder(self, level):
+        inst, grouping, local, d = level
+        solver = grouploc._GroupSolver(inst, grouping, local, d,
+                                       DEFAULT_EPS, None)
+        formation, arrays = _reference_group_arrays(inst, grouping, local, d)
+        for field in ("ids", "points", "mask"):
+            got, want = (getattr(f, field) for f in (solver.formation,
+                                                     formation))
+            assert (got.dtype, got.shape, got.tobytes()) == \
+                (want.dtype, want.shape, want.tobytes())
+        assert list(solver.arrays) == list(arrays)
+        for g, want in arrays.items():
+            for field in vars(want):
+                got, ref = getattr(solver.arrays[g], field), getattr(want,
+                                                                     field)
+                assert (got.dtype, got.shape, got.tobytes()) == \
+                    (ref.dtype, ref.shape, ref.tobytes()), (g, field)
+        sizes = {g: len(grouping.members(g)) for g in grouping.groups}
+        assert solver.seed == min(sizes, key=lambda g: (-sizes[g], g))
 
 def _result_digest(results):
     """SHA-256 over the exact bits of hierarchical results: the formation,

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,7 @@ from hyperloc.model import (DEFAULT_EPS, BuildingConfig, GroupingFunction,
                             WindowIndex,
                             build_udg,
                             flagship_building_config, generate_building,
-                            make_rng, network_from_json_dict,
+                            group_labels, make_rng, network_from_json_dict,
                             network_to_json_dict, strip_ground_truth,
                             udg_edges)
 from hyperloc.model import (_MIN_NODE_SEP, _STAIR_OFFSETS, _STAIR_REACH,
@@ -866,6 +867,28 @@ class TestGroupingFunction:
                 u for u, h in g.assignment.items() if h == gid)
         g.members(1).append(-1)     # callers get their own list
         assert -1 not in g.members(1)
+
+    @pytest.mark.parametrize("labels", [
+        [], [1, "b", 2.5], [1.0, 2], [True, 1], [2**63, 1],
+        [np.uint64(2**63), 1], [7, np.int32(-4), 2**63 - 1, 7]])
+    def test_instance_labels_are_checked_as_a_mapping_is(self, labels):
+        # the one reader of an instance's labels raises what the
+        # constructor raises on the same labels, else gives them as int64
+        nodes = [NodeRecord(id=i, line_group=lab)
+                 for i, lab in enumerate(labels)]
+        inst = NetworkInstance(nodes, [], 1.0)
+        try:
+            want = GroupingFunction(dict(enumerate(labels)))
+        except InvalidInputError as exc:
+            with pytest.raises(InvalidInputError,
+                               match=re.escape(str(exc)) + "$"):
+                group_labels(inst, "collinear")
+            return
+        got = group_labels(inst, "collinear")
+        assert got.dtype == np.int64
+        assert got.tolist() == [int(x) for x in labels]
+        g = GroupingFunction.from_instance(inst, "collinear")
+        assert g.assignment == want.assignment and g.groups == want.groups
 
     def test_requires_total_assignment_on_instance(self):
         nodes = [NodeRecord(id=0, line_group=1), NodeRecord(id=1)]
