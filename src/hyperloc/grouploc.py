@@ -21,7 +21,7 @@ from .errors import (AmbiguousPlacementError, ChordInconsistencyError,
 from .intervals import Graph, LinearOrder, unit_interval_order
 from .model import (COLLINEAR, COPLANAR, DEFAULT_EPS, GroupingFunction,
                     Hyperplane, NetworkInstance, PointFormation,
-                    WindowIndex, group_labels)
+                    WindowIndex, axis_distances, group_labels)
 from .quadloc import solve_spheres
 
 # Placements that bring a non-adjacent pair this far inside the radio radius
@@ -355,7 +355,7 @@ class _GroupSolver:
         tol = max(self.eps, 1e-9) * max(1.0, float(np.abs(pts).max()), extent)
         measured = (arr.near >= 0) & f.mask[arr.far]
         near = arr.near[measured]
-        got = np.linalg.norm(pts[near] - f.points[arr.far[measured]], axis=-1)
+        got = axis_distances(pts.T, near, f.points.T, arr.far[measured])
         if np.any(np.abs(got - arr.length[measured]) > tol):
             return False
         # each measured edge within reach, by its member's row

@@ -39,10 +39,8 @@ class Graph:
     Vertex ``i`` is ``nodes[i]`` (ids ascending). The adjacency, the
     package's one layout, is compressed over these local indices: vertex
     i's neighbours are ``nbr[start[i]:start[i + 1]]``, ascending, and each
-    position of ``nbr`` is a slot. ``adj`` and ``edges`` are views of it by
-    id; the row methods work on local indices. ``pair_slots`` is the one
-    array lookup of pairs; ``has_edge`` stays a set test on ``adj`` for the
-    one-pair queries of Python loops, where a hash beats an array call.
+    position of ``nbr`` is a slot. The row methods work on local indices,
+    and ``pair_slots`` is the one array lookup of pairs.
     """
 
     def __init__(self, nodes: Iterable[int], edges: Iterable[tuple[int, int]]):
@@ -76,12 +74,6 @@ class Graph:
         """``start`` and ``nbr`` as lists: the one-row reads come from
         Python loops, where a list slice is cheaper than an array slice."""
         return self.start.tolist(), self.nbr.tolist()
-
-    @functools.cached_property
-    def adj(self) -> dict[int, frozenset[int]]:
-        nodes, (start, nbr) = self.nodes, self._lists
-        return {u: frozenset(nodes[w] for w in nbr[start[i]:start[i + 1]])
-                for i, u in enumerate(nodes)}
 
     def degrees(self) -> np.ndarray:
         return np.diff(self.start)
@@ -126,17 +118,6 @@ class Graph:
         src = np.repeat(np.arange(self.n), self.degrees())
         up = np.flatnonzero(self.nbr > src)
         return src[up], self.nbr[up], up
-
-    @functools.cached_property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """Every edge as ``(u, v)`` with ``u < v``, in lexicographic order."""
-        nodes = self.nodes
-        a, b, _ = self.edge_ends()
-        return tuple((nodes[i], nodes[j])
-                     for i, j in zip(a.tolist(), b.tolist()))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
 
     def is_connected(self) -> bool:
         start, nbr = self._lists

@@ -85,9 +85,10 @@ def _checked_adjacency(edges, n: int, radius: float
     lo = np.where(inside, np.minimum(a, b), 0).astype(np.intp)
     hi = np.where(inside, np.maximum(a, b), 0).astype(np.intp)
     key = np.where(inside & ~loop, lo * n + hi, -1 - np.arange(m))
-    order = np.argsort(key, kind="stable")
     dup = np.zeros(m, dtype=bool)
-    dup[order[1:]] = key[order[1:]] == key[order[:-1]]
+    if not (key[1:] > key[:-1]).all():  # udg_edges gives ascending keys
+        order = np.argsort(key, kind="stable")
+        dup[order[1:]] = key[order[1:]] == key[order[:-1]]
     far = ~((d > 0.0) & (d <= radius + DEFAULT_EPS))
     bad = loop | ~inside | dup | far
     if bad.any():
@@ -241,17 +242,33 @@ def build_udg(points: Sequence[Sequence[float]], radius: float, *,
 _FP = np.finfo(float).eps
 
 
+def axis_distances(p: np.ndarray, i: np.ndarray, q: np.ndarray,
+                   j: np.ndarray) -> np.ndarray:
+    """Distances from points ``i`` of ``p`` to points ``j`` of ``q``, each
+    given as one row per axis: an axis at a time, ``(dx*dx + dy*dy) +
+    dz*dz``, the order in which ``np.linalg.norm(a - b, axis=-1)`` adds a
+    row's squares, so with its bits but without its ``(k, dim)`` copies."""
+    total = None
+    for a, b in zip(p, q):
+        gap = a.take(i)
+        gap -= b.take(j)
+        gap *= gap
+        total = gap if total is None else np.add(total, gap, out=total)
+    return np.sqrt(total, out=total)
+
+
 class WindowIndex:
     """Fixed-radius near-neighbour index of ``points`` (a non-empty
     ``(n, dim)`` array) for pairs within distance ``lim``, over cells
     (Bentley, Stanat & Williams 1977): this is the searched half of the
     kernel, and :meth:`pairs` the query half.
 
-    The points are sorted once along their widest axis. Every other axis
-    that spans more than three cells of side about ``lim`` can cut them
-    into strips; the first query whose windows on the sweep axis hold more
-    candidates than one chunk sorts them by (strip, sweep coordinate), and
-    later queries reuse both orders.
+    The points are sorted once along their widest axis and kept in that
+    order as one row of coordinates per axis. Every other axis that spans
+    more than three cells of side about ``lim`` can cut them into strips;
+    the first query whose windows on the sweep axis hold more candidates
+    than one chunk sorts them by (strip, sweep coordinate), and later
+    queries reuse both orders.
     """
 
     def __init__(self, points: np.ndarray, lim: float):
@@ -261,8 +278,8 @@ class WindowIndex:
         self.axis = int(np.argmax(span))
         self.wide = lim * (1.0 + 4.0 * _FP)
         self.order = np.argsort(points[:, self.axis])
-        self.sorted = points[self.order]
-        self.xs = self.sorted[:, self.axis].copy()
+        self.cols = points.T.take(self.order, axis=1)     # a row per axis
+        self.xs = self.cols[self.axis]
         self.cuts = []      # (axis, side, cells) of each axis that cuts
         for a, extent in enumerate(span.tolist()):
             # the side outgrows the rounding of (x - low) / side, so a pair
@@ -288,8 +305,8 @@ class WindowIndex:
                                  np.ndarray, list[int]]:
         """The points sorted by (strip, rank on the sweep axis), so that the
         points of a strip within a window of ranks are one range of keys
-        ``strip * n + rank``: that order, the points in it, their keys and
-        ranks, and the linear offsets of a strip's neighbours."""
+        ``strip * n + rank``: that order, the points' columns in it, their
+        keys and ranks, and the linear offsets of a strip's neighbours."""
         n = len(self.points)
         rank = np.empty(n, dtype=np.intp)
         rank[self.order] = np.arange(n)
@@ -298,8 +315,8 @@ class WindowIndex:
         steps = [0]
         for _, _, cells in self.cuts:
             steps = [t * cells + o for t in steps for o in (-1, 0, 1)]
-        return (order, self.points[order], strip[order] * n + rank[order],
-                rank[order], steps)
+        return (order, self.points.T.take(order, axis=1),
+                strip[order] * n + rank[order], rank[order], steps)
 
     def pairs(self, pos: np.ndarray | None = None) -> EdgeArrays:
         """Index pairs within distance ``lim``, with their distances: the
@@ -312,13 +329,14 @@ class WindowIndex:
         missed; with strips, a window in its own strip and in each
         neighbouring one. An indexed point searches its own strip forward
         and only the neighbours in its half-shell, so each pair comes once.
-        A pair's distance is never below its gap on any axis, and the
-        ``d <= lim`` filter decides. The windows are expanded into
-        candidates in chunks of fewer than twice as many as there are
-        points, so no n x n array is built.
+        The windows are expanded into candidates in chunks of fewer than
+        twice as many as there are points, so no n x n array is built.
+        Each chunk's distances are :func:`axis_distances` of the gathered
+        columns, and ``d <= lim`` decides (a pair's distance is never
+        below its gap on any axis).
         """
         n, axis, wide = len(self.points), self.axis, self.wide
-        order, sb, xs = self.order, self.sorted, self.xs
+        order, sb, xs = self.order, self.cols, self.xs
         qx, hold = (xs, n) if pos is None else (pos[:, axis], len(pos) + n)
         # the sweep: each query point's window on the sweep axis; an
         # indexed point looks only forward from itself
@@ -333,7 +351,7 @@ class WindowIndex:
                 # the indexed points in the new order: own strip forward,
                 # then the strips of the half-shell
                 qs, above = keys // n, above[rank]
-                below = np.searchsorted(xs, sb[:, axis] - wide)
+                below = np.searchsorted(xs, sb[axis] - wide)
                 starts = [np.arange(1, n + 1)]
                 stops = [np.searchsorted(keys, qs * n + above)]
                 steps = [t for t in steps if t > 0]
@@ -342,7 +360,7 @@ class WindowIndex:
             for t in steps:
                 starts.append(np.searchsorted(keys, (qs + t) * n + below))
                 stops.append(np.searchsorted(keys, (qs + t) * n + above))
-        qp = sb if pos is None else pos
+        qp = sb if pos is None else pos.T
         lo = np.concatenate(starts)
         count = np.concatenate(stops) - lo
         end = np.cumsum(count)
@@ -355,9 +373,9 @@ class WindowIndex:
         for w0, w1 in zip(bounds, bounds[1:]):
             win = np.repeat(np.arange(w0, w1), count[w0:w1])
             cols = shift[win] + np.arange(end[w0] - count[w0], end[w1 - 1])
-            rows = win if len(lo) == len(qp) else win % len(qp)
-            d = np.linalg.norm(qp[rows] - sb[cols], axis=-1)
-            near = d <= self.lim
+            rows = win if len(lo) == len(qx) else win % len(qx)
+            d = axis_distances(qp, rows, sb, cols)
+            near = np.flatnonzero(d <= self.lim)
             u, v = rows[near], order[cols[near]]
             if pos is None:
                 u, v = np.minimum(order[u], v), np.maximum(order[u], v)
@@ -377,7 +395,7 @@ def udg_edges(positions: np.ndarray, radius: float,
         return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), \
             np.zeros(0)
     u, v, d = WindowIndex(pos, radius + eps).pairs()
-    keep = np.lexsort((v, u))
+    keep = np.argsort(u * len(pos) + v)     # each pair is there once
     return u[keep], v[keep], d[keep]
 
 
@@ -405,6 +423,15 @@ def strip_ground_truth(instance: NetworkInstance) -> NetworkInstance:
 # grouping functions
 # ---------------------------------------------------------------------------
 
+def _non_integer(values: list, kinds: set) -> int:
+    """Index of the first of ``values`` that is not an integer (a bool is
+    not), else -1; ``kinds`` is ``set(map(type, values))``."""
+    bad = {kind for kind in kinds if kind is bool
+           or not issubclass(kind, (int, np.integer))}
+    return next(i for i, x in enumerate(values) if type(x) in bad) \
+        if bad else -1
+
+
 def _int64_labels(nodes: Sequence[int], labels: list, kinds: set
                   ) -> np.ndarray:
     """``labels`` as int64, checked as a grouping's labels: at least one,
@@ -412,11 +439,9 @@ def _int64_labels(nodes: Sequence[int], labels: list, kinds: set
     and ``kinds`` is ``set(map(type, labels))``."""
     if not labels:
         raise InvalidInputError("empty grouping")
-    for kind in kinds:
-        if kind is bool or not issubclass(kind, (int, np.integer)):
-            i = next(i for i, lab in enumerate(labels) if type(lab) is kind)
-            raise InvalidInputError(f"node {nodes[i]} has group label "
-                                    f"{labels[i]!r}; labels must be integers")
+    if (i := _non_integer(labels, kinds)) >= 0:
+        raise InvalidInputError(f"node {nodes[i]} has group label "
+                                f"{labels[i]!r}; labels must be integers")
     try:
         return np.fromiter(labels, np.int64, len(labels))
     except OverflowError:
@@ -447,12 +472,16 @@ class GroupingFunction:
     group k is ``nodes[first[k]:first[k + 1]]``."""
 
     def __init__(self, assignment: Mapping[int, int]):
-        labels = list(assignment.values())
-        labels = _int64_labels(list(assignment), labels,
-                               set(map(type, labels)))
+        ids, labels = list(assignment), list(assignment.values())
+        if (i := _non_integer(ids, set(map(type, ids)))) >= 0:
+            raise InvalidInputError(f"node id {ids[i]!r} is not an integer")
+        labels = _int64_labels(ids, labels, set(map(type, labels)))
+        try:
+            ids = np.fromiter(ids, np.intp, len(ids))
+        except OverflowError:
+            raise InvalidInputError("node ids must fit in 64 bits") from None
         self.assignment = assignment
-        self.blocks = self.from_arrays(np.fromiter(
-            assignment, np.intp, len(labels)), labels).blocks
+        self.blocks = self.from_arrays(ids, labels).blocks
 
     @classmethod
     def from_instance(cls, instance: NetworkInstance, level: str) -> "GroupingFunction":
@@ -561,9 +590,7 @@ class PointFormation:
         return self.ids[self.mask].tolist()
 
     def localized_fraction(self) -> float:
-        if not len(self.ids):
-            return 0.0
-        return int(self.mask.sum()) / len(self.ids)
+        return int(self.mask.sum()) / max(len(self.ids), 1)
 
     def position(self, u: int) -> np.ndarray:
         if not self.is_localized(u):
@@ -782,17 +809,9 @@ def generate_building(config: BuildingConfig) -> NetworkInstance:
 def flagship_building_config(seed: int = 42) -> BuildingConfig:
     """The 3-floor sparse corridor building with a single stairwell column."""
     return BuildingConfig(
-        floors=3,
-        floor_spacing=0.8,
-        corridors_per_floor=4,
-        node_spacing=0.9,
-        radius=1.0,
-        connector_columns=((3.6, 0.675),),
-        rng_seed=seed,
-        corridor_spacing=0.45,
-        extent=6.3,
-        stagger=True,
-    )
+        floors=3, floor_spacing=0.8, corridors_per_floor=4, node_spacing=0.9,
+        radius=1.0, connector_columns=((3.6, 0.675),), rng_seed=seed,
+        corridor_spacing=0.45, extent=6.3, stagger=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Brute-force oracles for the claw, net and Hamiltonian-path searches of
-:mod:`hyperloc.intervals`, and an id-keyed form of its LBFS, used only by
-the tests."""
+:mod:`hyperloc.intervals`, an id-keyed form of its LBFS, and id-keyed views
+of a graph's adjacency, used only by the tests."""
 
 from __future__ import annotations
 
@@ -16,6 +16,27 @@ class SizeLimitError(HyperlocError):
     code = "size-limit"
 
 
+def adjacency(graph: Graph) -> dict[int, frozenset[int]]:
+    """Each vertex id's neighbour ids."""
+    nodes = graph.nodes
+    return {u: frozenset(nodes[w] for w in graph.row(i))
+            for i, u in enumerate(nodes)}
+
+
+def edge_list(graph: Graph) -> tuple[tuple[int, int], ...]:
+    """Every edge as ``(u, v)`` by id with ``u < v``, in lexicographic
+    order."""
+    nodes = graph.nodes
+    a, b, _ = graph.edge_ends()
+    return tuple((nodes[i], nodes[j]) for i, j in zip(a.tolist(), b.tolist()))
+
+
+def is_path(graph: Graph, seq) -> bool:
+    """True if every two consecutive ids of ``seq`` are adjacent."""
+    adj = adjacency(graph)
+    return all(b in adj[a] for a, b in zip(seq, seq[1:]))
+
+
 def _lbfs(graph: Graph, start: int, tie_order) -> list[int]:
     """``intervals._lbfs_local`` on ids: ``start`` first, ties going to the
     latest in ``tie_order`` (LBFS+), or to the smallest id without one."""
@@ -27,12 +48,12 @@ def _lbfs(graph: Graph, start: int, tie_order) -> list[int]:
 
 def claw_oracle(graph: Graph) -> InducedClaw | None:
     """Exhaustive 4-subset scan; first claw by (center, sorted leaves)."""
-    best = None
+    best, adj = None, adjacency(graph)
     for quad in itertools.combinations(graph.nodes, 4):
         for c in quad:
             leaves = tuple(sorted(u for u in quad if u != c))
-            if all(graph.has_edge(c, u) for u in leaves) and \
-                    not any(graph.has_edge(u, v)
+            if all(u in adj[c] for u in leaves) and \
+                    not any(v in adj[u]
                             for u, v in itertools.combinations(leaves, 2)):
                 key = (c, leaves)
                 if best is None or key < best:
@@ -51,7 +72,8 @@ def net_oracle(graph: Graph) -> InducedNet | None:
     """
     nodes = graph.nodes
     idx = {u: i for i, u in enumerate(nodes)}
-    bits = [sum(1 << idx[v] for v in graph.adj[u]) for u in nodes]
+    adj = adjacency(graph)
+    bits = [sum(1 << idx[v] for v in adj[u]) for u in nodes]
 
     def members(mask: int) -> list[int]:
         return [i for i in range(mask.bit_length()) if (mask >> i) & 1]
@@ -85,9 +107,10 @@ def hamiltonian_oracle(graph: Graph) -> list[int] | None:
     nodes = graph.nodes
     adj_bits = []
     idx = {u: i for i, u in enumerate(nodes)}
+    adj = adjacency(graph)
     for u in nodes:
         bits = 0
-        for v in graph.adj[u]:
+        for v in adj[u]:
             bits |= 1 << idx[v]
         adj_bits.append(bits)
     dead: set[tuple[int, int]] = set()

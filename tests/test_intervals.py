@@ -15,8 +15,8 @@ from hyperloc.model import (BuildingConfig, build_udg,
                             flagship_building_config, generate_building,
                             make_rng)
 
-from graph_oracles import (SizeLimitError, _lbfs, claw_oracle,
-                           hamiltonian_oracle, net_oracle)
+from graph_oracles import (SizeLimitError, _lbfs, adjacency, claw_oracle,
+                           edge_list, hamiltonian_oracle, is_path, net_oracle)
 
 
 def random_unit_interval_graph(rng, n, twins=0.0):
@@ -57,6 +57,7 @@ def reference_lbfs(graph, start, tie_order):
     label = {u: [] for u in graph.nodes}
     visited = set()
     order = []
+    adj = adjacency(graph)
     remaining = set(graph.nodes)
     for step in range(graph.n):
         if step == 0:
@@ -66,7 +67,7 @@ def reference_lbfs(graph, start, tie_order):
         order.append(u)
         visited.add(u)
         remaining.discard(u)
-        for w in graph.adj[u]:
+        for w in adj[u]:
             if w not in visited:
                 label[w].append(graph.n - step)
     return order
@@ -84,10 +85,10 @@ def reference_net_oracle(graph):
     """Exhaustive 6-subset scan; first net by (triangle, pendants)."""
     nodes = graph.nodes
     idx = {u: i for i, u in enumerate(nodes)}
-    bits = []
+    bits, adj = [], adjacency(graph)
     for u in nodes:
         b = 0
-        for v in graph.adj[u]:
+        for v in adj[u]:
             b |= 1 << idx[v]
         bits.append(b)
     best = None
@@ -121,7 +122,7 @@ def reference_net_oracle(graph):
 def _matrix(graph):
     idx = {u: i for i, u in enumerate(graph.nodes)}
     a = np.zeros((graph.n, graph.n), dtype=bool)
-    for u, v in graph.edges:
+    for u, v in edge_list(graph):
         a[idx[u], idx[v]] = a[idx[v], idx[u]] = True
     return a
 
@@ -215,15 +216,15 @@ def umbrella_ordered_graphs(draw):
                         unique=True))
     edges, shift = [], 0
     for g in parts:
-        edges += [(ids[shift + u], ids[shift + v]) for u, v in g.edges]
+        edges += [(ids[shift + u], ids[shift + v]) for u, v in edge_list(g)]
         shift += g.n
     return Graph(ids, edges), ids
 
 
 def _same_graph(a, b):
     assert a.nodes == b.nodes
-    assert a.edges == b.edges
-    assert a.adj == b.adj
+    assert edge_list(a) == edge_list(b)
+    assert adjacency(a) == adjacency(b)
     assert np.array_equal(a.start, b.start)
     assert np.array_equal(a.nbr, b.nbr)
     assert a._sweeps == b._sweeps
@@ -254,8 +255,8 @@ class TestFromInstance:
     def test_outside_ids_only(self):
         inst = build_udg([(0, 0), (0.5, 0)], 1.0)
         g = Graph.from_instance(inst, [-1, 7])
-        assert g.nodes == (-1, 7) and g.edges == ()
-        assert g.adj == {-1: frozenset(), 7: frozenset()}
+        assert g.nodes == (-1, 7) and edge_list(g) == ()
+        assert adjacency(g) == {-1: frozenset(), 7: frozenset()}
 
 
 def _check_pair_slots(g, pairs, u, v):
@@ -475,7 +476,7 @@ class TestUnitIntervalOrder:
             g = random_unit_interval_graph(rng, int(rng.integers(2, 40)))
             seq = unit_interval_order(g).sequence
             assert sorted(seq) == list(g.nodes)
-            assert all(g.has_edge(a, b) for a, b in zip(seq, seq[1:]))
+            assert is_path(g, seq)
 
 
 class TestLbfs:
@@ -506,7 +507,7 @@ class TestLbfs:
         if g.n == 0 or not g.is_connected():
             return
         seq = sweeps[-1]
-        if all(g.has_edge(a, b) for a, b in zip(seq, seq[1:])):
+        if is_path(g, seq):
             expected = seq[::-1] if seq[0] > seq[-1] else seq
             assert unit_interval_order(g).sequence == tuple(expected)
         else:
@@ -545,7 +546,7 @@ class TestSweepShortcut:
         (SHUFFLED_PATH, 2), (C4, 3), (CLAW_WITH_PATH, 3),
     ], ids=["shuffled path", "C4", "claw with path"])
     def test_sweep_count(self, lbfs_calls, graph, calls):
-        fresh = Graph(graph.nodes, graph.edges)   # no cached sweeps
+        fresh = Graph(graph.nodes, edge_list(graph))   # no cached sweeps
         assert fresh._sweeps[0] == reference_sweeps(fresh)
         assert len(lbfs_calls) == calls
 
@@ -574,7 +575,7 @@ class TestSweepShortcut:
                     rng, int(rng.integers(1, 40)), twins=0.3)
                 shift = len(nodes)
                 nodes += [shift + u for u in part.nodes]
-                edges += [(shift + u, shift + v) for u, v in part.edges]
+                edges += [(shift + u, shift + v) for u, v in edge_list(part)]
             g = Graph(nodes, edges)
             lbfs_calls.clear()
             assert g._sweeps[1]
@@ -651,7 +652,7 @@ class TestHamiltonianOracle:
             g = random_unit_interval_graph(rng, int(rng.integers(2, 11)))
             path = hamiltonian_oracle(g)
             assert path is not None
-            assert all(g.has_edge(a, b) for a, b in zip(path, path[1:]))
+            assert is_path(g, path)
 
     def test_order_agrees_with_oracle_feasibility(self):
         rng = make_rng(8)

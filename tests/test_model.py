@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hyperloc.errors import InvalidConfigError, InvalidInputError
 from hyperloc.model import (DEFAULT_EPS, BuildingConfig, GroupingFunction,
                             NetworkInstance, NodeRecord, PointFormation,
-                            WindowIndex,
+                            WindowIndex, axis_distances,
                             build_udg,
                             flagship_building_config, generate_building,
                             group_labels, make_rng, network_from_json_dict,
@@ -231,6 +231,53 @@ class TestWindowIndex:
             assert got == list(zip(i[keep].tolist(), j[keep].tolist(),
                                    d[keep].tolist()))
             assert got == _all_cross_pairs(q, b, 1.0, 0.0)
+
+
+# Every float: squares that overflow (|x| above about 1.34e154) or underflow
+# (|x| below about 1.5e-162), subnormals, signed zeros, inf and NaN.
+_any_coord = st.one_of(
+    st.floats(width=64),
+    st.floats(-3.0, 3.0),
+    st.sampled_from((1e154, -1.4e154, 1e200, 1e-160, -2e-162, 5e-324, -0.0,
+                     float("inf"), -float("inf"), float("nan"))))
+
+
+@st.composite
+def _gathers(draw):
+    """Two point sets of one dim and a gather of row pairs from them."""
+    dim = draw(st.sampled_from((1, 2, 3)))
+    p, q = (np.array(draw(st.lists(st.tuples(*[_any_coord] * dim),
+                                   min_size=1, max_size=12)),
+                     dtype=float).reshape(-1, dim) for _ in range(2))
+    size = draw(st.integers(0, 30))
+    i, j = (np.array(draw(st.lists(st.integers(0, len(x) - 1),
+                                   min_size=size, max_size=size)),
+                     dtype=np.intp) for x in (p, q))
+    return p, i, q, j
+
+
+class TestAxisDistances:
+    @settings(max_examples=400, deadline=None, database=None,
+              derandomize=True)
+    @given(case=_gathers())
+    @example(case=(np.array([[1e154, -1e154, 1e154]]), np.zeros(1, np.intp),
+                   np.array([[-1e154, 1e154, 0.0]]), np.zeros(1, np.intp)))
+    @example(case=(np.array([[1e-160, 3e-161], [float("inf"), 0.0]]),
+                   np.array([0, 1, 1], np.intp),
+                   np.array([[0.0, 0.0], [float("inf"), float("nan")]]),
+                   np.array([0, 0, 1], np.intp)))
+    @example(case=(np.array([[0.1], [-0.0]]), np.array([0, 1], np.intp),
+                   np.array([[0.3], [0.0]]), np.array([0, 1], np.intp)))
+    def test_same_bits_as_the_norm_of_the_row_differences(self, case):
+        """Rows as strided columns (the placement check's residual) and
+        as contiguous ones (the kernel's index) give the norm's bits."""
+        p, i, q, j = case
+        with np.errstate(all="ignore"):
+            want = np.linalg.norm(p[i] - q[j], axis=-1)
+            for cols in (lambda x: x.T, lambda x: x.T.copy()):
+                got = axis_distances(cols(p), i, cols(q), j)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
 
 class _DictFormation:
@@ -526,6 +573,73 @@ class TestNetworkInstance:
         inst = NetworkInstance(nodes, [(0, 1, 0.4)], 1.0)
         with pytest.raises(InvalidInputError):
             inst.validate_exact()
+
+
+def _error_of(build):
+    """The class and message of the input error ``build`` raises, or
+    None; any other exception fails the test."""
+    try:
+        build()
+    except InvalidInputError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@st.composite
+def _ascending_with_one_defect(draw):
+    """Edges ``u < v`` in ascending key order, as ``udg_edges`` gives them,
+    with at most one defect kept in place: a self-loop, an end out of
+    range, a copy right after its edge, or a distance outside (0, radius]
+    (radius 1)."""
+    n = draw(st.integers(2, 8))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1))
+                          .filter(lambda e: e[0] < e[1]),
+                          min_size=1, max_size=16, unique=True))
+    edges = [(u, v, draw(st.floats(0.01, 1.0))) for u, v in sorted(pairs)]
+    kind = draw(st.sampled_from(("none", "loop", "range", "copy", "dist")))
+    at = draw(st.integers(0, len(edges) - 1))
+    u, v, d = edges[at]
+    if kind == "loop":
+        edges[at] = (u, u, d)
+    elif kind == "range":
+        edges[at] = (u, draw(st.sampled_from((n, n + 3))), d)
+    elif kind == "copy":
+        edges.insert(at + 1, (u, v, draw(st.floats(0.01, 1.0))))
+    elif kind == "dist":
+        edges[at] = (u, v, draw(st.sampled_from(
+            (0.0, -0.5, 1.0 + 2 * DEFAULT_EPS, 1.5, float("nan")))))
+    return n, edges, kind, draw(st.permutations(range(len(edges))))
+
+
+class TestCheckedAdjacencyOrder:
+    @settings(max_examples=300, deadline=None, database=None,
+              derandomize=True)
+    @given(case=_ascending_with_one_defect())
+    def test_ascending_input_raises_as_shuffled_input_does(self, case):
+        """Keys already ascending skip the duplicate test's sort: the
+        instance, or the error class and message, is what the same edges
+        give shuffled, and what the per-edge reference says."""
+        n, edges, kind, perm = case
+        nodes = [NodeRecord(id=i) for i in range(n)]
+
+        def arrays(rows):
+            return tuple(np.array(x, dtype=dt) for x, dt in
+                         zip(zip(*rows), (np.intp, np.intp, float)))
+
+        shuffled = [edges[k] for k in perm]
+        want = _error_of(lambda: reference_edges(n, edges, 1.0))
+        assert (want is None) == (kind == "none")
+        for rows in (edges, shuffled):
+            assert _error_of(lambda: NetworkInstance(nodes, arrays(rows),
+                                                     1.0)) == want
+            assert _error_of(lambda: NetworkInstance(nodes, rows, 1.0)) \
+                == want
+        if want is None:
+            ascending = NetworkInstance(nodes, arrays(edges), 1.0)
+            again = NetworkInstance(nodes, arrays(shuffled), 1.0)
+            assert ascending.edges == again.edges == \
+                reference_edges(n, edges, 1.0)
 
 
 class TestDist:
@@ -845,6 +959,23 @@ class TestGroupingFunction:
     def test_rejects_non_integer_labels(self, label):
         with pytest.raises(InvalidInputError):
             GroupingFunction({0: 1, 1: label})
+
+    @pytest.mark.parametrize("assignment, message", [
+        ({"a": 1, 0: 1}, "node id 'a' is not an integer"),
+        ({0.5: 1, 1: 2}, "node id 0.5 is not an integer"),
+        ({0: 1, True: 2}, "node id True is not an integer"),
+        ({0: 1, np.float64(2.0): 2}, "is not an integer"),
+        ({None: 1}, "node id None is not an integer"),
+        ({2**63: 1}, "node ids must fit in 64 bits"),
+    ])
+    def test_rejects_non_integer_node_ids(self, assignment, message):
+        with pytest.raises(InvalidInputError, match=re.escape(message)) as exc:
+            GroupingFunction(assignment)
+        assert exc.value.code == "invalid-input"
+
+    def test_accepts_numpy_integer_node_ids(self):
+        g = GroupingFunction({np.int64(2): 1, np.int32(0): 1, 1: 2})
+        assert g.members(1) == [0, 2] and g.members(2) == [1]
 
     def test_accepts_numpy_integer_labels(self):
         g = GroupingFunction({0: np.int64(4), 1: np.int32(2), 2: 2**63 - 1})
