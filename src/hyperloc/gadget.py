@@ -126,15 +126,6 @@ class FlipConfiguration:
 
 
 @dataclass
-class _GadgetNode:
-    kind: str                   # fixed | line | apex | token
-    x: float
-    y: float
-    owner: int = -1             # hypergraph vertex for line/apex, wire id for token
-    plane: int = -1             # canonical hyperplane index
-
-
-@dataclass
 class _Wire:
     edge_index: int
     half: str                   # "A" (left..mid) or "B" (mid..right)
@@ -145,38 +136,26 @@ class _Wire:
 
 @dataclass(frozen=True)
 class _NodeArrays:
-    """Per-node arrays the flip rule reads, built once per gadget: canonical
-    positions, the x of each vertex line, and the ids and owners of the
-    nodes a flip moves (line and apex nodes; apexes; tokens by wire)."""
+    """The gadget's node table, one row per node id: canonical position,
+    kind (fixed | line | apex | token) and owner (hypergraph vertex of a
+    line or apex node, wire of a token, else -1). Built once per gadget with
+    what the flip rule reads: the x of each vertex line and the ids of the
+    nodes a flip moves (line and apex nodes; apexes; tokens)."""
 
     xy: np.ndarray
+    kind: np.ndarray
+    owner: np.ndarray
     line_x: np.ndarray
     flips: np.ndarray
-    flip_owner: np.ndarray
     apexes: np.ndarray
-    apex_owner: np.ndarray
     tokens: np.ndarray
-    token_wire: np.ndarray
-
-    @classmethod
-    def of(cls, nodes: Sequence[_GadgetNode],
-           order: Sequence[int]) -> "_NodeArrays":
-        kind = np.array([nd.kind for nd in nodes])
-        owner = np.array([nd.owner for nd in nodes], dtype=np.intp)
-        line_x = np.empty(len(order))
-        line_x[list(order)] = [_line_x(p) for p in range(len(order))]
-        flips = np.flatnonzero((kind == "line") | (kind == "apex"))
-        apexes = np.flatnonzero(kind == "apex")
-        tokens = np.flatnonzero(kind == "token")
-        return cls(xy=np.array([(nd.x, nd.y) for nd in nodes]).reshape(-1, 2),
-                   line_x=line_x, flips=flips, flip_owner=owner[flips],
-                   apexes=apexes, apex_owner=owner[apexes],
-                   tokens=tokens, token_wire=owner[tokens])
 
 
 @dataclass
 class GadgetInstance:
-    """Generated deployment plus the bookkeeping tying it back to H."""
+    """Generated deployment plus the bookkeeping tying it back to H.
+
+    Hyperplane v is vertex v's line, and a flag's first node is its apex."""
 
     hypergraph: Hypergraph3U
     instance: NetworkInstance
@@ -184,15 +163,12 @@ class GadgetInstance:
     dim: int = 2
     base_coloring: tuple[int, ...] = ()
     order: tuple[int, ...] = ()                      # vertex per line position
-    vertex_line_of: dict[int, int] = field(default_factory=dict)
     flag_nodes: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)
-    _nodes: list[_GadgetNode] = field(default_factory=list)
     _wires: list[_Wire] = field(default_factory=list)
-    _apex_of: dict[tuple[int, int], int] = field(default_factory=dict)
     _arrays: _NodeArrays | None = None
 
 
-def _line_x(pos: int) -> float:
+def _line_x(pos):
     return VSPACE * pos
 
 
@@ -287,137 +263,111 @@ def build_gadget(h: Hypergraph3U) -> GadgetInstance:
     base = colorings[0]
 
     order = _choose_order(h)
-    pos_of = {v: i for i, v in enumerate(order)}
-    x_of = {v: _line_x(pos_of[v]) for v in range(h.n_vertices)}
+    n = h.n_vertices
+    x_of = _line_x(np.argsort(order))        # vertex v's line is at x_of[v]
     x_first = 0.0
-    x_last = _line_x(h.n_vertices - 1)
-
-    nodes: list[_GadgetNode] = []
-    wires: list[_Wire] = []
-    apex_of: dict[tuple[int, int], int] = {}
-    flag_nodes: dict[tuple[int, int], list[int]] = {}
 
     # hyperplanes: vertex lines, main, support, edge-line pairs
-    hyperplanes: list[tuple[Hyperplane, str, str]] = []
-    vertex_line_of = {}
-    for v in range(h.n_vertices):
-        vertex_line_of[v] = len(hyperplanes)
-        hyperplanes.append((Hyperplane(normal=(1.0, 0.0), offset=x_of[v]),
-                            "black", f"vertex-{v}"))
-    main_idx = len(hyperplanes)
-    hyperplanes.append((Hyperplane(normal=(0.0, 1.0), offset=0.0),
-                        "black", "main"))
-    support_idx = len(hyperplanes)
-    hyperplanes.append((Hyperplane(normal=(0.0, 1.0), offset=SUPPORT_Y),
-                        "black", "support"))
-    edge_line_pair = {}
+    hyperplanes = [(Hyperplane(normal=(1.0, 0.0), offset=x_of[v]),
+                    "black", f"vertex-{v}") for v in range(n)]
+    hyperplanes += [(Hyperplane(normal=(0.0, 1.0), offset=0.0),
+                     "black", "main"),
+                    (Hyperplane(normal=(0.0, 1.0), offset=SUPPORT_Y),
+                     "black", "support")]
     for f in range(len(h.edges)):
         yf = _edge_line_y(f)
-        r_idx = len(hyperplanes)
-        hyperplanes.append((Hyperplane(normal=(0.0, 1.0), offset=yf),
-                            "red", f"r{f + 1}"))
-        b_idx = len(hyperplanes)
-        hyperplanes.append((Hyperplane(normal=(0.0, 1.0), offset=-yf),
-                            "blue", f"b{f + 1}"))
-        edge_line_pair[f] = (r_idx, b_idx)
+        hyperplanes += [(Hyperplane(normal=(0.0, 1.0), offset=yf),
+                         "red", f"r{f + 1}"),
+                        (Hyperplane(normal=(0.0, 1.0), offset=-yf),
+                         "blue", f"b{f + 1}")]
+
+    def edge_plane(f: int, sgn: int) -> int:
+        # the red line of edge f above the main line, its blue mirror below
+        return n + 2 + 2 * f + (sgn < 0)
+
+    # the node table, one (kind, x, y, owner, plane) row per node id
+    rows: list[tuple[str, float, float, int, int]] = []
 
     def add(kind, x, y, owner=-1, plane=-1) -> int:
-        nodes.append(_GadgetNode(kind=kind, x=float(x), y=float(y),
-                                 owner=owner, plane=plane))
-        return len(nodes) - 1
+        rows.append((kind, float(x), float(y), owner, plane))
+        return len(rows) - 1
 
-    # main line: vertex-line feet, thirds fill, and a left extension whose
-    # first two interior points pair with the support line into a K4
-    main_xs = {x_of[v] for v in range(h.n_vertices)}
-    for p in range(h.n_vertices - 1):
+    # main line: vertex-line feet, thirds fill past every line (the last
+    # one included), and a left extension whose first two interior points
+    # pair with the support line into a K4
+    main_xs = set(x_of.tolist())
+    for p in range(n):
         main_xs.add(_line_x(p) + VSPACE / 3.0)
         main_xs.add(_line_x(p) + 2.0 * VSPACE / 3.0)
     left_ext = [x_first - 2.5, x_first - 2.0, x_first - 1.25, x_first - 0.625]
     main_xs.update(left_ext)
-    main_xs.update({x_last + VSPACE / 3.0, x_last + 2.0 * VSPACE / 3.0})
     for x in sorted(main_xs):
-        add("fixed", x, 0.0, plane=main_idx)
-    support_ids = [add("fixed", x_first - 2.0, SUPPORT_Y, plane=support_idx),
-                   add("fixed", x_first - 1.25, SUPPORT_Y, plane=support_idx)]
+        add("fixed", x, 0.0, plane=n)
+    add("fixed", x_first - 2.0, SUPPORT_Y, plane=n + 1)
+    add("fixed", x_first - 1.25, SUPPORT_Y, plane=n + 1)
 
     # vertex lines: symmetric chain from the feet up to a safe height
-    chain = [FOOT_Y]
     step = (LOW_FILL_TOP - FOOT_Y) / 3.0
-    for k in range(1, 4):
-        chain.append(FOOT_Y + step * k)
-    for v in range(h.n_vertices):
+    chain = [FOOT_Y + step * k for k in range(4)]
+    for v in range(n):
         for mag in chain:
             for s in (1.0, -1.0):
-                add("line", x_of[v], s * mag, owner=v,
-                    plane=vertex_line_of[v])
+                add("line", x_of[v], s * mag, v, v)
 
-    # flags: one triangle per (vertex, covering edge); the apex vacates the
-    # mirror slot, whose color is the vertex color
-    roles: dict[tuple[int, int], str] = {}
-    edge_members: dict[int, tuple[int, int, int]] = {}
-    for fi, e in enumerate(h.edges):
-        left, mid, right = sorted(e, key=lambda v: pos_of[v])
-        edge_members[fi] = (left, mid, right)
-        roles[(left, fi)] = "left"
-        roles[(mid, fi)] = "mid"
-        roles[(right, fi)] = "right"
-    for (v, fi), role in roles.items():
+    # flags: one triangle per (vertex, covering edge), an edge's members
+    # taken left, mid, right; the apex vacates the mirror slot, whose color
+    # is the vertex color
+    members = [sorted(e, key=x_of.__getitem__) for e in h.edges]
+    flag_nodes: dict[tuple[int, int], tuple[int, ...]] = {}
+    for fi, (left, mid, right) in enumerate(members):
         yf = _edge_line_y(fi)
-        sgn = _sign(base[v])
-        left, mid, right = edge_members[fi]
-        if role == "left":
-            side = 1
-        elif role == "right":
-            side = -1
-        else:
-            side = -1 if base[mid] != base[left] else 1
-        r_idx, b_idx = edge_line_pair[fi]
-        apex_plane = r_idx if sgn > 0 else b_idx
-        apex = add("apex", x_of[v] + side * APEX_DX, sgn * yf, owner=v,
-                   plane=apex_plane)
-        apex_of[(v, fi)] = apex
-        b1 = add("line", x_of[v], sgn * (yf - BASE_DY), owner=v,
-                 plane=vertex_line_of[v])
-        b2 = add("line", x_of[v], sgn * (yf + BASE_DY), owner=v,
-                 plane=vertex_line_of[v])
-        flag_nodes[(v, fi)] = [apex, b1, b2]
+        mid_side = -1 if base[mid] != base[left] else 1
+        for v, side in ((left, 1), (mid, mid_side), (right, -1)):
+            sgn = _sign(base[v])
+            flag_nodes[(v, fi)] = (
+                add("apex", x_of[v] + side * APEX_DX, sgn * yf, v,
+                    edge_plane(fi, sgn)),
+                add("line", x_of[v], sgn * (yf - BASE_DY), v, v),
+                add("line", x_of[v], sgn * (yf + BASE_DY), v, v))
 
-    # relay token chains along each edge-line pair between its members
-    for fi, (left, mid, right) in edge_members.items():
+    # relay token chains along each edge-line pair between its members, on
+    # the side of the coupled end
+    wires: list[_Wire] = []
+    for fi, (left, mid, right) in enumerate(members):
         yf = _edge_line_y(fi)
         for half, (va, vb) in (("A", (left, mid)), ("B", (mid, right))):
-            sgn = _sign(base[va]) if half == "A" else _sign(base[vb])
+            coupled, probed = (va, vb) if half == "A" else (vb, va)
+            sgn = _sign(base[coupled])
             x_start = x_of[va] + TOKEN_END
             x_end = x_of[vb] - TOKEN_END
             span = x_end - x_start
             count = max(1, int(np.ceil(span / TOKEN_STEP)) + 1)
             xs = np.linspace(x_start, x_end, count) if span > 0 else [x_start]
-            wire_id = len(wires)
-            r_idx, b_idx = edge_line_pair[fi]
-            plane = r_idx if sgn > 0 else b_idx
-            token_ids = tuple(add("token", x, sgn * yf, owner=wire_id,
-                                  plane=plane) for x in xs)
-            if half == "A":
-                coupled, probed = apex_of[(va, fi)], apex_of[(vb, fi)]
-            else:
-                coupled, probed = apex_of[(vb, fi)], apex_of[(va, fi)]
+            token_ids = tuple(add("token", x, sgn * yf, len(wires),
+                                  edge_plane(fi, sgn)) for x in xs)
             wires.append(_Wire(edge_index=fi, half=half,
                                end_vertices=(va, vb),
-                               end_apexes=(coupled, probed),
+                               end_apexes=(flag_nodes[(coupled, fi)][0],
+                                           flag_nodes[(probed, fi)][0]),
                                token_ids=token_ids))
 
-    arrays = _NodeArrays.of(nodes, order)
-    edges = udg_edges(arrays.xy, RADIUS)
-    records = [NodeRecord(id=i, true_pos=(nd.x, nd.y, 0.0),
-                          line_group=nd.plane + 1)
-               for i, nd in enumerate(nodes)]
-    instance = NetworkInstance(records, edges, RADIUS)
+    kind, x, y, owner, plane = zip(*rows)
+    kind = np.array(kind)
+    arrays = _NodeArrays(
+        xy=np.column_stack([x, y]), kind=kind,
+        owner=np.array(owner, dtype=np.intp),
+        line_x=x_of,
+        flips=np.flatnonzero((kind == "line") | (kind == "apex")),
+        apexes=np.flatnonzero(kind == "apex"),
+        tokens=np.flatnonzero(kind == "token"))
+    records = [NodeRecord(id=i, true_pos=(px, py, 0.0), line_group=pl + 1)
+               for i, (px, py, pl) in enumerate(zip(x, y, plane))]
+    instance = NetworkInstance(records, udg_edges(arrays.xy, RADIUS), RADIUS)
 
     g = GadgetInstance(
         hypergraph=h, instance=instance, hyperplanes=hyperplanes, dim=2,
-        base_coloring=base, order=order, vertex_line_of=vertex_line_of,
-        flag_nodes={k: tuple(v) for k, v in flag_nodes.items()},
-        _nodes=nodes, _wires=wires, _apex_of=apex_of, _arrays=arrays)
+        base_coloring=base, order=order, flag_nodes=flag_nodes,
+        _wires=wires, _arrays=arrays)
     _audit_gadget(g)
     return g
 
@@ -432,26 +382,25 @@ def _audit_gadget(g: GadgetInstance) -> None:
                        if label in ("main", "support") or label[0] in "rb")
     if n_horizontal != 2 * len(h.edges) + 2:
         raise HyperlocError("horizontal line count is not 2|F| + 2")
-    inst = g.instance
+    inst, table = g.instance, g._arrays
+    x, y = table.xy.T
+    fixed = table.kind == "fixed"
+    on_main = fixed & (y == 0.0)
     # support K4 with two main-line nodes
-    sup = [i for i, nd in enumerate(g._nodes)
-           if nd.kind == "fixed" and nd.y == SUPPORT_Y]
-    partners = [i for i, nd in enumerate(g._nodes)
-                if nd.kind == "fixed" and nd.y == 0.0
-                and any(abs(nd.x - g._nodes[s].x) < 1e-9 for s in sup)]
-    quad = sup + partners
+    sup = np.flatnonzero(fixed & (y == SUPPORT_Y))
+    partners = np.flatnonzero(
+        on_main & (np.abs(x[:, None] - x[sup]) < 1e-9).any(axis=1))
+    quad = sup.tolist() + partners.tolist()
     if len(quad) != 4 or not all(inst.has_edge(a, b) for a, b
                                  in itertools.combinations(quad, 2)):
         raise HyperlocError("support line does not form a K4 with the main line")
     # main-line chain gaps stay under one unit
-    main_xs = sorted(nd.x for nd in g._nodes
-                     if nd.kind == "fixed" and nd.y == 0.0)
-    if any(b - a > RADIUS for a, b in zip(main_xs, main_xs[1:])):
+    if np.any(np.diff(np.sort(x[on_main])) > RADIUS):
         raise HyperlocError("main-line nodes are not uniformly distributed")
     # each apex neighbors exactly its two base nodes on the vertex line
     for (v, fi), (apex, b1, b2) in g.flag_nodes.items():
         line_nbrs = [w for w in inst.neighbors(apex)
-                     if g._nodes[w].kind == "line"]
+                     if table.kind[w] == "line"]
         if sorted(line_nbrs) != sorted((b1, b2)):
             raise HyperlocError(
                 f"flag apex of vertex {v}, edge {fi} does not neighbor "
@@ -485,12 +434,13 @@ def _config_positions(g: GadgetInstance, config: FlipConfiguration,
     vertical = np.array(config.vertical, dtype=bool)
     horizontal = np.array(config.horizontal, dtype=bool)
     pos = a.xy.copy()
-    flipped = a.flips[vertical[a.flip_owner]]
+    flipped = a.flips[vertical[a.owner[a.flips]]]
     pos[flipped, 1] = -pos[flipped, 1]
-    mirrored = horizontal[a.apex_owner]
+    apex_owner = a.owner[a.apexes]
+    mirrored = horizontal[apex_owner]
     moved = a.apexes[mirrored]
-    pos[moved, 0] = 2.0 * a.line_x[a.apex_owner[mirrored]] - pos[moved, 0]
-    pos[a.tokens, 1] = (np.asarray(wire_signs)[a.token_wire]
+    pos[moved, 0] = 2.0 * a.line_x[apex_owner[mirrored]] - pos[moved, 0]
+    pos[a.tokens, 1] = (np.asarray(wire_signs)[a.owner[a.tokens]]
                         * np.abs(pos[a.tokens, 1]))
     return pos
 
@@ -522,8 +472,8 @@ class _ConfigChecker:
         n2, n_inst = len(a.xy), inst.n
         nb = 1 + n + len(g._wires)
         block = np.zeros(n2, dtype=np.intp)
-        block[a.flips] = 1 + a.flip_owner
-        block[a.tokens] = 1 + n + a.token_wire
+        block[a.flips] = 1 + a.owner[a.flips]
+        block[a.tokens] = 1 + n + a.owner[a.tokens]
         block = np.tile(block, n_inst // n2)
         # placed[s]: every line in state s, every chain on side s & 1
         placed = [_config_positions(
@@ -551,7 +501,8 @@ class _ConfigChecker:
         apex[a.apexes] = True
         ends = np.array([w.end_apexes for w in g._wires],
                         dtype=np.intp).reshape(-1, 2)
-        links = np.sort(key(a.tokens[:, None], ends[a.token_wire]), axis=None)
+        links = np.sort(key(a.tokens[:, None], ends[a.owner[a.tokens]]),
+                        axis=None)
 
         def tally(out, x, y, i, j, weight):
             for layer, m in zip(out, (np.ones(len(x), dtype=bool),
@@ -594,7 +545,7 @@ class _ConfigChecker:
         self.pair_tables: list[tuple[int, int, np.ndarray]] = [
             (va, vb, ok[1, 1 + va, :, 1 + vb, :])
             for va, vb in zip(g.order, g.order[1:])
-            if {va, vb} <= set(a.apex_owner.tolist())]
+            if {va, vb} <= set(a.owner[a.apexes].tolist())]
         # agree[k][s, side]: the chain on that side agrees with end k in s
         self.wire_tables: list[tuple[int, int, np.ndarray]] = []
         for c, w in enumerate(g._wires):

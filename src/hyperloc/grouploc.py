@@ -56,7 +56,6 @@ def _line_pass(instance: NetworkInstance, ids: np.ndarray, first: np.ndarray,
     length = instance.length[slot]
     path = np.arange(n)
     if sweep:
-        graph.nodes = tuple(ids.tolist())
         path = np.searchsorted(ids, unit_interval_order(graph).sequence)
     at = graph.pair_slots(path[:-1], path[1:])
     inner = block[1:] == block[:-1]

@@ -36,11 +36,11 @@ def _rows(n: int, a: np.ndarray, b: np.ndarray
 class Graph:
     """Immutable undirected graph keyed by arbitrary integer ids.
 
-    Vertex ``i`` is ``nodes[i]`` (ids ascending). The adjacency, the
-    package's one layout, is compressed over these local indices: vertex
-    i's neighbours are ``nbr[start[i]:start[i + 1]]``, ascending, and each
-    position of ``nbr`` is a slot. The row methods work on local indices,
-    and ``pair_slots`` is the one array lookup of pairs.
+    Vertex ``i`` is ``nodes[i]``, ids ascending (in ``within``, per block).
+    The adjacency, the package's one layout, is compressed over these local
+    indices: vertex i's neighbours are ``nbr[start[i]:start[i + 1]]``,
+    ascending, and each position of ``nbr`` is a slot. The row methods work
+    on local indices, and ``pair_slots`` is the one array lookup of pairs.
     """
 
     def __init__(self, nodes: Iterable[int], edges: Iterable[tuple[int, int]]):
@@ -201,7 +201,6 @@ class Graph:
             return instance.graph
         ids = np.array(sorted(set(node_ids)), dtype=np.intp)
         graph, _ = cls.within(instance.graph, ids, np.zeros_like(ids))
-        graph.nodes = tuple(ids.tolist())
         return graph
 
     @classmethod
@@ -209,8 +208,8 @@ class Graph:
                ) -> tuple["Graph", np.ndarray]:
         """The edges of ``whole`` between ids of one block, as a graph whose
         vertex i is ``ids[i]`` in block ``block[i]`` (ids ascend within a
-        block; ids ``whole`` lacks are isolated), and per slot its slot in
-        ``whole``."""
+        block, so ``nodes`` ascends when there is one block; ids ``whole``
+        lacks are isolated), and per slot its slot in ``whole``."""
         known = np.flatnonzero((ids >= 0) & (ids < whole.n))
         local = np.full(whole.n, -1, dtype=np.intp)
         local[ids[known]] = known
@@ -218,7 +217,7 @@ class Graph:
         owner, to = known[owner], local[to]
         keep = (to >= 0) & (block[to] == block[owner])
         graph = cls.__new__(cls)
-        graph.nodes = tuple(range(len(ids)))
+        graph.nodes = tuple(ids.tolist())
         # rows follow ids, and within a block so do their neighbours
         graph.start = np.searchsorted(owner[keep], np.arange(len(ids) + 1))
         graph.nbr = to[keep]
@@ -382,13 +381,13 @@ def unit_interval_order(graph: Graph) -> LinearOrder:
 
     Reads the last of the graph's cached LBFS+ sweeps (Corneil 2004), which
     stop at the first order with the umbrella certificate and are not run
-    when the index order has it (see ``Graph._sweeps``), then validates that
-    consecutive vertices are adjacent. The validation, not the sweep, is
-    the contract: failure signals the group is not a realizable collinear
-    group. On a certified order a gap between consecutive vertices means
-    the graph is disconnected (by the umbrella property, any edge across
-    the gap would make its two ends adjacent), so only an uncertified graph
-    is searched for connectivity.
+    when the index order has it (see ``Graph._sweeps``). The order is
+    accepted only when certified and its consecutive vertices are adjacent:
+    failure signals the group is not a realizable collinear group. On a
+    certified order a gap between consecutive vertices means the graph is
+    disconnected (by the umbrella property, any edge across the gap would
+    make its two ends adjacent), so only an uncertified graph is searched
+    for connectivity.
     """
     if graph.n == 0:
         raise InvalidInputError("empty graph")
@@ -404,6 +403,8 @@ def unit_interval_order(graph: Graph) -> LinearOrder:
         a, b = seq[gaps[0]], seq[gaps[0] + 1]
         raise NoHamiltonianPathError(
             f"ordering breaks at ({a},{b}); no monotone 1D order found")
+    if not certified:
+        raise NoHamiltonianPathError("no certified proper-interval order")
     if seq[0] > seq[-1]:
         seq.reverse()
     return LinearOrder(sequence=tuple(seq))

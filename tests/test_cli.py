@@ -7,7 +7,7 @@ import pytest
 from hyperloc.cli import main
 from hyperloc.gadget import (Hypergraph3U, build_gadget, enumerate_groupings,
                              lift_to_3d, verify_equivalence)
-from hyperloc.model import flagship_building_config
+from hyperloc.model import flagship_building_config, network_to_json_dict
 
 from test_gadget import random_hypergraph
 
@@ -118,6 +118,34 @@ def test_verify_hardness_bytes_pinned(tmp_path, capsys, text):
                  "--full-correspondence"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_HARDNESS[text]
+
+
+def _gadget_geometry(g):
+    """A built or lifted gadget's node ids, positions, labels, edges,
+    hyperplanes, flag nodes, line order and wires, as JSON values."""
+    return [network_to_json_dict(g.instance),
+            [[list(p.normal), p.offset, color, label]
+             for p, color, label in g.hyperplanes],
+            sorted([v, f, list(ids)] for (v, f), ids in g.flag_nodes.items()),
+            list(g.order),
+            [[list(w.end_vertices), list(w.end_apexes), list(w.token_ids)]
+             for w in g._wires]]
+
+
+# SHA-256 over the 2D gadget and its lift for the three shapes above,
+# recorded before the gadget's node bookkeeping was folded into one table;
+# the report pins do not cover node ids or positions, this one does.
+PINNED_GEOMETRY = \
+    "4d673a853c56bd17bcb31a8087bf7731b0d36633e2cd7e5055ea82eb41e90bcf"
+
+
+def test_gadget_geometry_pinned():
+    values = []
+    for text in sorted(PINNED_HARDNESS):
+        g = build_gadget(Hypergraph3U.from_text(text))
+        values += [_gadget_geometry(g), _gadget_geometry(lift_to_3d(g))]
+    digest = hashlib.sha256(json.dumps(values).encode()).hexdigest()
+    assert digest == PINNED_GEOMETRY
 
 
 def _hardness_report(h, lift, full):

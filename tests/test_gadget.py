@@ -1,4 +1,5 @@
 import itertools
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
@@ -28,6 +29,21 @@ def coloring_of(g, config):
     """Reference rule: the vertex colors a configuration induces, the color
     of the edge line side a vertex line's flags vacate."""
     return tuple(c ^ int(v) for c, v in zip(g.base_coloring, config.vertical))
+
+
+Node = namedtuple("Node", "kind x y owner")
+
+
+def nodes_of(g):
+    """The gadget's node table as one ``Node`` per node id."""
+    t = g._arrays
+    return [Node(k, x, y, o) for k, (x, y), o
+            in zip(t.kind.tolist(), t.xy.tolist(), t.owner.tolist())]
+
+
+def apex_of(g):
+    """The apex node id of each (vertex, edge) flag: its first node."""
+    return {key: ids[0] for key, ids in g.flag_nodes.items()}
 
 
 def random_hypergraph(rng, max_n=5, max_m=3, min_n=3):
@@ -96,11 +112,29 @@ class TestBuildGadget:
         # radio radius are graph neighbors
         g = build_gadget(Hypergraph3U(4, ((0, 1, 2), (1, 2, 3))))
         pos = g.instance.positions()
-        movable = [i for i, nd in enumerate(g._nodes)
+        movable = [i for i, nd in enumerate(nodes_of(g))
                    if nd.kind in ("apex", "token")]
         for a, b in itertools.combinations(movable, 2):
             d = np.linalg.norm(pos[a] - pos[b])
             assert (d <= RADIUS + 1e-9) == g.instance.has_edge(a, b)
+
+    def test_node_table_agrees_with_the_instance(self):
+        # hyperplane v is vertex v's line, a flag's first node is its apex
+        # and the other two sit on the flag vertex's line; the table's
+        # positions are the instance's
+        for h in BENCH_SHAPES:
+            g = build_gadget(h)
+            nodes, n = nodes_of(g), h.n_vertices
+            assert [lab for _, _, lab in g.hyperplanes[:n]] == \
+                [f"vertex-{v}" for v in range(n)]
+            for (v, _), (apex, *base) in g.flag_nodes.items():
+                assert (nodes[apex].kind, nodes[apex].owner) == ("apex", v)
+                assert [(nodes[b].kind, nodes[b].owner) for b in base] == \
+                    [("line", v)] * 2
+                assert {g.instance.nodes[b].line_group for b in base} == \
+                    {v + 1}
+            assert np.array_equal(g._arrays.xy,
+                                  g.instance.positions()[:, :2])
 
     def test_vertex_line_spacing_in_open_interval(self):
         g = build_gadget(Hypergraph3U(3, ((0, 1, 2),)))
@@ -287,9 +321,9 @@ def range_by_states(g):
         g, FlipConfiguration(vertical=(bool(s & 1),) * n,
                              horizontal=(bool(s >> 1),) * n),
         [1 if s & 1 else -1] * len(g._wires)) for s in range(4)]
-    k = len(g._nodes)
+    k = len(g._arrays.kind)
     block = [("line", nd.owner) if nd.kind == "apex" else (nd.kind, nd.owner)
-             for nd in g._nodes]
+             for nd in nodes_of(g)]
     n_states = {"fixed": 1, "line": 4, "token": 2}
     near = {}
     u, v, _ = udg_edges(np.vstack(placed), RADIUS)
@@ -309,7 +343,7 @@ def range_by_states(g):
 def table_pairs(g):
     """The pairs the pair and chain tables compare: apexes of consecutive
     lines, and each chain's tokens against its two end apexes."""
-    owner = {aid: v for (v, _), aid in g._apex_of.items()}
+    owner = {aid: v for (v, _), aid in apex_of(g).items()}
     lines = {frozenset(p) for p in zip(g.order, g.order[1:])}
     out = {(a, b) for a, b in itertools.combinations(sorted(owner), 2)
            if frozenset((owner[a], owner[b])) in lines}
@@ -371,7 +405,7 @@ class TestTamperedGadget:
     def test_flipped_pair_rejects_every_configuration(self):
         for h in self.H:
             g = build_gadget(h)
-            k = len(g._nodes)
+            k = len(g._arrays.kind)
             ranges, block = range_by_states(g)
             # a pair inside one line's block, in range in every state
             inside = min(p for p, (near, possible) in ranges.items()
@@ -389,7 +423,7 @@ class TestTamperedGadget:
     def test_moved_node_rejects_a_proper_subset(self):
         g = build_gadget(Hypergraph3U(4, ((0, 1, 2),)))
         x3 = g._arrays.line_x[3]
-        right = next(i for i, nd in enumerate(g._nodes)
+        right = next(i for i, nd in enumerate(nodes_of(g))
                      if nd.kind == "fixed" and nd.y == 0.0 and nd.x > x3)
         g = relaid(g, {right: (x3 + 0.5, 0.3)})
         assert moving_pairs(g)[1]
@@ -419,10 +453,10 @@ def reference_positions(g, config, signs):
     """The flip rule node by node: vertical flips mirror line and apex nodes
     across the main line, horizontal flips mirror apexes across their
     line, and tokens take their chain's side."""
-    line_x = {v: g.hyperplanes[g.vertex_line_of[v]][0].offset
+    line_x = {v: g.hyperplanes[v][0].offset
               for v in range(g.hypergraph.n_vertices)}
-    pos = np.empty((len(g._nodes), 2))
-    for i, nd in enumerate(g._nodes):
+    pos = np.empty((len(g._arrays.kind), 2))
+    for i, nd in enumerate(nodes_of(g)):
         x, y = nd.x, nd.y
         if nd.kind in ("line", "apex") and config.vertical[nd.owner]:
             y = -y
@@ -461,8 +495,8 @@ def reference_tables(g):
     """The checker's pair and chain tables built entry by entry: every
     apex placed by its own flip, one kernel call on the two stacked point
     sets per (sa, sb) or (sa, sb, side) entry."""
-    inst, nodes = g.instance, g._nodes
-    line_x = {v: g.hyperplanes[g.vertex_line_of[v]][0].offset
+    inst, nodes = g.instance, nodes_of(g)
+    line_x = {v: g.hyperplanes[v][0].offset
               for v in range(g.hypergraph.n_vertices)}
 
     def apex_pos(aid, state):
@@ -474,8 +508,8 @@ def reference_tables(g):
             x = 2.0 * line_x[nd.owner] - x
         return np.array([x, y])
 
-    by_vertex = {v: [] for v in line_x}
-    for (v, _), aid in g._apex_of.items():
+    by_vertex, apexes = {v: [] for v in line_x}, apex_of(g)
+    for (v, _), aid in apexes.items():
         by_vertex[v].append(aid)
     pair_tables = []
     for va, vb in zip(g.order, g.order[1:]):
@@ -495,8 +529,7 @@ def reference_tables(g):
         va, vb = w.end_vertices
         yf = abs(nodes[w.token_ids[0]].y)
         txs = np.array([nodes[t].x for t in w.token_ids])
-        apex_ids = [g._apex_of[(va, w.edge_index)],
-                    g._apex_of[(vb, w.edge_index)]]
+        apex_ids = [apexes[(va, w.edge_index)], apexes[(vb, w.edge_index)]]
         want = {(i, j) for i, tid in enumerate(w.token_ids)
                 for j, aid in enumerate(apex_ids) if inst.has_edge(tid, aid)}
         table = np.zeros((4, 4, 2), dtype=bool)

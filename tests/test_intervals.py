@@ -42,7 +42,8 @@ CLAW = Graph(range(4), [(0, 1), (0, 2), (0, 3)])
 # A path whose smallest id, where the first sweep starts, is inside it.
 SHUFFLED_PATH = Graph(range(6), [(5, 2), (2, 0), (0, 3), (3, 1), (1, 4)])
 # Claw centred at 2 with leaves 0, 1, 4, yet the 3-sweep order 0 2 1 3 4 is
-# a Hamiltonian path: consecutive adjacency alone certifies nothing.
+# a Hamiltonian path: consecutive adjacency alone certifies nothing, so the
+# order is refused.
 CLAW_WITH_PATH = Graph(range(5), [(0, 2), (1, 2), (1, 3), (2, 3), (2, 4),
                                   (3, 4)])
 
@@ -71,6 +72,14 @@ def reference_lbfs(graph, start, tie_order):
             if w not in visited:
                 label[w].append(graph.n - step)
     return order
+
+
+def is_umbrella_order(graph, seq):
+    """Every closed neighbourhood takes contiguous positions of ``seq``."""
+    pos = {u: i for i, u in enumerate(seq)}
+    adj = adjacency(graph)
+    spans = [[pos[u], *(pos[w] for w in adj[u])] for u in graph.nodes]
+    return all(max(p) - min(p) == len(p) - 1 for p in spans)
 
 
 def reference_sweeps(graph):
@@ -507,7 +516,10 @@ class TestLbfs:
         if g.n == 0 or not g.is_connected():
             return
         seq = sweeps[-1]
-        if is_path(g, seq):
+        assert g._sweeps[1] == is_umbrella_order(g, seq)
+        # accepted only when certified; then consecutive ids are adjacent
+        if is_umbrella_order(g, seq):
+            assert is_path(g, seq)
             expected = seq[::-1] if seq[0] > seq[-1] else seq
             assert unit_interval_order(g).sequence == tuple(expected)
         else:
@@ -620,8 +632,11 @@ class TestProperIntervalCertificate:
             unit_interval_order(CLAW)
 
     def test_hamiltonian_sweep_with_claw_not_certified(self):
+        # the last sweep is a Hamiltonian path, but not certified
         assert not CLAW_WITH_PATH._sweeps[1]
-        assert unit_interval_order(CLAW_WITH_PATH).sequence == (0, 2, 1, 3, 4)
+        assert CLAW_WITH_PATH._sweeps[0][2] == [0, 2, 1, 3, 4]
+        with pytest.raises(NoHamiltonianPathError, match="certified"):
+            unit_interval_order(CLAW_WITH_PATH)
         assert find_claw(CLAW_WITH_PATH) == \
             InducedClaw(center=2, leaves=(0, 1, 4))
         assert find_net(CLAW_WITH_PATH) is None
