@@ -6,9 +6,6 @@ hardness gadget tying line groupability to hypergraph 2-coloring.
 """
 
 from .errors import HyperlocError
-from .evaluate import (AlignmentResult, BenchConfig, ExperimentReport,
-                       ScenarioConfig, align_isometry, bench_scaling,
-                       run_experiment)
 from .gadget import (FlipConfiguration, GadgetInstance, Hypergraph3U,
                      build_gadget, enumerate_groupings, lift_to_3d,
                      two_colorings, verify_equivalence)
@@ -44,3 +41,16 @@ __all__ = [
     "strip_ground_truth", "two_colorings", "unit_interval_order",
     "verify_equivalence",
 ]
+
+# ``evaluate`` (experiments, benchmarks) loads on first use: no run needs it
+_EVALUATE = {"AlignmentResult", "BenchConfig", "ExperimentReport",
+             "ScenarioConfig", "align_isometry", "bench_scaling",
+             "run_experiment"}
+
+
+def __getattr__(name):
+    if name != "evaluate" and name not in _EVALUATE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+    evaluate = importlib.import_module(".evaluate", __name__)
+    return evaluate if name == "evaluate" else getattr(evaluate, name)

@@ -12,9 +12,6 @@ import json
 import sys
 
 from .errors import HyperlocError
-from .evaluate import (CSV_HEADER, BenchConfig, ScenarioConfig,
-                       align_isometry, bench_rows_to_csv, bench_scaling,
-                       run_experiment)
 from .gadget import Hypergraph3U, build_gadget, enumerate_groupings, \
     lift_to_3d, verify_equivalence
 from .grouploc import hierarchical_localize
@@ -75,6 +72,7 @@ def _cmd_localize(args) -> int:
             formation.mask.tolist())}
     result["localized_fraction"] = formation.localized_fraction()
     if instance.has_positions() and len(formation.localized_ids()) >= 4:
+        from .evaluate import align_isometry
         result["aligned_rmse"] = align_isometry(formation, instance).rmse
     _emit(json.dumps(result, indent=1), args.output)
     return 0
@@ -143,6 +141,7 @@ def _hardness_json(report: dict) -> str:
 
 
 def _cmd_experiment(args) -> int:
+    from .evaluate import CSV_HEADER, ScenarioConfig, run_experiment
     if args.scenario in ("flagship", None):
         cfg = ScenarioConfig.flagship(args.seed)
     elif args.scenario == "dense":
@@ -159,6 +158,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from .evaluate import BenchConfig, bench_rows_to_csv, bench_scaling
     sizes = tuple(int(t) for t in args.sizes.split(","))
     cfg = BenchConfig(sizes=sizes, algorithms=tuple(args.algorithms.split(",")),
                       seed=args.seed, timeout_s=args.timeout)

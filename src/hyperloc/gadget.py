@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -117,16 +117,14 @@ def two_colorings(h: Hypergraph3U) -> list[tuple[int, ...]]:
 # gadget construction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FlipConfiguration:
+class FlipConfiguration(NamedTuple):
     """Per vertex line: vertical-flip bit and horizontal-flip bit."""
 
     vertical: tuple[bool, ...]
     horizontal: tuple[bool, ...]
 
 
-@dataclass
-class _Wire:
+class _Wire(NamedTuple):
     edge_index: int
     half: str                   # "A" (left..mid) or "B" (mid..right)
     end_vertices: tuple[int, int]
@@ -238,12 +236,11 @@ def _choose_order(h: Hypergraph3U) -> tuple[int, ...]:
     memo: dict = {}
     while not ok(start):
         target, memo = target - 1, {}
-    state, order, rest = start, [], list(range(n))
-    while rest:
-        v = next(v for v in rest if ok(step(state, v)))
+    state, order = start, []
+    while len(order) < n:
+        v = next(v for v in range(n) if v not in order and ok(step(state, v)))
         state = step(state, v)
         order.append(v)
-        rest.remove(v)
     return tuple(order)
 
 
@@ -265,7 +262,6 @@ def build_gadget(h: Hypergraph3U) -> GadgetInstance:
     order = _choose_order(h)
     n = h.n_vertices
     x_of = _line_x(np.argsort(order))        # vertex v's line is at x_of[v]
-    x_first = 0.0
 
     # hyperplanes: vertex lines, main, support, edge-line pairs
     hyperplanes = [(Hyperplane(normal=(1.0, 0.0), offset=x_of[v]),
@@ -294,17 +290,16 @@ def build_gadget(h: Hypergraph3U) -> GadgetInstance:
 
     # main line: vertex-line feet, thirds fill past every line (the last
     # one included), and a left extension whose first two interior points
-    # pair with the support line into a K4
+    # pair with the support line into a K4 (the first line is at x = 0)
     main_xs = set(x_of.tolist())
     for p in range(n):
         main_xs.add(_line_x(p) + VSPACE / 3.0)
         main_xs.add(_line_x(p) + 2.0 * VSPACE / 3.0)
-    left_ext = [x_first - 2.5, x_first - 2.0, x_first - 1.25, x_first - 0.625]
-    main_xs.update(left_ext)
+    main_xs.update([-2.5, -2.0, -1.25, -0.625])
     for x in sorted(main_xs):
         add("fixed", x, 0.0, plane=n)
-    add("fixed", x_first - 2.0, SUPPORT_Y, plane=n + 1)
-    add("fixed", x_first - 1.25, SUPPORT_Y, plane=n + 1)
+    add("fixed", -2.0, SUPPORT_Y, plane=n + 1)
+    add("fixed", -1.25, SUPPORT_Y, plane=n + 1)
 
     # vertex lines: symmetric chain from the feet up to a safe height
     step = (LOW_FILL_TOP - FOOT_Y) / 3.0

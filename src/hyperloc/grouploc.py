@@ -9,7 +9,6 @@ through one distance-preserving transform.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -110,18 +109,15 @@ def localize_support_vertex(anchors, dists, d: int,
     return solve_spheres(a, np.asarray(dists, dtype=float), eps=eps)
 
 
-@dataclass(frozen=True)
 class GroupTransform:
-    """Distance-preserving affine map from R^(d-1) into R^d."""
+    """Distance-preserving affine map from R^(d-1) into R^d: ``linear``, a
+    d x (d-1) matrix with orthonormal columns, then ``translation``."""
 
-    linear: np.ndarray
-    translation: np.ndarray
-
-    def __post_init__(self):
-        q = np.asarray(self.linear, dtype=float)
-        gram = q.T @ q
-        if np.max(np.abs(gram - np.eye(q.shape[1]))) > 1e-8:
+    def __init__(self, linear: np.ndarray, translation: np.ndarray):
+        q = np.asarray(linear, dtype=float)
+        if np.max(np.abs(q.T @ q - np.eye(q.shape[1]))) > 1e-8:
             raise InvalidInputError("transform columns are not orthonormal")
+        self.linear, self.translation = linear, translation
 
     def apply(self, points) -> np.ndarray:
         """Map each row of ``points``. Each row is its own 1 x (d-1) product,
@@ -168,17 +164,18 @@ def compute_group_transform(local, ambient,
     return transform
 
 
-@dataclass
 class GroupLocalState:
-    """Placement record of one hyperplanar group: the first d affinely
-    independent supports in member order with their positions (none for the
-    seed), and the transform; ``plane`` is read off the transform, ``None``
-    while the group is unplaced."""
+    """Placement record of one hyperplanar group (``group`` is its label):
+    the first d affinely independent supports in member order with their
+    positions (none for the seed), and the transform; ``plane`` is read off
+    the transform, ``None`` while the group is unplaced."""
 
-    group: int          # the group's label
-    status: str = "unlocalized"
-    support_vertices: list[tuple[int, np.ndarray]] = field(default_factory=list)
-    transform: GroupTransform | None = None
+    def __init__(self, group: int, status: str = "unlocalized",
+                 support_vertices: list[tuple[int, np.ndarray]] | None = None,
+                 transform: GroupTransform | None = None):
+        self.group, self.status, self.transform = group, status, transform
+        self.support_vertices = [] if support_vertices is None \
+            else support_vertices
 
     @property
     def plane(self) -> Hyperplane | None:
@@ -193,7 +190,6 @@ class GroupLocalState:
 # group-vs-group localization
 # ---------------------------------------------------------------------------
 
-@dataclass
 class _GroupArrays:
     """One group's members and its measured edges to the other groups in
     scope. A group's arrays are read only while it is unplaced, when an
@@ -204,13 +200,14 @@ class _GroupArrays:
     The edge fields are slices of arrays built once per level.
     """
 
-    ids: np.ndarray         # members with a local row, ascending
-    local: np.ndarray       # their local coordinates, (len(ids), d - 1)
-    starts: np.ndarray      # (members + 1,) edge offsets
-    near: np.ndarray        # per edge: its member's index in ids, or -1
-    far: np.ndarray         # per edge: the far end's formation row
-    far_group: np.ndarray   # per edge: the far end's group label
-    length: np.ndarray      # per edge: the measured length
+    def __init__(self, ids, local, starts, near, far, far_group, length):
+        self.ids = ids              # members with a local row, ascending
+        self.local = local          # their local coordinates, (len(ids), d - 1)
+        self.starts = starts        # (members + 1,) edge offsets
+        self.near = near            # per edge: its member's index in ids, or -1
+        self.far = far              # per edge: the far end's formation row
+        self.far_group = far_group  # per edge: the far end's group label
+        self.length = length        # per edge: the measured length
 
 
 class _GroupSolver:
@@ -462,24 +459,23 @@ def localize_groups(instance: NetworkInstance, grouping: GroupingFunction,
     localized-neighbor notifications. Raises a not-localizable error,
     naming the seed group, when phase A places nothing beyond the seed.
     """
-    solver = _GroupSolver(instance, grouping, local_formations, d, eps,
-                          seed_group)
-    return solver.run()
+    return _GroupSolver(instance, grouping, local_formations, d, eps,
+                        seed_group).run()
 
 
 # ---------------------------------------------------------------------------
 # hierarchical corridor -> floor -> building driver
 # ---------------------------------------------------------------------------
 
-@dataclass
 class HierarchicalResult:
     """Stage outputs of the corridor/floor/building pipeline."""
 
-    formation: PointFormation
-    pos1: dict[int, float]
-    pos2: dict[int, tuple[float, float]]
-    line_states: dict[int, str]
-    floor_states: dict[int, GroupLocalState]
+    def __init__(self, formation: PointFormation, pos1: dict[int, float],
+                 pos2: dict[int, tuple[float, float]],
+                 line_states: dict[int, str],
+                 floor_states: dict[int, GroupLocalState]):
+        self.formation, self.pos1, self.pos2 = formation, pos1, pos2
+        self.line_states, self.floor_states = line_states, floor_states
 
     def localized_fraction(self) -> float:
         return self.formation.localized_fraction()
@@ -563,9 +559,8 @@ def hierarchical_localize(instance: NetworkInstance,
     except HyperlocError as exc:
         raise _annotate(exc, "building")
 
-    return HierarchicalResult(formation=formation3, pos1=pos1, pos2=pos2,
-                              line_states=line_states,
-                              floor_states=floor_states)
+    return HierarchicalResult(formation3, pos1, pos2, line_states,
+                              floor_states)
 
 
 def verify_formation(instance: NetworkInstance, formation: PointFormation,

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -21,16 +20,23 @@ def _rows(n: int, a: np.ndarray, b: np.ndarray
           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only ``start`` and ``nbr`` of the edges ``(a[i], b[i])`` over
     ``0..n-1``, and per slot the ``i`` of its edge (the first of repeats)."""
-    a = np.asarray(a, dtype=np.intp)
-    b = np.asarray(b, dtype=np.intp)
+    a, b = np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp)
     # both directions, sorted by (vertex, neighbour)
-    keys, first = np.unique(np.concatenate([a * n + b, b * n + a]),
-                            return_index=True)
+    m, keys = len(a), np.concatenate([a * n + b, b * n + a])
+    if (a < b).all() and (keys[1:m] > keys[:m - 1]).all():
+        # udg_edges order: the forward keys ascend and none is a reverse key
+        # (src < nbr in one half, src > nbr in the other), so only the
+        # reverse half is sorted, and a stable sort merges the two runs
+        order = np.append(np.arange(m), m + np.argsort(keys[m:], kind="stable"))
+        first = order[np.argsort(keys[order], kind="stable")]
+        keys = keys[first]
+    else:
+        keys, first = np.unique(keys, return_index=True)
     src, nbr = np.divmod(keys, max(n, 1))
     start = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.bincount(src, minlength=n), out=start[1:])
     start.flags.writeable = nbr.flags.writeable = False
-    return start, nbr, first % max(len(a), 1)
+    return start, nbr, first % max(m, 1)
 
 
 class Graph:
@@ -225,16 +231,14 @@ class Graph:
         return graph, slot[keep]
 
 
-@dataclass(frozen=True)
-class InducedClaw:
+class InducedClaw(NamedTuple):
     """K_{1,3}: center adjacent to three pairwise non-adjacent leaves."""
 
     center: int
     leaves: tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class InducedNet:
+class InducedNet(NamedTuple):
     """Triangle with one pendant per triangle vertex, pendants independent."""
 
     triangle: tuple[int, int, int]
@@ -302,8 +306,7 @@ def find_net(graph: Graph) -> InducedNet | None:
 # proper-interval ordering via LBFS+ sweeps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LinearOrder:
+class LinearOrder(NamedTuple):
     """A Hamiltonian path of a group's induced subgraph."""
 
     sequence: tuple[int, ...]

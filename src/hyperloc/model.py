@@ -254,7 +254,11 @@ def axis_distances(p: np.ndarray, i: np.ndarray, q: np.ndarray,
         gap -= b.take(j)
         gap *= gap
         total = gap if total is None else np.add(total, gap, out=total)
-    return np.sqrt(total, out=total)
+    total = np.sqrt(total, out=total)
+    # NumPy's add may keep either of two NaNs, the norm its first operand's
+    if (odd := np.flatnonzero(np.isnan(total))).size:
+        total[odd] = np.linalg.norm(p.T[i[odd]] - q.T[j[odd]], axis=-1)
+    return total
 
 
 class WindowIndex:
@@ -618,14 +622,12 @@ class Hyperplane:
         nrm = np.linalg.norm(n)
         if nrm == 0 or not np.all(np.isfinite(n)):
             raise InvalidInputError("hyperplane normal must be nonzero and finite")
-        n = n / nrm
-        b = self.offset / nrm
+        n, b = n / nrm, self.offset / nrm
         nz = np.nonzero(np.abs(n) > 1e-12)[0]
         if len(nz) == 0:
             raise InvalidInputError("degenerate hyperplane normal")
         if n[nz[0]] < 0:
-            n = -n
-            b = -b
+            n, b = -n, -b
         object.__setattr__(self, "normal", tuple(float(x) for x in n))
         object.__setattr__(self, "offset", float(b))
 
@@ -849,12 +851,8 @@ def network_from_json_dict(data: Mapping) -> NetworkInstance:
                                      "not 2 or 3 finite numbers")
                 if len(pos) == 2:
                     pos = (pos[0], pos[1], 0.0)
-            nodes.append(NodeRecord(
-                id=int(rec["id"]),
-                true_pos=pos,
-                line_group=rec.get("line_group"),
-                plane_group=rec.get("plane_group"),
-            ))
+            nodes.append(NodeRecord(int(rec["id"]), pos, rec.get("line_group"),
+                                    rec.get("plane_group")))
         nodes.sort(key=lambda nd: nd.id)
         edges = [(int(e["u"]), int(e["v"]), float(e["dist"]))
                  for e in data["edges"]]

@@ -7,8 +7,6 @@ least-squares solution of the linearized sphere system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import (DegenerateAnchorsError, DegenerateDistancesError,
@@ -30,20 +28,21 @@ def cayley_menger(d2: np.ndarray) -> float | np.ndarray:
     return det if det.ndim else float(det)
 
 
-@dataclass(frozen=True)
 class SeedTetrahedron:
     """Non-degenerate 4-clique with its canonical-frame positions."""
 
-    vertices: tuple[int, int, int, int]
-    positions: np.ndarray
+    def __init__(self, vertices: tuple[int, int, int, int],
+                 positions: np.ndarray):
+        self.vertices, self.positions = vertices, positions
 
 
-@dataclass
 class LocalizationTrace:
     """Placement order with the anchors that fixed each non-seed node."""
 
-    steps: list[tuple[int, np.ndarray, tuple[int, ...]]] = field(default_factory=list)
-    formation: PointFormation | None = None
+    def __init__(self, steps: list[tuple[int, np.ndarray, tuple[int, ...]]]
+                 | None = None, formation: PointFormation | None = None):
+        self.steps = [] if steps is None else steps
+        self.formation = formation
 
     @property
     def localized_count(self) -> int:

@@ -189,6 +189,41 @@ def test_import_does_not_load_multiprocessing():
     assert _fresh_python(code) == 0
 
 
+def test_evaluate_loads_on_first_use():
+    # the modules the benchmark binds, and the CLI, leave it unloaded; each
+    # of its names in __all__ then resolves to the object in the module
+    code = """
+import sys, hyperloc
+from hyperloc import cli, gadget, grouploc, intervals, model, quadloc
+assert 'hyperloc.evaluate' not in sys.modules
+lazy = [name for name in hyperloc.__all__ if name not in vars(hyperloc)]
+assert sorted(lazy) == ['AlignmentResult', 'BenchConfig', 'ExperimentReport',
+                        'ScenarioConfig', 'align_isometry', 'bench_scaling',
+                        'run_experiment'], lazy
+import hyperloc.evaluate as ev
+assert hyperloc.evaluate is ev
+assert all(getattr(hyperloc, name) is getattr(ev, name) for name in lazy)
+names = {}
+exec('from hyperloc import *', names)
+assert all(names[name] is getattr(hyperloc, name) for name in hyperloc.__all__)
+try:
+    hyperloc.no_such_name
+except AttributeError as exc:
+    assert 'no_such_name' in str(exc)
+else:
+    sys.exit(1)
+"""
+    assert _fresh_python(code) == 0
+
+
+def test_evaluate_attribute_imports_it():
+    code = """
+import sys, hyperloc
+sys.exit(hyperloc.evaluate is not sys.modules['hyperloc.evaluate'])
+"""
+    assert _fresh_python(code) == 0
+
+
 def test_localize_does_not_load_numpy_ma():
     # a plain np.unique imports numpy.ma, about 15 ms of a first localize
     code = """

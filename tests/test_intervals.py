@@ -13,7 +13,7 @@ from hyperloc.intervals import (Graph, InducedClaw, InducedNet, find_claw,
                                 find_net, unit_interval_order)
 from hyperloc.model import (BuildingConfig, build_udg,
                             flagship_building_config, generate_building,
-                            make_rng)
+                            make_rng, udg_edges)
 
 from graph_oracles import (SizeLimitError, _lbfs, adjacency, claw_oracle,
                            edge_list, hamiltonian_oracle, is_path, net_oracle)
@@ -266,6 +266,56 @@ class TestFromInstance:
         g = Graph.from_instance(inst, [-1, 7])
         assert g.nodes == (-1, 7) and edge_list(g) == ()
         assert adjacency(g) == {-1: frozenset(), 7: frozenset()}
+
+
+def _unique_rows(n, a, b):
+    """``intervals._rows`` by one ``np.unique`` over the keys of both
+    directions, its path for any input not in ``udg_edges`` order."""
+    keys, first = np.unique(np.concatenate([a * n + b, b * n + a]),
+                            return_index=True)
+    src, nbr = np.divmod(keys, max(n, 1))
+    start = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(src, minlength=n), out=start[1:])
+    return start, nbr, first % max(len(a), 1)
+
+
+def _same_rows(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape,
+                                                   w.tobytes())
+
+
+class TestRows:
+    @settings(max_examples=300, deadline=None, database=None,
+              derandomize=True)
+    @given(n=st.integers(0, 12), how=st.sampled_from(
+        ("ascending", "shuffled", "repeats")), data=st.data())
+    def test_matches_the_unique_path(self, n, how, data):
+        ends = st.integers(0, max(n - 1, 0))
+        pairs = sorted(data.draw(st.sets(st.tuples(ends, ends).filter(
+            lambda e: e[0] < e[1]), max_size=30)) if n > 1 else ())
+        if how == "shuffled":
+            # any order, each edge either way round
+            pairs = [(b, a) if data.draw(st.booleans()) else (a, b)
+                     for a, b in data.draw(st.permutations(pairs))]
+        elif how == "repeats" and pairs:
+            # repeated edges and edges given both ways, keys in order: the
+            # keys may still ascend strictly, as with (0, 1), (1, 0)
+            extra = data.draw(st.lists(st.sampled_from(pairs), min_size=1))
+            pairs = sorted(pairs + [(b, a) if data.draw(st.booleans())
+                                    else (a, b) for a, b in extra])
+        a, b = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        _same_rows(intervals._rows(n, a, b), _unique_rows(n, a, b))
+
+    def test_udg_edges_are_merged_without_unique(self, monkeypatch):
+        pos = make_rng(4).uniform(0, 6, (300, 2))
+        a, b, _ = udg_edges(pos, 1.0)
+        want = _unique_rows(300, a, b)
+
+        def no_unique(*args, **kwargs):
+            raise AssertionError("np.unique called on udg_edges output")
+        monkeypatch.setattr(np, "unique", no_unique)
+        _same_rows(intervals._rows(300, a, b), want)
 
 
 def _check_pair_slots(g, pairs, u, v):
