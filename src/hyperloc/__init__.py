@@ -54,3 +54,7 @@ def __getattr__(name):
     import importlib
     evaluate = importlib.import_module(".evaluate", __name__)
     return evaluate if name == "evaluate" else getattr(evaluate, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_EVALUATE, "evaluate"})

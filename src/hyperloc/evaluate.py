@@ -40,8 +40,8 @@ def align_isometry(formation: PointFormation,
     localization.
     """
     if isinstance(truth, NetworkInstance):
-        truth = {nd.id: nd.true_pos for nd in truth.nodes
-                 if nd.true_pos is not None}
+        at = np.flatnonzero(truth.has_pos)
+        truth = dict(zip(at.tolist(), truth.true_pos[at].tolist()))
     d = formation.dim
     ids = [u for u in formation.localized_ids() if u in truth]
     if len(ids) < d + 1:

@@ -26,7 +26,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import HyperlocError, InvalidInputError, SizeCapError
-from .model import Hyperplane, NetworkInstance, NodeRecord, udg_edges
+from .model import (Hyperplane, NetworkInstance, _checked_adjacency,
+                    udg_edges)
 
 MAX_VERTICES = 8
 MAX_EDGES = 4
@@ -355,9 +356,11 @@ def build_gadget(h: Hypergraph3U) -> GadgetInstance:
         flips=np.flatnonzero((kind == "line") | (kind == "apex")),
         apexes=np.flatnonzero(kind == "apex"),
         tokens=np.flatnonzero(kind == "token"))
-    records = [NodeRecord(id=i, true_pos=(px, py, 0.0), line_group=pl + 1)
-               for i, (px, py, pl) in enumerate(zip(x, y, plane))]
-    instance = NetworkInstance(records, udg_edges(arrays.xy, RADIUS), RADIUS)
+    n = len(kind)
+    instance = NetworkInstance._from_columns(
+        tuple(pl + 1 for pl in plane), (None,) * n,
+        np.column_stack([arrays.xy, np.zeros(n)]), np.ones(n, dtype=bool),
+        RADIUS, _checked_adjacency(udg_edges(arrays.xy, RADIUS), n, RADIUS))
 
     g = GadgetInstance(
         hypergraph=h, instance=instance, hyperplanes=hyperplanes, dim=2,
@@ -646,16 +649,17 @@ def lift_to_3d(g: GadgetInstance) -> GadgetInstance:
         raise InvalidInputError("lift starts from a 2D gadget")
     base = g.instance
     n = base.n
-    nodes = list(base.nodes) + [
-        NodeRecord(nd.id + n, (*nd.true_pos[:2], 1.0), nd.line_group,
-                   nd.plane_group)
-        for nd in base.nodes]
     u, v, d = base.edge_arrays()
     copy = np.arange(n)
-    inst3 = NetworkInstance(nodes, (np.concatenate([u, u + n, copy]),
-                                    np.concatenate([v, v + n, copy + n]),
-                                    np.concatenate([d, d, np.ones(n)])),
-                            RADIUS)
+    edges = (np.concatenate([u, u + n, copy]),
+             np.concatenate([v, v + n, copy + n]),
+             np.concatenate([d, d, np.ones(n)]))
+    pos = np.vstack([base.true_pos, base.true_pos])
+    pos[n:, 2] = 1.0
+    inst3 = NetworkInstance._from_columns(
+        base.line_group * 2, base.plane_group * 2, pos,
+        np.tile(base.has_pos, 2), RADIUS,
+        _checked_adjacency(edges, 2 * n, RADIUS))
     planes3 = [(Hyperplane(normal=(p.normal[0], p.normal[1], 0.0),
                            offset=p.offset), color, label)
                for p, color, label in g.hyperplanes]

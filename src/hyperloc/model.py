@@ -9,11 +9,9 @@ positions. Localizers must only ever see the output of
 from __future__ import annotations
 
 import bisect
-import copy
 import functools
 import json
 import math
-import operator
 from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
@@ -58,19 +56,27 @@ def _checked_adjacency(edges, n: int, radius: float
     """Graph over ``0..n-1`` of validated edges, and the measured length of
     each of its adjacency slots.
 
-    Edges are checked as if one by one in input order: the first edge that
-    is a self-loop, is out of range, repeats an earlier edge or has its
-    distance outside ``(0, radius]`` raises, named by the first of these
-    checks it fails. A list of triples is converted to arrays once; the
-    error message quotes the offending triple as given.
+    ``radius`` must be positive and finite. Edges are checked as if one by
+    one in input order: the first edge that is a self-loop, is out of
+    range, repeats an earlier edge or has its distance outside
+    ``(0, radius]`` raises, named by the first of these checks it fails.
+    Integer ``u`` and ``v`` arrays are checked as they are; other input is
+    converted to float triples once, and the error message quotes the
+    offending triple as given.
     """
+    if radius <= 0 or not math.isfinite(radius):
+        raise InvalidInputError("radius must be positive and finite")
+    rows = None
     if isinstance(edges, tuple) and len(edges) == 3 and all(
             isinstance(x, np.ndarray) and x.ndim == 1 for x in edges) \
             and edges[0].dtype.kind in "iu":
-        rows = None
-        a, b, d = (np.asarray(x, dtype=float) for x in edges)
+        if edges[1].dtype.kind in "iu":
+            a, b, d = edges[0], edges[1], np.asarray(edges[2], dtype=float)
+        else:   # the triples the arrays hold, quoted as a list of them is
+            rows = list(zip(*(x.tolist() for x in edges)))
     else:
         rows = list(edges)
+    if rows is not None:
         e = np.array(rows, dtype=float)
         if e.size == 0:
             e = e.reshape(0, 3)
@@ -79,9 +85,10 @@ def _checked_adjacency(edges, n: int, radius: float
         a, b, d = e.T
     m = len(a)
     loop = a == b
-    with np.errstate(invalid="ignore"):     # inf % 1 is nan: not inside
-        inside = ((a >= 0) & (a < n) & (b >= 0) & (b < n)
-                  & (a % 1 == 0) & (b % 1 == 0))
+    inside = (a >= 0) & (a < n) & (b >= 0) & (b < n)
+    if rows is not None:
+        with np.errstate(invalid="ignore"):     # inf % 1 is nan: not inside
+            inside &= (a % 1 == 0) & (b % 1 == 0)
     lo = np.where(inside, np.minimum(a, b), 0).astype(np.intp)
     hi = np.where(inside, np.maximum(a, b), 0).astype(np.intp)
     key = np.where(inside & ~loop, lo * n + hi, -1 - np.arange(m))
@@ -121,6 +128,13 @@ class NetworkInstance:
     in ascending order, at the lengths in the same slice of ``length``.
     ``edges`` is a tuple view of them.
 
+    The nodes are stored once too, as read-only columns indexed by id:
+    ``line_group`` and ``plane_group`` hold the labels as given (``None``
+    where a node has none), ``true_pos`` the hidden positions as one
+    ``(n, 3)`` float array, and ``has_pos`` marks the nodes that have one.
+    ``nodes`` is a view of them as :class:`NodeRecord` s: the records given
+    to the constructor, or else records made on first read.
+
     ``edges`` may be any iterable of ``(u, v, dist)`` triples, or the
     ``(u, v, dist)`` arrays that :func:`udg_edges` and :meth:`edge_arrays`
     return (integer ``u`` and ``v``).
@@ -129,22 +143,56 @@ class NetworkInstance:
     def __init__(self, nodes: Sequence[NodeRecord],
                  edges: Iterable[tuple[int, int, float]] | EdgeArrays,
                  radius: float):
-        if radius <= 0 or not math.isfinite(radius):
-            raise InvalidInputError("radius must be positive and finite")
         nodes = tuple(nodes)
-        ids = [nd.id for nd in nodes]
-        if ids != list(range(len(nodes))):
+        if [nd.id for nd in nodes] != list(range(len(nodes))):
             raise InvalidInputError("node ids must be contiguous 0..n-1")
+        has_pos = np.array([nd.true_pos is not None for nd in nodes],
+                           dtype=bool)
+        try:
+            true_pos = np.array([nd.true_pos if nd.true_pos is not None
+                                 else (math.nan,) * 3 for nd in nodes],
+                                dtype=float).reshape(len(nodes), 3)
+        except ValueError:
+            raise InvalidInputError("a true_pos must be 3 numbers") from None
+        self._set_columns(tuple(nd.line_group for nd in nodes),
+                          tuple(nd.plane_group for nd in nodes),
+                          true_pos, has_pos, radius,
+                          _checked_adjacency(edges, len(nodes), radius))
         self.nodes = nodes
+
+    @classmethod
+    def _from_columns(cls, *columns) -> "NetworkInstance":
+        """The instance of ``columns``, as :meth:`_set_columns` takes them,
+        with no records until ``nodes`` is read."""
+        instance = cls.__new__(cls)
+        instance._set_columns(*columns)
+        return instance
+
+    def _set_columns(self, line_group: tuple, plane_group: tuple,
+                     true_pos: np.ndarray, has_pos: np.ndarray,
+                     radius: float, adjacency: tuple[Graph, np.ndarray]
+                     ) -> None:
+        """The one constructor body: the node columns, and the radius and
+        adjacency that :func:`_checked_adjacency` checked."""
+        true_pos.flags.writeable = has_pos.flags.writeable = False
+        self.line_group, self.plane_group = line_group, plane_group
+        self.true_pos, self.has_pos = true_pos, has_pos
         self.radius = float(radius)
-        self.graph, self.length = _checked_adjacency(edges, len(nodes),
-                                                     self.radius)
+        self.graph, self.length = adjacency
+
+    @functools.cached_property
+    def nodes(self) -> tuple[NodeRecord, ...]:
+        """Every node as a record, by id, made from the columns once."""
+        pos = map(tuple, self.true_pos.tolist())
+        return tuple(map(NodeRecord, range(self.n), [
+            p if has else None for p, has in zip(pos, self.has_pos.tolist())],
+            self.line_group, self.plane_group))
 
     # -- basic accessors ----------------------------------------------------
 
     @property
     def n(self) -> int:
-        return len(self.nodes)
+        return len(self.has_pos)
 
     @property
     def m(self) -> int:
@@ -165,7 +213,7 @@ class NetworkInstance:
 
     def neighbors(self, u: int) -> tuple[int, ...]:
         """Neighbour ids of ``u``, ascending."""
-        if not 0 <= u < len(self.nodes):
+        if not 0 <= u < self.n:
             raise KeyError(u)
         return tuple(self.graph.row(u))
 
@@ -183,20 +231,18 @@ class NetworkInstance:
         raise KeyError((u, v) if u < v else (v, u))
 
     def has_positions(self) -> bool:
-        return all(nd.true_pos is not None for nd in self.nodes)
+        return bool(self.has_pos.all())
 
     def positions(self) -> np.ndarray:
         if not self.has_positions():
             raise InvalidInputError("instance has no ground-truth positions")
-        return np.array([nd.true_pos for nd in self.nodes], dtype=float)
+        return self.true_pos.copy()
 
     def line_group_ids(self) -> list[int]:
-        return sorted({nd.line_group for nd in self.nodes
-                       if nd.line_group is not None})
+        return sorted(set(self.line_group) - {None})
 
     def plane_group_ids(self) -> list[int]:
-        return sorted({nd.plane_group for nd in self.nodes
-                       if nd.plane_group is not None})
+        return sorted(set(self.plane_group) - {None})
 
     def validate_exact(self, eps: float = DEFAULT_EPS) -> None:
         """Check edges are exactly the pairs within radius, dists exact."""
@@ -235,8 +281,10 @@ def build_udg(points: Sequence[Sequence[float]], radius: float, *,
     if noise_sigma > 0.0:
         edges = _with_noise(edges, noise_sigma, radius,
                             make_rng(0) if rng is None else rng)
-    nodes = [NodeRecord(id=i, true_pos=tuple(full[i])) for i in range(len(full))]
-    return NetworkInstance(nodes, edges, radius)
+    n = len(full)
+    return NetworkInstance._from_columns(
+        (None,) * n, (None,) * n, full, np.ones(n, dtype=bool), radius,
+        _checked_adjacency(edges, n, radius))
 
 
 _FP = np.finfo(float).eps
@@ -415,12 +463,14 @@ def _with_noise(edges: EdgeArrays, sigma: float, radius: float,
 def strip_ground_truth(instance: NetworkInstance) -> NetworkInstance:
     """Localizer-facing view: graph, dists and groupings without positions.
 
-    A shallow copy: it shares the instance's read-only ``graph`` and
-    ``length``, checked when the instance was built."""
-    stripped = copy.copy(instance)
-    stripped.nodes = tuple(NodeRecord(nd.id, None, nd.line_group,
-                                      nd.plane_group) for nd in instance.nodes)
-    return stripped
+    It shares the instance's read-only ``graph``, ``length`` and label
+    columns, checked when the instance was built, and nothing else: no
+    record, no position."""
+    n = instance.n
+    return NetworkInstance._from_columns(
+        instance.line_group, instance.plane_group,
+        np.full((n, 3), math.nan), np.zeros(n, dtype=bool), instance.radius,
+        (instance.graph, instance.length))
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +508,7 @@ def group_labels(instance: NetworkInstance, level: str) -> np.ndarray:
     if level not in (COLLINEAR, COPLANAR):
         raise InvalidInputError(f"unknown grouping level {level!r}")
     attr = "line_group" if level == COLLINEAR else "plane_group"
-    labels = list(map(operator.attrgetter(attr), instance.nodes))
+    labels = getattr(instance, attr)
     kinds = set(map(type, labels))
     if type(None) in kinds:     # node ids are 0..n-1
         u = next(u for u, lab in enumerate(labels) if lab is None)
@@ -792,20 +842,21 @@ def generate_building(config: BuildingConfig) -> NetworkInstance:
     for later, earlier in sorted(zip(v[clash].tolist(), u[clash].tolist())):
         if keep[earlier]:
             keep[later] = False
-    floor = [p for p, kept in zip(zip(xs, ys, ks), keep) if kept]
-    zs = [f * config.floor_spacing for f in range(config.floors)]
-    nodes: list[NodeRecord] = []
-    for f, z in enumerate(zs):
-        first, line = len(nodes), f * (nx + ny) + 1
-        nodes += [NodeRecord(first + p, (x, y, z), line + k, f + 1)
-                  for p, (x, y, k) in enumerate(floor)]
-    positions = np.column_stack([np.tile(xy[np.array(keep)], (len(zs), 1)),
-                                 np.repeat(zs, len(floor))])
+    keep = np.array(keep)
+    floors, k = np.arange(config.floors), np.array(ks)[keep]
+    positions = np.column_stack([np.tile(xy[keep], (len(floors), 1)),
+                                 np.repeat(floors * config.floor_spacing,
+                                           len(k))])
     edges = udg_edges(positions, config.radius)
     if config.noise_sigma > 0:
         edges = _with_noise(edges, config.noise_sigma, config.radius,
                             make_rng(config.rng_seed))
-    return NetworkInstance(nodes, edges, config.radius)
+    n = len(positions)
+    return NetworkInstance._from_columns(
+        tuple((floors[:, None] * (nx + ny) + 1 + k).ravel().tolist()),
+        tuple(np.repeat(floors + 1, len(k)).tolist()), positions,
+        np.ones(n, dtype=bool), config.radius,
+        _checked_adjacency(edges, n, config.radius))
 
 
 def flagship_building_config(seed: int = 42) -> BuildingConfig:
@@ -822,19 +873,22 @@ def flagship_building_config(seed: int = 42) -> BuildingConfig:
 
 def network_to_json_dict(instance: NetworkInstance) -> dict:
     nodes = []
-    for nd in instance.nodes:
-        rec = {"id": nd.id}
-        if nd.line_group is not None:
-            rec["line_group"] = nd.line_group
-        if nd.plane_group is not None:
-            rec["plane_group"] = nd.plane_group
-        if nd.true_pos is not None:
-            rec["pos"] = list(nd.true_pos)
+    for u, (line, plane, pos, has) in enumerate(zip(
+            instance.line_group, instance.plane_group,
+            instance.true_pos.tolist(), instance.has_pos.tolist())):
+        rec = {"id": u}
+        if line is not None:
+            rec["line_group"] = line
+        if plane is not None:
+            rec["plane_group"] = plane
+        if has:
+            rec["pos"] = pos
         nodes.append(rec)
+    u, v, d = (x.tolist() for x in instance.edge_arrays())
     return {
         "radius": instance.radius,
         "nodes": nodes,
-        "edges": [{"u": u, "v": v, "dist": d} for u, v, d in instance.edges],
+        "edges": [{"u": a, "v": b, "dist": w} for a, b, w in zip(u, v, d)],
     }
 
 

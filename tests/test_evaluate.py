@@ -216,6 +216,15 @@ else:
     assert _fresh_python(code) == 0
 
 
+def test_dir_lists_the_lazy_names_without_loading_them():
+    code = """
+import sys, hyperloc
+assert set(hyperloc.__all__) <= set(dir(hyperloc))
+sys.exit('hyperloc.evaluate' in sys.modules)
+"""
+    assert _fresh_python(code) == 0
+
+
 def test_evaluate_attribute_imports_it():
     code = """
 import sys, hyperloc

@@ -12,7 +12,7 @@ from hyperloc.gadget import (COLOR_NAMES, RADIUS, FlipConfiguration,
                              _choose_order, _config_positions, _ConfigChecker,
                              build_gadget, enumerate_groupings, lift_to_3d,
                              two_colorings, verify_equivalence)
-from hyperloc.model import NetworkInstance, make_rng, udg_edges
+from hyperloc.model import NetworkInstance, NodeRecord, make_rng, udg_edges
 
 FANO = Hypergraph3U(7, (
     (0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6),
@@ -675,6 +675,19 @@ class TestVerifyEquivalence:
 
 
 class TestLift:
+    @pytest.mark.parametrize("h", BENCH_SHAPES)
+    def test_records_are_the_per_node_copies(self, h):
+        g = build_gadget(h)
+        base, n = g.instance.nodes, g.instance.n
+        assert base == tuple(
+            NodeRecord(i, (x, y, 0.0), nd.line_group)
+            for i, (nd, (x, y)) in enumerate(zip(base, g._arrays.xy.tolist())))
+        assert {type(nd.line_group) for nd in base} == {int}
+        want = base + tuple(
+            NodeRecord(nd.id + n, (*nd.true_pos[:2], 1.0), nd.line_group,
+                       nd.plane_group) for nd in base)
+        assert lift_to_3d(g).instance.nodes == want
+
     def test_counts_double(self):
         g = build_gadget(Hypergraph3U(3, ((0, 1, 2),)))
         g3 = lift_to_3d(g)

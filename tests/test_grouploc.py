@@ -1,4 +1,5 @@
 import hashlib
+import json
 from dataclasses import replace
 from unittest import mock
 
@@ -22,7 +23,8 @@ from hyperloc.model import (COLLINEAR, COPLANAR, DEFAULT_EPS, BuildingConfig,
                             NetworkInstance, NodeRecord, PointFormation,
                             build_udg, flagship_building_config,
                             WindowIndex, generate_building, make_rng,
-                            group_labels, strip_ground_truth, udg_edges)
+                            group_labels, network_to_json_dict,
+                            strip_ground_truth, udg_edges)
 from hyperloc.errors import HyperlocError
 from hyperloc.quadloc import multilaterate
 
@@ -677,6 +679,41 @@ class TestPinnedOutputs:
         results = [hierarchical_localize(strip_ground_truth(inst))
                    for inst in insts]
         assert _result_digest(results) == self.PINNED
+
+
+class TestPinnedNetworkBytes:
+    """The bytes of ``json.dumps(network_to_json_dict(x), indent=1)``, as
+    ``save_network`` writes them, of generated and stripped buildings."""
+
+    PINNED = {
+        "flagship": (
+            "c476f718fe77a6da22d4b65e929e1543ac40d84858dadf4b6639d4202eb03a2a",
+            "37cc12c3c478913990c9380ad48cf4b1343a0cb66e08031b8aa6d5e6de7e474d"),
+        "bench": (
+            "e7298f5216de17a5e3b526ce776bc26548233e7450f37ecf55a02490361ea8f1",
+            "3d313d3887805d4c3a1cd124c3c73d305887c6b8800c6b500df3af842cfe47b0"),
+    }
+
+    @staticmethod
+    def _digest(inst):
+        text = json.dumps(network_to_json_dict(inst), indent=1)
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_generated_and_stripped(self, name):
+        inst = (generate_building(flagship_building_config())
+                if name == "flagship" else _bench_building(0))
+        if name == "bench":
+            assert (inst.n, inst.m) == (3201, 11782)
+        for x, want in zip((inst, strip_ground_truth(inst)),
+                           self.PINNED[name]):
+            assert self._digest(x) == want
+            # the same network built from its records and edge arrays
+            again = NetworkInstance(x.nodes, x.edge_arrays(), x.radius)
+            assert self._digest(again) == want
+            for level in (COLLINEAR, COPLANAR):
+                assert np.array_equal(group_labels(again, level),
+                                      group_labels(x, level))
 
 
 def _crossing_floor_stage2():

@@ -641,6 +641,37 @@ class TestCheckedAdjacencyOrder:
             assert ascending.edges == again.edges == \
                 reference_edges(n, edges, 1.0)
 
+    # each row: triples with an integer u, then the error they raise; v is
+    # an integer in the first two rows, a float in the rest
+    MIXED = [
+        ([(-1, 2, 0.5)], "edge (-1,2) out of range"),
+        ([(0, 1, 0.5), (3, -2, 0.5)], "edge (3,-2) out of range"),
+        ([(0, 1.5, 0.5)], "edge (0,1.5) out of range"),
+        ([(0, -1.0, 0.5)], "edge (0,-1.0) out of range"),
+        ([(2, 1.0, 0.5), (0, 2.5, 0.3)], "edge (0,2.5) out of range"),
+        ([(0, 0.0, 0.5)], "self-loop at node 0"),
+        ([(0, 1.0, 0.5), (1, 0.0, 0.5)], "duplicate edge (0.0,1)"),
+        ([(1, 0.0, 0.5), (3, 2.0, 1.5)],
+         "edge (2.0,3) has dist 1.5 outside (0, radius]"),
+        ([(1, 0.0, 0.5), (3, 2.0, 0.5)], None),
+    ]
+
+    @pytest.mark.parametrize("edges, message", MIXED)
+    def test_arrays_raise_as_their_triples_do(self, edges, message):
+        """Only integer ``u`` and ``v`` arrays are checked as arrays; with a
+        float ``v`` they are the triples they hold, quoted as given."""
+        nodes = [NodeRecord(id=i) for i in range(4)]
+        dtypes = (np.intp, type(edges[0][1]), float)
+        arrays = tuple(np.array(x, dtype=dt) for x, dt in
+                       zip(zip(*edges), dtypes))
+        for given in (arrays, edges):
+            assert _error_of(lambda: NetworkInstance(nodes, given, 1.0)) == \
+                (None if message is None else (InvalidInputError, message))
+        if message is None:
+            assert NetworkInstance(nodes, arrays, 1.0).edges == \
+                NetworkInstance(nodes, edges, 1.0).edges == \
+                ((0, 1, 0.5), (2, 3, 0.5))
+
 
 class TestDist:
     """``dist`` bisects the neighbour ids of one row and reads its slot."""
@@ -941,6 +972,68 @@ class TestStripGroundTruth:
         assert ids == r_stripped.formation.localized_ids()
         assert np.array_equal(r_full.formation.array(ids),
                               r_stripped.formation.array(ids))
+
+    @pytest.mark.parametrize("make", [
+        lambda: generate_building(flagship_building_config()),
+        lambda: network_from_json_dict(network_to_json_dict(
+            generate_building(flagship_building_config())))],
+        ids=["generated", "json"])
+    def test_records_read_first_do_not_leak(self, make):
+        inst = make()
+        records, pos = inst.nodes, inst.positions()
+        stripped = strip_ground_truth(inst)
+        assert all(nd.true_pos is None for nd in stripped.nodes)
+        assert [nd.line_group for nd in stripped.nodes] == \
+            [nd.line_group for nd in records]
+        with pytest.raises(InvalidInputError) as exc:
+            stripped.positions()
+        assert exc.value.code == "invalid-input"
+        assert inst.nodes is records
+        assert all(nd.true_pos is not None for nd in records)
+        assert np.array_equal(inst.positions(), pos)
+
+
+class TestNodeColumns:
+    """Nodes are kept as columns; ``nodes`` is a view of them as records."""
+
+    def test_records_are_the_per_node_records(self):
+        inst = generate_building(flagship_building_config())
+        stripped = strip_ground_truth(inst)
+        loaded = network_from_json_dict(network_to_json_dict(inst))
+        assert stripped.nodes == tuple(
+            NodeRecord(nd.id, None, nd.line_group, nd.plane_group)
+            for nd in inst.nodes)
+        assert loaded.nodes == inst.nodes
+        pts = [(0.0, 0.0), (0.5, 0.25), (1.0, 1.0)]
+        assert build_udg(pts, 1.0).nodes == tuple(
+            NodeRecord(i, (x, y, 0.0)) for i, (x, y) in enumerate(pts))
+
+    def test_view_is_made_once_and_columns_are_read_only(self):
+        inst = generate_building(flagship_building_config())
+        assert inst.nodes is inst.nodes
+        for col in (inst.true_pos, inst.has_pos):
+            with pytest.raises(ValueError):
+                col[0] = 0
+        pos = inst.positions()
+        pos[0] = -1.0
+        assert not np.shares_memory(pos, inst.true_pos)
+        assert inst.nodes[0].true_pos == tuple(inst.true_pos[0].tolist())
+
+    @pytest.mark.parametrize("pos", [(0.0, 1.0), (0.0, 1.0, 2.0, 3.0), 1.0])
+    def test_a_record_position_must_be_three_numbers(self, pos):
+        nodes = [NodeRecord(0, pos), NodeRecord(1, (1.0, 0.0, 0.0))]
+        with pytest.raises(InvalidInputError,
+                           match="^a true_pos must be 3 numbers$"):
+            NetworkInstance(nodes, [], 1.0)
+
+    def test_missing_labels_raise_as_records_do(self):
+        inst = build_udg([(0.0, 0.0), (0.5, 0.0)], 1.0)
+        again = NetworkInstance(inst.nodes, inst.edge_arrays(), inst.radius)
+        for x in (inst, again):
+            with pytest.raises(InvalidInputError,
+                               match="^node 0 has no plane_group; "):
+                group_labels(x, "coplanar")
+        assert inst.line_group_ids() == inst.plane_group_ids() == []
 
 
 class TestGroupingFunction:
