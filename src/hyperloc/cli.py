@@ -159,12 +159,20 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_bench(args) -> int:
     from .evaluate import BenchConfig, bench_rows_to_csv, bench_scaling
-    sizes = tuple(int(t) for t in args.sizes.split(","))
-    cfg = BenchConfig(sizes=sizes, algorithms=tuple(args.algorithms.split(",")),
+    cfg = BenchConfig(sizes=args.sizes,
+                      algorithms=tuple(args.algorithms.split(",")),
                       seed=args.seed, timeout_s=args.timeout)
     rows = bench_scaling(cfg)
     _emit("\n".join(bench_rows_to_csv(rows)), args.output)
     return 0
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(t) for t in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of integers: {text!r}") from None
 
 
 @functools.cache
@@ -219,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("bench", help="scaling sweep, CSV output")
-    p.add_argument("--sizes", default="100,200,400,800")
+    p.add_argument("--sizes", type=_int_list, default="100,200,400,800")
     p.add_argument("--algorithms", default="group,quad")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--timeout", type=float, default=60.0)

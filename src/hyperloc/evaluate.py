@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -192,25 +193,35 @@ def run_algorithm(name: str, instance: NetworkInstance) -> PointFormation:
     raise InvalidConfigError(f"unknown algorithm {name!r}")
 
 
+def _timed_outcome(name: str, instance: NetworkInstance) -> AlgorithmOutcome:
+    """The one timed run: strip and localize, the clock stopped when the
+    localizer returns or raises; then its coverage and alignment RMSE, or
+    the code it raised. ``experiment`` and ``bench`` both report this."""
+    t0 = time.monotonic()
+    try:
+        formation = run_algorithm(name, instance)
+    except HyperlocError as exc:
+        return AlgorithmOutcome(wall_time_ms=(time.monotonic() - t0) * 1e3,
+                                error_code=exc.code)
+    ms = (time.monotonic() - t0) * 1e3
+    rmse = (align_isometry(formation, instance).rmse
+            if len(formation.localized_ids()) >= formation.dim + 1 else None)
+    return AlgorithmOutcome(formation.localized_fraction(), rmse, ms)
+
+
+def _shape(instance: NetworkInstance) -> dict[str, int]:
+    """The instance columns of a report or bench row: n, m, k, r."""
+    return {"n": instance.n, "m": instance.m,
+            "k": len(instance.plane_group_ids()),
+            "r": len(instance.line_group_ids())}
+
+
 def run_experiment(config: ScenarioConfig) -> ExperimentReport:
-    """Generate, strip, run each algorithm, align against hidden truth."""
+    """Generate, then one timed run per algorithm (``_timed_outcome``)."""
     instance = build_scenario_instance(config)
-    k = len(instance.plane_group_ids())
-    r = len(instance.line_group_ids())
-    report = ExperimentReport(scenario=config.name, n=instance.n,
-                              m=instance.m, k=k, r=r)
+    report = ExperimentReport(scenario=config.name, **_shape(instance))
     for name in config.algorithms:
-        outcome = AlgorithmOutcome()
-        t0 = time.monotonic()
-        try:
-            formation = run_algorithm(name, instance)
-            outcome.localized_fraction = formation.localized_fraction()
-            if len(formation.localized_ids()) >= formation.dim + 1:
-                outcome.rmse = align_isometry(formation, instance).rmse
-        except HyperlocError as exc:
-            outcome.error_code = exc.code
-        outcome.wall_time_ms = (time.monotonic() - t0) * 1e3
-        report.outcomes[name] = outcome
+        report.outcomes[name] = _timed_outcome(name, instance)
     return report
 
 
@@ -230,6 +241,15 @@ class BenchConfig:
     seed: int = 0
     timeout_s: float = 60.0
 
+    def __post_init__(self):
+        if not self.sizes or min(self.sizes) <= 0:
+            raise InvalidConfigError("bench sizes must be positive")
+        # a longer wait in the worker raises OverflowError
+        if not 0 < self.timeout_s <= threading.TIMEOUT_MAX:
+            raise InvalidConfigError(
+                f"bench timeout must be in (0, {threading.TIMEOUT_MAX}] s, "
+                f"got {self.timeout_s}")
+
 
 def _bench_building(n_target: int, seed: int) -> BuildingConfig:
     per_corridor = max(2, round(n_target / (BENCH_FLOORS * BENCH_CORRIDORS)))
@@ -242,46 +262,31 @@ def _bench_building(n_target: int, seed: int) -> BuildingConfig:
                           stagger=True)
 
 
-def _timed_run(payload) -> float:
-    name, instance = payload
-    t0 = time.monotonic()
-    run_algorithm(name, instance)
-    return (time.monotonic() - t0) * 1e3
-
-
-def _bench_row(name: str, instance: NetworkInstance, k: int, r: int,
-               timeout_s: float) -> dict:
+def _bench_row(name: str, instance: NetworkInstance, timeout_s: float
+               ) -> dict:
     """One timed run in a worker process so a timeout can kill it."""
     import multiprocessing  # here, so that `import hyperloc` does not load it
-    row = {"n": instance.n, "m": instance.m, "k": k, "r": r,
-           "algo": name, "wall_time_ms": None, "error": ""}
+    row = {**_shape(instance), "algo": name, "wall_time_ms": None,
+           "error": "timeout"}
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(processes=1) as pool:
-        async_res = pool.apply_async(_timed_run, ((name, instance),))
+        async_res = pool.apply_async(_timed_outcome, (name, instance))
         try:
-            row["wall_time_ms"] = async_res.get(timeout=timeout_s)
+            outcome = async_res.get(timeout=timeout_s)
         except multiprocessing.TimeoutError:
-            pool.terminate()
-            row["error"] = "timeout"
-        except HyperlocError as exc:
-            row["error"] = exc.code
+            return row
+    row.update(wall_time_ms=outcome.wall_time_ms,
+               error=outcome.error_code or "")
     return row
 
 
 def bench_scaling(config: BenchConfig) -> list[dict]:
     """Wall-time sweep over instance sizes; per-run timeouts are recorded,
     not fatal. Returns one row per (size, algorithm)."""
-    if not config.sizes or min(config.sizes) <= 0:
-        raise InvalidConfigError("bench sizes must be positive")
-    rows = []
-    for size in config.sizes:
-        bc = _bench_building(size, config.seed)
-        instance = generate_building(bc)
-        k = len(instance.plane_group_ids())
-        r = len(instance.line_group_ids())
-        for name in config.algorithms:
-            rows.append(_bench_row(name, instance, k, r, config.timeout_s))
-    return rows
+    instances = (generate_building(_bench_building(size, config.seed))
+                 for size in config.sizes)
+    return [_bench_row(name, instance, config.timeout_s)
+            for instance in instances for name in config.algorithms]
 
 
 def bench_rows_to_csv(rows: Sequence[Mapping]) -> list[str]:

@@ -126,7 +126,6 @@ class FlipConfiguration(NamedTuple):
 
 
 class _Wire(NamedTuple):
-    edge_index: int
     half: str                   # "A" (left..mid) or "B" (mid..right)
     end_vertices: tuple[int, int]
     end_apexes: tuple[int, int]  # node id of coupled apex, node id of probed apex
@@ -135,13 +134,13 @@ class _Wire(NamedTuple):
 
 @dataclass(frozen=True)
 class _NodeArrays:
-    """The gadget's node table, one row per node id: canonical position,
-    kind (fixed | line | apex | token) and owner (hypergraph vertex of a
-    line or apex node, wire of a token, else -1). Built once per gadget with
-    what the flip rule reads: the x of each vertex line and the ids of the
-    nodes a flip moves (line and apex nodes; apexes; tokens)."""
+    """The gadget's node table, one row per node id: kind (fixed | line |
+    apex | token) and owner (hypergraph vertex of a line or apex node, wire
+    of a token, else -1); the canonical positions are the instance's first
+    ``len(kind)`` rows. Built once per gadget with what the flip rule reads:
+    the x of each vertex line and the ids of the nodes a flip moves (line
+    and apex nodes; apexes; tokens)."""
 
-    xy: np.ndarray
     kind: np.ndarray
     owner: np.ndarray
     line_x: np.ndarray
@@ -341,8 +340,7 @@ def build_gadget(h: Hypergraph3U) -> GadgetInstance:
             xs = np.linspace(x_start, x_end, count) if span > 0 else [x_start]
             token_ids = tuple(add("token", x, sgn * yf, len(wires),
                                   edge_plane(fi, sgn)) for x in xs)
-            wires.append(_Wire(edge_index=fi, half=half,
-                               end_vertices=(va, vb),
+            wires.append(_Wire(half=half, end_vertices=(va, vb),
                                end_apexes=(flag_nodes[(coupled, fi)][0],
                                            flag_nodes[(probed, fi)][0]),
                                token_ids=token_ids))
@@ -350,17 +348,15 @@ def build_gadget(h: Hypergraph3U) -> GadgetInstance:
     kind, x, y, owner, plane = zip(*rows)
     kind = np.array(kind)
     arrays = _NodeArrays(
-        xy=np.column_stack([x, y]), kind=kind,
-        owner=np.array(owner, dtype=np.intp),
-        line_x=x_of,
+        kind=kind, owner=np.array(owner, dtype=np.intp), line_x=x_of,
         flips=np.flatnonzero((kind == "line") | (kind == "apex")),
         apexes=np.flatnonzero(kind == "apex"),
         tokens=np.flatnonzero(kind == "token"))
-    n = len(kind)
+    n, xy = len(kind), np.column_stack([x, y])
     instance = NetworkInstance._from_columns(
         tuple(pl + 1 for pl in plane), (None,) * n,
-        np.column_stack([arrays.xy, np.zeros(n)]), np.ones(n, dtype=bool),
-        RADIUS, _checked_adjacency(udg_edges(arrays.xy, RADIUS), n, RADIUS))
+        np.column_stack([xy, np.zeros(n)]), np.ones(n, dtype=bool),
+        RADIUS, _checked_adjacency(udg_edges(xy, RADIUS), n, RADIUS))
 
     g = GadgetInstance(
         hypergraph=h, instance=instance, hyperplanes=hyperplanes, dim=2,
@@ -381,7 +377,7 @@ def _audit_gadget(g: GadgetInstance) -> None:
     if n_horizontal != 2 * len(h.edges) + 2:
         raise HyperlocError("horizontal line count is not 2|F| + 2")
     inst, table = g.instance, g._arrays
-    x, y = table.xy.T
+    x, y = inst.true_pos[:, :2].T
     fixed = table.kind == "fixed"
     on_main = fixed & (y == 0.0)
     # support K4 with two main-line nodes
@@ -431,7 +427,7 @@ def _config_positions(g: GadgetInstance, config: FlipConfiguration,
     a = g._arrays
     vertical = np.array(config.vertical, dtype=bool)
     horizontal = np.array(config.horizontal, dtype=bool)
-    pos = a.xy.copy()
+    pos = g.instance.true_pos[:len(a.kind), :2].copy()
     flipped = a.flips[vertical[a.owner[a.flips]]]
     pos[flipped, 1] = -pos[flipped, 1]
     apex_owner = a.owner[a.apexes]
@@ -467,7 +463,7 @@ class _ConfigChecker:
         self.g = g
         self.n = n = g.hypergraph.n_vertices
         a, inst = g._arrays, g.instance
-        n2, n_inst = len(a.xy), inst.n
+        n2, n_inst = len(a.kind), inst.n
         nb = 1 + n + len(g._wires)
         block = np.zeros(n2, dtype=np.intp)
         block[a.flips] = 1 + a.owner[a.flips]

@@ -136,10 +136,10 @@ class Graph:
         return len(seen) >= self.n
 
     @functools.cached_property
-    def _sweeps(self) -> tuple[tuple[list[int], ...], bool]:
-        """The three LBFS+ sweeps of the 3-sweep unit-interval recognition
-        (Corneil 2004), run once per graph in O(n + m) each, and whether the
-        last one is a proper-interval ordering.
+    def _sweeps(self) -> tuple[list[int], bool]:
+        """The order of the 3-sweep unit-interval recognition (Corneil
+        2004), in local indices, run once per graph with LBFS+ sweeps of
+        O(n + m) each, and whether it is a proper-interval ordering.
 
         The certificate is the umbrella property: every closed neighbourhood
         occupies contiguous positions of the order (Looges & Olariu 1993).
@@ -147,40 +147,32 @@ class Graph:
         return. A proper interval graph has no induced claw and no induced
         net, whose pendants form an asteroidal triple (Roberts 1969).
 
-        The sweeps stop at the first certified one and read the rest off
-        it: on an umbrella order s, LBFS+ from s[-1], ties going to the
-        latest in s, returns reversed(s). Proof: by induction the visited
-        set is a suffix of s. An unvisited vertex v's closed neighbourhood
-        is contiguous, so its visited neighbours are the visited positions
-        up to its last neighbour's position r(v), and its label grows with
-        r(v). r is non-decreasing along s (if u before v has a neighbour w
-        after v, v is adjacent to w too), so the last unvisited vertex of s
-        has the largest label and, the latest in s among its ties, goes
-        next. Twins and disconnected graphs need no special case. A
-        reversed umbrella order is one too, so a certified s1 gives
-        ``(s1, s1[::-1], s1)`` and a certified s2 gives
-        ``(s1, s2, s2[::-1])``: what running all three would return.
+        The sweeps stop at the first certified one, which is then the last
+        sweep up to reversal: on an umbrella order s, LBFS+ from s[-1], ties
+        going to the latest in s, returns reversed(s). Proof: by induction
+        the visited set is a suffix of s. An unvisited vertex v's closed
+        neighbourhood is contiguous, so its visited neighbours are the
+        visited positions up to its last neighbour's position r(v), and its
+        label grows with r(v). r is non-decreasing along s (if u before v
+        has a neighbour w after v, v is adjacent to w too), so the last
+        unvisited vertex of s has the largest label and, the latest in s
+        among its ties, goes next. Twins and disconnected graphs need no
+        special case.
 
         The first sweep is LBFS+ from the last vertex of the reversed index
         order, ties going to the latest in it, so it returns the index order
         whenever that order is certified. That is tested first, and then no
         sweep runs (``generate_building`` numbers each corridor in order).
         """
-        if self.n == 0:
-            return (), True
         s1 = list(range(self.n))
-        if self.umbrella(s1).all() or self.umbrella(
+        if self.n == 0 or self.umbrella(s1).all() or self.umbrella(
                 s1 := _lbfs_local(self, 0, None)).all():
-            sweeps, certified = (s1, s1[::-1], s1), True
-        else:
-            s2 = _lbfs_local(self, s1[-1], s1)
-            if self.umbrella(s2).all():
-                sweeps, certified = (s1, s2, s2[::-1]), True
-            else:
-                s3 = _lbfs_local(self, s2[-1], s2)
-                sweeps, certified = (s1, s2, s3), bool(self.umbrella(s3).all())
-        nodes = self.nodes
-        return tuple([nodes[i] for i in s] for s in sweeps), certified
+            return s1, True
+        s2 = _lbfs_local(self, s1[-1], s1)
+        if self.umbrella(s2).all():
+            return s2, True
+        s3 = _lbfs_local(self, s2[-1], s2)
+        return s3, bool(self.umbrella(s3).all())
 
     def umbrella(self, order) -> np.ndarray:
         """Per vertex, whether its closed neighbourhood occupies contiguous
@@ -382,24 +374,21 @@ def _lbfs_local(graph: Graph, start: int,
 def unit_interval_order(graph: Graph) -> LinearOrder:
     """Hamiltonian path consistent with a 1D realization of the graph.
 
-    Reads the last of the graph's cached LBFS+ sweeps (Corneil 2004), which
-    stop at the first order with the umbrella certificate and are not run
-    when the index order has it (see ``Graph._sweeps``). The order is
-    accepted only when certified and its consecutive vertices are adjacent:
-    failure signals the group is not a realizable collinear group. On a
-    certified order a gap between consecutive vertices means the graph is
-    disconnected (by the umbrella property, any edge across the gap would
-    make its two ends adjacent), so only an uncertified graph is searched
-    for connectivity.
+    Reads the graph's cached order (Corneil 2004; see ``Graph._sweeps``),
+    the smaller end id first. The order is accepted only when certified and
+    its consecutive vertices are adjacent: failure signals the group is not
+    a realizable collinear group. On a certified order a gap between
+    consecutive vertices means the graph is disconnected (by the umbrella
+    property, any edge across the gap would make its two ends adjacent), so
+    only an uncertified graph is searched for connectivity.
     """
     if graph.n == 0:
         raise InvalidInputError("empty graph")
-    sweeps, certified = graph._sweeps
+    order, certified = graph._sweeps
     if not certified and not graph.is_connected():
         raise InvalidInputError("group subgraph must be connected")
-    seq = list(sweeps[2])
-    at = np.searchsorted(graph.nodes, seq)
-    gaps = np.flatnonzero(graph.pair_slots(at[:-1], at[1:]) < 0)
+    seq = [graph.nodes[i] for i in order]
+    gaps = np.flatnonzero(graph.pair_slots(order[:-1], order[1:]) < 0)
     if gaps.size:
         if certified:
             raise InvalidInputError("group subgraph must be connected")

@@ -132,8 +132,8 @@ class NetworkInstance:
     ``line_group`` and ``plane_group`` hold the labels as given (``None``
     where a node has none), ``true_pos`` the hidden positions as one
     ``(n, 3)`` float array, and ``has_pos`` marks the nodes that have one.
-    ``nodes`` is a view of them as :class:`NodeRecord` s: the records given
-    to the constructor, or else records made on first read.
+    ``nodes`` is a view of them as :class:`NodeRecord` s, made on first
+    read.
 
     ``edges`` may be any iterable of ``(u, v, dist)`` triples, or the
     ``(u, v, dist)`` arrays that :func:`udg_edges` and :meth:`edge_arrays`
@@ -158,12 +158,10 @@ class NetworkInstance:
                           tuple(nd.plane_group for nd in nodes),
                           true_pos, has_pos, radius,
                           _checked_adjacency(edges, len(nodes), radius))
-        self.nodes = nodes
 
     @classmethod
     def _from_columns(cls, *columns) -> "NetworkInstance":
-        """The instance of ``columns``, as :meth:`_set_columns` takes them,
-        with no records until ``nodes`` is read."""
+        """The instance of ``columns``, as :meth:`_set_columns` takes them."""
         instance = cls.__new__(cls)
         instance._set_columns(*columns)
         return instance

@@ -238,6 +238,18 @@ def test_usage_error_exit_code():
     assert main(["localize", "--algorithm", "bogus", "--input", "x"]) == 2
 
 
+@pytest.mark.parametrize("sizes", ["abc", "60,x", ""])
+def test_bench_sizes_not_integers_is_a_usage_error(capsys, sizes):
+    assert main(["bench", "--sizes", sizes]) == 2
+    assert "--sizes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("timeout", ["0", "-1", "nan", "inf", "1e12"])
+def test_bench_timeout_out_of_range_is_invalid_config(capsys, timeout):
+    assert main(["bench", "--sizes", "60", "--timeout", timeout]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "invalid-config"
+
+
 def test_stdout_is_pure_json(tmp_path, capsys):
     hg = tmp_path / "h.txt"
     hg.write_text("3 1\n0 1 2\n")

@@ -1,17 +1,21 @@
+import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import hyperloc
+from hyperloc import evaluate
 from hyperloc.errors import InvalidConfigError, TooFewPointsError
 from hyperloc.evaluate import (BenchConfig, ScenarioConfig, align_isometry,
                                bench_scaling, random_dense_instance,
                                run_experiment)
-from hyperloc.model import PointFormation, build_udg, make_rng
+from hyperloc.model import BuildingConfig, PointFormation, build_udg, make_rng
 
 
 def formation_from(points):
@@ -161,6 +165,21 @@ class TestBenchScaling:
         with pytest.raises(InvalidConfigError):
             bench_scaling(BenchConfig(sizes=(0,)))
 
+    @pytest.mark.parametrize("timeout", [0, -1, math.nan, math.inf, 1e12])
+    def test_rejects_a_timeout_a_worker_cannot_wait(self, timeout):
+        with pytest.raises(InvalidConfigError, match="timeout"):
+            BenchConfig(timeout_s=timeout)
+
+    def test_failed_run_keeps_its_time(self):
+        # the experiment outcome and the bench row of the same failed run
+        rep = run_experiment(ScenarioConfig(algorithms=("nope",)))
+        rows = bench_scaling(BenchConfig(sizes=(60,), algorithms=("nope",)))
+        oc = rep.outcomes["nope"]
+        assert oc.error_code == "invalid-config"
+        assert [r["error"] for r in rows] == [oc.error_code]
+        assert rows[0]["wall_time_ms"] is not None
+        assert rows[0]["wall_time_ms"] > 0 and oc.wall_time_ms > 0
+
     def test_small_sweep_columns_deterministic(self):
         cfg = BenchConfig(sizes=(60, 120), algorithms=("group",),
                           timeout_s=60.0)
@@ -171,6 +190,43 @@ class TestBenchScaling:
         assert cols1 == cols2
         assert all(r["error"] == "" for r in rows1)
         assert all(r["wall_time_ms"] is not None for r in rows1)
+
+
+# what one timed run did, in order, and the run the spy below wraps
+_EVENTS = []
+_TIMED_OUTCOME = None
+
+
+def _spied_outcome(name, instance):
+    """``evaluate._timed_outcome``, its outcome's error naming the clock
+    reads and alignments it made, in order: the bench worker's events come
+    back in its row."""
+    _EVENTS.clear()
+    outcome = _TIMED_OUTCOME(name, instance)
+    outcome.error_code = " ".join(_EVENTS)
+    return outcome
+
+
+def test_experiment_and_bench_share_one_timed_run(monkeypatch):
+    def monotonic():
+        _EVENTS.append("clock")
+        return time.monotonic()
+
+    def align(*args):
+        _EVENTS.append("align")
+        return align_isometry(*args)
+
+    monkeypatch.setattr(evaluate, "time", SimpleNamespace(monotonic=monotonic))
+    monkeypatch.setattr(evaluate, "align_isometry", align)
+    monkeypatch.setitem(globals(), "_TIMED_OUTCOME", evaluate._timed_outcome)
+    monkeypatch.setattr(evaluate, "_timed_outcome", _spied_outcome)
+    # the alignment runs after the clock stops, in both commands
+    floors = BuildingConfig(floors=2, corridors_per_floor=3, extent=4.5,
+                            connector_columns=((2.7, 0.45),))
+    rep = run_experiment(ScenarioConfig(building=floors, algorithms=("group",)))
+    assert rep.outcomes["group"].error_code == "clock clock align"
+    rows = bench_scaling(BenchConfig(sizes=(60,), algorithms=("group",)))
+    assert [r["error"] for r in rows] == ["clock clock align"]
 
 
 def _fresh_python(code):

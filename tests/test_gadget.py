@@ -35,10 +35,12 @@ Node = namedtuple("Node", "kind x y owner")
 
 
 def nodes_of(g):
-    """The gadget's node table as one ``Node`` per node id."""
+    """The gadget's node table as one ``Node`` per node id, at the base
+    rows of the instance's positions."""
     t = g._arrays
+    xy = g.instance.true_pos[:len(t.kind), :2]
     return [Node(k, x, y, o) for k, (x, y), o
-            in zip(t.kind.tolist(), t.xy.tolist(), t.owner.tolist())]
+            in zip(t.kind.tolist(), xy.tolist(), t.owner.tolist())]
 
 
 def apex_of(g):
@@ -133,8 +135,7 @@ class TestBuildGadget:
                     [("line", v)] * 2
                 assert {g.instance.nodes[b].line_group for b in base} == \
                     {v + 1}
-            assert np.array_equal(g._arrays.xy,
-                                  g.instance.positions()[:, :2])
+            assert len(g._arrays.kind) == g.instance.n
 
     def test_vertex_line_spacing_in_open_interval(self):
         g = build_gadget(Hypergraph3U(3, ((0, 1, 2),)))
@@ -364,14 +365,13 @@ def flipped(g, pairs):
 def relaid(g, moves):
     """The 2D gadget with nodes moved in its canonical layout and its edges
     recorded afresh from the moved layout."""
-    xy = g._arrays.xy.copy()
+    xy = g.instance.true_pos[:, :2].copy()
     for i, p in moves.items():
         xy[i] = p
     nodes = [replace(nd, true_pos=(x, y, 0.0))
              for nd, (x, y) in zip(g.instance.nodes, xy.tolist())]
     return replace(g, instance=NetworkInstance(nodes, udg_edges(xy, RADIUS),
-                                               RADIUS),
-                   _arrays=replace(g._arrays, xy=xy))
+                                               RADIUS))
 
 
 def moving_pairs(g):
@@ -525,11 +525,12 @@ def reference_tables(g):
             table[sa, sb] = cross_pairs(pa, pb) == want
         pair_tables.append((va, vb, table))
     wire_tables = []
-    for w in g._wires:
+    for c, w in enumerate(g._wires):
         va, vb = w.end_vertices
         yf = abs(nodes[w.token_ids[0]].y)
         txs = np.array([nodes[t].x for t in w.token_ids])
-        apex_ids = [apexes[(va, w.edge_index)], apexes[(vb, w.edge_index)]]
+        # two wires per edge, in edge order
+        apex_ids = [apexes[(va, c // 2)], apexes[(vb, c // 2)]]
         want = {(i, j) for i, tid in enumerate(w.token_ids)
                 for j, aid in enumerate(apex_ids) if inst.has_edge(tid, aid)}
         table = np.zeros((4, 4, 2), dtype=bool)
@@ -680,8 +681,8 @@ class TestLift:
         g = build_gadget(h)
         base, n = g.instance.nodes, g.instance.n
         assert base == tuple(
-            NodeRecord(i, (x, y, 0.0), nd.line_group)
-            for i, (nd, (x, y)) in enumerate(zip(base, g._arrays.xy.tolist())))
+            NodeRecord(i, (node.x, node.y, 0.0), nd.line_group)
+            for i, (nd, node) in enumerate(zip(base, nodes_of(g))))
         assert {type(nd.line_group) for nd in base} == {int}
         want = base + tuple(
             NodeRecord(nd.id + n, (*nd.true_pos[:2], 1.0), nd.line_group,

@@ -90,6 +90,28 @@ def reference_sweeps(graph):
     return s1, s2, reference_lbfs(graph, s2[-1], s2)
 
 
+def sweep_order(graph):
+    """``graph._sweeps``'s order as ids."""
+    return [graph.nodes[i] for i in graph._sweeps[0]]
+
+
+def check_against_reference(graph):
+    """``graph._sweeps`` holds the reference's last sweep, up to reversal,
+    and its certificate; ``unit_interval_order`` returns that sweep, the
+    smaller end id first, when it is a certified path, and raises else."""
+    last = list(reference_sweeps(graph)[-1]) if graph.n else []
+    assert sweep_order(graph) in (last, last[::-1])
+    assert graph._sweeps[1] == is_umbrella_order(graph, last)
+    if graph.n == 0:
+        return
+    if graph._sweeps[1] and is_path(graph, last):
+        want = last[::-1] if last[0] > last[-1] else last
+        assert unit_interval_order(graph).sequence == tuple(want)
+    else:
+        with pytest.raises((InvalidInputError, NoHamiltonianPathError)):
+            unit_interval_order(graph)
+
+
 def reference_net_oracle(graph):
     """Exhaustive 6-subset scan; first net by (triangle, pendants)."""
     nodes = graph.nodes
@@ -561,34 +583,29 @@ class TestLbfs:
               derandomize=True)
     @given(g=labelled_graphs())
     def test_unit_interval_order_sweeps_match_reference(self, g):
-        sweeps = reference_sweeps(g)
-        assert g._sweeps[0] == sweeps
+        check_against_reference(g)
         if g.n == 0 or not g.is_connected():
             return
-        seq = sweeps[-1]
-        assert g._sweeps[1] == is_umbrella_order(g, seq)
+        seq = reference_sweeps(g)[-1]
         # accepted only when certified; then consecutive ids are adjacent
         if is_umbrella_order(g, seq):
             assert is_path(g, seq)
-            expected = seq[::-1] if seq[0] > seq[-1] else seq
-            assert unit_interval_order(g).sequence == tuple(expected)
         else:
             with pytest.raises(NoHamiltonianPathError):
                 unit_interval_order(g)
 
 
 class TestSweepShortcut:
-    """``Graph._sweeps`` stops at the first certified sweep and reads the
-    rest off it."""
+    """``Graph._sweeps`` stops at the first certified sweep, which is the
+    last sweep up to reversal."""
 
     @settings(max_examples=300, deadline=None, database=None,
               derandomize=True)
     @given(drawn=umbrella_ordered_graphs())
     def test_lbfs_from_umbrella_order_reverses_it(self, drawn):
         g, by_position = drawn
-        sweeps, certified = g._sweeps
-        assert certified
-        for sigma in (by_position, sweeps[2]):
+        assert g._sweeps[1]
+        for sigma in (by_position, sweep_order(g)):
             assert _lbfs(g, sigma[-1], sigma) == list(sigma[::-1])
 
     @pytest.fixture
@@ -609,7 +626,7 @@ class TestSweepShortcut:
     ], ids=["shuffled path", "C4", "claw with path"])
     def test_sweep_count(self, lbfs_calls, graph, calls):
         fresh = Graph(graph.nodes, edge_list(graph))   # no cached sweeps
-        assert fresh._sweeps[0] == reference_sweeps(fresh)
+        check_against_reference(fresh)
         assert len(lbfs_calls) == calls
 
     def test_no_sweep_on_building_corridors(self, lbfs_calls):
@@ -623,7 +640,7 @@ class TestSweepShortcut:
             lbfs_calls.clear()
             assert g._sweeps[1]
             assert len(lbfs_calls) == 0
-            assert g._sweeps[0] == reference_sweeps(g)
+            check_against_reference(g)
 
     def test_position_ordered_graphs(self, lbfs_calls):
         """Unit interval graphs with twins, and disjoint unions of two, with
@@ -646,7 +663,7 @@ class TestSweepShortcut:
             relabelled = Graph(label, [(label[u], label[v]) for u, v in edges])
             for h in (g, relabelled):
                 assert h._sweeps[1]
-                assert h._sweeps[0] == reference_sweeps(h)
+                check_against_reference(h)
 
 
 class TestProperIntervalCertificate:
@@ -684,7 +701,7 @@ class TestProperIntervalCertificate:
     def test_hamiltonian_sweep_with_claw_not_certified(self):
         # the last sweep is a Hamiltonian path, but not certified
         assert not CLAW_WITH_PATH._sweeps[1]
-        assert CLAW_WITH_PATH._sweeps[0][2] == [0, 2, 1, 3, 4]
+        assert sweep_order(CLAW_WITH_PATH) == [0, 2, 1, 3, 4]
         with pytest.raises(NoHamiltonianPathError, match="certified"):
             unit_interval_order(CLAW_WITH_PATH)
         assert find_claw(CLAW_WITH_PATH) == \

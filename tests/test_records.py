@@ -74,13 +74,19 @@ def test_flip_configuration():
 
 
 def test_wire():
-    w = _Wire(0, "A", (1, 2), (10, 11), (20, 21))
-    assert w == _Wire(edge_index=0, half="A", end_vertices=(1, 2),
-                      end_apexes=(10, 11), token_ids=(20, 21))
+    w = _Wire("A", (1, 2), (10, 11), (20, 21))
+    assert w == _Wire(half="A", end_vertices=(1, 2), end_apexes=(10, 11),
+                      token_ids=(20, 21))
     h = Hypergraph3U(5, ((0, 1, 2), (2, 3, 4)))
-    a, b = build_gadget(h)._wires, build_gadget(h)._wires
+    g = build_gadget(h)
+    a, b = g._wires, build_gadget(h)._wires
     assert a == b and [w.half for w in a] == ["A", "B"] * 2
-    assert [w.edge_index for w in a] == [0, 0, 1, 1]
+    # two wires per edge, in edge order: wire c's ends are edge c // 2's
+    # apexes, the coupled end first
+    assert [w.end_apexes for w in a] == [
+        (g.flag_nodes[(w.end_vertices[w.half == "B"], c // 2)][0],
+         g.flag_nodes[(w.end_vertices[w.half == "A"], c // 2)][0])
+        for c, w in enumerate(a)]
 
 
 def test_group_transform():
