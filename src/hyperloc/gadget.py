@@ -8,8 +8,11 @@ the edge-line pair, joined by chains of relay tokens; the recorded graph
 pins which placements of the movable parts (per-line vertical/horizontal
 flips, per-chain side choice) realize the graph exactly with every node on
 a line. A per-line vertical flip encodes the vertex color (the side of the
-edge-line pair its flags vacate), and the geometry rejects exactly the
-configurations whose induced coloring makes some hyperedge monochromatic.
+edge-line pair its flags vacate). The reduction is sound: every
+configuration that realizes the graph induces a proper coloring (tested on
+every hypergraph with at most 6 vertices and 4 edges). Completeness is
+open: some proper colorings are induced by no valid configuration, the
+smallest case being edges {012, 013, 023} (8 colorings, 6 configurations).
 
 Within the desk-scale caps every 3-uniform hypergraph is 2-colorable (the
 smallest non-2-colorable one has seven edges), so the canonical layout can
@@ -79,13 +82,14 @@ class Hypergraph3U:
 
     @classmethod
     def from_text(cls, text: str) -> "Hypergraph3U":
-        """Line 1: ``n m``; then m lines of three 0-based vertex indices."""
+        """Line 1: ``n m``; then exactly m non-empty lines of three 0-based
+        vertex indices."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise InvalidInputError("empty hypergraph file")
         try:
             n, m = (int(t) for t in lines[0].split())
-            edges = [tuple(int(t) for t in ln.split()) for ln in lines[1:m + 1]]
+            edges = [tuple(int(t) for t in ln.split()) for ln in lines[1:]]
         except ValueError as exc:
             raise InvalidInputError(f"malformed hypergraph text: {exc}") from exc
         if len(edges) != m:
@@ -188,55 +192,68 @@ def _choose_order(h: Hypergraph3U) -> tuple[int, ...]:
     order, in lexicographic permutation order, with the most clean edges.
 
     An edge's middle is the second of its members placed, so the layout is
-    found by a memoized search over states (edge vertices placed, middles
-    fixed so far), after Held & Karp 1962; a search, as exact betweenness
-    ordering is NP-complete (Opatrny 1979). A state's bound counts the
-    edges whose fixed middle is not yet disqualified, as another edge's
-    fixed middle or a non-middle member of an edge whose middle is fixed.
-    It never rises and is the exact score once every vertex is placed. The
-    target is the best bound over all choices of one middle per edge,
-    lowered until the empty state reaches it; the order then takes, slot
-    by slot, the smallest vertex whose next state still reaches it.
+    found by a memoized search over states, after Held & Karp 1962; a
+    search, as exact betweenness ordering is NP-complete (Opatrny 1979).
+    A state is one int: bits 0-7 the edge vertices placed, 8-15 the fixed
+    middles, 16-23 the vertices that disqualify a fixed middle (one fixed
+    twice, or another member of an edge whose middle is fixed), and from
+    24 the count of fixed middles. Partial orders that agree on these
+    reach the same states, so they are searched once. The bound, the edges
+    not yet fixed plus those whose middle is not disqualified (and so fixed
+    once), is ``m - fixed + popcount(middles & ~disqualified)``. It never
+    rises and is the exact score once every vertex is placed. The target
+    is the best bound over all choices of one middle per edge, lowered
+    until the empty state reaches it; the order then takes, slot by slot,
+    the smallest vertex whose next state still reaches it. A step touches
+    only the edges that hold its vertex; the search branches only over
+    vertices in some edge.
     """
     n = h.n_vertices
     if not h.edges or n > 8:
         return tuple(range(n))
-    edges = h.edges
-    masks = [(1 << a) | (1 << b) | (1 << c) for a, b, c in edges]
-    full = int(np.bitwise_or.reduce(masks))
+    m = len(h.edges)
+    masks = [(1 << a) | (1 << b) | (1 << c) for a, b, c in h.edges]
+    full = 0
+    for mask in masks:
+        full |= mask
+    verts = [v for v in range(n) if full >> v & 1]
+    touch = [[mask for mask in masks if mask >> v & 1] for v in range(n)]
 
-    def bound(mids: Sequence[int]) -> int:
-        fixed = [(e, c) for e, c in zip(edges, mids) if c >= 0]
-        dead = {c for _, c in fixed if mids.count(c) > 1}
-        dead.update(v for e, c in fixed for v in e if v != c)
-        return len(edges) - sum(c in dead for _, c in fixed)
+    def bound(state: int) -> int:
+        alive = state >> 8 & ~(state >> 16) & 255
+        return m - (state >> 24) + alive.bit_count()
 
-    def step(state: tuple[int, tuple[int, ...]], v: int):
+    def fix(state: int, mask: int, bit: int) -> int:
+        # the vertex `bit` becomes the middle of the edge `mask`
+        dead = (state >> 8 & bit) | (mask ^ bit)
+        return (state | dead << 16 | bit << 8) + (1 << 24)
+
+    def step(state: int, v: int) -> int:
         # v fixes the middle of each edge of which it is the second placed
-        placed, mids = state
-        bit = 1 << v
-        if not full & bit:
-            return state
-        return placed | bit, tuple(
-            v if mask & bit and (placed & mask).bit_count() == 1 else c
-            for mask, c in zip(masks, mids))
+        placed, bit = state & 255, 1 << v
+        for mask in touch[v]:
+            if (placed & mask).bit_count() == 1:
+                state = fix(state, mask, bit)
+        return state | (bit & full)
 
-    def ok(state) -> bool:
+    def ok(state: int) -> bool:
         # whether the state can still reach `target` clean edges, memoized
         # in `memo`; both are rebound below when the target is lowered
         if state not in memo:
-            placed, mids = state
-            memo[state] = bound(mids) >= target and (placed == full or any(
-                ok(step(state, v)) for v in range(n)
-                if full & ~placed & (1 << v)))
+            placed = state & 255
+            memo[state] = bound(state) >= target and (placed == full or any(
+                ok(step(state, v)) for v in verts if not placed >> v & 1))
         return memo[state]
 
-    start = (0, (-1,) * len(edges))
-    target = max(bound(mids) for mids in itertools.product(*edges))
+    # the states that every choice of one middle per edge leaves
+    chosen = {0}
+    for mask, edge in zip(masks, h.edges):
+        chosen = {fix(s, mask, 1 << v) for s in chosen for v in edge}
+    target = max(map(bound, chosen))
     memo: dict = {}
-    while not ok(start):
+    while not ok(0):
         target, memo = target - 1, {}
-    state, order = start, []
+    state, order = 0, []
     while len(order) < n:
         v = next(v for v in range(n) if v not in order and ok(step(state, v)))
         state = step(state, v)
@@ -407,8 +424,9 @@ def _audit_gadget(g: GadgetInstance) -> None:
         if inst.has_edge(w.token_ids[-1 if w.half == "A" else 0],
                          w.end_apexes[1]):
             raise HyperlocError("chain must not touch the probed flag")
-    # minimum separation so the 3D lift keeps copies isolated
-    if np.any(udg_edges(inst.positions(), 0.1, eps=0.0)[2] < 0.1):
+    # minimum separation so the 3D lift keeps copies isolated; a pair that
+    # close is an edge of the instance, whose lengths are the kernel's bits
+    if np.any(inst.length < 0.1):
         raise HyperlocError("node separation too small for the 3D lift")
 
 

@@ -667,17 +667,22 @@ class Hyperplane:
 
     def __post_init__(self):
         n = np.asarray(self.normal, dtype=float)
-        nrm = np.linalg.norm(n)
-        if nrm == 0 or not np.all(np.isfinite(n)):
+        # np.linalg.norm's sum of squares, then the same IEEE steps on
+        # Python floats, so the same bits without NumPy scalar round trips
+        nrm = math.sqrt(n.dot(n))
+        n = n.tolist()
+        if nrm == 0 or not all(map(math.isfinite, n)):
             raise InvalidInputError("hyperplane normal must be nonzero and finite")
-        n, b = n / nrm, self.offset / nrm
-        nz = np.nonzero(np.abs(n) > 1e-12)[0]
-        if len(nz) == 0:
+        n, b = [x / nrm for x in n], float(self.offset) / nrm
+        if not math.isfinite(b):
+            raise InvalidInputError("hyperplane offset must be finite")
+        lead = next((x for x in n if abs(x) > 1e-12), None)
+        if lead is None:
             raise InvalidInputError("degenerate hyperplane normal")
-        if n[nz[0]] < 0:
-            n, b = -n, -b
-        object.__setattr__(self, "normal", tuple(float(x) for x in n))
-        object.__setattr__(self, "offset", float(b))
+        if lead < 0:
+            n, b = [-x for x in n], -b
+        object.__setattr__(self, "normal", tuple(n))
+        object.__setattr__(self, "offset", b)
 
 
 # ---------------------------------------------------------------------------

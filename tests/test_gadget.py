@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hyperloc import gadget
-from hyperloc.errors import InvalidInputError, SizeCapError
+from hyperloc.errors import HyperlocError, InvalidInputError, SizeCapError
 from hyperloc.gadget import (COLOR_NAMES, RADIUS, FlipConfiguration,
                              Hypergraph3U,
                              _choose_order, _config_positions, _ConfigChecker,
@@ -70,6 +70,15 @@ class TestHypergraph:
             Hypergraph3U(4, ((0, 1, 2), (2, 1, 0)))
         with pytest.raises(InvalidInputError):
             Hypergraph3U(3, ((0, 1, 5),))
+
+    @pytest.mark.parametrize("text", ["3 1\n0 1 2\n0 1 2\n1 2 0\n",
+                                      "4 1\n0 1 2\n\n1 2 3\n",
+                                      "4 2\n0 1 2\n"])
+    def test_text_edge_lines_must_match_the_header(self, text):
+        # lines past the header's m edges were once dropped unread
+        with pytest.raises(InvalidInputError,
+                           match="^edge count does not match header$"):
+            Hypergraph3U.from_text(text)
 
 
 class TestTwoColorings:
@@ -149,6 +158,15 @@ class TestBuildGadget:
             build_gadget(Hypergraph3U(9, ()))
         with pytest.raises(SizeCapError):
             build_gadget(FANO)
+
+    def test_crowded_nodes_fail_the_separation_audit(self, monkeypatch):
+        # relay tokens 0.05 apart on the chain from line 1 to line 3 (a
+        # chain between neighbouring lines is one token): every other
+        # audited constraint holds, so the 0.1 separation check fires
+        monkeypatch.setattr(gadget, "TOKEN_STEP", 0.05)
+        with pytest.raises(HyperlocError,
+                           match="^node separation too small for the 3D lift$"):
+            build_gadget(Hypergraph3U(4, ((0, 1, 3),)))
 
     def test_instance_is_exact_udg(self):
         g = build_gadget(Hypergraph3U(4, ((0, 1, 2), (0, 2, 3))))
@@ -673,6 +691,54 @@ class TestVerifyEquivalence:
         for entry in rep["correspondence"]:
             colors = [0 if c == "red" else 1 for c in entry["coloring"]]
             assert is_proper_coloring(h, colors)
+
+
+def isomorphism_classes(max_n=6, max_m=4):
+    """One hypergraph per isomorphism class of the 3-uniform hypergraphs
+    with 3..max_n vertices, 1..max_m edges and no isolated vertex, and the
+    number of labelled ones. A class is keyed by the least bitmask, over
+    all vertex permutations, of its edges as indices into the triples."""
+    reps, labelled = [], 0
+    for n in range(3, max_n + 1):
+        triples = list(itertools.combinations(range(n), 3))
+        index = {t: i for i, t in enumerate(triples)}
+        # weight[p, t]: the bit of triple t's image under permutation p
+        weight = np.array([[1 << index[tuple(sorted(p[v] for v in t))]
+                            for t in triples]
+                           for p in itertools.permutations(range(n))])
+        seen = set()
+        for m in range(1, max_m + 1):
+            for edges in itertools.combinations(range(len(triples)), m):
+                if len({v for i in edges for v in triples[i]}) < n:
+                    continue
+                labelled += 1
+                key = int(weight[:, edges].sum(axis=1).min())
+                if key not in seen:
+                    seen.add(key)
+                    reps.append(Hypergraph3U(n, tuple(triples[i]
+                                                      for i in edges)))
+    return reps, labelled
+
+
+class TestSoundness:
+    def test_every_valid_configuration_colors_properly(self):
+        # soundness of the reduction on every small hypergraph, each class
+        # as enumerated and under eight relabellings (the layout and the
+        # base coloring depend on the labels): a configuration that
+        # realizes the graph induces a proper coloring. Completeness is not
+        # claimed.
+        classes, labelled = isomorphism_classes()
+        assert (len(classes), labelled) == (32, 4422)
+        rng = make_rng(44)
+        for h0 in classes:
+            n = h0.n_vertices
+            for perm in [range(n)] + [rng.permutation(n) for _ in range(8)]:
+                h = relabel(h0, perm)
+                g = build_gadget(h)
+                configs = enumerate_groupings(g)
+                assert configs, h
+                for config in configs:
+                    assert is_proper_coloring(h, coloring_of(g, config)), h
 
 
 class TestLift:

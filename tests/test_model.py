@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from hyperloc.errors import InvalidConfigError, InvalidInputError
 from hyperloc.model import (DEFAULT_EPS, BuildingConfig, GroupingFunction,
-                            NetworkInstance, NodeRecord, PointFormation,
-                            WindowIndex, axis_distances,
+                            Hyperplane, NetworkInstance, NodeRecord,
+                            PointFormation, WindowIndex, axis_distances,
                             build_udg,
                             flagship_building_config, generate_building,
                             group_labels, make_rng, network_from_json_dict,
@@ -697,6 +697,86 @@ class TestDist:
         with pytest.raises(KeyError) as exc:
             inst.dist(u, v)
         assert exc.value.args[0] == (min(u, v), max(u, v))
+
+
+def reference_hyperplane(normal, offset):
+    """The NumPy formula ``Hyperplane`` normalized with before its scalar
+    steps moved to Python floats: ``(normal, offset)``, or the
+    ``InvalidInputError`` it raised."""
+    n = np.asarray(normal, dtype=float)
+    nrm = np.linalg.norm(n)
+    if nrm == 0 or not np.all(np.isfinite(n)):
+        raise InvalidInputError("hyperplane normal must be nonzero and finite")
+    n, b = n / nrm, offset / nrm
+    nz = np.nonzero(np.abs(n) > 1e-12)[0]
+    if len(nz) == 0:
+        raise InvalidInputError("degenerate hyperplane normal")
+    if n[nz[0]] < 0:
+        n, b = -n, -b
+    return tuple(float(x) for x in n), float(b)
+
+
+def _hyperplane_inputs(rng, count):
+    """Normals in 2D and 3D at scales 1e-8 to 1e8, negative components
+    included; every third has its leading one or two components within
+    0.1 % of 1e-12 of the norm, on either side, and every third a zero or
+    negative zero. Offsets are floats, NumPy floats and ints."""
+    for k in range(count):
+        dim = 2 + k % 2
+        v = rng.normal(size=dim)
+        if k % 3 == 1:
+            tiny = 1 + (dim == 3 and k % 4 == 3)
+            v[:tiny] = (1e-12 * np.linalg.norm(v[tiny:])
+                        * rng.choice([-1.0, 1.0], size=tiny)
+                        * (1 + rng.uniform(-1e-3, 1e-3, size=tiny)))
+        elif k % 3 == 2:
+            v[rng.integers(dim)] = rng.choice([0.0, -0.0])
+        normal = tuple((v * 10.0 ** rng.uniform(-8, 8)).tolist())
+        offset = rng.normal() * 10.0 ** rng.uniform(-8, 8)
+        yield normal, (float(offset), offset, int(offset * 1e4))[k // 3 % 3]
+
+
+def _bits(plane):
+    return [x.hex() for x in plane[0]], plane[1].hex()
+
+
+class TestHyperplane:
+    def test_same_bits_as_the_numpy_formula(self):
+        leads = set()
+        for normal, offset in _hyperplane_inputs(make_rng(41), 3000):
+            want = reference_hyperplane(normal, offset)
+            got = Hyperplane(normal, offset)
+            assert {type(x) for x in (*got.normal, got.offset)} == {float}
+            assert _bits((got.normal, got.offset)) == _bits(want), normal
+            n = np.asarray(normal) / np.linalg.norm(normal)
+            leads.add((normal[0] < 0, abs(n[0]) > 1e-12))
+        # the first component was negative and positive, on both sides of
+        # the lead threshold
+        assert len(leads) == 4
+
+    @pytest.mark.parametrize("normal", [
+        (0.0, 0.0), (0.0, -0.0, 0.0), (math.nan, 1.0), (1.0, math.inf),
+        (-math.inf, 0.0, 0.0),
+        (1e-170, 0.0),              # the squares underflow: a zero norm
+        (1e200, 1e200),             # they overflow: every component 0
+        (1e300, -1e300, 1e300)])
+    def test_same_invalid_input_on_bad_normals(self, normal):
+        with np.errstate(over="ignore"), \
+                pytest.raises(InvalidInputError) as want:
+            reference_hyperplane(normal, 1.0)
+        with np.errstate(over="ignore"), \
+                pytest.raises(InvalidInputError) as got:
+            Hyperplane(normal, 1.0)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("normal, offset", [
+        ((1.0, 0.0), math.nan), ((1.0, 0.0), math.inf),
+        ((0.0, -2.0, 0.0), -math.inf), ((1.0, 0.0), np.float64("nan")),
+        ((1e-160, 0.0), 1e300)])    # finite, but infinite once normalized
+    def test_rejects_a_non_finite_offset(self, normal, offset):
+        with pytest.raises(InvalidInputError,
+                           match="^hyperplane offset must be finite$"):
+            Hyperplane(normal, offset)
 
 
 def _reference_generate_building(config: BuildingConfig) -> NetworkInstance:
