@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import HyperlocError, InvalidInputError, SizeCapError
 from .model import (Hyperplane, NetworkInstance, _checked_adjacency,
-                    udg_edges)
+                    _non_integer, udg_edges)
 
 MAX_VERTICES = 8
 MAX_EDGES = 4
@@ -58,14 +58,21 @@ COLOR_NAMES = {RED: "red", BLUE: "blue"}
 
 @dataclass(frozen=True)
 class Hypergraph3U:
-    """3-uniform hypergraph on vertices 0..n-1."""
+    """3-uniform hypergraph on vertices 0..n-1; the vertex count and ids
+    are integers, Python or NumPy, and not bools."""
 
     n_vertices: int
     edges: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        if self.n_vertices < 0:
+        n = self.n_vertices
+        if _non_integer([n], {type(n)}) >= 0:
+            raise InvalidInputError(f"vertex count {n!r} is not an integer")
+        if n < 0:
             raise InvalidInputError("vertex count must be nonnegative")
+        ids = [v for e in self.edges for v in e]
+        if (i := _non_integer(ids, set(map(type, ids)))) >= 0:
+            raise InvalidInputError(f"vertex id {ids[i]!r} is not an integer")
         norm = []
         seen = set()
         for e in self.edges:
@@ -674,7 +681,8 @@ def lift_to_3d(g: GadgetInstance) -> GadgetInstance:
         base.line_group * 2, base.plane_group * 2, pos,
         np.tile(base.has_pos, 2), RADIUS,
         _checked_adjacency(edges, 2 * n, RADIUS))
-    planes3 = [(Hyperplane(normal=(p.normal[0], p.normal[1], 0.0),
-                           offset=p.offset), color, label)
-               for p, color, label in g.hyperplanes]
+    # a 2D normal is unit length and in canonical sign, and a 0.0 appended
+    # changes neither
+    planes3 = [(Hyperplane._normalized((*p.normal, 0.0), p.offset), color,
+                label) for p, color, label in g.hyperplanes]
     return replace(g, instance=inst3, hyperplanes=planes3, dim=3)

@@ -8,6 +8,7 @@ through one distance-preserving transform.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Mapping, Sequence
 
@@ -215,9 +216,9 @@ class _GroupSolver:
 
     The level is set up in one pass over its nodes in (label, id) order,
     each group a block of them (``GroupingFunction.blocks``): one
-    ``Graph.row_entries`` reads all their rows, each far end's group and
-    formation row come from node-indexed maps, and each group's edges are
-    then a slice; its members' local rows are one search of its formation.
+    ``Graph.row_entries`` reads all their rows, and each far end's group
+    and formation row, and each member's local row, come from node-indexed
+    maps. Each group's members and edges are then slices of the level's.
     """
 
     def __init__(self, instance: NetworkInstance, grouping: GroupingFunction,
@@ -248,28 +249,43 @@ class _GroupSolver:
                                         np.zeros((count, d)))
         self.formation.mask[:] = False      # no row localized yet
         # every node's row of the adjacency, then only the edges whose far
-        # end is in scope and in another group
+        # end is in scope and in another group (taken by position: one
+        # mask scan, not one per array)
         owner, to, slots = instance.graph.row_entries(nodes)
         at = group_at[to]
-        keep = (at >= 0) & (at != group[owner])
+        keep = np.flatnonzero((at >= 0) & (at != group[owner]))
         owner, to, slots, at = owner[keep], to[keep], slots[keep], at[keep]
         starts = np.append(0, np.cumsum(np.bincount(owner, minlength=count)))
         far, far_group = row[to], labels[at]
         length = instance.length[slots]
-        # each member's local row is found among its group's formation ids
-        self.arrays, empty = {}, PointFormation(d - 1)
-        for g, s, e in zip(self.groups, first.tolist(), bounds[1:].tolist()):
-            f, members = local_formations.get(g, empty), nodes[s:e]
-            r = f.ids.searchsorted(members)
-            ok = r < len(f.ids)
-            ok[ok] = (f.ids[r[ok]] == members[ok]) & f.mask[r[ok]]
-            edges = slice(starts[s], starts[e])
+        # every group's formation rows, stacked in group order; a node's
+        # local row is the localized one of its own group's formation
+        empty = PointFormation(d - 1)
+        fs = [local_formations.get(g, empty) for g in self.groups]
+        fids = np.concatenate([f.ids for f in fs])
+        of_group = np.repeat(np.arange(len(fs)), [len(f.ids) for f in fs])
+        mine = (np.concatenate([f.mask for f in fs]) & (fids >= 0)
+                & (fids < n) & (group_at[np.clip(fids, 0, n - 1)] == of_group))
+        local_row = np.full(n, -1, dtype=np.intp)
+        local_row[fids[mine]] = np.flatnonzero(mine)
+        r = local_row[nodes]
+        ok = r >= 0
+        ids = nodes[ok]
+        local = np.concatenate([f.points for f in fs])[r[ok]]
+        # a member's index among its group's members with a local row
+        seen = np.cumsum(ok)
+        base = np.append(0, seen)[bounds]
+        near = np.where(ok, seen - 1 - base[group], -1)[owner]
+        self.arrays = {}
+        for g, s, e, lo, hi, a, b in zip(
+                self.groups, first.tolist(), bounds[1:].tolist(),
+                starts[first].tolist(), starts[bounds[1:]].tolist(),
+                base[:-1].tolist(), base[1:].tolist()):
             self.arrays[g] = _GroupArrays(
-                ids=members[ok], local=f.points[r[ok]],
-                starts=starts[s:e + 1] - starts[s],
-                near=np.where(ok, np.cumsum(ok) - 1, -1)[owner[edges] - s],
-                far=far[edges], far_group=far_group[edges],
-                length=length[edges])
+                ids=ids[a:b], local=local[a:b],
+                starts=starts[s:e + 1] - lo, near=near[lo:hi],
+                far=far[lo:hi], far_group=far_group[lo:hi],
+                length=length[lo:hi])
         # the kernel's index over the localized points and their largest
         # |coordinate|, built at the first check after each placement
         self._near: tuple[WindowIndex | None, float] | None = None
@@ -284,10 +300,14 @@ class _GroupSolver:
     # -- helpers ------------------------------------------------------------
 
     def _apply_transform(self, g: int, transform: GroupTransform,
-                         supports: list[tuple[int, np.ndarray]]) -> None:
+                         supports: list[tuple[int, np.ndarray]],
+                         pts: np.ndarray | None = None) -> None:
+        """Place group g by ``transform`` at ``pts``, its members' positions
+        under it (mapped here if not given)."""
         arr = self.arrays[g]
         self.placed += 1
-        self.formation.mark_many(arr.ids, transform.apply(arr.local))
+        self.formation.mark_many(
+            arr.ids, transform.apply(arr.local) if pts is None else pts)
         self.states[g] = GroupLocalState(g, "localized", supports, transform)
         self._near = None
 
@@ -297,7 +317,9 @@ class _GroupSolver:
                      cands: list[list[np.ndarray]]) -> None:
         """Place group g from its d supports' local ``rows`` and candidate
         positions: the first surviving mirror combination while the mirror
-        is a free global reflection, else the only one; raise otherwise."""
+        is a free global reflection, else the only one; raise otherwise.
+        Each candidate maps the group once, and those points are checked,
+        marked and read for the supports (``apply`` maps row by row)."""
         arr = self.arrays[g]
         locs = arr.local[rows]
         survivor = None
@@ -307,27 +329,31 @@ class _GroupSolver:
                 transform = compute_group_transform(locs, ambient, eps=self.eps)
             except (NonIsometricCorrespondenceError, DegenerateSupportsError):
                 continue
-            if not self._check_placement(g, transform, rows):
+            pts = transform.apply(arr.local)
+            if not self._check_placement(g, transform, rows, pts):
                 continue
             if survivor is not None:
                 raise AmbiguousPlacementError(
                     "multiple placements survive all distance constraints",
                     group=g)
-            survivor = transform
+            survivor = transform, pts
             if self._is_reflection_gauge():
                 break
         if survivor is None:
             raise InconsistentDistancesError(
                 "no mirror-candidate combination reproduces the measurements",
                 group=g)
-        self._apply_transform(g, survivor, list(zip(
-            arr.ids[rows].tolist(), survivor.apply(locs))))
+        transform, pts = survivor
+        self._apply_transform(g, transform, list(zip(
+            arr.ids[rows].tolist(), pts[rows])), pts)
 
     def _check_placement(self, g: int, transform: GroupTransform,
-                         rows: Sequence[int] = ()) -> bool:
-        """True if group g's positions under the transform satisfy every
-        measured edge to the localized set and bring no other localized
-        point within the radius less ``NONEDGE_MARGIN`` (reach).
+                         rows: Sequence[int] = (),
+                         pts: np.ndarray | None = None) -> bool:
+        """True if group g's positions under the transform (``pts``, mapped
+        here if not given) satisfy every measured edge to the localized set
+        and bring no other localized point within the radius less
+        ``NONEDGE_MARGIN`` (reach).
 
         The measured edges are tested first, in one residual test. The
         non-edges are then searched in the kernel's index over the
@@ -347,7 +373,8 @@ class _GroupSolver:
         index, extent = self._near
         if index is None:
             return True
-        pts = transform.apply(arr.local)
+        if pts is None:
+            pts = transform.apply(arr.local)
         tol = max(self.eps, 1e-9) * max(1.0, float(np.abs(pts).max()), extent)
         measured = (arr.near >= 0) & f.mask[arr.far]
         near = arr.near[measured]
@@ -468,7 +495,11 @@ def localize_groups(instance: NetworkInstance, grouping: GroupingFunction,
 # ---------------------------------------------------------------------------
 
 class HierarchicalResult:
-    """Stage outputs of the corridor/floor/building pipeline."""
+    """Stage outputs of the corridor/floor/building pipeline.
+
+    ``hierarchical_localize`` keeps stages 1 and 2 as arrays, ids and
+    positions; ``pos1`` and ``pos2`` are made from them on first read and
+    kept. The constructor takes the dicts and keeps them as given."""
 
     def __init__(self, formation: PointFormation, pos1: dict[int, float],
                  pos2: dict[int, tuple[float, float]],
@@ -476,6 +507,35 @@ class HierarchicalResult:
                  floor_states: dict[int, GroupLocalState]):
         self.formation, self.pos1, self.pos2 = formation, pos1, pos2
         self.line_states, self.floor_states = line_states, floor_states
+
+    @classmethod
+    def _of_stages(cls, formation: PointFormation,
+                   stage1: tuple[np.ndarray, np.ndarray],
+                   stage2: tuple[np.ndarray, np.ndarray],
+                   line_states: dict[int, str],
+                   floor_states: dict[int, GroupLocalState]
+                   ) -> "HierarchicalResult":
+        """The result of each stage's ``(ids, positions)`` arrays, its
+        ``pos1`` and ``pos2`` not made yet."""
+        result = cls.__new__(cls)
+        result.formation, result._stage1, result._stage2 = \
+            formation, stage1, stage2
+        result.line_states, result.floor_states = line_states, floor_states
+        return result
+
+    @functools.cached_property
+    def pos1(self) -> dict[int, float]:
+        """Stage 1's coordinate of each node along its corridor, the nodes
+        in (line label, id) order."""
+        ids, x = self._stage1
+        return dict(zip(ids.tolist(), x[:, 0].tolist()))
+
+    @functools.cached_property
+    def pos2(self) -> dict[int, tuple[float, float]]:
+        """Stage 2's position of each localized node in its floor's plane,
+        floor by floor in label order, each floor's nodes by id."""
+        ids, pts = self._stage2
+        return dict(zip(ids.tolist(), zip(*pts.T.tolist())))
 
     def localized_fraction(self) -> float:
         return self.formation.localized_fraction()
@@ -529,7 +589,6 @@ def hierarchical_localize(instance: NetworkInstance,
     line_formations = {g: PointFormation(1, order[s:e], x[s:e])
                        for g, s, e in zip(groups, bounds, bounds[1:])}
     line_states = dict.fromkeys(groups, "localized")
-    pos1 = dict(zip(order.tolist(), x[:, 0].tolist()))
 
     # stage 2: corridors against each other, one floor at a time, each
     # floor's nodes a block of the planes grouping
@@ -547,9 +606,8 @@ def hierarchical_localize(instance: NetworkInstance,
         except HyperlocError as exc:
             raise _annotate(exc, "floor")
 
-    ids, pts = (np.concatenate(a) for a in zip(*[
+    stage2 = tuple(np.concatenate(a) for a in zip(*[
         (f.ids[f.mask], f.points[f.mask]) for f in floor_formations.values()]))
-    pos2 = dict(zip(ids.tolist(), zip(*pts.T.tolist())))
 
     # stage 3: floors against each other in 3D
     try:
@@ -559,8 +617,8 @@ def hierarchical_localize(instance: NetworkInstance,
     except HyperlocError as exc:
         raise _annotate(exc, "building")
 
-    return HierarchicalResult(formation3, pos1, pos2, line_states,
-                              floor_states)
+    return HierarchicalResult._of_stages(formation3, (order, x), stage2,
+                                         line_states, floor_states)
 
 
 def verify_formation(instance: NetworkInstance, formation: PointFormation,

@@ -133,7 +133,8 @@ class NetworkInstance:
     where a node has none), ``true_pos`` the hidden positions as one
     ``(n, 3)`` float array, and ``has_pos`` marks the nodes that have one.
     ``nodes`` is a view of them as :class:`NodeRecord` s, made on first
-    read.
+    read, and :func:`group_labels` keeps each level's checked labels as an
+    int64 column the first time it reads them.
 
     ``edges`` may be any iterable of ``(u, v, dist)`` triples, or the
     ``(u, v, dist)`` arrays that :func:`udg_edges` and :meth:`edge_arrays`
@@ -168,15 +169,21 @@ class NetworkInstance:
 
     def _set_columns(self, line_group: tuple, plane_group: tuple,
                      true_pos: np.ndarray, has_pos: np.ndarray,
-                     radius: float, adjacency: tuple[Graph, np.ndarray]
+                     radius: float, adjacency: tuple[Graph, np.ndarray],
+                     labels: Mapping[str, np.ndarray] | None = None
                      ) -> None:
-        """The one constructor body: the node columns, and the radius and
-        adjacency that :func:`_checked_adjacency` checked."""
+        """The one constructor body: the node columns, the radius and
+        adjacency that :func:`_checked_adjacency` checked, and any level's
+        labels as :func:`group_labels` gives them (int64 by node id)."""
+        labels = dict(labels or {})
         true_pos.flags.writeable = has_pos.flags.writeable = False
+        for column in labels.values():
+            column.flags.writeable = False
         self.line_group, self.plane_group = line_group, plane_group
         self.true_pos, self.has_pos = true_pos, has_pos
         self.radius = float(radius)
         self.graph, self.length = adjacency
+        self._labels = labels
 
     @functools.cached_property
     def nodes(self) -> tuple[NodeRecord, ...]:
@@ -462,13 +469,14 @@ def strip_ground_truth(instance: NetworkInstance) -> NetworkInstance:
     """Localizer-facing view: graph, dists and groupings without positions.
 
     It shares the instance's read-only ``graph``, ``length`` and label
-    columns, checked when the instance was built, and nothing else: no
-    record, no position."""
+    columns, checked when the instance was built, with the int64 labels
+    that :func:`group_labels` has kept, and nothing else: no record, no
+    position."""
     n = instance.n
     return NetworkInstance._from_columns(
         instance.line_group, instance.plane_group,
         np.full((n, 3), math.nan), np.zeros(n, dtype=bool), instance.radius,
-        (instance.graph, instance.length))
+        (instance.graph, instance.length), instance._labels)
 
 
 # ---------------------------------------------------------------------------
@@ -501,10 +509,14 @@ def _int64_labels(nodes: Sequence[int], labels: list, kinds: set
 
 
 def group_labels(instance: NetworkInstance, level: str) -> np.ndarray:
-    """Every node's label at ``level``, by node id, as int64: the one
-    reader of the labels, raising what ``GroupingFunction`` raises."""
+    """Every node's label at ``level``, by node id, as a read-only int64
+    column: the one reader of the labels, raising what
+    ``GroupingFunction`` raises. The instance keeps the column its first
+    successful read makes; a read that raises keeps nothing."""
     if level not in (COLLINEAR, COPLANAR):
         raise InvalidInputError(f"unknown grouping level {level!r}")
+    if (kept := instance._labels.get(level)) is not None:
+        return kept
     attr = "line_group" if level == COLLINEAR else "plane_group"
     labels = getattr(instance, attr)
     kinds = set(map(type, labels))
@@ -512,7 +524,10 @@ def group_labels(instance: NetworkInstance, level: str) -> np.ndarray:
         u = next(u for u, lab in enumerate(labels) if lab is None)
         raise InvalidInputError(f"node {u} has no {attr}; "
                                 "grouping must be total")
-    return _int64_labels(range(len(labels)), labels, kinds)
+    column = _int64_labels(range(len(labels)), labels, kinds)
+    column.flags.writeable = False
+    instance._labels[level] = column
+    return column
 
 
 class GroupingFunction:
@@ -683,6 +698,17 @@ class Hyperplane:
             n, b = [-x for x in n], -b
         object.__setattr__(self, "normal", tuple(n))
         object.__setattr__(self, "offset", b)
+
+    @classmethod
+    def _normalized(cls, normal: tuple[float, ...], offset: float
+                    ) -> "Hyperplane":
+        """The record of a ``normal`` of Python floats that is already unit
+        length and in canonical sign, with its ``offset``, taken without a
+        second check."""
+        plane = object.__new__(cls)
+        object.__setattr__(plane, "normal", normal)
+        object.__setattr__(plane, "offset", offset)
+        return plane
 
 
 # ---------------------------------------------------------------------------
@@ -855,11 +881,13 @@ def generate_building(config: BuildingConfig) -> NetworkInstance:
         edges = _with_noise(edges, config.noise_sigma, config.radius,
                             make_rng(config.rng_seed))
     n = len(positions)
+    line = (floors[:, None] * (nx + ny) + 1 + k).ravel().astype(np.int64)
+    plane = np.repeat(floors + 1, len(k)).astype(np.int64)
     return NetworkInstance._from_columns(
-        tuple((floors[:, None] * (nx + ny) + 1 + k).ravel().tolist()),
-        tuple(np.repeat(floors + 1, len(k)).tolist()), positions,
+        tuple(line.tolist()), tuple(plane.tolist()), positions,
         np.ones(n, dtype=bool), config.radius,
-        _checked_adjacency(edges, n, config.radius))
+        _checked_adjacency(edges, n, config.radius),
+        {COLLINEAR: line, COPLANAR: plane})
 
 
 def flagship_building_config(seed: int = 42) -> BuildingConfig:

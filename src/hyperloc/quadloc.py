@@ -172,13 +172,14 @@ def solve_spheres(anchors: np.ndarray, dists: np.ndarray,
     rank = int(np.sum(s > tol))
     scale = max(float(r.max()), 1.0)
 
-    def _residual_ok(x: np.ndarray) -> bool:
-        res = np.abs(np.linalg.norm(a - x, axis=1) - r)
-        return bool(np.max(res) <= max(eps, 1e-9 * scale))
+    def _residual_ok(xs: list[np.ndarray]) -> list[bool]:
+        # every candidate in one pass, each row's norm as for one candidate
+        res = np.abs(np.linalg.norm(a - np.array(xs)[:, None], axis=-1) - r)
+        return (res.max(axis=1) <= max(eps, 1e-9 * scale)).tolist()
 
     if rank == d:
         x, *_ = np.linalg.lstsq(A, b, rcond=None)
-        if not _residual_ok(x):
+        if not _residual_ok([x])[0]:
             raise InconsistentDistancesError("sphere system has no common point")
         return [x]
     if rank == d - 1:
@@ -197,7 +198,7 @@ def solve_spheres(anchors: np.ndarray, dists: np.ndarray,
         t1 = -beta + np.sqrt(disc)
         t2 = -beta - np.sqrt(disc)
         cands = [x0 + t1 * nrm, x0 + t2 * nrm]
-        cands = [x for x in cands if _residual_ok(x)]
+        cands = [x for x, ok in zip(cands, _residual_ok(cands)) if ok]
         if not cands:
             raise InconsistentDistancesError("sphere system has no common point")
         return cands
@@ -232,8 +233,10 @@ def quadrilaterate(instance: NetworkInstance, eps: float = DEFAULT_EPS,
         raise NoSeedError("no non-coplanar K4 exists in the instance")
     graph, length = instance.graph, instance.length
     # node ids are 0..n-1, so each node's row of the formation is its id
-    formation = PointFormation(3, ids=range(instance.n))
+    formation = PointFormation(3, np.arange(instance.n),
+                               np.zeros((instance.n, 3)))
     mask, points = formation.mask, formation.points
+    mask[:] = False
     trace = LocalizationTrace()
     count = [0] * instance.n
     queue: list[int] = []

@@ -12,7 +12,8 @@ from hyperloc.gadget import (COLOR_NAMES, RADIUS, FlipConfiguration,
                              _choose_order, _config_positions, _ConfigChecker,
                              build_gadget, enumerate_groupings, lift_to_3d,
                              two_colorings, verify_equivalence)
-from hyperloc.model import NetworkInstance, NodeRecord, make_rng, udg_edges
+from hyperloc.model import (Hyperplane, NetworkInstance, NodeRecord,
+                            make_rng, udg_edges)
 
 FANO = Hypergraph3U(7, (
     (0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6),
@@ -70,6 +71,26 @@ class TestHypergraph:
             Hypergraph3U(4, ((0, 1, 2), (2, 1, 0)))
         with pytest.raises(InvalidInputError):
             Hypergraph3U(3, ((0, 1, 5),))
+
+    @pytest.mark.parametrize("n, edges", [
+        (3, ((0, 1, 2.7),)),
+        (3, ((0, True, 2),)),
+        (3, (("0", "1", "2"),)),
+        (3.5, ((0, 1, 2),)),
+        (3.0, ()),
+        (True, ()),
+        (np.bool_(True), ())])
+    def test_rejects_non_integer_ids_and_counts(self, n, edges):
+        with pytest.raises(InvalidInputError,
+                           match="is not an integer$") as exc:
+            Hypergraph3U(n, edges)
+        assert exc.value.code == "invalid-input"
+
+    def test_accepts_numpy_integers(self):
+        h = Hypergraph3U(np.int64(4), ((np.int32(3), 1, np.int64(2)),))
+        assert h.edges == ((1, 2, 3),)
+        assert all(type(v) is int for v in h.edges[0])
+        assert Hypergraph3U.from_text("4 1\n3 1 2\n").edges == h.edges
 
     @pytest.mark.parametrize("text", ["3 1\n0 1 2\n0 1 2\n1 2 0\n",
                                       "4 1\n0 1 2\n\n1 2 3\n",
@@ -754,6 +775,20 @@ class TestLift:
             NodeRecord(nd.id + n, (*nd.true_pos[:2], 1.0), nd.line_group,
                        nd.plane_group) for nd in base)
         assert lift_to_3d(g).instance.nodes == want
+
+    @pytest.mark.parametrize("h", BENCH_SHAPES)
+    def test_lifted_planes_equal_the_checked_ones(self, h):
+        g = build_gadget(h)
+        lifted = lift_to_3d(g).hyperplanes
+        assert len(lifted) == len(g.hyperplanes)
+        for (p, color, label), (p3, color3, label3) in zip(g.hyperplanes,
+                                                           lifted):
+            want = Hyperplane(normal=(p.normal[0], p.normal[1], 0.0),
+                              offset=p.offset)
+            # repr tells -0.0 from 0.0, which == does not
+            assert p3 == want and repr(p3) == repr(want)
+            assert all(type(x) is float for x in (*p3.normal, p3.offset))
+            assert (color3, label3) == (color, label)
 
     def test_counts_double(self):
         g = build_gadget(Hypergraph3U(3, ((0, 1, 2),)))

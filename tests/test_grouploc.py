@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import Counter
 from dataclasses import replace
 from unittest import mock
 
@@ -515,6 +516,43 @@ class TestPlacementWork:
         # 14 support independence tests and 4 gauge tests
         assert len(ranks) == 18
 
+    @pytest.mark.parametrize("offset", [-40, 0, 40])
+    def test_traced_counts_on_the_bench_building(self, monkeypatch, offset):
+        """The counts that the benchmark's traced run reports, taken by
+        wrapping the three names it wraps in this module: 25 support
+        solves, 27 transform fits of which 12 raise, and 11 groups placed,
+        3 on each floor and 2 floors."""
+        calls, raised, placed = Counter(), Counter(), []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                try:
+                    return fn(*args, **kwargs)
+                except Exception:
+                    raised[name] += 1
+                    raise
+            return wrapper
+
+        for name in ("localize_support_vertex", "compute_group_transform"):
+            monkeypatch.setattr(grouploc, name,
+                                counted(name, getattr(grouploc, name)))
+        place = grouploc.localize_groups
+
+        def counted_place(*args, **kwargs):
+            formation, states = place(*args, **kwargs)
+            placed.append(sum(st.status == "localized"
+                              for st in states.values()) - 1)
+            return formation, states
+
+        monkeypatch.setattr(grouploc, "localize_groups", counted_place)
+        hierarchical_localize(strip_ground_truth(_bench_building(offset)))
+        assert (calls["localize_support_vertex"],
+                calls["compute_group_transform"],
+                raised["compute_group_transform"], sum(placed)) == \
+            (25, 27, 12, 11)
+        assert placed == [3, 3, 3, 2]
+
     def test_one_adjacency_pass_per_level(self, monkeypatch):
         """Stage 1's Graph.within reads every node's row once, and each
         localize_groups call (three floors at d = 2, the building at d = 3)
@@ -666,6 +704,49 @@ def _result_digest(results):
                 h.update(st.transform.linear.tobytes())
                 h.update(st.transform.translation.tobytes())
     return h.hexdigest()
+
+
+class TestStageDicts:
+    """``pos1`` and ``pos2`` are made from stages 1 and 2 on first read:
+    the dicts an eager build makes from the formations those stages hand
+    on, keys in the same order, values of the same types and bits."""
+
+    @staticmethod
+    def _eager(net, monkeypatch):
+        lines, floors = {}, []
+        place = grouploc.localize_groups
+
+        def spy(instance, grouping, local, d, **kwargs):
+            formation, states = place(instance, grouping, local, d, **kwargs)
+            if d == 2:
+                lines.update(local)
+                floors.append(formation)
+            return formation, states
+
+        monkeypatch.setattr(grouploc, "localize_groups", spy)
+        res = hierarchical_localize(net)
+        pos1 = {u: x for g in sorted(lines) for u, x in zip(
+            lines[g].ids.tolist(), lines[g].points[:, 0].tolist())}
+        pos2 = {u: tuple(p) for f in floors for u, p in zip(
+            f.ids[f.mask].tolist(), f.points[f.mask].tolist())}
+        return res, pos1, pos2
+
+    @pytest.mark.parametrize("name", ["flagship", "bench"])
+    def test_equal_to_the_eager_dicts(self, name, monkeypatch):
+        inst = (generate_building(flagship_building_config())
+                if name == "flagship" else _bench_building(0))
+        res, pos1, pos2 = self._eager(strip_ground_truth(inst), monkeypatch)
+        assert "pos1" not in vars(res) and "pos2" not in vars(res)
+        for got, want in ((res.pos1, pos1), (res.pos2, pos2)):
+            assert type(got) is dict and len(got) == len(want) == inst.n
+            # repr gives each float's exact bits, and the key order
+            assert repr(list(got.items())) == repr(list(want.items()))
+        assert {type(u) for u in (*res.pos1, *res.pos2)} == {int}
+        assert {type(x) for x in res.pos1.values()} == {float}
+        assert {type(p) for p in res.pos2.values()} == {tuple}
+        assert {type(x) for p in res.pos2.values() for x in p} == {float}
+        assert {len(p) for p in res.pos2.values()} == {2}
+        assert res.pos1 is res.pos1 and res.pos2 is res.pos2
 
 
 class TestPinnedOutputs:

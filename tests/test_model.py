@@ -1116,6 +1116,53 @@ class TestNodeColumns:
         assert inst.line_group_ids() == inst.plane_group_ids() == []
 
 
+class TestLabelColumns:
+    """``group_labels`` keeps each level's checked column on the instance:
+    handed in by the generator, shared by the stripped view, made on first
+    read for an instance built from records or JSON."""
+
+    @staticmethod
+    def _instances():
+        gen = generate_building(flagship_building_config())
+        return gen, {
+            "generated": gen,
+            "stripped": strip_ground_truth(gen),
+            "json": network_from_json_dict(network_to_json_dict(gen)),
+            "records": NetworkInstance(gen.nodes, gen.edge_arrays(),
+                                       gen.radius)}
+
+    @pytest.mark.parametrize("level, attr", [("collinear", "line_group"),
+                                             ("coplanar", "plane_group")])
+    def test_equal_read_only_int64_columns(self, level, attr):
+        gen, instances = self._instances()
+        want = np.array([getattr(nd, attr) for nd in gen.nodes],
+                        dtype=np.int64)
+        for name, x in instances.items():
+            got = group_labels(x, level)
+            assert got.dtype == np.int64, name
+            assert got.tobytes() == want.tobytes(), name
+            assert not got.flags.writeable, name
+            with pytest.raises(ValueError):
+                got[0] = 0
+            assert group_labels(x, level) is got, name
+        assert group_labels(instances["stripped"], level) is \
+            group_labels(gen, level)
+
+    @pytest.mark.parametrize("bad", ["a", 1.5, True, None, 2**63])
+    def test_a_bad_label_raises_on_every_call(self, bad):
+        nodes = [NodeRecord(0, line_group=1, plane_group=1),
+                 NodeRecord(1, line_group=bad, plane_group=1)]
+        inst = NetworkInstance(nodes, [], 1.0)
+        for stripped in (False, True, False):
+            x = strip_ground_truth(inst) if stripped else inst
+            with pytest.raises(InvalidInputError) as exc:
+                group_labels(x, "collinear")
+            assert exc.value.code == "invalid-input"
+            assert group_labels(x, "coplanar").tolist() == [1, 1]
+        with pytest.raises(InvalidInputError):
+            GroupingFunction.from_instance(inst, "collinear")
+
+
 class TestGroupingFunction:
     def test_keeps_labels_as_given(self):
         g = GroupingFunction({0: 12, 1: 7, 2: 7})

@@ -222,6 +222,19 @@ class TestMultilaterate:
         with pytest.raises(InconsistentDistancesError):
             multilaterate(anchors, [3.0, 2.9, 2.9, 0.1])
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_stacked_residual_norm_matches_each_candidate(self, d):
+        # solve_spheres tests both mirror candidates in one norm over a
+        # stack; each row of it is the norm of that candidate alone
+        rng = make_rng(40 + d)
+        for _ in range(50):
+            a = rng.uniform(-240, 240, (rng.integers(d, 9), d))
+            xs = list(rng.uniform(-240, 240, (2, d)))
+            both = np.linalg.norm(a - np.array(xs)[:, None], axis=-1)
+            for x, row in zip(xs, both):
+                assert row.tobytes() == \
+                    np.linalg.norm(a - x, axis=1).tobytes()
+
     def test_sphere_pair_candidates(self):
         sol = solve_spheres(np.array([[0.0, 0], [2, 0]]),
                             np.array([np.sqrt(2), np.sqrt(2)]))
