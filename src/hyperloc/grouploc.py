@@ -116,7 +116,7 @@ class GroupTransform:
 
     def __init__(self, linear: np.ndarray, translation: np.ndarray):
         q = np.asarray(linear, dtype=float)
-        if np.max(np.abs(q.T @ q - np.eye(q.shape[1]))) > 1e-8:
+        if np.abs(q.T @ q - np.eye(q.shape[1])).max() > 1e-8:
             raise InvalidInputError("transform columns are not orthonormal")
         self.linear, self.translation = linear, translation
 
@@ -126,6 +126,12 @@ class GroupTransform:
         block matmul may round differently)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return (pts[:, None, :] @ self.linear.T)[:, 0, :] + self.translation
+
+
+def _lengths(x: np.ndarray) -> np.ndarray:
+    """Euclidean length along the last axis: what ``np.linalg.norm(x,
+    axis=-1)`` computes for a real array, without its dispatch."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 
 def compute_group_transform(local, ambient,
@@ -144,9 +150,9 @@ def compute_group_transform(local, ambient,
             f"need {d} local points in R^{d - 1} and {d} ambient points in R^{d}")
     scale = max(1.0, float(np.abs(amb).max()), float(np.abs(loc).max()))
     tol = max(eps, eps * scale)
-    dl = np.linalg.norm(loc[:, None, :] - loc[None, :, :], axis=-1)
-    da = np.linalg.norm(amb[:, None, :] - amb[None, :, :], axis=-1)
-    if np.max(np.abs(dl - da)) > tol:
+    dl = _lengths(loc[:, None, :] - loc[None, :, :])
+    da = _lengths(amb[:, None, :] - amb[None, :, :])
+    if np.abs(dl - da).max() > tol:
         raise NonIsometricCorrespondenceError(
             "pairwise local and ambient distances disagree")
     lmat = (loc[1:] - loc[0]).T
@@ -159,7 +165,7 @@ def compute_group_transform(local, ambient,
     q = u @ vt
     t = amb[0] - q @ loc[0]
     transform = GroupTransform(linear=q, translation=t)
-    if np.max(np.linalg.norm(transform.apply(loc) - amb, axis=1)) > tol:
+    if _lengths(transform.apply(loc) - amb).max() > tol:
         raise NonIsometricCorrespondenceError(
             "no distance-preserving map fits the correspondence")
     return transform

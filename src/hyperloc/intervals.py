@@ -19,24 +19,40 @@ from .errors import InvalidInputError, NoHamiltonianPathError
 def _rows(n: int, a: np.ndarray, b: np.ndarray
           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only ``start`` and ``nbr`` of the edges ``(a[i], b[i])`` over
-    ``0..n-1``, and per slot the ``i`` of its edge (the first of repeats)."""
+    ``0..n-1``, and per slot the ``i`` of its edge (the first of repeats).
+
+    Edges in ``udg_edges`` order (``a < b``, keys ``a * n + b`` strictly
+    ascending) are placed by counting. Row u is its lower neighbours, the
+    edges with ``b == u`` in input order, then its higher ones, the edges
+    with ``a == u``, which are one run of the input. So ``start`` is the
+    cumulative sum of the two ``bincount``s, and each slot is its run's
+    offset in the row plus its rank in the run: one stable ``argsort`` of
+    ``b`` groups the lower runs. Any other input goes through one
+    ``np.unique`` over the keys of both directions."""
     a, b = np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp)
-    # both directions, sorted by (vertex, neighbour)
-    m, keys = len(a), np.concatenate([a * n + b, b * n + a])
-    if (a < b).all() and (keys[1:m] > keys[:m - 1]).all():
-        # udg_edges order: the forward keys ascend and none is a reverse key
-        # (src < nbr in one half, src > nbr in the other), so only the
-        # reverse half is sorted, and a stable sort merges the two runs
-        order = np.append(np.arange(m), m + np.argsort(keys[m:], kind="stable"))
-        first = order[np.argsort(keys[order], kind="stable")]
-        keys = keys[first]
+    m, keys = len(a), a * n + b
+    if (a < b).all() and (keys[1:] > keys[:-1]).all():
+        lower, higher = np.bincount(b, minlength=n), np.bincount(a, minlength=n)
+        start = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(lower + higher, out=start[1:])
+        # a slot is its edge's place in the input (or in b's order) plus,
+        # per vertex, the shift from where its run starts there to where it
+        # starts in the row: after the lower run for the higher one
+        by_b, edges = np.argsort(b, kind="stable"), np.arange(m)
+        up = edges + (start[:-1] + lower - (np.cumsum(higher) - higher))[a]
+        down = edges + (start[:-1] - (np.cumsum(lower) - lower))[b[by_b]]
+        nbr, first = np.empty(2 * m, np.intp), np.empty(2 * m, np.intp)
+        nbr[up], nbr[down] = b, a[by_b]
+        first[up], first[down] = edges, by_b
     else:
-        keys, first = np.unique(keys, return_index=True)
-    src, nbr = np.divmod(keys, max(n, 1))
-    start = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(src, minlength=n), out=start[1:])
+        keys, first = np.unique(np.concatenate([keys, b * n + a]),
+                                return_index=True)
+        src, nbr = np.divmod(keys, max(n, 1))
+        start = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(src, minlength=n), out=start[1:])
+        first %= max(m, 1)
     start.flags.writeable = nbr.flags.writeable = False
-    return start, nbr, first % max(m, 1)
+    return start, nbr, first
 
 
 class Graph:

@@ -815,18 +815,31 @@ _STAIR_OFFSETS = (-0.45, 0.0, 0.45)
 _MIN_NODE_SEP = 0.05
 
 
-def _corridor_coords(offset: float, extent: float, spacing: float,
-                     stair_points: Sequence[float]) -> list[float]:
+def _lattice(offset: float, extent: float, spacing: float) -> list[float]:
+    """A corridor's points before stair points: from ``offset`` in steps
+    of ``spacing`` up to ``extent``, each rounded to 12 places."""
     coords = []
     t = offset
     while t <= extent + 1e-12:
         coords.append(round(t, 12))
         t += spacing
+    return coords
+
+
+def _corridor_coords(lattice: list[float], extent: float,
+                     stair_points: Sequence[float]) -> list[float]:
+    """A copy of ``lattice`` (ascending) with the stair points in
+    ``[0, extent]`` added in turn, rounded to 12 places, each unless within
+    ``_MIN_NODE_SEP`` of a coordinate already kept. Subtraction is
+    monotone, so on either side the nearest kept coordinate is the closest:
+    each point is tested against its two neighbours in the sorted list."""
+    coords = list(lattice)
     for s in stair_points:
         if -1e-12 <= s <= extent + 1e-12:
-            if all(abs(s - c) > _MIN_NODE_SEP for c in coords):
-                coords.append(round(s, 12))
-    coords.sort()
+            i = bisect.bisect_left(coords, s)
+            near = coords[max(i - 1, 0):i + 1]
+            if all(abs(s - c) > _MIN_NODE_SEP for c in near):
+                coords.insert(i, round(s, 12))
     return coords
 
 
@@ -846,15 +859,18 @@ def generate_building(config: BuildingConfig) -> NetworkInstance:
     nx, ny = config.counts()
     half = config.node_spacing / 2.0
     xs, ys, ks = [], [], []     # one floor's candidate points and corridors
+    lattices = {}               # one per stagger offset, for this call
     for k in range(nx + ny):
         i, a = (k, 0) if k < nx else (k - nx, 1)   # a: the axis run along
         c = i * config.corridor_spacing
         offset = half if (config.stagger and i % 2 == 1) else 0.0
+        if offset not in lattices:
+            lattices[offset] = _lattice(offset, config.extent,
+                                        config.node_spacing)
         stair = [col[a] + t for col in config.connector_columns
                  if abs(c - col[1 - a]) <= _STAIR_REACH
                  for t in _STAIR_OFFSETS]
-        along = _corridor_coords(offset, config.extent, config.node_spacing,
-                                 stair)
+        along = _corridor_coords(lattices[offset], config.extent, stair)
         xs += along if a == 0 else [c] * len(along)
         ys += [c] * len(along) if a == 0 else along
         ks += [k] * len(along)

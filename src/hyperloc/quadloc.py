@@ -232,6 +232,9 @@ def quadrilaterate(instance: NetworkInstance, eps: float = DEFAULT_EPS,
     if seed is None:
         raise NoSeedError("no non-coplanar K4 exists in the instance")
     graph, length = instance.graph, instance.length
+    # rows are read as slices in place: the baseline stalls after a few
+    # rows, so a list copy of the whole adjacency would mostly go unread
+    start, nbr = graph.start, graph.nbr
     # node ids are 0..n-1, so each node's row of the formation is its id
     formation = PointFormation(3, np.arange(instance.n),
                                np.zeros((instance.n, 3)))
@@ -248,16 +251,16 @@ def quadrilaterate(instance: NetworkInstance, eps: float = DEFAULT_EPS,
     while head < len(queue):
         u = queue[head]
         head += 1
-        for v in graph.row(u):
+        for v in nbr[start[u]:start[u + 1]].tolist():
             if mask[v]:
                 continue
             count[v] += 1
             if count[v] < 4:
                 continue
             # v's localized neighbours and their lengths: one masked row
-            row = slice(graph.start[v], graph.start[v + 1])
-            held = mask[graph.nbr[row]]
-            anchors = graph.nbr[row][held]
+            row = slice(start[v], start[v + 1])
+            held = mask[nbr[row]]
+            anchors = nbr[row][held]
             try:
                 pos = multilaterate(points[anchors], length[row][held],
                                     eps=eps)

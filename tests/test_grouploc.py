@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from collections import Counter
 from dataclasses import replace
 from unittest import mock
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 
 from hyperloc import evaluate, grouploc
 from hyperloc.errors import (AmbiguousPlacementError, ChordInconsistencyError,
+                             DegenerateSupportsError,
                              InconsistentDistancesError, InvalidInputError,
+                             NonIsometricCorrespondenceError,
                              NotLocalizableError)
 from hyperloc.grouploc import (NONEDGE_MARGIN, GroupTransform,
                                compute_group_transform, hierarchical_localize,
@@ -154,7 +157,127 @@ class TestLocalizeSupportVertex:
         assert np.allclose(cands[0], multilaterate(anchors, dists), atol=1e-9)
 
 
+def _norm_group_transform(local, ambient, eps=DEFAULT_EPS):
+    """``compute_group_transform`` with its lengths by ``np.linalg.norm``
+    and its maxima by ``np.max``, as it was first written: the linear part
+    and the translation, or the exception it raises."""
+    loc = np.atleast_2d(np.asarray(local, dtype=float))
+    amb = np.atleast_2d(np.asarray(ambient, dtype=float))
+    d = amb.shape[1]
+    scale = max(1.0, float(np.abs(amb).max()), float(np.abs(loc).max()))
+    tol = max(eps, eps * scale)
+    dl = np.linalg.norm(loc[:, None, :] - loc[None, :, :], axis=-1)
+    da = np.linalg.norm(amb[:, None, :] - amb[None, :, :], axis=-1)
+    if np.max(np.abs(dl - da)) > tol:
+        raise NonIsometricCorrespondenceError(
+            "pairwise local and ambient distances disagree")
+    lmat = (loc[1:] - loc[0]).T
+    s = np.linalg.svd(lmat, compute_uv=False)
+    if s[-1] <= 1e-9 * max(s[0], 1.0):
+        raise DegenerateSupportsError(
+            "local support points are affinely dependent")
+    u, _, vt = np.linalg.svd((amb[1:] - amb[0]).T @ np.linalg.inv(lmat),
+                             full_matrices=False)
+    q = u @ vt
+    if np.max(np.abs(q.T @ q - np.eye(d - 1))) > 1e-8:
+        raise InvalidInputError("transform columns are not orthonormal")
+    t = amb[0] - q @ loc[0]
+    mapped = (loc[:, None, :] @ q.T)[:, 0, :] + t
+    if np.max(np.linalg.norm(mapped - amb, axis=1)) > tol:
+        raise NonIsometricCorrespondenceError(
+            "no distance-preserving map fits the correspondence")
+    return q, t
+
+
+def _fit_inputs(d, rng):
+    """Seeded ``(kind, local, ambient)`` fits in R^d: isometric, mirrored,
+    perturbed, scaled, affinely dependent and non-finite."""
+    def embed(local):
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        return np.column_stack([local, np.zeros(d)]) @ q.T \
+            + rng.uniform(-240, 240, d)
+    for _ in range(20):
+        local = rng.uniform(-3, 3, (d, d - 1))
+        yield "isometric", local, embed(local)
+        flip = np.ones(d - 1)
+        flip[0] = -1.0
+        yield "mirrored", local * flip, embed(local)
+        for size in (1e-12, 1e-9, 1e-6, 1e-3):
+            yield "perturbed", local, embed(local) + rng.uniform(
+                -size, size, (d, d))
+        for scale in (1e-6, 1e-3, 1e3, 1e6):
+            yield "scaled", local * scale, embed(local * scale)
+        flat = local.copy()
+        flat[-1] = flat[0] + 0.5 * (flat[1] - flat[0]) if d == 3 else flat[0]
+        yield "dependent", flat, embed(flat)
+        for bad in (math.nan, math.inf, -math.inf):
+            ambient = embed(local)
+            ambient[rng.integers(d), rng.integers(d)] = bad
+            yield "non-finite", local, ambient
+            spoilt = local.copy()
+            spoilt[rng.integers(d), rng.integers(d - 1)] = bad
+            yield "non-finite", spoilt, embed(local)
+
+
+def _fit_outcome(fit, local, ambient):
+    try:
+        q, t = fit(local, ambient)
+    except Exception as exc:    # the type and message are compared
+        return type(exc), str(exc)
+    return q.dtype, q.shape, q.tobytes(), t.dtype, t.shape, t.tobytes()
+
+
 class TestComputeGroupTransform:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_same_bits_and_errors_as_the_norm_version(self, d):
+        def fit(local, ambient):
+            t = compute_group_transform(local, ambient)
+            return t.linear, t.translation
+        seen = Counter()
+        with np.errstate(invalid="ignore"):     # nan and inf inputs
+            for kind, local, ambient in _fit_inputs(d, make_rng(40 + d)):
+                got = _fit_outcome(fit, local, ambient)
+                assert got == _fit_outcome(_norm_group_transform, local,
+                                           ambient)
+                seen[kind, got[0] if isinstance(got[0], type) else "fit"] += 1
+        # every kind of input is fitted or rejected as it should be
+        assert {("isometric", "fit"), ("mirrored", "fit"),
+                ("perturbed", "fit"),
+                ("perturbed", NonIsometricCorrespondenceError),
+                ("scaled", "fit"), ("dependent", DegenerateSupportsError)
+                } <= seen.keys()
+        assert any(kind == "non-finite" for kind, _ in seen)
+
+    def test_lengths_have_the_bits_of_np_linalg_norm(self):
+        # the fit's outcome turns on these lengths' last bits near its
+        # tolerance, so they are compared directly
+        rng = make_rng(45)
+        for d in (1, 2, 3):
+            for scale in (1e-6, 1.0, 240.0, 1e6):
+                x = rng.standard_normal((200, 3, d)) * scale
+                x[0, 0, 0], x[1, 1, 0], x[2, 2, 0] = math.nan, math.inf, 0.0
+                want = np.linalg.norm(x, axis=-1)
+                got = grouploc._lengths(x)
+                assert (got.dtype, got.shape, got.tobytes()) == \
+                    (want.dtype, want.shape, want.tobytes())
+
+    def test_orthonormality_check_as_with_np_max(self):
+        rng, seen = make_rng(44), set()
+        for size in (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, math.nan, math.inf):
+            for d in (2, 3):
+                q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+                q = q[:, :d - 1] + size * rng.uniform(-1, 1, (d, d - 1))
+                with np.errstate(invalid="ignore"):
+                    old = np.max(np.abs(q.T @ q - np.eye(d - 1))) > 1e-8
+                    try:
+                        GroupTransform(q, np.zeros(d))
+                        rejected = False
+                    except InvalidInputError:
+                        rejected = True
+                assert rejected == old
+                seen.add(rejected)
+        assert seen == {True, False}
+
     def test_unit_direction_scaling(self):
         t = compute_group_transform(np.array([[0.0], [1.0]]),
                                     np.array([[0.0, 0], [0.6, 0.8]]))

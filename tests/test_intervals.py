@@ -307,6 +307,14 @@ def _same_rows(got, want):
                                                    w.tobytes())
 
 
+def _forbid_unique(monkeypatch):
+    """Make ``np.unique`` fail: edges in ``udg_edges`` order are placed by
+    counting, without it."""
+    def no_unique(*args, **kwargs):
+        raise AssertionError("np.unique called on edges in key order")
+    monkeypatch.setattr(np, "unique", no_unique)
+
+
 class TestRows:
     @settings(max_examples=300, deadline=None, database=None,
               derandomize=True)
@@ -329,14 +337,42 @@ class TestRows:
         a, b = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
         _same_rows(intervals._rows(n, a, b), _unique_rows(n, a, b))
 
+    @pytest.mark.parametrize("n, pairs", [
+        # 3 has only lower neighbours, 0, 1 and 2 only higher ones
+        (4, [(0, 3), (1, 3), (2, 3)]),
+        (4, [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)]),
+        # 0 and 5 isolated, at both ends
+        (6, [(1, 2), (2, 4), (3, 4)]),
+        # stars centred first, last and in the middle
+        (6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]),
+        (6, [(0, 5), (1, 5), (2, 5), (3, 5), (4, 5)]),
+        (6, [(0, 3), (1, 3), (2, 3), (3, 4), (3, 5)]),
+        (1, []), (0, []), (5, [])])
+    def test_counting_layout_on_small_graphs(self, n, pairs, monkeypatch):
+        a, b = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        want = _unique_rows(n, a, b)
+        _forbid_unique(monkeypatch)
+        _same_rows(intervals._rows(n, a, b), want)
+
+    def test_counting_layout_on_the_benchmark_building(self, monkeypatch):
+        inst = generate_building(BuildingConfig(
+            floors=3, floor_spacing=0.8, corridors_per_floor=4,
+            node_spacing=0.9, radius=1.0, corridor_spacing=0.45,
+            extent=266 * 0.9, stagger=True,
+            connector_columns=((119.7, 0.675),)))
+        a, b, _ = udg_edges(inst.positions(), inst.radius)
+        want = _unique_rows(inst.n, a, b)
+        _forbid_unique(monkeypatch)
+        got = intervals._rows(inst.n, a, b)
+        _same_rows(got, want)
+        assert not got[0].flags.writeable and not got[1].flags.writeable
+        _same_rows(got[:2], (inst.graph.start, inst.graph.nbr))
+
     def test_udg_edges_are_merged_without_unique(self, monkeypatch):
         pos = make_rng(4).uniform(0, 6, (300, 2))
         a, b, _ = udg_edges(pos, 1.0)
         want = _unique_rows(300, a, b)
-
-        def no_unique(*args, **kwargs):
-            raise AssertionError("np.unique called on udg_edges output")
-        monkeypatch.setattr(np, "unique", no_unique)
+        _forbid_unique(monkeypatch)
         _same_rows(intervals._rows(300, a, b), want)
 
 

@@ -19,7 +19,7 @@ from hyperloc.model import (DEFAULT_EPS, BuildingConfig, GroupingFunction,
                             network_to_json_dict, strip_ground_truth,
                             udg_edges)
 from hyperloc.model import (_MIN_NODE_SEP, _STAIR_OFFSETS, _STAIR_REACH,
-                            _corridor_coords, _with_noise)
+                            _with_noise)
 
 
 def _all_pairs(pos, radius, eps):
@@ -779,6 +779,24 @@ class TestHyperplane:
             Hyperplane(normal, offset)
 
 
+def _scanned_corridor_coords(offset, extent, spacing, stair_points):
+    """One corridor's coordinates by the plain rule: the lattice by repeated
+    addition, each point rounded to 12 places, then each stair point in
+    ``[0, extent]`` kept, rounded, unless within ``_MIN_NODE_SEP`` of any
+    coordinate kept before it, found by scanning them all."""
+    coords = []
+    t = offset
+    while t <= extent + 1e-12:
+        coords.append(round(t, 12))
+        t += spacing
+    for s in stair_points:
+        if -1e-12 <= s <= extent + 1e-12:
+            if all(abs(s - c) > _MIN_NODE_SEP for c in coords):
+                coords.append(round(s, 12))
+    coords.sort()
+    return coords
+
+
 def _reference_generate_building(config: BuildingConfig) -> NetworkInstance:
     """Per-node generator: each floor laid out anew, each point tested
     against the kept points of its floor in a dict of cells."""
@@ -814,8 +832,8 @@ def _reference_generate_building(config: BuildingConfig) -> NetworkInstance:
             offset = half if (config.stagger and i % 2 == 1) else 0.0
             stair = [sx + t for (sx, sy) in config.connector_columns
                      if abs(y - sy) <= _STAIR_REACH for t in _STAIR_OFFSETS]
-            for x in _corridor_coords(offset, config.extent,
-                                      config.node_spacing, stair):
+            for x in _scanned_corridor_coords(offset, config.extent,
+                                              config.node_spacing, stair):
                 _emit(x, y)
         for j in range(ny):
             line_gid += 1
@@ -823,8 +841,8 @@ def _reference_generate_building(config: BuildingConfig) -> NetworkInstance:
             offset = half if (config.stagger and j % 2 == 1) else 0.0
             stair = [sy + t for (sx, sy) in config.connector_columns
                      if abs(x - sx) <= _STAIR_REACH for t in _STAIR_OFFSETS]
-            for y in _corridor_coords(offset, config.extent,
-                                      config.node_spacing, stair):
+            for y in _scanned_corridor_coords(offset, config.extent,
+                                              config.node_spacing, stair):
                 _emit(x, y)
 
     if not nodes:
@@ -900,6 +918,35 @@ class TestGenerateBuilding:
     @example(config=BuildingConfig(
         floors=2, corridors_per_floor=(2, 2), node_spacing=0.08,
         corridor_spacing=0.04, extent=1.0))
+    # stair points exactly _MIN_NODE_SEP from a lattice point, dropped: 0.05
+    # right of 0.0 on the first corridor, 0.075 left of 0.125 on the second
+    @example(config=BuildingConfig(
+        corridors_per_floor=2, node_spacing=0.25, corridor_spacing=2.0,
+        extent=1.0, connector_columns=((0.05, 0.0), (0.075, 2.0))))
+    # stair points of two columns within _MIN_NODE_SEP of each other: 2.03
+    # after 2.0 (its left neighbour), then 3.4 after 3.43 (its right one)
+    @example(config=BuildingConfig(
+        floors=2, corridors_per_floor=2, node_spacing=0.9,
+        corridor_spacing=0.45, extent=6.3, connector_columns=(
+            (2.0, 0.0), (2.03, 0.0), (3.43, 0.45), (3.4, 0.45))))
+    # 1.27 after 1.24, its left neighbour, on the y-parallel corridor: the
+    # floor rule drops the kept 1.24 for (0, 1.2) of an x-parallel corridor,
+    # and 1.27 is 0.07 from that point, so only the stair rule drops it
+    @example(config=BuildingConfig(
+        floors=2, corridors_per_floor=(4, 1), node_spacing=0.9,
+        corridor_spacing=0.6, extent=2.7,
+        connector_columns=((0.3, 1.24), (0.3, 1.27))))
+    # stair points at 0 and at extent, on the staggered corridor, between
+    # its lattice and the ends
+    @example(config=BuildingConfig(
+        floors=2, corridors_per_floor=2, node_spacing=0.9,
+        corridor_spacing=0.45, extent=4.5,
+        connector_columns=((0.45, 0.45), (4.05, 0.45))))
+    @example(config=replace(flagship_building_config(), stagger=False))
+    # y-parallel corridors only, both offsets, and a stairwell
+    @example(config=BuildingConfig(
+        floors=2, corridors_per_floor=(0, 3), node_spacing=0.9,
+        corridor_spacing=0.45, extent=4.5, connector_columns=((0.45, 2.7),)))
     def test_matches_per_node_reference(self, config):
         assert _generated(generate_building, config) == \
             _generated(_reference_generate_building, config)
