@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -441,26 +441,31 @@ def _audit_gadget(g: GadgetInstance) -> None:
 # configuration enumeration
 # ---------------------------------------------------------------------------
 
-def _config_positions(g: GadgetInstance, config: FlipConfiguration,
-                      wire_signs: Sequence[int]) -> np.ndarray:
-    """2D node positions implied by per-line flips and per-chain side choices.
+def _config_positions(g: GadgetInstance, vertical, horizontal,
+                      wire_signs) -> np.ndarray:
+    """2D node positions implied by per-line flips and per-chain side
+    choices, for a stack of k configurations: ``vertical`` and
+    ``horizontal`` hold k rows of one bit per vertex line, ``wire_signs``
+    k rows of one side (+1 or -1) per chain. Returns one position array
+    per configuration, shape (k, nodes, 2).
 
     The gadget's one flip rule: a line's vertical bit mirrors its nodes and
     apexes across the main line, its horizontal bit mirrors its apexes
     across the line itself, and a chain's tokens take its sign's side.
     """
     a = g._arrays
-    vertical = np.array(config.vertical, dtype=bool)
-    horizontal = np.array(config.horizontal, dtype=bool)
-    pos = g.instance.true_pos[:len(a.kind), :2].copy()
-    flipped = a.flips[vertical[a.owner[a.flips]]]
-    pos[flipped, 1] = -pos[flipped, 1]
+    vertical = np.asarray(vertical, dtype=bool)
+    horizontal = np.asarray(horizontal, dtype=bool)
+    pos = np.repeat(g.instance.true_pos[None, :len(a.kind), :2],
+                    len(vertical), axis=0)
+    y = pos[:, a.flips, 1]
+    pos[:, a.flips, 1] = np.where(vertical[:, a.owner[a.flips]], -y, y)
     apex_owner = a.owner[a.apexes]
-    mirrored = horizontal[apex_owner]
-    moved = a.apexes[mirrored]
-    pos[moved, 0] = 2.0 * a.line_x[apex_owner[mirrored]] - pos[moved, 0]
-    pos[a.tokens, 1] = (np.asarray(wire_signs)[a.owner[a.tokens]]
-                        * np.abs(pos[a.tokens, 1]))
+    x = pos[:, a.apexes, 0]
+    pos[:, a.apexes, 0] = np.where(horizontal[:, apex_owner],
+                                   2.0 * a.line_x[apex_owner] - x, x)
+    pos[:, a.tokens, 1] = (np.asarray(wire_signs)[:, a.owner[a.tokens]]
+                           * np.abs(pos[:, a.tokens, 1]))
     return pos
 
 
@@ -476,12 +481,15 @@ class _ConfigChecker:
     exactly iff, for every two blocks in their states and every block in
     its state, the pairs in range are the recorded edges.
 
-    The labelled cloud holds every node in each of its block's states.
-    Mismatches (edges out of range, non-edges in range) are tallied per
-    pair of block states over all pairs (``exact[A, sA, B, sB]``, with
-    ``A == B`` inside a block), over apex pairs (the consecutive-line
-    ``pair_tables``) and over chain tokens against their end apexes (the
-    per-side ``wire_tables``).
+    The labelled cloud holds every node in each of its block's states,
+    placed by one stacked call of the flip rule for the four uniform
+    states (every line in state s, every chain on side s & 1). Mismatches
+    (edges out of range, non-edges in range) are tallied per pair of block
+    states over all pairs (``exact[A, sA, B, sB]``, with ``A == B`` inside
+    a block), over apex pairs (the consecutive-line ``pair_tables``) and
+    over chain tokens against their end apexes (the per-side
+    ``wire_tables``); each tally is one ``np.bincount`` over the three
+    layers, made symmetric by adding its transpose.
     """
 
     def __init__(self, g: GadgetInstance):
@@ -495,10 +503,11 @@ class _ConfigChecker:
         block[a.tokens] = 1 + n + a.owner[a.tokens]
         block = np.tile(block, n_inst // n2)
         # placed[s]: every line in state s, every chain on side s & 1
-        placed = [_config_positions(
-            g, FlipConfiguration(vertical=(bool(s & 1),) * n,
-                                 horizontal=(bool(s >> 1),) * n),
-            [1 if s & 1 else -1] * len(g._wires)) for s in range(4)]
+        s = np.arange(4)[:, None]
+        placed = _config_positions(g, (s & 1).repeat(n, axis=1),
+                                   (s >> 1).repeat(n, axis=1),
+                                   (2 * (s & 1) - 1).repeat(len(g._wires),
+                                                            axis=1))
         rows = [np.arange(n2), np.concatenate([a.flips, a.tokens]), a.flips,
                 a.flips]
         cloud = np.vstack([p[r] for p, r in zip(placed, rows)])
@@ -523,18 +532,27 @@ class _ConfigChecker:
         links = np.sort(key(a.tokens[:, None], ends[a.owner[a.tokens]]),
                         axis=None)
 
-        def tally(out, x, y, i, j, weight):
-            for layer, m in zip(out, (np.ones(len(x), dtype=bool),
-                                      apex[x] & apex[y],
-                                      among(links, key(x, y)))):
-                ij = np.concatenate([i[m], j[m]])
-                ji = np.concatenate([j[m], i[m]])
-                np.add.at(layer, (ij, ji), np.tile(weight[m], 2))
+        def tally(x, y, q, i, j, size, negative):
+            # per layer (all pairs, apex pairs, chain tokens with their end
+            # apexes), how often each pair (i, j) occurs either way round,
+            # so a pair with i == j counts twice on the diagonal; pairs
+            # marked `negative` count -1, the others +1. The two signs and
+            # three layers are one flat index, counted by one bincount
+            cells = 3 * size * size
+            cell = i * size + j + negative * cells
+            flat = np.concatenate([cell, cell[apex[x] & apex[y]] + size * size,
+                                   cell[among(links, q)] + 2 * size * size])
+            count = np.bincount(flat, minlength=2 * cells).reshape(
+                2, 3, size, size)
+            count = count + count.transpose(0, 1, 3, 2)
+            return count[0] - count[1]
 
         eu, ev, _ = inst.edge_arrays()
+        # the recorded edges' keys, ascending: edge_arrays runs eu < ev in
+        # lexicographic order
+        edge_keys = eu * n_inst + ev
         # miss: recorded edges, less those in range, plus non-edges in range
-        want = np.zeros((3, nb, nb), dtype=np.intp)
-        tally(want, eu, ev, block[eu], block[ev], np.ones_like(eu))
+        want = tally(eu, ev, edge_keys, block[eu], block[ev], nb, False)
         miss = want.repeat(4, axis=1).repeat(4, axis=2)
         # coinciding rows are queried once, which keeps the kernel's candidate
         # pairs and peak memory down; each pair of positions in range, and
@@ -557,14 +575,15 @@ class _ConfigChecker:
         keep = ((np.repeat(pu != pv, reps) | (i < j)) & (x != y)
                 & ((block[x] != block[y]) | (sx == sy)))
         x, y, sx, sy = x[keep], y[keep], sx[keep], sy[keep]
-        tally(miss, x, y, 4 * block[x] + sx, 4 * block[y] + sy,
-              np.where(inst.graph.pair_slots(x, y) >= 0, -1, 1))
+        q = key(x, y)
+        miss += tally(x, y, q, 4 * block[x] + sx, 4 * block[y] + sy, 4 * nb,
+                      among(edge_keys, q))
         ok = (miss == 0).reshape(3, nb, 4, nb, 4)
         self.exact = ok[0]
+        flagged = set(a.owner[a.apexes].tolist())
         self.pair_tables: list[tuple[int, int, np.ndarray]] = [
             (va, vb, ok[1, 1 + va, :, 1 + vb, :])
-            for va, vb in zip(g.order, g.order[1:])
-            if {va, vb} <= set(a.owner[a.apexes].tolist())]
+            for va, vb in zip(g.order, g.order[1:]) if {va, vb} <= flagged]
         # agree[k][s, side]: the chain on that side agrees with end k in s
         self.wire_tables: list[tuple[int, int, np.ndarray]] = []
         for c, w in enumerate(g._wires):
@@ -597,16 +616,17 @@ class _ConfigChecker:
         return rows[np.argsort(key)]
 
 
-def enumerate_groupings(g: GadgetInstance) -> list[FlipConfiguration]:
-    """All flip configurations whose implied placements realize the unit
-    disk graph exactly, every node on its assigned line.
+def _valid_rows(g: GadgetInstance) -> np.ndarray:
+    """The per-vertex line states (``vertical | horizontal << 1``) of every
+    flip configuration whose implied placements realize the unit disk graph
+    exactly, every node on its assigned line: one row of n ints per
+    configuration.
 
     Each configuration the pair and chain tables admit puts every chain on
     side -1 where its table allows that side, else on side +1, and is then
     checked exactly by looking up every pair of blocks, and every block, in
-    ``_ConfigChecker.exact``. The list is in increasing order of the key
-    that puts vertex v's vertical bit at bit 2v and its horizontal bit at
-    bit 2v + 1.
+    ``_ConfigChecker.exact``. The rows are in increasing order of the key
+    ``sum(state[v] << 2v)``.
     """
     if g.hypergraph.n_vertices > MAX_VERTICES:
         raise SizeCapError("configuration enumeration beyond the size cap")
@@ -623,7 +643,17 @@ def enumerate_groupings(g: GadgetInstance) -> list[FlipConfiguration]:
                               *sides])
     blk_a, blk_b = np.nonzero(np.triu(~exact.all(axis=(1, 3))))
     valid = exact[blk_a, states[:, blk_a], blk_b, states[:, blk_b]].all(axis=1)
-    rows = lines[valid]
+    return lines[valid]
+
+
+def enumerate_groupings(g: GadgetInstance) -> list[FlipConfiguration]:
+    """All flip configurations whose implied placements realize the unit
+    disk graph exactly, every node on its assigned line: the rows of
+    ``_valid_rows`` as records, in the same order, which is increasing in
+    the key that puts vertex v's vertical bit at bit 2v and its horizontal
+    bit at bit 2v + 1.
+    """
+    rows = _valid_rows(g)
     bits = np.stack([rows & 1, rows >> 1], axis=1).astype(bool).tolist()
     return [FlipConfiguration(vertical=tuple(v), horizontal=tuple(h))
             for v, h in bits]
@@ -635,14 +665,15 @@ def enumerate_groupings(g: GadgetInstance) -> list[FlipConfiguration]:
 
 def verify_equivalence(g: GadgetInstance) -> dict:
     """Brute-force both sides of the reduction for a built gadget's
-    hypergraph and report agreement."""
+    hypergraph and report agreement. The valid configurations are read as
+    the bit rows of ``_valid_rows``, with no ``FlipConfiguration`` records
+    made; one correspondence row per configuration, in their order."""
     colorings = two_colorings(g.hypergraph)
     colorable = bool(colorings)
-    configs = enumerate_groupings(g)
-    groupable = bool(configs)
+    rows = _valid_rows(g)
+    groupable = bool(len(rows))
     # bits[k]: configuration k's vertical and horizontal rows
-    bits = np.array([c.vertical + c.horizontal for c in configs],
-                    dtype=np.intp).reshape(-1, 2, g.hypergraph.n_vertices)
+    bits = np.stack([rows & 1, rows >> 1], axis=1)
     # a vertex's color is that of the edge line side its flags vacate
     names = np.array([COLOR_NAMES[RED], COLOR_NAMES[BLUE]])
     colors = names[np.asarray(g.base_coloring, dtype=np.intp) ^ bits[:, 0]]
@@ -655,7 +686,7 @@ def verify_equivalence(g: GadgetInstance) -> dict:
         "groupable": groupable,
         "agree": colorable == groupable,
         "n_colorings": len(colorings),
-        "n_valid_configs": len(configs),
+        "n_valid_configs": len(rows),
         "correspondence": correspondence,
     }
 

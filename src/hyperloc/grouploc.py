@@ -116,8 +116,11 @@ class GroupTransform:
 
     def __init__(self, linear: np.ndarray, translation: np.ndarray):
         q = np.asarray(linear, dtype=float)
-        if np.abs(q.T @ q - np.eye(q.shape[1])).max() > 1e-8:
+        # written so that a NaN, from any non-finite entry of q, fails it
+        if not np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 1e-8:
+            _require_finite("transform entries", q)
             raise InvalidInputError("transform columns are not orthonormal")
+        _require_finite("transform entries", translation)
         self.linear, self.translation = linear, translation
 
     def apply(self, points) -> np.ndarray:
@@ -126,6 +129,13 @@ class GroupTransform:
         block matmul may round differently)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return (pts[:, None, :] @ self.linear.T)[:, 0, :] + self.translation
+
+
+def _require_finite(what: str, *arrays) -> None:
+    """Raise ``InvalidInputError`` when an entry of the arrays is NaN or
+    infinite."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise InvalidInputError(f"{what} must be finite")
 
 
 def _lengths(x: np.ndarray) -> np.ndarray:
@@ -152,7 +162,11 @@ def compute_group_transform(local, ambient,
     tol = max(eps, eps * scale)
     dl = _lengths(loc[:, None, :] - loc[None, :, :])
     da = _lengths(amb[:, None, :] - amb[None, :, :])
-    if np.abs(dl - da).max() > tol:
+    # written so that a NaN gap fails it: a non-finite entry makes its own
+    # point's distance to itself NaN, so such input stops here, before the
+    # SVD, and only this failure path looks for it
+    if not np.abs(dl - da).max() <= tol:
+        _require_finite("support coordinates", loc, amb)
         raise NonIsometricCorrespondenceError(
             "pairwise local and ambient distances disagree")
     lmat = (loc[1:] - loc[0]).T
@@ -165,7 +179,7 @@ def compute_group_transform(local, ambient,
     q = u @ vt
     t = amb[0] - q @ loc[0]
     transform = GroupTransform(linear=q, translation=t)
-    if _lengths(transform.apply(loc) - amb).max() > tol:
+    if not _lengths(transform.apply(loc) - amb).max() <= tol:
         raise NonIsometricCorrespondenceError(
             "no distance-preserving map fits the correspondence")
     return transform

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from hyperloc.cli import main
-from hyperloc.gadget import (Hypergraph3U, build_gadget, enumerate_groupings,
-                             lift_to_3d, verify_equivalence)
+from hyperloc.gadget import (BLUE, COLOR_NAMES, RED, Hypergraph3U,
+                             build_gadget, enumerate_groupings, lift_to_3d,
+                             two_colorings, verify_equivalence)
 from hyperloc.model import flagship_building_config, network_to_json_dict
 
 from test_gadget import random_hypergraph
@@ -124,6 +125,68 @@ def test_verify_hardness_bytes_pinned(tmp_path, capsys, text):
                  "--full-correspondence"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_HARDNESS[text]
+
+
+# SHA-256 of the 8-vertex shape's report under the other three flag
+# combinations, recorded while the report was still built from
+# `FlipConfiguration` records.
+PINNED_FLAGS = {
+    (): "94369820f1b4e46f11208a56b00af3889e30eddb67a7fd2bb89972fd259f0672",
+    ("--lift-3d",):
+        "3b83289f2790ca189ee2cc9d4c2a1fe0898d5a4cf25d8c635f0ccd1cebde8871",
+    ("--full-correspondence",):
+        "f303b72a4e4e9d9f7aab484bbb69b57e1b136579c590d27c0be65a9dea43358e",
+}
+
+
+@pytest.mark.parametrize("flags", sorted(PINNED_FLAGS),
+                         ids=["no-flags", "full-correspondence", "lift-3d"])
+def test_verify_hardness_other_flags_pinned(tmp_path, capsys, flags):
+    hg = tmp_path / "h.txt"
+    hg.write_text("8 4\n0 4 5\n1 3 6\n1 5 7\n2 6 7\n")
+    assert main(["verify-hardness", "--hypergraph", str(hg), *flags]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_FLAGS[flags]
+
+
+def _record_equivalence(g):
+    """The equivalence report as it was built from ``enumerate_groupings``'
+    records, before ``verify_equivalence`` read the valid rows."""
+    colorings = two_colorings(g.hypergraph)
+    colorable = bool(colorings)
+    configs = enumerate_groupings(g)
+    groupable = bool(configs)
+    bits = np.array([c.vertical + c.horizontal for c in configs],
+                    dtype=np.intp).reshape(-1, 2, g.hypergraph.n_vertices)
+    names = np.array([COLOR_NAMES[RED], COLOR_NAMES[BLUE]])
+    colors = names[np.asarray(g.base_coloring, dtype=np.intp) ^ bits[:, 0]]
+    correspondence = [
+        {"vertical": v, "horizontal": h, "coloring": c}
+        for (v, h), c in zip(bits.tolist(), colors.tolist())
+    ]
+    return {
+        "colorable": colorable,
+        "groupable": groupable,
+        "agree": colorable == groupable,
+        "n_colorings": len(colorings),
+        "n_valid_configs": len(configs),
+        "correspondence": correspondence,
+    }
+
+
+@pytest.mark.parametrize("inputs", [
+    [Hypergraph3U.from_text(text) for text in sorted(PINNED_HARDNESS)],
+    [Hypergraph3U(4, ())],
+    [random_hypergraph(np.random.default_rng(100 + i), min_n=3, max_n=8,
+                       max_m=4) for i in range(40)],
+], ids=["pinned", "no-edges", "random"])
+def test_verify_equivalence_matches_the_record_based_report(inputs):
+    # equal values and equal JSON bytes: the bits stay ints, not bools
+    for h in inputs:
+        g = build_gadget(h)
+        got, want = verify_equivalence(g), _record_equivalence(g)
+        assert got == want, h
+        assert json.dumps(got) == json.dumps(want), h
 
 
 def _gadget_geometry(g):

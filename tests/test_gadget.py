@@ -10,8 +10,8 @@ from hyperloc.errors import HyperlocError, InvalidInputError, SizeCapError
 from hyperloc.gadget import (COLOR_NAMES, RADIUS, FlipConfiguration,
                              Hypergraph3U,
                              _choose_order, _config_positions, _ConfigChecker,
-                             build_gadget, enumerate_groupings, lift_to_3d,
-                             two_colorings, verify_equivalence)
+                             _valid_rows, build_gadget, enumerate_groupings,
+                             lift_to_3d, two_colorings, verify_equivalence)
 from hyperloc.model import (Hyperplane, NetworkInstance, NodeRecord,
                             make_rng, udg_edges)
 
@@ -47,6 +47,13 @@ def nodes_of(g):
 def apex_of(g):
     """The apex node id of each (vertex, edge) flag: its first node."""
     return {key: ids[0] for key, ids in g.flag_nodes.items()}
+
+
+def positions_of(g, config, signs):
+    """One configuration's 2D positions by the package's stacked flip
+    rule, as a stack of one."""
+    return _config_positions(g, [config.vertical], [config.horizontal],
+                             [signs])[0]
 
 
 def random_hypergraph(rng, max_n=5, max_m=3, min_n=3):
@@ -239,6 +246,25 @@ class TestEnumerateGroupings:
             cfg = FlipConfiguration(vertical=mono_vert, horizontal=horiz)
             assert cfg not in set(enumerate_groupings(g))
 
+    def test_records_are_the_rows_of_the_core(self):
+        # the records, in order, are the valid state rows read as bits:
+        # vertical = state & 1, horizontal = state >> 1
+        rng = make_rng(46)
+        for h0 in BENCH_SHAPES:
+            for h in (h0, relabel(h0, rng.permutation(h0.n_vertices))):
+                g = build_gadget(h)
+                for gd in (g, lift_to_3d(g)):
+                    rows = _valid_rows(gd)
+                    assert rows.shape[1] == h.n_vertices and len(rows)
+                    want = [FlipConfiguration(
+                        vertical=tuple(bool(s & 1) for s in row),
+                        horizontal=tuple(bool(s >> 1) for s in row))
+                        for row in rows.tolist()]
+                    got = enumerate_groupings(gd)
+                    assert got == want
+                    assert {type(b) for c in got for b in c.vertical
+                            + c.horizontal} == {bool}
+
     def test_pipeline_matches_direct_check_on_samples(self):
         # the compiled tables must agree with a from-scratch placement check
         h = Hypergraph3U(4, ((0, 1, 2), (1, 2, 3)))
@@ -254,7 +280,7 @@ class TestEnumerateGroupings:
             cfg = FlipConfiguration(vertical=vert, horizontal=horiz)
             ok = False
             for signs in itertools.product((-1, 1), repeat=len(g._wires)):
-                pos = _config_positions(g, cfg, signs)
+                pos = positions_of(g, cfg, signs)
                 d = np.linalg.norm(pos[:, None] - pos[None, :], axis=-1)
                 np.fill_diagonal(d, np.inf)
                 if np.array_equal(d <= RADIUS + 1e-9, want):
@@ -315,7 +341,7 @@ def reference_admitted(g):
         signs = wire_signs(checker, config)
         if signs is None:
             continue
-        pos = _config_positions(g, config, signs)
+        pos = positions_of(g, config, signs)
         if g.dim == 3:
             pos = np.column_stack([np.tile(pos, (2, 1)),
                                    np.repeat([0.0, 1.0], len(pos))])
@@ -352,18 +378,24 @@ class TestPrunedWalk:
 
 
 def range_by_states(g):
-    """Scan of the labelled cloud: every 2D node placed in each of the four
-    line states, chains on side ``s & 1``. Maps each pair ``u < v`` within
-    the radius in some states to the possible state pairs ``(su, sv)`` of
-    its blocks that put it in range, and to all possible state pairs."""
+    """Scan of the labelled cloud: every node placed node by node in each
+    of the four line states, chains on side ``s & 1``, at both levels of a
+    lift. Maps each pair ``u < v`` within the radius in some states to the
+    possible state pairs ``(su, sv)`` of its blocks that put it in range,
+    and to all possible state pairs; and gives each node's block (a lifted
+    node's z = 1 copy is in its node's block)."""
     n = g.hypergraph.n_vertices
-    placed = [_config_positions(
+    placed = [reference_positions(
         g, FlipConfiguration(vertical=(bool(s & 1),) * n,
                              horizontal=(bool(s >> 1),) * n),
         [1 if s & 1 else -1] * len(g._wires)) for s in range(4)]
-    k = len(g._arrays.kind)
+    if g.dim == 3:
+        placed = [np.column_stack([np.tile(p, (2, 1)),
+                                   np.repeat([0.0, 1.0], len(p))])
+                  for p in placed]
+    k = len(placed[0])
     block = [("line", nd.owner) if nd.kind == "apex" else (nd.kind, nd.owner)
-             for nd in nodes_of(g)]
+             for nd in nodes_of(g)] * (k // len(g._arrays.kind))
     n_states = {"fixed": 1, "line": 4, "token": 2}
     near = {}
     u, v, _ = udg_edges(np.vstack(placed), RADIUS)
@@ -518,9 +550,30 @@ class TestFlipRule:
                     vertical=tuple(bool(b) for b in rng.integers(0, 2, n)),
                     horizontal=tuple(bool(b) for b in rng.integers(0, 2, n)))
                 signs = [int(s) for s in rng.choice((-1, 1), len(g._wires))]
-                got = _config_positions(g, cfg, signs)
+                got = positions_of(g, cfg, signs)
                 assert got.tobytes() == \
                     reference_positions(g, cfg, signs).tobytes()
+
+    @pytest.mark.parametrize("k", [1, 4, 16])
+    def test_stacked_rule_matches_node_by_node_placement(self, k):
+        # one call places a stack of k configurations, each with the bits
+        # of the node-by-node rule
+        rng = make_rng(45 + k)
+        for h0 in BENCH_SHAPES:
+            for h in (h0, relabel(h0, rng.permutation(h0.n_vertices))):
+                g = build_gadget(h)
+                n, w = h.n_vertices, len(g._wires)
+                vertical = rng.integers(0, 2, (k, n)).astype(bool)
+                horizontal = rng.integers(0, 2, (k, n)).astype(bool)
+                signs = rng.choice((-1, 1), (k, w))
+                got = _config_positions(g, vertical, horizontal, signs)
+                assert got.shape == (k, len(g._arrays.kind), 2)
+                for c in range(k):
+                    cfg = FlipConfiguration(
+                        vertical=tuple(vertical[c].tolist()),
+                        horizontal=tuple(horizontal[c].tolist()))
+                    want = reference_positions(g, cfg, signs[c].tolist())
+                    assert got[c].tobytes() == want.tobytes(), (h, c)
 
 
 def cross_pairs(first, second):
@@ -583,6 +636,35 @@ def reference_tables(g):
     return pair_tables, wire_tables
 
 
+def reference_exact(g):
+    """``_ConfigChecker.exact`` built entry by entry from the scan of
+    ``range_by_states``: blocks A and B in states sA and sB (a block has
+    one state at a time) agree iff the node pairs between them in range in
+    those states are the recorded edges between them. A state a block does
+    not take places none of its nodes."""
+    ranges, block = range_by_states(g)
+    n, w = g.hypergraph.n_vertices, len(g._wires)
+    index = {("fixed", -1): 0, **{("line", v): 1 + v for v in range(n)},
+             **{("token", c): 1 + n + c for c in range(w)}}
+    nb = len(index)
+    near, edges = {}, {}
+    for (u, v), (states, _) in ranges.items():
+        a, b = index[block[u]], index[block[v]]
+        for su, sv in states:
+            near.setdefault((a, su, b, sv), set()).add((u, v))
+            near.setdefault((b, sv, a, su), set()).add((u, v))
+    for u, v, _ in g.instance.edges:
+        a, b = index[block[u]], index[block[v]]
+        edges.setdefault((a, b), set()).add((u, v))
+        edges.setdefault((b, a), set()).add((u, v))
+    table = np.zeros((nb, 4, nb, 4), dtype=bool)
+    for a, sa, b, sb in itertools.product(range(nb), range(4), range(nb),
+                                          range(4)):
+        table[a, sa, b, sb] = (near.get((a, sa, b, sb), set())
+                               == edges.get((a, b), set()))
+    return table
+
+
 def table_bytes(tables):
     return [(va, vb, t.dtype, t.shape, t.tobytes()) for va, vb, t in tables]
 
@@ -615,6 +697,28 @@ class TestCheckerTables:
         for n in range(3, 9):
             for _ in range(4):
                 self.check(random_hypergraph(rng, min_n=n, max_n=n, max_m=4))
+
+    def check_exact(self, h):
+        g = build_gadget(h)
+        for gd in (g, lift_to_3d(g)):
+            got, want = _ConfigChecker(gd).exact, reference_exact(gd)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), h
+            assert got.tobytes() == want.tobytes(), (h, gd.dim)
+
+    def test_exact_table_entry_by_entry_on_benchmark_shapes(self):
+        # a same-block pair counts twice on the tally's diagonal; a miscount
+        # there in a state no admitted configuration reads would leave the
+        # enumeration unchanged, so the table itself is compared
+        rng = make_rng(47)
+        for h in BENCH_SHAPES:
+            self.check_exact(h)
+            self.check_exact(relabel(h, rng.permutation(h.n_vertices)))
+
+    def test_exact_table_entry_by_entry_on_random_hypergraphs(self):
+        rng = make_rng(48)
+        for n in range(3, 9):
+            self.check_exact(random_hypergraph(rng, min_n=n, max_n=n,
+                                               max_m=4))
 
     def test_one_kernel_call_per_checker(self, monkeypatch):
         calls = []

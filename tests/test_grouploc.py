@@ -237,16 +237,19 @@ class TestComputeGroupTransform:
         with np.errstate(invalid="ignore"):     # nan and inf inputs
             for kind, local, ambient in _fit_inputs(d, make_rng(40 + d)):
                 got = _fit_outcome(fit, local, ambient)
-                assert got == _fit_outcome(_norm_group_transform, local,
-                                           ambient)
+                # the norm version fits NaN transforms or ends in NumPy's
+                # LinAlgError on these; the fit rejects them
+                want = (InvalidInputError, "support coordinates must be "
+                        "finite") if kind == "non-finite" else \
+                    _fit_outcome(_norm_group_transform, local, ambient)
+                assert got == want
                 seen[kind, got[0] if isinstance(got[0], type) else "fit"] += 1
         # every kind of input is fitted or rejected as it should be
         assert {("isometric", "fit"), ("mirrored", "fit"),
                 ("perturbed", "fit"),
                 ("perturbed", NonIsometricCorrespondenceError),
-                ("scaled", "fit"), ("dependent", DegenerateSupportsError)
-                } <= seen.keys()
-        assert any(kind == "non-finite" for kind, _ in seen)
+                ("scaled", "fit"), ("dependent", DegenerateSupportsError),
+                ("non-finite", InvalidInputError)} <= seen.keys()
 
     def test_lengths_have_the_bits_of_np_linalg_norm(self):
         # the fit's outcome turns on these lengths' last bits near its
@@ -274,9 +277,32 @@ class TestComputeGroupTransform:
                         rejected = False
                     except InvalidInputError:
                         rejected = True
-                assert rejected == old
+                # NaN > 1e-8 is false, so the np.max test let a NaN q pass
+                assert rejected == (old or not np.isfinite(size))
                 seen.add(rejected)
         assert seen == {True, False}
+
+    def test_non_finite_entries_are_a_package_error(self):
+        # a NaN column, an inf column, a non-finite translation; supports
+        # with a NaN or an inf in either point set
+        msg = "^transform entries must be finite$"
+        for linear, translation in (([[math.nan], [0.0]], [0.0, 0.0]),
+                                    ([[math.inf], [0.0]], [0.0, 0.0]),
+                                    ([[1.0], [0.0]], [0.0, math.nan]),
+                                    ([[1.0], [0.0]], [-math.inf, 0.0])):
+            with pytest.raises(InvalidInputError, match=msg):
+                GroupTransform(np.array(linear), np.array(translation))
+        local, ambient = np.array([[0.0], [1.0]]), np.array([[0.0, 0.0],
+                                                             [0.6, 0.8]])
+        for bad in (math.nan, math.inf, -math.inf):
+            for which in (0, 1):
+                pts = [local.copy(), ambient.copy()]
+                pts[which][1, 0] = bad
+                with np.errstate(invalid="ignore"), \
+                        pytest.raises(InvalidInputError,
+                                      match="^support coordinates must be "
+                                            "finite$"):
+                    compute_group_transform(*pts)
 
     def test_unit_direction_scaling(self):
         t = compute_group_transform(np.array([[0.0], [1.0]]),
