@@ -11,9 +11,11 @@ import functools
 import json
 import sys
 
+import numpy as np
+
 from .errors import HyperlocError
-from .gadget import Hypergraph3U, build_gadget, enumerate_groupings, \
-    lift_to_3d, verify_equivalence
+from .gadget import (BLUE, COLOR_NAMES, RED, Hypergraph3U, _equivalence_rows,
+                     build_gadget, enumerate_groupings, lift_to_3d)
 from .grouploc import hierarchical_localize
 from .intervals import Graph, find_claw, find_net, unit_interval_order
 from .model import (BuildingConfig, generate_building, load_network,
@@ -102,41 +104,52 @@ def _cmd_verify_hardness(args) -> int:
     with open(args.hypergraph) as fh:
         h = Hypergraph3U.from_text(fh.read())
     g2 = build_gadget(h)
-    report = verify_equivalence(g2)
+    head, table = _equivalence_rows(g2)
+    lift = None
     if args.lift_3d:
         g3 = lift_to_3d(g2)
         lifted = enumerate_groupings(g3)
-        report["lift_3d"] = {
+        lift = {
             "groupable": bool(lifted),
             "n_valid_configs": len(lifted),
-            "preserves_verdict": bool(lifted) == report["groupable"],
+            "preserves_verdict": bool(lifted) == head["groupable"],
             "nodes": g3.instance.n,
             "edges": g3.instance.m,
         }
     if not args.full_correspondence:
-        report["correspondence"] = report["correspondence"][:8]
-    _emit(_hardness_json(report), args.output)
+        table = table[:8]
+    _emit(_hardness_text(head, table, lift), args.output)
     return 0
 
 
-def _hardness_json(report: dict) -> str:
-    """``json.dumps(report, indent=1)``, with the correspondence rows, most
-    of the bytes, filled into one template: with ``indent`` the encoder runs
-    in Python, value by value. Every row has the first row's keys, each
-    holding a list of scalars as long as the first row's; a report with no
-    rows, or with an empty list in its first row, goes to ``json.dumps``."""
-    rows = report["correspondence"]
-    if not rows or not all(rows[0].values()):
-        return json.dumps(report, indent=1)
-    text = json.dumps({**report, "correspondence": []}, indent=1)
-    leaves = [x for row in rows for v in row.values() for x in v]
-    # one C-encoder call; no encoded scalar holds a raw newline
-    codes = json.dumps(leaves, separators=("\n", ": "))[1:-1].split("\n")
-    entry = "  {\n" + ",\n".join(
-        f"   {json.dumps(k)}: [\n".replace("%", "%%")
-        + ",\n".join(["    %s"] * len(v)) + "\n   ]"
-        for k, v in rows[0].items()) + "\n  }"
-    body = "[\n" + ",\n".join([entry] * len(rows)) % tuple(codes) + "\n ]"
+# the JSON tokens of the correspondence leaves: a bit is its own index, a
+# color (RED or BLUE) its value plus 2
+_LEAF_TOKENS = np.array(["0", "1", *(json.dumps(COLOR_NAMES[c])
+                                     for c in (RED, BLUE))])
+_LEAF_OFFSET = np.array([[0], [0], [2]])
+
+
+def _hardness_text(head: dict, table: np.ndarray,
+                   lift_3d: dict | None) -> str:
+    """The verify-hardness report as ``json.dumps(report, indent=1)``
+    writes it, where ``report`` is ``head``, then the correspondence rows
+    that ``verify_equivalence`` makes from ``table`` (the (k, 3, n) array of
+    ``gadget._equivalence_rows``), then ``lift_3d`` when given. With
+    ``indent`` the json module encodes in Python, value by value; here one
+    take looks every leaf up in a four-token table and the tokens fill one
+    template."""
+    report = {**head, "correspondence": []}
+    if lift_3d is not None:
+        report["lift_3d"] = lift_3d
+    text = json.dumps(report, indent=1)
+    k, _, n = table.shape
+    if not k:
+        return text
+    codes = _LEAF_TOKENS.take(table + _LEAF_OFFSET).ravel().tolist()
+    leaves = "[\n" + ",\n".join(["    %s"] * n) + "\n   ]"
+    entry = (f'  {{\n   "vertical": {leaves},\n   "horizontal": {leaves},'
+             f'\n   "coloring": {leaves}\n  }}')
+    body = "[\n" + ",\n".join([entry] * k) % tuple(codes) + "\n ]"
     return text.replace('"correspondence": []', '"correspondence": ' + body, 1)
 
 

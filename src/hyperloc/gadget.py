@@ -663,32 +663,42 @@ def enumerate_groupings(g: GadgetInstance) -> list[FlipConfiguration]:
 # equivalence report and 3D lift
 # ---------------------------------------------------------------------------
 
-def verify_equivalence(g: GadgetInstance) -> dict:
-    """Brute-force both sides of the reduction for a built gadget's
-    hypergraph and report agreement. The valid configurations are read as
-    the bit rows of ``_valid_rows``, with no ``FlipConfiguration`` records
-    made; one correspondence row per configuration, in their order."""
+def _equivalence_rows(g: GadgetInstance) -> tuple[dict, np.ndarray]:
+    """The equivalence report's head (``colorable``, ``groupable``,
+    ``agree``, ``n_colorings``, ``n_valid_configs``) and its correspondence
+    as one int array of shape (k, 3, n): per valid configuration, in the
+    order of ``_valid_rows``, its vertical bits, its horizontal bits and
+    the color (``RED`` or ``BLUE``) it induces on each vertex."""
     colorings = two_colorings(g.hypergraph)
     colorable = bool(colorings)
     rows = _valid_rows(g)
     groupable = bool(len(rows))
-    # bits[k]: configuration k's vertical and horizontal rows
-    bits = np.stack([rows & 1, rows >> 1], axis=1)
+    vertical = rows & 1
     # a vertex's color is that of the edge line side its flags vacate
-    names = np.array([COLOR_NAMES[RED], COLOR_NAMES[BLUE]])
-    colors = names[np.asarray(g.base_coloring, dtype=np.intp) ^ bits[:, 0]]
-    correspondence = [
-        {"vertical": v, "horizontal": h, "coloring": c}
-        for (v, h), c in zip(bits.tolist(), colors.tolist())
-    ]
-    return {
+    colors = np.asarray(g.base_coloring, dtype=np.intp) ^ vertical
+    head = {
         "colorable": colorable,
         "groupable": groupable,
         "agree": colorable == groupable,
         "n_colorings": len(colorings),
         "n_valid_configs": len(rows),
-        "correspondence": correspondence,
     }
+    return head, np.stack([vertical, rows >> 1, colors], axis=1)
+
+
+def verify_equivalence(g: GadgetInstance) -> dict:
+    """Brute-force both sides of the reduction for a built gadget's
+    hypergraph and report agreement: the head of ``_equivalence_rows``,
+    then one correspondence row per valid configuration, in their order,
+    holding its vertical and horizontal bits as ints and the color name it
+    induces on each vertex."""
+    head, table = _equivalence_rows(g)
+    correspondence = [
+        {"vertical": v, "horizontal": h,
+         "coloring": [COLOR_NAMES[c] for c in colors]}
+        for v, h, colors in table.tolist()
+    ]
+    return {**head, "correspondence": correspondence}
 
 
 def lift_to_3d(g: GadgetInstance) -> GadgetInstance:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -158,15 +159,16 @@ def compute_group_transform(local, ambient,
     if loc.shape != (d, d - 1) or amb.shape != (d, d):
         raise InvalidInputError(
             f"need {d} local points in R^{d - 1} and {d} ambient points in R^{d}")
-    scale = max(1.0, float(np.abs(amb).max()), float(np.abs(loc).max()))
-    tol = max(eps, eps * scale)
+    amb_max, loc_max = float(np.abs(amb).max()), float(np.abs(loc).max())
+    # a NaN or inf entry makes its array's largest magnitude NaN or inf;
+    # such input stops here, before the differences below would warn
+    if not (amb_max < math.inf and loc_max < math.inf):
+        _require_finite("support coordinates", loc, amb)
+    tol = max(eps, eps * max(1.0, amb_max, loc_max))
     dl = _lengths(loc[:, None, :] - loc[None, :, :])
     da = _lengths(amb[:, None, :] - amb[None, :, :])
-    # written so that a NaN gap fails it: a non-finite entry makes its own
-    # point's distance to itself NaN, so such input stops here, before the
-    # SVD, and only this failure path looks for it
+    # written so that a NaN gap, from squared lengths that overflow, fails it
     if not np.abs(dl - da).max() <= tol:
-        _require_finite("support coordinates", loc, amb)
         raise NonIsometricCorrespondenceError(
             "pairwise local and ambient distances disagree")
     lmat = (loc[1:] - loc[0]).T

@@ -1,13 +1,15 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hyperloc.cli import main
+from hyperloc.cli import _hardness_text, main
 from hyperloc.gadget import (BLUE, COLOR_NAMES, RED, Hypergraph3U,
-                             build_gadget, enumerate_groupings, lift_to_3d,
-                             two_colorings, verify_equivalence)
+                             _equivalence_rows, build_gadget,
+                             enumerate_groupings, lift_to_3d, two_colorings,
+                             verify_equivalence)
 from hyperloc.model import flagship_building_config, network_to_json_dict
 
 from test_gadget import random_hypergraph
@@ -238,11 +240,12 @@ def _hardness_report(h, lift, full):
 
 _WRITER_INPUTS = [random_hypergraph(np.random.default_rng(seed), min_n=3,
                                     max_n=8, max_m=4) for seed in range(6)]
-_WRITER_INPUTS.append(Hypergraph3U(4, ()))
+_WRITER_INPUTS += [Hypergraph3U(4, ()), Hypergraph3U(1, ())]
 
 
 @pytest.mark.parametrize("h", _WRITER_INPUTS,
-                         ids=[f"seed{i}" for i in range(6)] + ["no-edges"])
+                         ids=[f"seed{i}" for i in range(6)]
+                         + ["no-edges", "one-vertex"])
 def test_verify_hardness_writes_the_json_module_bytes(tmp_path, capsys, h):
     hg = tmp_path / "h.txt"
     hg.write_text(h.to_text())
@@ -254,16 +257,32 @@ def test_verify_hardness_writes_the_json_module_bytes(tmp_path, capsys, h):
         assert capsys.readouterr().out == want
 
 
-@pytest.mark.parametrize("rows", [
-    [],
-    [{"vertical": [], "horizontal": [1], "coloring": ["red"]}],
-    [{"a%s": [True, None, 1.5], "b": ["\u00e9\n\"%d", "x"]},
-     {"a%s": [0, -2, 1e300], "b": ["", "%%"]}],
-], ids=["no-rows", "empty-list", "escapes"])
-def test_hardness_writer_matches_json_module(rows):
-    from hyperloc.cli import _hardness_json
-    report = {"groupable": True, "correspondence": rows, "lift_3d": {"n": 1}}
-    assert _hardness_json(report) == json.dumps(report, indent=1)
+def _writer_gadgets():
+    """Gadgets whose reports span the writer's inputs: 256 rows with an
+    all-red and an all-blue base coloring, 4 rows of one vertex, and the
+    benchmark's 8-vertex shape, whose base coloring holds both colors."""
+    edgeless = build_gadget(Hypergraph3U(4, ()))
+    return [edgeless, replace(edgeless, base_coloring=(BLUE,) * 4),
+            build_gadget(Hypergraph3U(1, ())),
+            build_gadget(Hypergraph3U.from_text(
+                "8 4\n0 4 5\n1 3 6\n1 5 7\n2 6 7\n"))]
+
+
+@pytest.mark.parametrize("k", [0, 1, 8, 256],
+                         ids=["no-rows", "one-row", "first-8", "all-rows"])
+def test_hardness_writer_matches_json_module(k):
+    lift = {"groupable": True, "n_valid_configs": 4,
+            "preserves_verdict": True, "nodes": 34, "edges": 59}
+    for g in _writer_gadgets():
+        head, table = _equivalence_rows(g)
+        report = verify_equivalence(g)
+        assert report == {**head, "correspondence": report["correspondence"]}
+        report["correspondence"] = report["correspondence"][:k]
+        assert _hardness_text(head, table[:k], None) == \
+            json.dumps(report, indent=1)
+        report["lift_3d"] = lift
+        assert _hardness_text(head, table[:k], lift) == \
+            json.dumps(report, indent=1)
 
 
 def test_verify_hardness_over_cap_is_domain_error(tmp_path, capsys):

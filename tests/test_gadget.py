@@ -539,6 +539,53 @@ def reference_positions(g, config, signs):
     return pos
 
 
+class TestAuditGadget:
+    """Each build-time check of ``_audit_gadget`` fires on a layout that
+    breaks its constraint and keeps every check before it."""
+
+    H = Hypergraph3U(4, ((0, 1, 3),))
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("VSPACE", 3.2, r"vertex-line spacing outside \(2, 3\)"),
+        ("SUPPORT_Y", 0.9,
+         "support line does not form a K4 with the main line"),
+        ("BASE_DY", 0.9, "flag apex of vertex 0, edge 0 does not neighbor "
+                         "exactly its two base nodes"),
+        ("TOKEN_END", 2.0, "chain is not coupled to its endpoint flag"),
+    ], ids=["VSPACE", "SUPPORT_Y", "BASE_DY", "TOKEN_END"])
+    def test_layout_constant_fires_its_check(self, monkeypatch, name, value,
+                                             message):
+        monkeypatch.setattr(gadget, name, value)
+        with pytest.raises(HyperlocError, match=f"^{message}$"):
+            build_gadget(self.H)
+
+    def test_missing_horizontal_line(self):
+        g = build_gadget(self.H)
+        with pytest.raises(HyperlocError,
+                           match=r"^horizontal line count is not 2\|F\| \+ 2$"):
+            gadget._audit_gadget(replace(g, hyperplanes=g.hyperplanes[:-1]))
+
+    def test_main_line_gap(self):
+        # the main-line node a third of the spacing past the first line
+        # moves far below the gadget, leaving a gap of two thirds of it
+        g = build_gadget(self.H)
+        third = next(i for i, nd in enumerate(nodes_of(g))
+                     if nd.kind == "fixed" and nd.y == 0.0
+                     and nd.x == gadget.VSPACE / 3.0)
+        with pytest.raises(HyperlocError, match="^main-line nodes are not "
+                                                "uniformly distributed$"):
+            gadget._audit_gadget(relaid(g, {third: (gadget.VSPACE / 3.0,
+                                                    -30.0)}))
+
+    def test_chain_touching_its_probed_flag(self):
+        g = build_gadget(self.H)
+        w = g._wires[0]
+        probe_end = w.token_ids[-1 if w.half == "A" else 0]
+        with pytest.raises(HyperlocError,
+                           match="^chain must not touch the probed flag$"):
+            gadget._audit_gadget(flipped(g, [(w.end_apexes[1], probe_end)]))
+
+
 class TestFlipRule:
     def test_matches_node_by_node_placement(self):
         rng = make_rng(41)
