@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import HyperlocError, InvalidInputError, SizeCapError
 from .model import (Hyperplane, NetworkInstance, _checked_adjacency,
-                    _non_integer, udg_edges)
+                    _non_integer, _stacked_edges, udg_edges)
 
 MAX_VERTICES = 8
 MAX_EDGES = 4
@@ -469,6 +469,40 @@ def _config_positions(g: GadgetInstance, vertical, horizontal,
     return pos
 
 
+def _row_pairs(cloud: np.ndarray, layers: int
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Each pair ``(i, j)`` of distinct rows within ``RADIUS``, once, of
+    the planar ``cloud`` stacked at z = 0, ..., ``layers - 1``: row
+    ``layer * len(cloud) + r`` is row ``r`` at z = ``layer``.
+
+    Coinciding rows are queried once, which keeps the kernel's candidate
+    pairs and peak memory down; each pair of positions in range, and each
+    position with itself, stands for every pair of their rows. The planar
+    positions are queried once and lifted to every layer by
+    ``_stacked_edges``: position ``layer * K + p`` is planar position ``p``
+    at z = ``layer``."""
+    by_pos = np.lexsort(cloud.T[::-1])
+    ordered = cloud[by_pos]
+    first = np.flatnonzero(np.concatenate(
+        [[True], (ordered[1:] != ordered[:-1]).any(axis=1)]))
+    count = np.tile(np.diff(first, append=len(ordered)), layers)
+    unique = ordered[first]
+    pu, pv, _ = _stacked_edges(unique, udg_edges(unique, RADIUS),
+                               np.arange(layers, dtype=float), RADIUS)
+    shift = len(cloud) * np.arange(layers)[:, None]
+    by_pos, first = (by_pos + shift).ravel(), (first + shift).ravel()
+    pu = np.concatenate([pu, np.arange(len(first))])
+    pv = np.concatenate([pv, np.arange(len(first))])
+    reps = count[pu] * count[pv]
+    du, dv = np.divmod(np.arange(reps.sum())
+                       - np.repeat(np.cumsum(reps) - reps, reps),
+                       np.repeat(count[pv], reps))
+    i = by_pos[np.repeat(first[pu], reps) + du]
+    j = by_pos[np.repeat(first[pv], reps) + dv]
+    keep = np.repeat(pu != pv, reps) | (i < j)
+    return i[keep], j[keep]
+
+
 class _ConfigChecker:
     """Compiled tables over the gadget's blocks, read off one kernel query.
 
@@ -483,7 +517,10 @@ class _ConfigChecker:
 
     The labelled cloud holds every node in each of its block's states,
     placed by one stacked call of the flip rule for the four uniform
-    states (every line in state s, every chain on side s & 1). Mismatches
+    states (every line in state s, every chain on side s & 1), in the
+    plane; a lift's cloud is that one again at z = 1. The pairs in range
+    are read off one planar kernel query over the distinct positions, in a
+    lift lifted to both levels (``_row_pairs``). Mismatches
     (edges out of range, non-edges in range) are tallied per pair of block
     states over all pairs (``exact[A, sA, B, sB]``, with ``A == B`` inside
     a block), over apex pairs (the consecutive-line ``pair_tables``) and
@@ -511,12 +548,12 @@ class _ConfigChecker:
         rows = [np.arange(n2), np.concatenate([a.flips, a.tokens]), a.flips,
                 a.flips]
         cloud = np.vstack([p[r] for p, r in zip(placed, rows)])
-        node = np.concatenate(rows)
-        state = np.repeat(np.arange(4), [len(r) for r in rows])
-        if g.dim == 3:
-            cloud = np.column_stack([np.tile(cloud, (2, 1)),
-                                     np.repeat([0.0, 1.0], len(cloud))])
-            node, state = np.concatenate([node, node + n2]), np.tile(state, 2)
+        # a lift's rows go on at z = 1: node n2 + u is node u's copy
+        layers = g.dim - 1
+        node = np.tile(np.concatenate(rows), layers)
+        node[len(cloud):] += n2
+        state = np.tile(np.repeat(np.arange(4), [len(r) for r in rows]),
+                        layers)
 
         def key(x, y):
             return np.minimum(x, y) * n_inst + np.maximum(x, y)
@@ -554,26 +591,9 @@ class _ConfigChecker:
         # miss: recorded edges, less those in range, plus non-edges in range
         want = tally(eu, ev, edge_keys, block[eu], block[ev], nb, False)
         miss = want.repeat(4, axis=1).repeat(4, axis=2)
-        # coinciding rows are queried once, which keeps the kernel's candidate
-        # pairs and peak memory down; each pair of positions in range, and
-        # each position with itself, stands for every pair of their rows
-        by_pos = np.lexsort(cloud.T[::-1])
-        ordered = cloud[by_pos]
-        first = np.flatnonzero(np.concatenate(
-            [[True], (ordered[1:] != ordered[:-1]).any(axis=1)]))
-        count = np.diff(first, append=len(ordered))
-        pu, pv, _ = udg_edges(ordered[first], RADIUS)
-        pu = np.concatenate([pu, np.arange(len(first))])
-        pv = np.concatenate([pv, np.arange(len(first))])
-        reps = count[pu] * count[pv]
-        du, dv = np.divmod(np.arange(reps.sum())
-                           - np.repeat(np.cumsum(reps) - reps, reps),
-                           np.repeat(count[pv], reps))
-        i = by_pos[np.repeat(first[pu], reps) + du]
-        j = by_pos[np.repeat(first[pv], reps) + dv]
+        i, j = _row_pairs(cloud, layers)
         (x, y), (sx, sy) = node[[i, j]], state[[i, j]]
-        keep = ((np.repeat(pu != pv, reps) | (i < j)) & (x != y)
-                & ((block[x] != block[y]) | (sx == sy)))
+        keep = (x != y) & ((block[x] != block[y]) | (sx == sy))
         x, y, sx, sy = x[keep], y[keep], sx[keep], sy[keep]
         q = key(x, y)
         miss += tally(x, y, q, 4 * block[x] + sx, 4 * block[y] + sy, 4 * nb,

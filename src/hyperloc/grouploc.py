@@ -165,10 +165,13 @@ def compute_group_transform(local, ambient,
     if not (amb_max < math.inf and loc_max < math.inf):
         _require_finite("support coordinates", loc, amb)
     tol = max(eps, eps * max(1.0, amb_max, loc_max))
-    dl = _lengths(loc[:, None, :] - loc[None, :, :])
-    da = _lengths(amb[:, None, :] - amb[None, :, :])
-    # written so that a NaN gap, from squared lengths that overflow, fails it
-    if not np.abs(dl - da).max() <= tol:
+    # a difference beyond about 1e154 squares to inf, and the gap of two
+    # inf lengths is NaN: the check is written so that it fails, and such
+    # input is rejected without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        dl = _lengths(loc[:, None, :] - loc[None, :, :])
+        gap = np.abs(dl - _lengths(amb[:, None, :] - amb[None, :, :])).max()
+    if not gap <= tol:
         raise NonIsometricCorrespondenceError(
             "pairwise local and ambient distances disagree")
     lmat = (loc[1:] - loc[0]).T

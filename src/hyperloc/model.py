@@ -295,18 +295,25 @@ def build_udg(points: Sequence[Sequence[float]], radius: float, *,
 _FP = np.finfo(float).eps
 
 
-def axis_distances(p: np.ndarray, i: np.ndarray, q: np.ndarray,
-                   j: np.ndarray) -> np.ndarray:
-    """Distances from points ``i`` of ``p`` to points ``j`` of ``q``, each
-    given as one row per axis: an axis at a time, ``(dx*dx + dy*dy) +
-    dz*dz``, the order in which ``np.linalg.norm(a - b, axis=-1)`` adds a
-    row's squares, so with its bits but without its ``(k, dim)`` copies."""
+def _axis_squares(p: np.ndarray, i: np.ndarray, q: np.ndarray,
+                  j: np.ndarray) -> np.ndarray:
+    """The squared distances of :func:`axis_distances`, before the root."""
     total = None
     for a, b in zip(p, q):
         gap = a.take(i)
         gap -= b.take(j)
         gap *= gap
         total = gap if total is None else np.add(total, gap, out=total)
+    return total
+
+
+def axis_distances(p: np.ndarray, i: np.ndarray, q: np.ndarray,
+                   j: np.ndarray) -> np.ndarray:
+    """Distances from points ``i`` of ``p`` to points ``j`` of ``q``, each
+    given as one row per axis: an axis at a time, ``(dx*dx + dy*dy) +
+    dz*dz``, the order in which ``np.linalg.norm(a - b, axis=-1)`` adds a
+    row's squares, so with its bits but without its ``(k, dim)`` copies."""
+    total = _axis_squares(p, i, q, j)
     total = np.sqrt(total, out=total)
     # NumPy's add may keep either of two NaNs, the norm its first operand's
     if (odd := np.flatnonzero(np.isnan(total))).size:
@@ -454,6 +461,71 @@ def udg_edges(positions: np.ndarray, radius: float,
     u, v, d = WindowIndex(pos, radius + eps).pairs()
     keep = np.argsort(u * len(pos) + v)     # each pair is there once
     return u[keep], v[keep], d[keep]
+
+
+def _stacked_edges(xy: np.ndarray, planar: EdgeArrays, z: np.ndarray,
+                   radius: float) -> EdgeArrays:
+    """``udg_edges`` of layers of the planar points ``xy`` stacked at the
+    ascending heights ``z``, point ``i`` of layer ``f`` as ``f * len(xy) +
+    i``, from ``planar = udg_edges(xy, radius)``: the same pairs, distance
+    bits and order, with no second kernel query.
+
+    The kernel's distance is ``sqrt((dx*dx + dy*dy) + dz*dz)``. In a layer
+    ``dz*dz`` is ``0.0``, so a pair is a planar pair at its planar bits.
+    Across layers ``fl(s + t) >= s`` and ``>= t``, so a pair in range is a
+    planar pair or a point and its own copy, and once every gap at one
+    layer offset is out of range by itself, so is every gap at a larger
+    one (subtraction is monotone on ascending ``z``). Each planar point's
+    row of candidates (its higher neighbours in its layer, then per layer
+    offset its lower neighbours, itself and its higher ones) is laid out
+    by counting, and one ``(layers, candidates)`` pass keeps those in
+    range, already in ``(u, v)`` order. No n x n array is built."""
+    if len(z) == 1:
+        return planar
+    lim, m, heights = radius + DEFAULT_EPS, len(xy), z.tolist()
+    pu, pv, _ = planar
+    # gap[f][k]: dz * dz from layer f up to layer f + k, inf past the top
+    gap = [[0.0] for _ in heights]
+    for k in range(1, len(heights)):
+        dz = [(b - a) * (b - a) for a, b in zip(heights, heights[k:])]
+        if all(math.sqrt(t) > lim for t in dz):
+            break
+        for f, t in enumerate(dz + [math.inf] * k):
+            gap[f].append(t)
+    offsets = len(gap[0]) - 1
+    # the candidates, point by point: its higher neighbours at offset 0,
+    # then per offset its lower neighbours, itself and its higher ones;
+    # each run's slots by counting, in the order pu and pv[by_v] list them
+    higher, lower = np.bincount(pu, minlength=m), np.bincount(pv, minlength=m)
+    span = lower + 1 + higher
+    row = higher + offsets * span
+    start = np.cumsum(row) - row
+    high = np.arange(len(pu)) - (np.cumsum(higher) - higher)[pu]
+    by_v = np.argsort(pv, kind="stable")
+    low = np.arange(len(pu)) - (np.cumsum(lower) - lower)[pv[by_v]]
+    s, ids = _axis_squares(xy.T, pu, xy.T, pv), np.arange(m)
+    parts = [(start[pu] + high, pu, pv, 0, s)]
+    for k in range(1, offsets + 1):
+        at = start + higher + (k - 1) * span    # where offset k's run starts
+        parts += [(at[pv[by_v]] + low, pv[by_v], pu[by_v], k, s[by_v]),
+                  (at + lower, ids, ids, k, 0.0),
+                  (at[pu] + lower[pu] + 1 + high, pu, pv, k, s)]
+    # per candidate: its point, its other end lifted by its offset (k * m +
+    # point), its offset and its planar dx*dx + dy*dy
+    size = int(row.sum())
+    src, lift = np.empty(size, np.intp), np.empty(size, np.intp)
+    off, square = np.empty(size, np.intp), np.empty(size)
+    for at, a, b, k, t in parts:
+        src[at], lift[at], off[at], square[at] = a, b + k * m, k, t
+    d = np.take(np.array(gap), off, axis=1)
+    d += square
+    d = np.sqrt(d, out=d)
+    near = d <= lim
+    flat = np.flatnonzero(near)
+    layer = flat // size
+    c = flat - layer * size
+    layer *= m
+    return layer + src.take(c), layer + lift.take(c), d.ravel().take(flat)
 
 
 def _with_noise(edges: EdgeArrays, sigma: float, radius: float,
@@ -850,10 +922,13 @@ def generate_building(config: BuildingConfig) -> NetworkInstance:
     connector columns densify the corridors passing near them. A point
     within ``_MIN_NODE_SEP`` on both axes of an earlier kept point of its
     floor is dropped. Every floor has this same layout, and floors stack at
-    ``floor_spacing``. Ids run floor by floor, then corridor by corridor
-    (x-parallel first), then along the corridor. ``line_group`` ids are
-    unique across the whole building, ``plane_group`` is the floor index
-    (both 1-based).
+    ``floor_spacing``: the kernel is queried once, over one floor's planar
+    points, and :func:`_stacked_edges` lifts its pairs to every floor, with
+    the pairs, bits and order of one query over all the nodes (so noise
+    falls on the same edges). Ids run floor by floor, then corridor by
+    corridor (x-parallel first), then along the corridor. ``line_group``
+    ids are unique across the whole building, ``plane_group`` is the floor
+    index (both 1-based).
     """
     config.validate()
     nx, ny = config.counts()
@@ -888,11 +963,11 @@ def generate_building(config: BuildingConfig) -> NetworkInstance:
         if keep[earlier]:
             keep[later] = False
     keep = np.array(keep)
-    floors, k = np.arange(config.floors), np.array(ks)[keep]
-    positions = np.column_stack([np.tile(xy[keep], (len(floors), 1)),
-                                 np.repeat(floors * config.floor_spacing,
-                                           len(k))])
-    edges = udg_edges(positions, config.radius)
+    floors, k, xy = np.arange(config.floors), np.array(ks)[keep], xy[keep]
+    z = floors * config.floor_spacing
+    positions = np.column_stack([np.tile(xy, (len(floors), 1)),
+                                 np.repeat(z, len(k))])
+    edges = _stacked_edges(xy, udg_edges(xy, config.radius), z, config.radius)
     if config.noise_sigma > 0:
         edges = _with_noise(edges, config.noise_sigma, config.radius,
                             make_rng(config.rng_seed))

@@ -517,7 +517,8 @@ class TestTamperedGadget:
         for gd in (g, g3):
             calls.clear()
             assert enumerate_groupings(gd)
-            assert len(calls) == 1
+            # the lift's query too is planar: its z = 1 copies are lifted
+            assert len(calls) == 1 and calls[0][0].shape[1] == 2
 
 
 def reference_positions(g, config, signs):
@@ -911,6 +912,65 @@ class TestSoundness:
                 assert configs, h
                 for config in configs:
                     assert is_proper_coloring(h, coloring_of(g, config)), h
+
+
+def tiled_row_pairs(cloud, layers):
+    """The checker's row pairs as one 3D kernel query finds them: the
+    planar cloud tiled at z = 0 and z = 1 for a lift, its distinct
+    positions taken in 3D lexicographic order."""
+    if layers == 2:
+        cloud = np.column_stack([np.tile(cloud, (2, 1)),
+                                 np.repeat([0.0, 1.0], len(cloud))])
+    by_pos = np.lexsort(cloud.T[::-1])
+    ordered = cloud[by_pos]
+    first = np.flatnonzero(np.concatenate(
+        [[True], (ordered[1:] != ordered[:-1]).any(axis=1)]))
+    count = np.diff(first, append=len(ordered))
+    pu, pv, _ = udg_edges(ordered[first], RADIUS)
+    pu = np.concatenate([pu, np.arange(len(first))])
+    pv = np.concatenate([pv, np.arange(len(first))])
+    reps = count[pu] * count[pv]
+    du, dv = np.divmod(np.arange(reps.sum())
+                       - np.repeat(np.cumsum(reps) - reps, reps),
+                       np.repeat(count[pv], reps))
+    i = by_pos[np.repeat(first[pu], reps) + du]
+    j = by_pos[np.repeat(first[pv], reps) + dv]
+    keep = np.repeat(pu != pv, reps) | (i < j)
+    return i[keep], j[keep]
+
+
+# tests/test_cli.py's SLOW_LAYOUT: a relabelling of the 8v/4e shape
+SLOW_LAYOUT = Hypergraph3U(8, ((3, 6, 7), (0, 1, 4), (2, 4, 7), (1, 2, 5)))
+
+
+class TestLiftedChecker:
+    """The lifted checker reads its z = 1 pairs off the planar query; its
+    tables equal, byte for byte, those of one 3D query over the tiled
+    cloud."""
+
+    @staticmethod
+    def tables(checker):
+        return (checker.exact.dtype, checker.exact.shape,
+                checker.exact.tobytes(), table_bytes(checker.pair_tables),
+                table_bytes(checker.wire_tables))
+
+    def check(self, monkeypatch, h):
+        g3 = lift_to_3d(build_gadget(h))
+        got = self.tables(_ConfigChecker(g3))
+        with monkeypatch.context() as m:
+            m.setattr(gadget, "_row_pairs", tiled_row_pairs)
+            want = self.tables(_ConfigChecker(g3))
+        assert got == want, h
+
+    def test_benchmark_shapes_and_the_slow_layout(self, monkeypatch):
+        for h in BENCH_SHAPES + (SLOW_LAYOUT,):
+            self.check(monkeypatch, h)
+
+    def test_small_isomorphism_classes(self, monkeypatch):
+        classes, _ = isomorphism_classes()
+        assert len(classes) == 32
+        for h in classes:
+            self.check(monkeypatch, h)
 
 
 class TestLift:

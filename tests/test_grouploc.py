@@ -303,6 +303,16 @@ class TestComputeGroupTransform:
                                          "finite$"):
                     compute_group_transform(*pts)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_lengths_that_overflow_are_rejected_without_a_warning(self):
+        # isometric, but the squared lengths overflow to inf and their gap
+        # is NaN: rejected as before, and no RuntimeWarning on the way
+        with pytest.raises(NonIsometricCorrespondenceError,
+                           match="^pairwise local and ambient distances "
+                                 "disagree$"):
+            compute_group_transform([[0.0], [1e200]],
+                                    [[0.0, 0.0], [0.6e200, 0.8e200]])
+
     def test_unit_direction_scaling(self):
         t = compute_group_transform(np.array([[0.0], [1.0]]),
                                     np.array([[0.0, 0], [0.6, 0.8]]))

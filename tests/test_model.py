@@ -18,8 +18,9 @@ from hyperloc.model import (DEFAULT_EPS, BuildingConfig, GroupingFunction,
                             group_labels, make_rng, network_from_json_dict,
                             network_to_json_dict, strip_ground_truth,
                             udg_edges)
+from hyperloc import model
 from hyperloc.model import (_MIN_NODE_SEP, _STAIR_OFFSETS, _STAIR_REACH,
-                            _with_noise)
+                            _stacked_edges, _with_noise)
 
 
 def _all_pairs(pos, radius, eps):
@@ -1057,6 +1058,117 @@ class TestGenerateBuilding:
             counts[classify_edge(inst, u, v)] += 1
         assert sum(counts.values()) == inst.m
         assert all(c > 0 for c in counts.values())
+
+
+def _bench_config(offset):
+    """The benchmark's 3 x 4 building, stairwell ``offset`` grid steps from
+    the middle."""
+    return BuildingConfig(
+        floors=3, floor_spacing=0.8, corridors_per_floor=4, node_spacing=0.9,
+        corridor_spacing=0.45, extent=266 * 0.9,
+        connector_columns=((round((133 + offset) * 0.9, 12), 0.675),))
+
+
+def _array_bytes(arrays):
+    return [(a.dtype, a.tobytes()) for a in arrays]
+
+
+class TestStackedEdges:
+    """``_stacked_edges`` gives the arrays of one kernel query over the
+    stacked points: the same pairs, distance bits, order and dtypes."""
+
+    @staticmethod
+    def check(xy, z, radius):
+        stacked = np.column_stack([np.tile(xy, (len(z), 1)),
+                                   np.repeat(z, len(xy))])
+        got = _stacked_edges(xy, udg_edges(xy, radius), z, radius)
+        assert _array_bytes(got) == _array_bytes(udg_edges(stacked, radius))
+
+    def test_seeded_clouds_and_heights(self):
+        # coincident points and lattice ties, uneven and repeated heights
+        rng = make_rng(61)
+        for case in range(150):
+            xy = rng.uniform(0.0, rng.uniform(0.5, 5.0),
+                             (int(rng.integers(1, 50)), 2))
+            if case % 3 == 0:
+                xy = np.round(xy * 4) / 4
+            z = np.sort(rng.uniform(0.0, rng.uniform(0.1, 4.0),
+                                    int(rng.integers(1, 8))))
+            if case % 4 == 0:
+                z = np.round(z * 2) / 2
+            self.check(xy, z, float(rng.choice([0.7, 1.0, 1.3])))
+
+    def test_pairs_exactly_at_the_limit(self):
+        # radius + DEFAULT_EPS is exactly 1.0 here: lattice neighbours and
+        # each point's copy one layer up sit on the limit and are kept
+        radius = 1.0 - DEFAULT_EPS
+        assert radius + DEFAULT_EPS == 1.0
+        self.check(_lattice(4, 3), np.arange(4.0), radius)
+        self.check(_lattice(4, 3) * 0.6, np.array([0.0, 0.8, 1.6]), radius)
+
+
+class TestStackedFloors:
+    """``generate_building`` queries the kernel over one floor and lifts
+    the pairs to every floor. Its edges, and the lift's raw arrays, must be
+    those of one kernel query over all the nodes, the oracle here: the same
+    pairs, distance bits and order (noise is drawn in edge order)."""
+
+    @staticmethod
+    def check(config):
+        inst = generate_building(config)
+        want = udg_edges(inst.true_pos, config.radius)
+        floor = inst.n // config.floors
+        xy = inst.true_pos[:floor, :2]
+        z = inst.true_pos[::floor, 2]
+        lifted = _stacked_edges(xy, udg_edges(xy, config.radius), z,
+                                config.radius)
+        assert _array_bytes(lifted) == _array_bytes(want), config
+        if config.noise_sigma > 0:
+            want = _with_noise(want, config.noise_sigma, config.radius,
+                               make_rng(config.rng_seed))
+        assert _array_bytes(inst.edge_arrays()) == _array_bytes(want), config
+        return inst, want
+
+    def test_floors_spacings_and_layouts(self):
+        # floors up to ten spacings apart connect (0.1 of radius 1.0)
+        for floors, spacing, corridors, stagger, columns in itertools.product(
+                range(1, 7), (0.1, 0.3, 0.45, 0.5, 0.8, 1.0), (3, (2, 1)),
+                (True, False), ((), ((2.7, 0.45),))):
+            self.check(BuildingConfig(
+                floors=floors, floor_spacing=spacing,
+                corridors_per_floor=corridors, stagger=stagger,
+                connector_columns=columns, extent=4.5))
+
+    def test_one_node_per_floor(self):
+        for floors in range(1, 7):
+            for spacing in (0.1, 0.5, 1.0):
+                inst, want = self.check(BuildingConfig(
+                    floors=floors, floor_spacing=spacing, extent=0.5))
+                assert inst.n == floors
+        # 1.0 apart, each floor reaches only the next one
+        assert len(want[0]) == floors - 1
+
+    def test_noise_draws_in_edge_order(self):
+        for floors, spacing in ((2, 0.3), (4, 0.45), (3, 0.8)):
+            self.check(BuildingConfig(
+                floors=floors, floor_spacing=spacing, corridors_per_floor=3,
+                connector_columns=((2.7, 0.45),), extent=4.5,
+                noise_sigma=1e-3, rng_seed=floors))
+
+    def test_every_benchmark_stairwell_offset(self):
+        for offset in range(-40, 41):
+            self.check(_bench_config(offset))
+
+    def test_one_planar_kernel_call(self, monkeypatch):
+        shapes = []
+
+        def counted(positions, *args, **kwargs):
+            shapes.append(np.shape(positions))
+            return udg_edges(positions, *args, **kwargs)
+
+        monkeypatch.setattr(model, "udg_edges", counted)
+        inst = generate_building(_bench_config(0))
+        assert shapes == [(inst.n // 3, 2)]
 
 
 def classify_edge(inst, u, v):
